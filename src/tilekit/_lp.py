@@ -8,7 +8,7 @@ dozen rows); no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -239,104 +239,134 @@ def maximize(
 ) -> LPResult:
     """Maximize c.x subject to a_ub.x <= b_ub and a_eq.x == b_eq (x free).
 
-    Two-phase simplex with Bland's rule over exact rationals.
+    Two-phase simplex with Bland's rule over exact rationals.  Free x is
+    split as u - v with u, v >= 0, each <= row gets a slack, and each row
+    an artificial variable; the artificials are the starting basis.  The
+    entering column is the first one with positive reduced cost, the
+    leaving row the least (ratio, basis[i], i).
+
+    The tableau holds integers (integer-preserving pivoting, as in
+    Edmonds 1967 and Bareiss 1968).  Row i, rhs last, is a positive
+    integer multiple of the true row: true row i = T[i] / T[i][basis[i]].
+    The reduced-cost row is kept the same way, up to a positive factor,
+    and updated at each pivot.  A pivot cross-multiplies and divides each
+    row by its gcd.  Signs and ratios are exact, so the pivot sequence,
+    and hence the returned x, is the one a Fraction tableau would take.
 
     Returns:
         LPResult with status in {"optimal", "unbounded", "infeasible"}.
     """
     n = len(c)
     c = vec(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # Free x -> u - v with u, v >= 0; slack per <= row.
     n_ub = len(a_ub)
-    for r, b in zip(a_ub, b_ub, strict=True):
-        rows.append(list(vec(r)))
-        rhs.append(frac(b))
-    for r, b in zip(a_eq, b_eq, strict=True):
-        rows.append(list(vec(r)))
-        rhs.append(frac(b))
-    m = len(rows)
+    cons = [(vec(r), frac(b)) for r, b in zip(a_ub, b_ub, strict=True)]
+    cons += [(vec(r), frac(b)) for r, b in zip(a_eq, b_eq, strict=True)]
+    m = len(cons)
     nvars = 2 * n + n_ub
-    tab = []
-    for i, row in enumerate(rows):
-        ext = [Fraction(0)] * nvars
-        for j in range(n):
-            ext[j] = row[j]
-            ext[n + j] = -row[j]
-        if i < n_ub:
-            ext[2 * n + i] = Fraction(1)
-        if rhs[i] < 0:
-            ext = [-x for x in ext]
-            rhs[i] = -rhs[i]
-        tab.append(ext)
-    obj = [Fraction(0)] * nvars
-    for j in range(n):
-        obj[j] = c[j]
-        obj[n + j] = -c[j]
-
-    basis = list(range(nvars, nvars + m))
-    for i in range(m):
-        tab[i] = tab[i] + [Fraction(1 if k == i else 0) for k in range(m)]
     width = nvars + m
+    tab: list[list[int]] = []
+    for i, (row, b) in enumerate(cons):
+        sign = -1 if b < 0 else 1
+        den = lcm(b.denominator, *(x.denominator for x in row))
+        ints = [sign * x.numerator * (den // x.denominator) for x in row]
+        ext = [0] * (width + 1)
+        ext[:n] = ints
+        ext[n:2 * n] = [-x for x in ints]
+        if i < n_ub:
+            ext[2 * n + i] = sign * den
+        ext[nvars + i] = den
+        ext[width] = sign * b.numerator * (den // b.denominator)
+        tab.append(_primitive_row(ext))
+    basis = list(range(nvars, width))
 
-    def pivot(bi: int, col: int):
-        pv = tab[bi][col]
-        tab[bi] = [x / pv for x in tab[bi]]
-        rhs[bi] /= pv
+    def pivot(bi: int, col: int, z: list[int] | None = None):
+        # The new pivot row is tab[bi] / tab[bi][col]; every other row with
+        # a nonzero entry in col is cross-multiplied against it.
+        pr = tab[bi]
+        a = pr[col]
+        if a < 0:
+            pr = tab[bi] = [-x for x in pr]
+            a = -a
         for i in range(m):
             if i != bi and tab[i][col] != 0:
-                f = tab[i][col]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[bi])]
-                rhs[i] -= f * rhs[bi]
+                tab[i] = _eliminate(tab[i], pr, a, col)
+        basis[bi] = col
+        if z is not None and z[col] != 0:
+            z = _eliminate(z, pr, a, col)
+        return z
 
-    def run(costs: list[Fraction], allowed: int) -> Fraction | None:
-        # Maximize costs.x over current tableau; Bland's rule.
-        # Returns the optimal value, or None when unbounded.
+    def reduced_costs(costs: list[int]) -> list[int]:
+        # A positive multiple of (reduced costs, -objective value) at the
+        # current basis, for integer costs over the first len(costs) columns.
+        ncols = len(costs)
+        basic = [(i, costs[bv]) for i, bv in enumerate(basis)
+                 if bv < ncols and costs[bv] != 0]
+        scale = lcm(*(tab[i][basis[i]] for i, _ in basic))
+        z = [scale * x for x in costs] + [0]
+        for i, f in basic:
+            k = scale // tab[i][basis[i]] * f
+            z = [x - k * y for x, y in zip(z, tab[i])]
+        return _primitive_row(z)
+
+    def run(z: list[int]) -> list[int] | None:
+        # Maximize over the current tableau; Bland's rule.  Returns the
+        # final reduced-cost row, or None when unbounded.
+        ncols = len(z) - 1
         while True:
-            red = list(costs[:allowed])
-            offset = Fraction(0)
-            for i, bv in enumerate(basis):
-                if bv < allowed and costs[bv] != 0:
-                    f = costs[bv]
-                    for j in range(allowed):
-                        red[j] -= f * tab[i][j]
-                    offset += f * rhs[i]
-            col = next((j for j in range(allowed) if red[j] > 0), None)
+            col = next((j for j in range(ncols) if z[j] > 0), None)
             if col is None:
-                return offset
-            ratios = [(rhs[i] / tab[i][col], basis[i], i) for i in range(m) if tab[i][col] > 0]
-            if not ratios:
+                return z
+            # Least ratio tab[i][-1] / tab[i][col], compared cross-multiplied.
+            bi = -1
+            for i in range(m):
+                t = tab[i][col]
+                if t > 0:
+                    r = tab[i][-1]
+                    if bi < 0:
+                        bi, br, bt = i, r, t
+                        continue
+                    new, best = r * bt, br * t
+                    if new < best or (new == best and basis[i] < basis[bi]):
+                        bi, br, bt = i, r, t
+            if bi < 0:
                 return None
-            _, _, bi = min(ratios)
-            basis[bi] = col
-            pivot(bi, col)
+            z = pivot(bi, col, z)
 
     # Phase 1: drive artificials out.
-    art_cost = [Fraction(0)] * width
-    for k in range(nvars, width):
-        art_cost[k] = Fraction(-1)
-    val = run(art_cost, width)
-    if val is None or val < 0:
+    z = run(reduced_costs([0] * nvars + [-1] * m))
+    # The last entry is a positive multiple of minus the phase-1 optimum.
+    if z is None or z[-1] > 0:
         return LPResult("infeasible")
     # Pivot any artificial still basic (degenerate) to a real column, else drop row.
     for i in range(m):
         if basis[i] >= nvars:
             col = next((j for j in range(nvars) if tab[i][j] != 0), None)
             if col is not None:
-                basis[i] = col
                 pivot(i, col)
-    # Phase 2.
-    full_obj = obj + [Fraction(0)] * m
-    val = run(full_obj, nvars)
-    if val is None:
+    # Phase 2: the artificial columns can no longer enter, so drop them.
+    for i in range(m):
+        tab[i] = tab[i][:nvars] + tab[i][width:]
+    den = lcm(*(x.denominator for x in c))
+    cost = [x.numerator * (den // x.denominator) for x in c]
+    if run(reduced_costs(cost + [-x for x in cost] + [0] * n_ub)) is None:
         return LPResult("unbounded")
     x = [Fraction(0)] * nvars
     for i, bv in enumerate(basis):
         if bv < nvars:
-            x[bv] = rhs[i]
+            x[bv] = Fraction(tab[i][-1], tab[i][bv])
     sol = tuple(x[j] - x[n + j] for j in range(n))
     return LPResult("optimal", dot(c, sol), sol)
+
+
+def _primitive_row(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _eliminate(row: list[int], pr: list[int], a: int, col: int) -> list[int]:
+    # Zero row[col] against the pivot row pr, whose entry pr[col] = a > 0.
+    f = row[col]
+    return _primitive_row([a * x - f * y for x, y in zip(row, pr)])
 
 
 def strictly_feasible(

@@ -6,7 +6,8 @@ matching case engine.  All pipelines are deterministic: identical inputs
 produce byte-identical output.
 
 Exit codes: 0 on success, 1 when a contradiction or violation is found
-(the expected outcome for the case engine), 2 on input errors.
+(the expected outcome for the case engine), 2 on input errors, 3 when a
+report differs from its --golden copy.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ MAX_DIM = 5
 
 #: Environment variable holding the worker count for independent case runs.
 JOBS_ENV = "TILEKIT_JOBS"
+
+#: Exit code of a --golden command whose report differs from the stored copy.
+GOLDEN_MISMATCH = 3
 
 _VIOLATIONS = (
     lattice.FacetNotCentrallySymmetric,
@@ -363,7 +367,7 @@ def _cmd_hyper_enumerate_k5(cfg: RunConfig, args) -> int:
     text = _render(doc)
     ok = _golden_check(text, args.golden, "enumerate-k5.json")
     _emit(text, cfg.output_path)
-    return 0 if ok else 1
+    return 0 if ok else GOLDEN_MISMATCH
 
 
 def _freeze(v):
@@ -474,6 +478,7 @@ def _jobs() -> int:
 def _run_case_table() -> syssolve.CaseTable:
     jobs = _jobs()
     five_keys = sorted(syssolve.SCHEME_CASES)
+    # Fills the matchings cache before the pool forks; the workers inherit it.
     six_keys = list(range(len(hypercomb.enumerate_6_11_matchings())))
     if jobs == 1:
         return syssolve.run_all_cases()
@@ -491,11 +496,11 @@ def _cmd_cases_run_all(cfg: RunConfig, args) -> int:
         "all_verified": table.all_verified,
     }
     text = _render(doc)
-    _golden_check(text, args.golden, "cases-run-all.json")
+    ok = _golden_check(text, args.golden, "cases-run-all.json")
     _emit(text, cfg.output_path)
     # Every case ends in a contradiction or an inconsistency certificate;
     # finding them is the point, and is flagged on exit.
-    return 1
+    return 1 if ok else GOLDEN_MISMATCH
 
 
 def _cmd_cases_cone_pipeline(cfg: RunConfig, args) -> int:
@@ -508,15 +513,15 @@ def _cmd_cases_cone_pipeline(cfg: RunConfig, args) -> int:
     text = _render(doc)
     ok = _golden_check(text, args.golden, "cone-pipeline.json")
     _emit(text, cfg.output_path)
-    return 0 if ok else 1
+    return 0 if ok else GOLDEN_MISMATCH
 
 
 def _cmd_cases_final_case(cfg: RunConfig, args) -> int:
     rep = syssolve.final_case_check()
     text = _render({"contradiction": _report_json(rep)})
-    _golden_check(text, args.golden, "final-case.json")
+    ok = _golden_check(text, args.golden, "final-case.json")
     _emit(text, cfg.output_path)
-    return 1
+    return 1 if ok else GOLDEN_MISMATCH
 
 
 # ---------------------------------------------------------------------------

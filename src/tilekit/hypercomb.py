@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations, product
 
 
@@ -704,7 +705,8 @@ def sigma_orbit_key(sigma, sigma_prime) -> tuple:
                 for pi in _PERMS3 for pi_p in _PERMS3))
 
 
-def enumerate_6_11_matchings() -> list[SigmaPair]:
+@cache
+def enumerate_6_11_matchings() -> tuple[SigmaPair, ...]:
     """Classifies all 6-11 diagonal matchings up to relabeling.
 
     Enumerates the 729 mapping pairs, partitions them into orbits under
@@ -712,6 +714,8 @@ def enumerate_6_11_matchings() -> list[SigmaPair]:
     with its documented item number.  The documented list has 18 items
     (three of which are tagged as swaps of earlier ones); the honest orbit
     count is 19, and the extra class is emitted last with item=None.
+
+    Computed once per process and cached.
 
     Returns:
       One SigmaPair per orbit: documented items 1..18 in order, then the
@@ -739,7 +743,7 @@ def enumerate_6_11_matchings() -> list[SigmaPair]:
         else:
             extras.append(SigmaPair(key[0], key[1], None, None))
     out = [by_item[i] for i in sorted(by_item)]
-    return out + sorted(extras, key=lambda sp: (sp.sigma, sp.sigma_prime))
+    return tuple(out + sorted(extras, key=lambda sp: (sp.sigma, sp.sigma_prime)))
 
 
 def swap_sigma(sp: SigmaPair) -> tuple[tuple[int, int, int], tuple[int, int, int]]:

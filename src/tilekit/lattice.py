@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, floor, gcd, isqrt
 from typing import Sequence
 
 from . import _lp, ratpoly
@@ -69,9 +69,9 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
     """Facet vectors of the Voronoi cell of (Z^d, G).
 
     A nonzero lattice vector v is a facet vector iff +/-v are the unique
-    minimizers of the norm in the class v + 2Z^d.  Minimization is an exact
-    windowed search: every candidate with norm at most the class
-    representative's is inside the computed coordinate box.
+    minimizers of the norm in the class v + 2Z^d.  Minimization is exact:
+    every lattice vector with norm at most the largest class
+    representative's is enumerated (see _short_vectors).
 
     Returns:
         lex-sorted tuple of integer vectors (both signs included).
@@ -90,21 +90,13 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
 
     reps = [c for c in itertools.product((0, 1), repeat=d) if any(c)]
     bound = max(q(c) for c in reps)  # integerized class-minimum upper bound
-    ginv = _lp.invert(g)
-    box = []
-    for i in range(d):
-        # v.G.v >= v_i^2 / (G^-1)_ii, so |v_i|^2 <= bound/den * (G^-1)_ii.
-        lim = Fraction(bound, den) * ginv[i][i]
-        box.append(isqrt(lim.numerator // lim.denominator))
     best: dict[tuple, int] = {}
     argmin: dict[tuple, list] = {}
-    for v in itertools.product(*[range(-b, b + 1) for b in box]):
+    for v in _short_vectors(gi, bound):
         cls = tuple(x & 1 for x in v)
         if not any(cls):
             continue  # the zero class of Z^d / 2Z^d never yields facets
         nv = q(v)
-        if nv > bound:
-            continue
         cur = best.get(cls)
         if cur is None or nv < cur:
             best[cls] = nv
@@ -116,6 +108,46 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
         if len(mins) == 2:
             out.extend(vec(m) for m in mins)
     return tuple(sorted(out))
+
+
+def _short_vectors(gi: list[list[int]], bound: int):
+    """Every integer vector v with v.G.v <= bound, for a positive definite
+    integer G.
+
+    Exact Fincke-Pohst enumeration (Fincke-Pohst 1985) in the given basis:
+    v.G.v = sum_i diag[i] * (v_i + sum_{j>i} mu[i][j] v_j)^2 over rationals,
+    so the last coordinates are fixed first and each coordinate ranges over
+    the integers that keep the partial sum within the bound.  It visits the
+    lattice points of the ellipsoid, not of its bounding box.
+    """
+    d = len(gi)
+    a = [[Fraction(x) for x in row] for row in gi]
+    diag: list[Fraction] = []
+    mu: list[list[Fraction]] = []
+    for i in range(d):
+        p = a[i][i]
+        diag.append(p)
+        mu.append([a[i][j] / p for j in range(d)])
+        for j in range(i + 1, d):
+            for k in range(i + 1, d):
+                a[j][k] -= a[j][i] * a[i][k] / p
+    v = [0] * d
+
+    def level(i: int, budget: Fraction):
+        if i < 0:
+            yield tuple(v)
+            return
+        c = -sum((mu[i][j] * v[j] for j in range(i + 1, d)), Fraction(0))
+        t = budget / diag[i]
+        # |v_i - c| <= sqrt(t) < r, so the range below covers every candidate.
+        r = isqrt(t.numerator // t.denominator) + 1
+        for x in range(floor(c) - r, ceil(c) + r + 1):
+            rest = budget - diag[i] * (x - c) ** 2
+            if rest >= 0:
+                v[i] = x
+                yield from level(i - 1, rest)
+
+    yield from level(d - 1, Fraction(bound))
 
 
 def dv_cell(gram) -> ratpoly.Polytope:

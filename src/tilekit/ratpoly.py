@@ -763,7 +763,9 @@ def separate(p1: Polytope, p2: Polytope) -> Hyperplane:
             b_ub.append(Fraction(1))
         c = tuple(Fraction(0) for _ in range(d)) + (Fraction(1),)
         res = _lp.maximize(c, a_ub, b_ub)
-        assert res.status == "optimal" and res.value > 0
+        if res.status != "optimal" or res.value <= 0:
+            raise GeometryError(f"separation LP gave {res.status} with "
+                                f"margin {res.value} for disjoint bodies")
         return finish(res.x[:d])
     # 0 on the relative boundary of diff: candidates from the normal cone at 0.
     cands: list[Vec] = [n for n, b in diff.facets if b == 0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -684,6 +685,7 @@ Q_VERTEX_ORDER: tuple[Vec, ...] = tuple(
 SURVIVOR_DIRECTION: Vec = vec((-1, -1, -1, 1, 1))
 
 
+@cache
 def lifted_configuration() -> tuple[Polytope, tuple[tuple[Vec, ...], ...],
                                     tuple[tuple[Vec, Vec], ...]]:
     """The symmetric ten-vertex lift: hull Q, the five parallelogram vertex
@@ -696,15 +698,6 @@ def lifted_configuration() -> tuple[Polytope, tuple[tuple[Vec, ...], ...],
     return q, paras, planes
 
 
-_CONFIG: list = []
-
-
-def _config():
-    if not _CONFIG:
-        _CONFIG.append(lifted_configuration())
-    return _CONFIG[0]
-
-
 def excluded_direction_cone(i: int, v: Vec) -> tuple[Vec, ...]:
     """Facet normals of the tangent cone at v widened by parallelogram i's
     direction plane; directions with every normal strictly negative (or
@@ -714,7 +707,7 @@ def excluded_direction_cone(i: int, v: Vec) -> tuple[Vec, ...]:
         i: parallelogram index, 1..5.
         v: a hull vertex outside that parallelogram.
     """
-    q, paras, planes = _config()
+    q, paras, planes = lifted_configuration()
     if tuple(v) in paras[i - 1]:
         raise ValueError("vertex belongs to the parallelogram under test")
     cone = cone_minus_linspace(cone_at_vertex(q, v), planes[i - 1])
@@ -827,7 +820,7 @@ def cone_test_pipeline(sf: SolutionFamily | None = None) -> tuple[Vec, ...]:
         if sf.system.kind != "5-10" or len(sf.params) != 1:
             raise ValueError("the direction tests serve the residual "
                              "one-parameter 5-10 family")
-    q, paras, _planes = _config()
+    q, paras, _planes = lifted_configuration()
     singles = [v for v in Q_VERTEX_ORDER if sum(1 for c in v if c != 0) == 1]
     sums = [v for v in Q_VERTEX_ORDER if sum(1 for c in v if c != 0) == 2]
     pairs = []

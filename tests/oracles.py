@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,141 @@ def _primitive(v):
     for k in ints:
         g = gcd(g, abs(k))
     return tuple(Fraction(k // g) for k in ints)
+
+
+# ---------------------------------------------------------------------------
+# Exact simplex: dense Fraction tableau (oracle for tilekit._lp.maximize).
+# ---------------------------------------------------------------------------
+
+
+class LPResult(NamedTuple):
+    status: str
+    value: Fraction | None = None
+    x: tuple | None = None
+
+
+def frac(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def vec(xs):
+    return tuple(frac(x) for x in xs)
+
+
+def dot(a, b):
+    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def maximize_reference(
+    c: Sequence,
+    a_ub: Sequence = (),
+    b_ub: Sequence = (),
+    a_eq: Sequence = (),
+    b_eq: Sequence = (),
+):
+    """Maximize c.x subject to a_ub.x <= b_ub and a_eq.x == b_eq (x free).
+
+    Two-phase simplex with Bland's rule over a Fraction tableau that
+    recomputes the reduced costs at every iteration: the production
+    solver before it moved to integer rows, kept as its differential
+    oracle.
+
+    Returns:
+        LPResult with status in {"optimal", "unbounded", "infeasible"}.
+    """
+    n = len(c)
+    c = vec(c)
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    # Free x -> u - v with u, v >= 0; slack per <= row.
+    n_ub = len(a_ub)
+    for r, b in zip(a_ub, b_ub, strict=True):
+        rows.append(list(vec(r)))
+        rhs.append(frac(b))
+    for r, b in zip(a_eq, b_eq, strict=True):
+        rows.append(list(vec(r)))
+        rhs.append(frac(b))
+    m = len(rows)
+    nvars = 2 * n + n_ub
+    tab = []
+    for i, row in enumerate(rows):
+        ext = [Fraction(0)] * nvars
+        for j in range(n):
+            ext[j] = row[j]
+            ext[n + j] = -row[j]
+        if i < n_ub:
+            ext[2 * n + i] = Fraction(1)
+        if rhs[i] < 0:
+            ext = [-x for x in ext]
+            rhs[i] = -rhs[i]
+        tab.append(ext)
+    obj = [Fraction(0)] * nvars
+    for j in range(n):
+        obj[j] = c[j]
+        obj[n + j] = -c[j]
+
+    basis = list(range(nvars, nvars + m))
+    for i in range(m):
+        tab[i] = tab[i] + [Fraction(1 if k == i else 0) for k in range(m)]
+    width = nvars + m
+
+    def pivot(bi: int, col: int):
+        pv = tab[bi][col]
+        tab[bi] = [x / pv for x in tab[bi]]
+        rhs[bi] /= pv
+        for i in range(m):
+            if i != bi and tab[i][col] != 0:
+                f = tab[i][col]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[bi])]
+                rhs[i] -= f * rhs[bi]
+
+    def run(costs: list[Fraction], allowed: int) -> Fraction | None:
+        # Maximize costs.x over current tableau; Bland's rule.
+        # Returns the optimal value, or None when unbounded.
+        while True:
+            red = list(costs[:allowed])
+            offset = Fraction(0)
+            for i, bv in enumerate(basis):
+                if bv < allowed and costs[bv] != 0:
+                    f = costs[bv]
+                    for j in range(allowed):
+                        red[j] -= f * tab[i][j]
+                    offset += f * rhs[i]
+            col = next((j for j in range(allowed) if red[j] > 0), None)
+            if col is None:
+                return offset
+            ratios = [(rhs[i] / tab[i][col], basis[i], i) for i in range(m) if tab[i][col] > 0]
+            if not ratios:
+                return None
+            _, _, bi = min(ratios)
+            basis[bi] = col
+            pivot(bi, col)
+
+    # Phase 1: drive artificials out.
+    art_cost = [Fraction(0)] * width
+    for k in range(nvars, width):
+        art_cost[k] = Fraction(-1)
+    val = run(art_cost, width)
+    if val is None or val < 0:
+        return LPResult("infeasible")
+    # Pivot any artificial still basic (degenerate) to a real column, else drop row.
+    for i in range(m):
+        if basis[i] >= nvars:
+            col = next((j for j in range(nvars) if tab[i][j] != 0), None)
+            if col is not None:
+                basis[i] = col
+                pivot(i, col)
+    # Phase 2.
+    full_obj = obj + [Fraction(0)] * m
+    val = run(full_obj, nvars)
+    if val is None:
+        return LPResult("unbounded")
+    x = [Fraction(0)] * nvars
+    for i, bv in enumerate(basis):
+        if bv < nvars:
+            x[bv] = rhs[i]
+    sol = tuple(x[j] - x[n + j] for j in range(n))
+    return LPResult("optimal", dot(c, sol), sol)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +396,47 @@ def relevant_vectors_bruteforce(gram, radius=3):
             out.append(tuple(map(Fraction, v)))
     return sorted(out)
 
+
+def relevant_vectors_box(gram):
+    """Facet vectors by scanning the coordinate box around the norm ellipsoid.
+
+    The production search before it moved to Fincke-Pohst enumeration, kept
+    as its differential oracle.  Same criterion as relevant_vectors_bruteforce
+    (+/-v the unique norm minimizers of v + 2Z^d), but every class minimum is
+    taken over all vectors of norm at most the largest 0/1 representative's,
+    all of which lie in the box |v_i|^2 <= bound * (G^-1)_ii.
+    """
+    from math import isqrt
+
+    d = len(gram)
+    g = [[Fraction(x) for x in row] for row in gram]
+
+    def q(v):
+        return sum(v[i] * g[i][j] * v[j] for i in range(d) for j in range(d))
+
+    reps = [c for c in itertools.product((0, 1), repeat=d) if any(c)]
+    bound = max(q(c) for c in reps)
+    box = []
+    for i in range(d):
+        e = [Fraction(int(k == i)) for k in range(d)]
+        lim = bound * gauss_solve(g, e)[i]  # bound * (G^-1)_ii
+        box.append(isqrt(lim.numerator // lim.denominator))
+    best = {}
+    argmin = {}
+    for v in itertools.product(*[range(-b, b + 1) for b in box]):
+        cls = tuple(x & 1 for x in v)
+        if not any(cls):
+            continue
+        nv = q(v)
+        if nv > bound:
+            continue
+        if cls not in best or nv < best[cls]:
+            best[cls] = nv
+            argmin[cls] = [v]
+        elif nv == best[cls]:
+            argmin[cls].append(v)
+    return sorted(tuple(map(Fraction, m)) for mins in argmin.values()
+                  if len(mins) == 2 for m in mins)
 
 # ---------------------------------------------------------------------------
 # Closed 4-uniform hypergraphs via clique partitions of the edge-meet graph.

@@ -269,7 +269,23 @@ def test_golden_roundtrip(tmp_path, capsys):
 
     (golden / "enumerate-k5.json").write_text("{}\n")
     rc, _, err = run(capsys, "hyper", "enumerate-k5", "--golden", str(golden))
-    assert rc == 1 and "mismatch" in err
+    assert rc == cli.GOLDEN_MISMATCH == 3 and "mismatch" in err
+
+
+@pytest.mark.parametrize("sub, name", [("run-all", "cases-run-all.json"),
+                                       ("final-case", "final-case.json")])
+def test_case_engine_golden_mismatch_has_own_exit_code(tmp_path, capsys,
+                                                       sub, name):
+    # These commands exit 1 on success, so a mismatch needs its own code.
+    rc, out, _ = run(capsys, "cases", sub)
+    assert rc == 1
+    (tmp_path / name).write_text(out)
+    rc, again, err = run(capsys, "cases", sub, "--golden", str(tmp_path))
+    assert rc == 1 and again == out and "mismatch" not in err
+
+    (tmp_path / name).write_text("{}\n")
+    rc, again, err = run(capsys, "cases", sub, "--golden", str(tmp_path))
+    assert rc == 3 and again == out and "mismatch" in err
 
 
 def test_golden_missing_file_is_input_error(tmp_path, capsys):

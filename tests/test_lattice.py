@@ -64,6 +64,36 @@ def test_relevant_vectors_random_grams_match_oracle():
             assert got == want
 
 
+def _skew(gram, u):
+    """U^T G U: the same lattice in the basis given by the columns of U."""
+    d = len(gram)
+    return [[sum(u[k][i] * gram[k][l] * u[l][j] for k in range(d) for l in range(d))
+             for j in range(d)] for i in range(d)]
+
+
+def test_relevant_vectors_match_box_scan():
+    # The enumeration must return exactly what the coordinate-box scan it
+    # replaced returns: reduced, skewed, rational and random 4-D Grams.
+    grams = [Z2, A2, Z3, FCC, BCC,
+             [[F(1), F(1, 2)], [F(1, 2), F(1)]],
+             [[2, F(1, 3), 0], [F(1, 3), 1, F(1, 5)], [0, F(1, 5), 3]],
+             _skew(Z2, [[1, 7], [0, 1]]),
+             _skew(FCC, [[1, 1, 0], [0, 1, 2], [0, 0, 1]]),
+             [[4, 0, 0, 2], [0, 4, 0, 2], [0, 0, 4, 2], [2, 2, 2, 7]]]
+    rng = random.Random(20261018)
+    for d in (2, 3, 3, 4, 4):
+        a = [[rng.choice([-1, 0, 1]) if i != j else rng.choice([1, 2])
+              for j in range(d)] for i in range(d)]
+        grams.append([[sum(a[k][i] * a[k][j] for k in range(d)) for j in range(d)]
+                      for i in range(d)])
+    for gram in grams:
+        try:
+            got = relevant_vectors(gram)
+        except ValueError:
+            continue  # sampled a singular matrix
+        assert list(got) == oracles.relevant_vectors_box(gram), gram
+
+
 # --- frozen shapes.
 
 

@@ -1,0 +1,152 @@
+"""Differential tests: the integer-row simplex against the Fraction tableau.
+
+`oracles.maximize_reference` is the dense Fraction simplex that
+`_lp.maximize` replaced.  Both follow the same pivot rules, so they must
+agree exactly: same status, same optimum and the same vertex x.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from tilekit import _lp
+from tilekit._lp import maximize, strictly_feasible
+
+import oracles
+
+F = Fraction
+
+#: Coefficients drawn by the random LPs: zeros for sparsity and degeneracy,
+#: non-integer rationals so rows need a common denominator.
+COEFFS = (0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 7))
+RHS = (0, 0, 1, -1, 2, F(3, 2), F(-1, 3))
+
+
+def same(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    got = maximize(c, a_ub, b_ub, a_eq, b_eq)
+    ref = oracles.maximize_reference(c, a_ub, b_ub, a_eq, b_eq)
+    assert (got.status, got.value, got.x) == (ref.status, ref.value, ref.x)
+    if got.x is not None:
+        assert all(type(v) is Fraction for v in got.x)
+        assert type(got.value) is Fraction
+    return got
+
+
+def random_lp(rng: random.Random):
+    n = rng.randint(1, 4)
+    n_ub = rng.randint(0, 5)
+    n_eq = rng.randint(0, 2)
+    row = lambda: [F(rng.choice(COEFFS)) for _ in range(n)]
+    # A zero objective makes the whole feasible set optimal, so x is
+    # wherever the pivots stop: any change of pivot path shows in x.
+    c = row() if rng.random() < 0.7 else [F(0)] * n
+    a_ub = [row() for _ in range(n_ub)]
+    a_eq = [row() for _ in range(n_eq)]
+    b_ub = [F(rng.choice(RHS)) for _ in range(n_ub)]
+    b_eq = [F(rng.choice(RHS)) for _ in range(n_eq)]
+    if rng.random() < 0.3:
+        # A repeated row gives tied ratios in the leaving-row test.
+        a_ub += a_ub[:1]
+        b_ub += b_ub[:1]
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_lps_agree_with_reference(seed):
+    rng = random.Random(seed)
+    statuses = Counter(same(*random_lp(rng)).status for _ in range(150))
+    # Each seed's sweep reaches all three outcomes.
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}
+
+
+def test_infeasible():
+    # x <= -1 and x >= 1.
+    res = same([F(1)], [[F(1)], [F(-1)]], [F(-1), F(-1)])
+    assert res.status == "infeasible" and res.x is None
+
+
+def test_infeasible_equalities():
+    res = same([F(0), F(0)], a_eq=[[F(1), F(1)], [F(2), F(2)]], b_eq=[F(1), F(3)])
+    assert res.status == "infeasible"
+
+
+def test_unbounded():
+    res = same([F(1), F(1)], [[F(1), F(-1)]], [F(0)])
+    assert res.status == "unbounded"
+
+
+def test_no_constraints():
+    assert same([F(0), F(0)]).x == (F(0), F(0))
+    assert same([F(0), F(1)]).status == "unbounded"
+
+
+def test_degenerate_zero_rhs_and_tied_ratios():
+    # Square [0, 1]^2 with a redundant diagonal through the optimum and a
+    # duplicated row: zero rhs, and ties in the ratio test.
+    a_ub = [[F(1), F(0)], [F(0), F(1)], [F(-1), F(0)], [F(0), F(-1)],
+            [F(1), F(1)], [F(1), F(0)]]
+    b_ub = [F(1), F(1), F(0), F(0), F(2), F(1)]
+    res = same([F(1), F(1)], a_ub, b_ub)
+    assert res.value == 2 and res.x == (F(1), F(1))
+
+
+def test_ratio_ties_go_to_the_smaller_basic_index():
+    # Feasible set: y == -1, -2 <= x <= -1.  Ratio ties where the basic
+    # indices are out of row order decide which end phase 1 stops at.
+    a_ub = [[F(1), F(0)], [F(-1), F(1)], [F(1), F(1)]]
+    res = same([F(0), F(0)], a_ub, [F(-1), F(1), F(-1)], [[F(0), F(1)]], [F(-1)])
+    assert res.x == (F(-1), F(-1))
+
+
+def test_equality_rows_and_negative_rhs():
+    # x + y == -1, x - y <= -3, maximize x.
+    res = same([F(1), F(0)], [[F(1), F(-1)]], [F(-3)], [[F(1), F(1)]], [F(-1)])
+    assert res.status == "optimal" and res.x == (F(-2), F(1))
+
+
+def test_equalities_only_with_redundant_row():
+    # The duplicated equation leaves an artificial basic at zero after
+    # phase 1; its row has no real entry and is dropped.
+    a_eq = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]
+    res = same([F(1), F(1)], a_eq=a_eq, b_eq=[F(3), F(6), F(1)])
+    assert res.x == (F(1), F(1))
+
+
+def test_rational_coefficients():
+    a_ub = [[F(1, 2), F(1, 3)], [F(-2, 3), F(0)], [F(0), F(-5, 7)]]
+    b_ub = [F(7, 6), F(0), F(0)]
+    res = same([F(3, 4), F(1, 5)], a_ub, b_ub)
+    assert res.status == "optimal"
+    assert res.value == max(F(3, 4) * x + F(1, 5) * y
+                            for x, y in ((0, 0), (F(7, 3), 0), (0, F(7, 2))))
+
+
+def test_integer_inputs_are_accepted():
+    res = same([1, 1], [[1, 0], [0, 1]], [2, 3])
+    assert res.value == 5 and res.x == (F(2), F(3))
+
+
+STRICT_SYSTEMS = [
+    # (strict rows, equations, dim, has a witness)
+    ([[F(1), F(0)], [F(0), F(1)]], [], 2, True),
+    ([[F(1), F(0)], [F(-1), F(0)]], [], 2, False),
+    ([[F(1), F(1), F(0)], [F(1, 2), F(-1), F(0)]], [[F(0), F(0), F(1)]], 3, True),
+    ([[F(1), F(0)]], [[F(1), F(0)]], 2, False),
+    ([[F(1), F(2), F(-1)], [F(-1), F(1), F(1)], [F(0), F(-3), F(0)]], [], 3, False),
+    ([], [[F(1), F(1)]], 2, True),
+]
+
+
+@pytest.mark.parametrize("strict, eqs, dim, found", STRICT_SYSTEMS)
+def test_strictly_feasible_matches_reference(monkeypatch, strict, eqs, dim, found):
+    got = strictly_feasible(strict, eqs, dim)
+    assert (got is not None) == found
+    if found:
+        assert all(sum(a * x for a, x in zip(r, got)) > 0 for r in strict)
+        assert all(sum(a * x for a, x in zip(r, got)) == 0 for r in eqs)
+    monkeypatch.setattr(_lp, "maximize", oracles.maximize_reference)
+    assert strictly_feasible(strict, eqs, dim) == got

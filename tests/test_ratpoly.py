@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from tilekit import ratpoly
+from tilekit import _lp, ratpoly
 from tilekit.ratpoly import (
     Cone,
     EmptyInput,
+    GeometryError,
     Hyperplane,
     KernelNotIndependent,
     NotAVertex,
@@ -288,6 +289,20 @@ def test_separate_improper_only_raises():
     end = from_vertices([fv(2, 0)])
     with pytest.raises(NotSeparable, match="improper"):
         separate(seg, end)
+
+
+def test_separate_strong_lp_result_is_checked(monkeypatch):
+    # Disjoint full-dimensional squares take the margin-LP branch; a
+    # non-optimal LP answer must raise, also under python -O.
+    p1 = from_vertices(SQUARE)
+    p2 = p1.translate(fv(5, 0))
+    assert separate(p1, p2).normal == fv(1, 0)
+    for bad in (_lp.LPResult("infeasible"),
+                _lp.LPResult("optimal", F(0), fv(0, 0, 0))):
+        monkeypatch.setattr(ratpoly._lp, "maximize", lambda *a, r=bad: r)
+        with pytest.raises(GeometryError, match="separation LP") as info:
+            separate(p1, p2)
+        assert not isinstance(info.value, NotSeparable)
 
 
 def test_illuminated_square():
