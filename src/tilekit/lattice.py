@@ -150,9 +150,20 @@ def _short_vectors(gi: list[list[int]], bound: int):
     yield from level(d - 1, Fraction(bound))
 
 
+def _dv_halfspaces(gram) -> tuple[tuple[Vec, ...], list[tuple[Vec, Fraction]]]:
+    """Facet vectors v and their halfspaces v.G.x <= v.G.v / 2, in step."""
+    g = _check_gram(gram)
+    rel = relevant_vectors(g)
+    halfspaces = []
+    for v in rel:
+        n = tuple(dot(vec(row), v) for row in g)  # G v
+        halfspaces.append((n, gram_norm(g, v) / 2))
+    return rel, halfspaces
+
+
 def dv_cell(gram) -> ratpoly.Polytope:
     """Voronoi cell of the origin: {x : v.G.x <= v.G.v / 2 for facet vectors v}."""
-    return dv_cell_with_vectors(gram)[0]
+    return ratpoly.from_halfspaces(_dv_halfspaces(gram)[1])
 
 
 def dv_cell_with_vectors(gram):
@@ -161,27 +172,14 @@ def dv_cell_with_vectors(gram):
     Returns:
         (cell, vectors) with vectors[i] the facet vector of cell.facets[i].
     """
-    g = _check_gram(gram)
-    d = len(g)
-    rel = relevant_vectors(g)
-    halfspaces = []
-    for v in rel:
-        n = tuple(dot(vec(row), v) for row in g)  # G v
-        halfspaces.append((n, gram_norm(g, v) / 2))
+    rel, halfspaces = _dv_halfspaces(gram)
     cell = ratpoly.from_halfspaces(halfspaces)
-    vectors = []
-    for n, b in cell.facets:
-        match = None
-        for v, (hn, hb) in zip(rel, halfspaces):
-            pn = _lp.primitive(hn)
-            k = next(i for i in range(d) if hn[i] != 0)
-            if pn == n and hb * (pn[k] / hn[k]) == b:
-                match = v
-                break
-        if match is None:  # pragma: no cover - every facet comes from a vector
-            raise AssertionError("facet without a lattice vector")
-        vectors.append(match)
-    return cell, tuple(vectors)
+    # Every halfspace of a facet vector is a facet, already in the cell's
+    # canonical form once scaled to a primitive normal.
+    vector_of = {
+        ratpoly._canonical_facet(n, b): v for v, (n, b) in zip(rel, halfspaces)
+    }
+    return cell, tuple(vector_of[f] for f in cell.facets)
 
 
 # ---------------------------------------------------------------------------

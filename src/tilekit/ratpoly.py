@@ -4,6 +4,12 @@ All coordinates are Fractions; every operation is deterministic and returns
 canonical data (lexicographically sorted vertices, facet normals scaled to
 coprime integers).  Dimensions up to 6 are supported, which covers every
 consumer in this package.
+
+Each conversion runs one double description pass (`_extreme_rays`), which
+returns every extreme ray with the set of rows tight on it.  from_vertices
+runs it over the cone dual to the points; from_halfspaces runs it over the
+homogenized rows and reads the facets and the incidence off those zero sets,
+so no second hull is built.
 """
 
 from __future__ import annotations
@@ -128,12 +134,16 @@ class _Lineality(Exception):
     pass
 
 
-def _extreme_rays(rows: list[Vec], dim: int) -> list[Vec]:
+def _extreme_rays(rows: list[Vec], dim: int) -> list[tuple[Vec, int]]:
     """Extreme rays of the pointed cone {x : r.x >= 0 for every row r}.
+
+    Returns (ray, zero set) pairs sorted by ray, with primitive rays; bit i of
+    the zero set is on iff rows[i].ray == 0.
 
     Raises _Lineality when the rows do not span (cone contains a line).
     Incremental double description with combinatorial adjacency.
     """
+    given = rows
     rows = sorted(set(rows))
     # Initial simplicial cone from dim independent rows.
     chosen: list[int] = []
@@ -205,7 +215,15 @@ def _extreme_rays(rows: list[Vec], dim: int) -> list[Vec]:
                 ded_r.append(r)
                 ded_m.append(m)
         rays, zmask = ded_r, ded_m
-    return sorted(rays)
+    # The zero sets above index the sorted distinct rows; re-index them by
+    # the caller's rows.
+    where = {r: i for i, r in enumerate(rows)}
+    pos = [where[r] for r in given]
+    if pos != list(range(len(rows))):
+        zmask = [
+            sum(1 << i for i, p in enumerate(pos) if m >> p & 1) for m in zmask
+        ]
+    return sorted(zip(rays, zmask))
 
 
 def _affine_coords(points: list[Vec]):
@@ -259,6 +277,20 @@ def _canonical_equation(n: Vec, b: Fraction) -> tuple[Vec, Fraction]:
     return pn, b
 
 
+def _affine_equations(
+    p0: Vec, directions: list[Vec], d: int
+) -> tuple[tuple[Vec, Fraction], ...]:
+    """Sorted canonical equations of the affine space p0 + span(directions).
+
+    The normals are the nullspace basis read off the reduced row echelon
+    form, which depends on the span alone, so any spanning set gives the
+    same equations.
+    """
+    return tuple(
+        sorted(_canonical_equation(n, dot(n, p0)) for n in _lp.nullspace(directions, d))
+    )
+
+
 def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
     """Convex hull with canonical facet description.
 
@@ -282,11 +314,7 @@ def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
         raise ValueError("points have mixed dimensions")
     p0, basis, coords = _affine_coords(pts)
     k = len(basis)
-    # Affine-hull equations.
-    eq_normals = _lp.nullspace([vsub(p, p0) for p in pts[1:]] or [], d)
-    equations = tuple(
-        sorted(_canonical_equation(n, dot(n, p0)) for n in eq_normals)
-    )
+    equations = _affine_equations(p0, [vsub(p, p0) for p in pts[1:]], d)
     if k == 0:
         return Polytope(
             vertices=(p0,), facets=(), equations=equations, incidence=(), dim=0
@@ -296,7 +324,7 @@ def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
     rows = [tuple(c) + (Fraction(1),) for c in coords]
     rays = _extreme_rays(rows, k + 1)
     facets = []
-    for ray in rays:
+    for ray, _ in rays:
         yhat, s = ray[:k], ray[k]
         # Facet (-yhat).y <= s in image coordinates.
         n_img = tuple(-y for y in yhat)
@@ -334,6 +362,16 @@ def from_halfspaces(
 ) -> Polytope:
     """Bounded solution set of normal.x <= offset rows (plus equation rows).
 
+    One double description pass over the homogenized rows gives the vertices
+    and, for each vertex, the rows tight on it.  Everything else is read off
+    those zero sets (Fukuda-Prodon's combinatorial facet test): rows tight on
+    every vertex are implicit equations and, with the given equations, cut
+    out the affine hull; the facets are the rows whose vertex sets are
+    inclusion-maximal among the rest, and those sets are the incidence.  A
+    facet's normal is its row's normal projected onto the direction space,
+    which is a positive multiple of the facet's own normal, so the result is
+    the same canonical Polytope that from_vertices builds from the vertices.
+
     Args:
         halfspaces: (normal, offset) pairs meaning normal.x <= offset.
         equations: (normal, offset) pairs meaning normal.x == offset.
@@ -369,12 +407,16 @@ def from_halfspaces(
         null = _lp.nullspace([], d)
     m = len(null)
     if m == 0:
-        p = x0
-        if all(dot(n, p) <= b for n, b in hs):
-            return from_vertices([p])
+        if all(dot(n, x0) <= b for n, b in hs):
+            return Polytope(
+                vertices=(x0,), facets=(), equations=_affine_equations(x0, [], d),
+                incidence=(), dim=0,
+            )
         raise EmptyInput("system has no solution")
-    # Reduced inequalities a.z <= c over z in R^m, x = x0 + N z.
+    # Reduced inequalities a.z <= c over z in R^m, x = x0 + N z; kept[i] is
+    # the input row behind red[i].
     red = []
+    kept = []
     for n, b in hs:
         a = tuple(dot(n, nb) for nb in null)
         c = b - dot(n, x0)
@@ -383,6 +425,7 @@ def from_halfspaces(
                 raise EmptyInput("system has no solution")
             continue
         red.append((a, c))
+        kept.append((n, b))
     # Homogenize: rays (z, t) with c t - a.z >= 0 and t >= 0.
     rows = [tuple(-x for x in a) + (c,) for a, c in red]
     rows.append(tuple(Fraction(0) for _ in range(m)) + (Fraction(1),))
@@ -399,15 +442,60 @@ def from_halfspaces(
             raise EmptyInput("system has no solution") from None
         raise UnboundedInput("solution set contains a line") from None
     verts = []
-    for ray in rays:
+    for ray, zero in rays:
         z, t = ray[:m], ray[m]
         if t == 0:
             raise UnboundedInput("solution set has a recession direction")
         zz = tuple(x / t for x in z)
-        verts.append(_lp.vadd(x0, tuple(dot(nb_row, zz) for nb_row in zip(*null))))
+        x = _lp.vadd(x0, tuple(dot(nb_row, zz) for nb_row in zip(*null)))
+        verts.append((x, zero))
     if not verts:
         raise EmptyInput("system has no solution")
-    return from_vertices(verts)
+    verts.sort()
+    points = tuple(v for v, _ in verts)
+    # tight[i]: bit j on iff input row kept[i] is tight on points[j].
+    tight = [0] * len(red)
+    for j, (_, zero) in enumerate(verts):
+        while zero:
+            low = zero & -zero
+            tight[low.bit_length() - 1] |= 1 << j
+            zero ^= low
+    everywhere = (1 << len(points)) - 1
+    # Rows tight on every vertex are implicit equations; with the given
+    # equations they cut out the affine hull, whose direction space is lin.
+    lin = _lp.nullspace(
+        [n for n, _ in eqs]
+        + [kept[i][0] for i, t in enumerate(tight) if t == everywhere],
+        d,
+    )
+    equations_out = _affine_equations(points[0], lin, d)
+    k = len(lin)
+    if k == 0:
+        return Polytope(
+            vertices=points, facets=(), equations=equations_out, incidence=(), dim=0
+        )
+    first_row: dict[int, int] = {}
+    for i, t in enumerate(tight):
+        if t != everywhere:
+            first_row.setdefault(t, i)
+    facets = []
+    for t, i in first_row.items():
+        if any(u != t and u & t == t for u in first_row):
+            continue  # a face inside some facet
+        n, b = kept[i]
+        if k < d:
+            n = _lift_normal(tuple(dot(n, l) for l in lin), lin)
+            b = dot(n, points[(t & -t).bit_length() - 1])
+        on = frozenset(j for j in range(len(points)) if t >> j & 1)
+        facets.append(_canonical_facet(n, b) + (on,))
+    facets.sort()
+    return Polytope(
+        vertices=points,
+        facets=tuple((n, b) for n, b, _ in facets),
+        equations=equations_out,
+        incidence=tuple(on for _, _, on in facets),
+        dim=k,
+    )
 
 
 def dual_description(
@@ -556,7 +644,7 @@ def _cone_dual(gens: list[Vec], d: int) -> tuple[list[Vec], list[Vec]]:
         rays = _extreme_rays(coords, s)
     except _Lineality:  # pragma: no cover - gens span by construction
         raise AssertionError("dual cone unexpectedly non-pointed") from None
-    normals = [primitive(_lift_normal(r, list(span_basis))) for r in rays]
+    normals = [primitive(_lift_normal(r, list(span_basis))) for r, _ in rays]
     return sorted(normals), sorted(eqs)
 
 
@@ -604,7 +692,7 @@ def _rays_from_hrep(ge_normals: list[Vec], eq_normals: list[Vec], d: int) -> lis
         return []
     rows = [tuple(dot(n, nb) for nb in null) for n in ge_normals]
     rays_q = _extreme_rays(rows, len(null))
-    return sorted(primitive(tuple(dot(row, r) for row in zip(*null))) for r in rays_q)
+    return sorted(primitive(tuple(dot(row, r) for row in zip(*null))) for r, _ in rays_q)
 
 
 def _cone_from_gen_list(apex: Vec, glist: list[Vec], d: int) -> Cone:
@@ -614,11 +702,13 @@ def _cone_from_gen_list(apex: Vec, glist: list[Vec], d: int) -> Cone:
     normals_ge, _ = _cone_dual(glist, d)
     halfspaces = sorted(tuple(-x for x in n) for n in normals_ge)
     eqs = _lp.nullspace(glist, d) if glist else _lp.nullspace([], d)
-    # Lineality: span of generators whose negation stays in the cone.
+    # Lineality: span of generators whose negation stays in the cone.  Every
+    # facet normal is >= 0 on a generator g, so -g is in the cone exactly
+    # when all of them vanish on g.
     two_sided: list[Vec] = []
     one_sided: list[Vec] = []
     for g in glist:
-        if _in_cone_hull(tuple(-x for x in g), glist):
+        if all(dot(f, g) == 0 for f in normals_ge):
             two_sided.append(g)
         else:
             one_sided.append(g)
@@ -657,23 +747,6 @@ def _cone_from_gen_list(apex: Vec, glist: list[Vec], d: int) -> Cone:
         halfspaces=tuple(halfspaces),
         equations=tuple(sorted(primitive(e) for e in eqs)),
     )
-
-
-def _in_cone_hull(target: Vec, gens: list[Vec]) -> bool:
-    """Is target a nonnegative combination of gens?"""
-    if is_zero(target):
-        return True
-    if not gens:
-        return False
-    k = len(gens)
-    d = len(target)
-    # alpha >= 0, sum alpha_i g_i = target.
-    a_ub = [[Fraction(-1 if j == i else 0) for j in range(k)] for i in range(k)]
-    b_ub = [Fraction(0)] * k
-    a_eq = [[gens[j][r] for j in range(k)] for r in range(d)]
-    b_eq = [target[r] for r in range(d)]
-    res = _lp.maximize([Fraction(0)] * k, a_ub, b_ub, a_eq, b_eq)
-    return res.status == "optimal"
 
 
 def cone_minus_linspace(c: Cone, directions: Iterable[Sequence[Fraction]]) -> Cone:

@@ -723,22 +723,27 @@ class _Cell:
     witness: Vec
 
 
-def _make_cell(eqs, neg) -> tuple[tuple[Vec, ...], tuple[Vec, ...]] | None:
-    eset = set()
-    for n in eqs:
-        n = _lp.lex_positive(primitive(n))
-        if is_zero(n):
-            continue
-        eset.add(n)
-    nset = set()
-    for n in neg:
-        n = primitive(n)
-        if is_zero(n):
-            return None
-        nset.add(n)
-    for n in nset:
+def _make_cell(eqs, neg, extra_eqs=(), extra_neg=()
+               ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]] | None:
+    """Canonical rows of a cell refined by extra rows, or None when empty.
+
+    eqs and neg are a cell's own rows, already canonical and consistent;
+    only the extra rows are scaled to primitive integers (equations also to
+    lex-positive) and checked against the rest.
+    """
+    new_eqs = {_lp.lex_positive(primitive(n)) for n in extra_eqs} - set(eqs)
+    new_neg = {primitive(n) for n in extra_neg} - set(neg)
+    if any(is_zero(n) for n in new_neg):
+        return None
+    new_eqs = {n for n in new_eqs if not is_zero(n)}
+    eset = set(eqs) | new_eqs
+    nset = set(neg) | new_neg
+    for n in new_neg:
         flip = tuple(-x for x in n)
         if flip in nset or n in eset or flip in eset:
+            return None
+    for n in new_eqs:
+        if n in nset or tuple(-x for x in n) in nset:
             return None
     return tuple(sorted(eset)), tuple(sorted(nset))
 
@@ -752,7 +757,7 @@ def _cell_feasible(eqs, neg) -> Vec | None:
 
 
 def _refine(cell: _Cell, extra_eqs=(), extra_neg=()) -> _Cell | None:
-    made = _make_cell(cell.eqs + tuple(extra_eqs), cell.neg + tuple(extra_neg))
+    made = _make_cell(cell.eqs, cell.neg, extra_eqs, extra_neg)
     if made is None:
         return None
     eqs, neg = made

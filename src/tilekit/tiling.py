@@ -250,10 +250,10 @@ def build_complex(gram, prototile: Polytope | None = None) -> TilingComplex:
     if d > 5:
         raise ValueError("tilings are supported up to dimension 5 only")
     if prototile is None:
-        report = lat.venkov_check(gram)
+        cell = lat.dv_cell(gram)
+        report = lat.venkov_check_cell(cell)
         if not report.passed:
             raise VenkovFailure(report)
-        cell = lat.dv_cell(gram)
     else:
         cell = prototile
         if cell.ambient_dim != d:

@@ -3,7 +3,9 @@
 Everything here is written independently of tilekit internals: no imports
 from the package, own tiny Gaussian elimination, exhaustive or sampling
 strategies instead of the production algorithms.  Slow on purpose; only fed
-small instances.
+small instances.  The one exception is from_halfspaces_two_pass, the
+production H-to-V conversion before it became one pass: it keeps its first
+pass and rebuilds the result with tilekit's from_vertices, as it always did.
 """
 
 from __future__ import annotations
@@ -437,6 +439,138 @@ def relevant_vectors_box(gram):
             argmin[cls].append(v)
     return sorted(tuple(map(Fraction, m)) for mins in argmin.values()
                   if len(mins) == 2 for m in mins)
+
+
+# ---------------------------------------------------------------------------
+# Cones and halfspace systems: the production code before it moved to
+# combinatorial tests, kept as differential oracles.
+# ---------------------------------------------------------------------------
+
+
+def in_cone_hull(target, gens, maximize=maximize_reference):
+    """Is target a nonnegative combination of gens?  One exact LP.
+
+    The lineality test of ratpoly._cone_from_gen_list before it read the
+    answer off the facet normals.  maximize is the LP solver: the reference
+    by default, or tilekit._lp.maximize (checked against it in test_lp) for
+    many calls.
+    """
+    target = vec(target)
+    if all(x == 0 for x in target):
+        return True
+    if not gens:
+        return False
+    k = len(gens)
+    d = len(target)
+    # alpha >= 0, sum alpha_i g_i = target.
+    a_ub = [[Fraction(-1 if j == i else 0) for j in range(k)] for i in range(k)]
+    b_ub = [Fraction(0)] * k
+    a_eq = [[frac(gens[j][r]) for j in range(k)] for r in range(d)]
+    b_eq = [target[r] for r in range(d)]
+    res = maximize([Fraction(0)] * k, a_ub, b_ub, a_eq, b_eq)
+    return res.status == "optimal"
+
+
+def make_cell_reference(eqs, neg):
+    """Canonical (equations, strict negatives) of a direction cell, or None.
+
+    syssolve._make_cell before it stopped re-canonicalizing the rows a cell
+    already holds: every row is scaled to primitive integers (equations also
+    sign-normalized) and the system is None when a strict row is zero or
+    clashes with its negation or with an equation.
+    """
+
+    def prim(v):
+        v = vec(v)
+        return v if all(x == 0 for x in v) else _primitive(v)
+
+    def lexpos(v):
+        first = next((x for x in v if x != 0), 0)
+        return tuple(-x for x in v) if first < 0 else v
+
+    eset = set()
+    for n in eqs:
+        n = lexpos(prim(n))
+        if any(x != 0 for x in n):
+            eset.add(n)
+    nset = set()
+    for n in neg:
+        n = prim(n)
+        if all(x == 0 for x in n):
+            return None
+        nset.add(n)
+    for n in nset:
+        flip = tuple(-x for x in n)
+        if flip in nset or n in eset or flip in eset:
+            return None
+    return tuple(sorted(eset)), tuple(sorted(nset))
+
+
+def from_halfspaces_two_pass(halfspaces, equations=(), dim=None):
+    """ratpoly.from_halfspaces as two hulls: double description finds the
+    vertices, then ratpoly.from_vertices rebuilds the facets, equations and
+    incidence from them.  Same arguments, result and exceptions."""
+    from tilekit import _lp, ratpoly
+
+    hs = [(vec(n), frac(b)) for n, b in halfspaces]
+    eqs = [(vec(n), frac(b)) for n, b in equations]
+    if hs:
+        d = len(hs[0][0])
+    elif eqs:
+        d = len(eqs[0][0])
+    elif dim is not None:
+        d = dim
+    else:
+        raise ValueError("empty system with no dimension given")
+    if d > ratpoly.MAX_DIM:
+        raise ValueError(f"ambient dimension {d} above supported bound")
+    if eqs:
+        sol = _lp.solve_affine([n for n, _ in eqs], [b for _, b in eqs])
+        if sol is None:
+            raise ratpoly.EmptyInput("equation system is inconsistent")
+        x0, null = sol
+    else:
+        x0 = tuple(Fraction(0) for _ in range(d))
+        null = _lp.nullspace([], d)
+    m = len(null)
+    if m == 0:
+        if all(dot(n, x0) <= b for n, b in hs):
+            return ratpoly.from_vertices([x0])
+        raise ratpoly.EmptyInput("system has no solution")
+    red = []
+    for n, b in hs:
+        a = tuple(dot(n, nb) for nb in null)
+        c = b - dot(n, x0)
+        if all(x == 0 for x in a):
+            if c < 0:
+                raise ratpoly.EmptyInput("system has no solution")
+            continue
+        red.append((a, c))
+    rows = [tuple(-x for x in a) + (c,) for a, c in red]
+    rows.append(tuple(Fraction(0) for _ in range(m)) + (Fraction(1),))
+    try:
+        rays = [r for r, _ in ratpoly._extreme_rays(rows, m + 1)]
+    except ratpoly._Lineality:
+        res = _lp.maximize(
+            tuple(Fraction(0) for _ in range(m)),
+            [a for a, _ in red],
+            [c for _, c in red],
+        )
+        if res.status == "infeasible":
+            raise ratpoly.EmptyInput("system has no solution") from None
+        raise ratpoly.UnboundedInput("solution set contains a line") from None
+    verts = []
+    for ray in rays:
+        z, t = ray[:m], ray[m]
+        if t == 0:
+            raise ratpoly.UnboundedInput("solution set has a recession direction")
+        zz = tuple(x / t for x in z)
+        verts.append(tuple(x0[k] + dot(nb_row, zz)
+                           for k, nb_row in enumerate(zip(*null))))
+    if not verts:
+        raise ratpoly.EmptyInput("system has no solution")
+    return ratpoly.from_vertices(verts)
+
 
 # ---------------------------------------------------------------------------
 # Closed 4-uniform hypergraphs via clique partitions of the edge-meet graph.

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tilekit import _lp, ratpoly
+from tilekit import _lp, lattice, ratpoly, syssolve
 from tilekit.ratpoly import (
     Cone,
     EmptyInput,
@@ -33,6 +33,7 @@ from tilekit.ratpoly import (
 )
 
 import oracles
+from test_acceptance import GRAMS
 
 F = Fraction
 
@@ -139,6 +140,148 @@ def test_unbounded_input_errors():
         from_halfspaces([(fv(1, 0), F(1)), (fv(-1, 0), F(1))])
 
 
+# --- from_halfspaces against the two-pass oracle: same Polytope, or the same
+# exception class.
+
+ROOT_GRAMS = {
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    # 5 times the inverse Cartan matrix of A4: the permutohedral A4*.
+    "A4*": [[min(i, j) * (5 - max(i, j)) for j in range(1, 5)] for i in range(1, 5)],
+    "A5": [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(5)]
+           for i in range(5)],
+}
+
+
+def _hull_outcome(build, hs, eqs, dim):
+    try:
+        return build(hs, eqs, dim)
+    except (EmptyInput, UnboundedInput) as exc:
+        return type(exc)
+
+
+def test_voronoi_cells_match_two_pass_oracle():
+    for name, gram in {**GRAMS, **ROOT_GRAMS}.items():
+        hs = lattice._dv_halfspaces(gram)[1]
+        cell = from_halfspaces(hs)
+        assert cell == oracles.from_halfspaces_two_pass(hs), name
+        assert cell.dim == len(gram)
+
+
+def _random_h_description(rng):
+    """A random polytope (possibly lower-dimensional or a point) and an
+    H-description of it with redundant rows, positive rescalings, equations
+    given as equations or as opposite row pairs, and zero-normal rows;
+    sometimes cut to empty or opened along a direction.
+
+    Returns (halfspaces, equations, d, polytope or None when cut)."""
+    d = rng.randint(1, 4)
+    k = d if rng.random() < 0.5 else rng.randint(0, d - 1)
+    base = tuple(F(rng.randint(-3, 3)) for _ in range(d))
+    dirs = [tuple(F(rng.randint(-2, 2)) for _ in range(d)) for _ in range(k)]
+    pts = [
+        tuple(base[i] + sum(rng.randint(-2, 2) * u[i] for u in dirs) for i in range(d))
+        for _ in range(k + 2 + rng.randint(0, 3))
+    ]
+    p = from_vertices(pts)
+    hs = list(p.facets)
+    eqs = []
+    for n, b in p.equations:
+        s = F(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice((1, -1))
+        r = rng.random()
+        if r < 0.4:
+            eqs.append((tuple(s * x for x in n), s * b))
+        elif r < 0.8:
+            hs += [(n, b), (tuple(-x for x in n), -b)]
+        else:
+            eqs.append((n, b))
+            hs.append((n, b))
+    for _ in range(rng.randint(0, 3)):
+        # Valid rows: tight on some face, or strictly redundant.
+        n = tuple(F(rng.randint(-2, 2)) for _ in range(d))
+        if not _lp.is_zero(n):
+            top = max(_lp.dot(n, v) for v in p.vertices)
+            hs.append((n, top + rng.choice((0, 0, F(1, 2), 1))))
+    for _ in range(rng.randint(0, 2)):
+        n, b = rng.choice(hs) if hs else ((F(0),) * d, F(0))
+        s = F(rng.randint(1, 5), rng.randint(1, 3))
+        hs.append((tuple(s * x for x in n), s * b))
+    if rng.random() < 0.1:
+        hs.append(((F(0),) * d, F(rng.randint(0, 2))))
+    r = rng.random()
+    if r < 0.1:
+        n = tuple(F(rng.randint(-2, 2)) for _ in range(d))
+        if _lp.is_zero(n):
+            n = (F(1),) + (F(0),) * (d - 1)
+        hs.append((n, min(_lp.dot(n, v) for v in p.vertices) - rng.choice((F(1, 3), 1))))
+        p = None
+    elif r < 0.25:
+        # Drop every row that bounds some direction u: u recedes.
+        u = tuple(F(rng.randint(-2, 2)) for _ in range(d))
+        hs = [(n, b) for n, b in hs if _lp.dot(n, u) <= 0]
+        eqs = [(n, b) for n, b in eqs if _lp.dot(n, u) == 0]
+        p = None
+    rng.shuffle(hs)
+    return hs, eqs, d, p
+
+
+def test_random_h_descriptions_match_two_pass_oracle():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(150):
+        hs, eqs, d, p = _random_h_description(rng)
+        got = _hull_outcome(from_halfspaces, hs, eqs, d)
+        assert got == _hull_outcome(oracles.from_halfspaces_two_pass, hs, eqs, d)
+        if p is not None:
+            assert got == p
+        outcomes.add(got.dim if isinstance(got, ratpoly.Polytope) else got)
+    # Every dimension and both failures were exercised.
+    assert outcomes >= {0, 1, 2, 3, 4, EmptyInput, UnboundedInput}
+
+
+def test_hand_made_systems_match_two_pass_oracle():
+    cases = [
+        # A point cut out by opposite rows, and by equations (with a row
+        # that it meets, then one that it misses).
+        ([(fv(1, 0), F(1)), (fv(-1, 0), F(-1)),
+          (fv(0, 1), F(2)), (fv(0, -1), F(-2))], []),
+        ([(fv(1, 1), F(5))], [(fv(1, 0), F(1)), (fv(0, 2), F(4))]),
+        ([(fv(1, 1), F(2))], [(fv(1, 0), F(1)), (fv(0, 2), F(4))]),
+        # An edge of the cube with an implicit equation and a rescaled copy.
+        ([(fv(1, 0, 0), F(1)), (fv(-1, 0, 0), F(0)), (fv(0, 1, 0), F(0)),
+          (fv(0, -3, 0), F(0)), (fv(0, 0, 1), F(0)), (fv(0, 0, -1), F(0))], []),
+        # Lineality, and an empty system whose rows do not span.
+        ([(fv(1, 0), F(1))], []),
+        ([(fv(1, 0), F(0)), (fv(-1, 0), F(-1))], []),
+        # Inconsistent equations.
+        ([], [(fv(1, 1), F(1)), (fv(2, 2), F(3))]),
+    ]
+    for hs, eqs in cases:
+        assert _hull_outcome(from_halfspaces, hs, eqs, None) == _hull_outcome(
+            oracles.from_halfspaces_two_pass, hs, eqs, None
+        )
+
+
+def test_from_halfspaces_matches_bruteforce_oracle():
+    rng = random.Random(4711)
+    checked = 0
+    for d in (2, 3):
+        for _ in range(8):
+            pts = [tuple(F(rng.randint(-3, 3)) for _ in range(d)) for _ in range(d + 3)]
+            facets = oracles.hull_facets_bruteforce(pts)
+            if oracles.matrix_rank([_lp.vsub(p, pts[0]) for p in pts], d) < d:
+                continue
+            p = from_halfspaces(facets + [(n, b + 1) for n, b in facets[:2]])
+            assert list(p.vertices) == oracles.hull_vertices_bruteforce(pts)
+            assert list(p.facets) == facets
+            assert p.incidence == tuple(
+                frozenset(i for i, v in enumerate(p.vertices) if _lp.dot(n, v) == b)
+                for n, b in facets
+            )
+            checked += 1
+    assert checked >= 10
+
+
 def test_dimension_cap():
     with pytest.raises(ValueError):
         from_vertices([tuple(F(0) for _ in range(7)), tuple(F(1) for _ in range(7))])
@@ -225,6 +368,51 @@ def test_cone_minus_linspace_full_space():
     full = cone_minus_linspace(c, [fv(1, 0), fv(0, 1)])
     assert full.halfspaces == ()
     assert full.equations == ()
+
+
+def test_lineality_read_off_normals_matches_lp(monkeypatch):
+    """A generator is two-sided exactly when every facet normal of the cone
+    vanishes on it.  The LP oracle decides the same on the cone pipeline's
+    cones and on random generator lists, lineal ones among them, and each
+    built cone carries +/- a basis of that lineality space."""
+    seen = []
+    build = ratpoly._cone_from_gen_list
+
+    def record(apex, glist, d):
+        cone = build(apex, glist, d)
+        seen.append((list(glist), d, cone))
+        return cone
+
+    monkeypatch.setattr(ratpoly, "_cone_from_gen_list", record)
+    q, paras, _ = syssolve.lifted_configuration()
+    for i in range(1, 6):
+        for v in q.vertices:
+            if v not in paras[i - 1]:
+                syssolve.excluded_direction_cone(i, v)
+    pipeline = len(seen)
+    assert pipeline == 30
+    rng = random.Random(99)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        gens = [tuple(F(rng.randint(-2, 2)) for _ in range(d))
+                for _ in range(rng.randint(0, 5))]
+        for _ in range(rng.randint(0, 2)):
+            g = tuple(F(rng.randint(-2, 2)) for _ in range(d))
+            gens += [g, tuple(-x for x in g)]
+        cone_from_generators((F(0),) * d, gens)
+    lineal = 0
+    for n, (glist, d, cone) in enumerate(seen):
+        solver = _lp.maximize if n < pipeline else oracles.maximize_reference
+        by_lp = [oracles.in_cone_hull(tuple(-x for x in g), glist, solver)
+                 for g in glist]
+        normals = ratpoly._cone_dual(glist, d)[0]
+        assert by_lp == [all(_lp.dot(f, g) == 0 for f in normals) for g in glist]
+        two_sided = [g for g, two in zip(glist, by_lp) if two]
+        basis = {_lp.primitive(r) for r in _lp.rref(two_sided)[0]}
+        pairs = {g for g in cone.generators if tuple(-x for x in g) in cone.generators}
+        assert pairs == basis | {tuple(-x for x in b) for b in basis}
+        lineal += bool(two_sided)
+    assert lineal >= 20
 
 
 def test_relint_polytope():

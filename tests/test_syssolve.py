@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from tilekit.syssolve import (
     NoSolution,
     SolutionFamily,
     VerificationError,
+    _make_cell,
     build_system,
     cone_test_pipeline,
     convex_witness,
@@ -36,6 +38,8 @@ from tilekit.syssolve import (
     verify_no_solution,
     verify_parity_certificate,
 )
+
+import oracles
 
 
 def _mat(text: str) -> tuple[tuple[Fraction, ...], ...]:
@@ -452,6 +456,47 @@ def test_direction_pipeline_validates_input_family():
     assert set(cone_test_pipeline(sf)) == set(survivor_orbit())
     with pytest.raises(ValueError):
         cone_test_pipeline(_solved(7))
+
+
+def test_make_cell_matches_reference():
+    """Refining a cell canonicalizes only the extra rows, with the result of
+    canonicalizing every row: extras copied from the cell as they are,
+    rescaled, negated, zero or new."""
+    rng = random.Random(5)
+
+    def row():
+        v = tuple(Fraction(rng.randint(-1, 1)) for _ in range(3))
+        if rng.random() < 0.5:
+            return v
+        return tuple(x * Fraction(rng.randint(1, 3), rng.randint(1, 2)) for x in v)
+
+    outcomes = {"cell": 0, "empty": 0}
+    for _ in range(400):
+        base = oracles.make_cell_reference(
+            [row() for _ in range(rng.randint(0, 2))],
+            [row() for _ in range(rng.randint(0, 3))])
+        if base is None:
+            continue
+        eqs, neg = base
+        assert _make_cell(eqs, neg) == base
+        held = list(eqs) + list(neg)
+
+        def extra():
+            out = []
+            for _ in range(rng.randint(0, 2)):
+                if held and rng.random() < 0.5:
+                    s = rng.choice((1, 1, 2, 3)) * rng.choice((1, -1))
+                    out.append(tuple(s * x for x in rng.choice(held)))
+                else:
+                    out.append(row())
+            return out
+
+        extra_eqs, extra_neg = extra(), extra()
+        got = _make_cell(eqs, neg, extra_eqs, extra_neg)
+        assert got == oracles.make_cell_reference(
+            list(eqs) + extra_eqs, list(neg) + extra_neg)
+        outcomes["empty" if got is None else "cell"] += 1
+    assert min(outcomes.values()) >= 50
 
 
 def test_final_case_vertex_count_contradiction():
