@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,17 +52,6 @@ class InputError(Exception):
     """Unusable input: missing file, malformed JSON, bad values."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: what to run, where to read and write."""
-
-    command: str
-    input_path: str | None
-    output_path: str | None
-    seed: int
-    limits: dict[str, int]
-
-
 # ---------------------------------------------------------------------------
 # Plumbing.
 # ---------------------------------------------------------------------------
@@ -94,7 +81,11 @@ def _load_gram(path: str):
 
 
 def _plain(obj):
-    """Mirror an arbitrary certificate structure into JSON-ready data."""
+    """Mirror a certificate structure into JSON-ready data.
+
+    Raises:
+        TypeError: a value of a type the report schema does not know.
+    """
     if isinstance(obj, Fraction):
         return frac_to_json(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
@@ -105,7 +96,7 @@ def _plain(obj):
         return [_plain(x) for x in sorted(obj, key=repr)]
     if isinstance(obj, (tuple, list)):
         return [_plain(x) for x in obj]
-    return str(obj)
+    raise TypeError(f"no JSON form for a value of type {type(obj).__name__}")
 
 
 def _render(obj) -> str:
@@ -138,16 +129,12 @@ def _zero_ref(c: tiling.TilingComplex, orbit: int) -> tiling.FaceRef:
     return tiling.FaceRef(orbit, (Fraction(0),) * c.dim)
 
 
-def _build_complex(gram) -> tiling.TilingComplex:
-    return tiling.build_complex(gram)
-
-
 # ---------------------------------------------------------------------------
 # Lattice / tiling commands.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_dv(cfg: RunConfig, args) -> int:
+def _cmd_dv(args) -> int:
     gram = _load_gram(args.gram)
     cell = lattice.dv_cell(gram)
     rep = lattice.venkov_check_cell(cell)
@@ -162,13 +149,13 @@ def _cmd_dv(cfg: RunConfig, args) -> int:
             "passed": rep.passed,
         },
     }
-    _emit(_render(doc), cfg.output_path)
+    _emit(_render(doc), args.out)
     return 0 if rep.passed else 1
 
 
-def _cmd_tiling_audit(cfg: RunConfig, args) -> int:
+def _cmd_tiling_audit(args) -> int:
     gram = _load_gram(args.gram)
-    c = _build_complex(gram)
+    c = tiling.build_complex(gram)
     sk = tiling.skinny_audit(c)
     doc = {
         "dim": c.dim,
@@ -180,13 +167,13 @@ def _cmd_tiling_audit(cfg: RunConfig, args) -> int:
             "passed": sk.passed,
         },
     }
-    _emit(_render(doc), cfg.output_path)
+    _emit(_render(doc), args.out)
     return 0 if sk.passed else 1
 
 
-def _cmd_dual_cells(cfg: RunConfig, args) -> int:
+def _cmd_dual_cells(args) -> int:
     gram = _load_gram(args.gram)
-    c = _build_complex(gram)
+    c = tiling.build_complex(gram)
     rows = []
     for o in c.orbits:
         ref = _zero_ref(c, o.index)
@@ -207,19 +194,19 @@ def _cmd_dual_cells(cfg: RunConfig, args) -> int:
             row["fan"] = fan.tag
             row["class"] = fan.name
         rows.append(row)
-    _emit(_render({"dim": c.dim, "cells": rows}), cfg.output_path)
+    _emit(_render({"dim": c.dim, "cells": rows}), args.out)
     return 0
 
 
-def _cmd_irreducible(cfg: RunConfig, args) -> int:
+def _cmd_irreducible(args) -> int:
     gram = _load_gram(args.gram)
-    c = _build_complex(gram)
+    c = tiling.build_complex(gram)
     ok, witness = tiling.is_3_irreducible(c)
     doc: dict = {"three_irreducible": ok}
     if witness is not None:
         orbit, fan = witness
         doc["witness"] = {"orbit": orbit, "fan": fan.tag, "class": fan.name}
-    _emit(_render(doc), cfg.output_path)
+    _emit(_render(doc), args.out)
     return 0 if ok else 1
 
 
@@ -229,14 +216,14 @@ def _cmd_irreducible(cfg: RunConfig, args) -> int:
 
 
 def _scaling_pieces(gram):
-    c = _build_complex(gram)
+    c = tiling.build_complex(gram)
     frame = scaling.build_frame(c)
     gain = scaling.bridge_gain(c, scaling.gain_from_d2(c, frame))
     seed = min(o.index for o in c.orbits if o.dim == c.dim - 1)
     return c, frame, scaling.propagate(c, gain, seed)
 
 
-def _cmd_scaling_build(cfg: RunConfig, args) -> int:
+def _cmd_scaling_build(args) -> int:
     c, _frame, out = _scaling_pieces(_load_gram(args.gram))
     if isinstance(out, scaling.InconsistencyWitness):
         doc = {
@@ -244,29 +231,29 @@ def _cmd_scaling_build(cfg: RunConfig, args) -> int:
             "circuit": list(out.circuit),
             "gain_product": frac_to_json(out.gain_product),
         }
-        _emit(_render(doc), cfg.output_path)
+        _emit(_render(doc), args.out)
         return 1
     doc = {
         "status": "ok",
         "factors": {str(k): frac_to_json(v)
                     for k, v in sorted(out.factors.items())},
     }
-    _emit(_render(doc), cfg.output_path)
+    _emit(_render(doc), args.out)
     return 0
 
 
-def _cmd_scaling_verify(cfg: RunConfig, args) -> int:
+def _cmd_scaling_verify(args) -> int:
     c, frame, out = _scaling_pieces(_load_gram(args.gram))
     if isinstance(out, scaling.InconsistencyWitness):
         doc = {"status": "inconsistent", "circuit": list(out.circuit),
                "gain_product": frac_to_json(out.gain_product)}
-        _emit(_render(doc), cfg.output_path)
+        _emit(_render(doc), args.out)
         return 1
     ok, bad_orbit = scaling.verify_canonical(c, out, frame)
     doc = {"status": "canonical" if ok else "violation"}
     if not ok:
         doc["orbit"] = bad_orbit
-    _emit(_render(doc), cfg.output_path)
+    _emit(_render(doc), args.out)
     return 0 if ok else 1
 
 
@@ -304,9 +291,9 @@ def _pyramid_flanked_parallelograms(c: tiling.TilingComplex):
     return found
 
 
-def _cmd_scaling_coherence(cfg: RunConfig, args) -> int:
+def _cmd_scaling_coherence(args) -> int:
     gram = _load_gram(args.gram)
-    c = _build_complex(gram)
+    c = tiling.build_complex(gram)
     if c.dim < 4:
         raise InputError("coherence scanning needs a lattice of dimension "
                          "at least 4")
@@ -320,13 +307,13 @@ def _cmd_scaling_coherence(cfg: RunConfig, args) -> int:
         rows.append({"base_orbit": base_orbit,
                      "parallelogram_orbit": pref.orbit,
                      "coherent": ok})
-    _emit(_render({"pairs": rows, "all_coherent": all_ok}), cfg.output_path)
+    _emit(_render({"pairs": rows, "all_coherent": all_ok}), args.out)
     return 0 if all_ok else 1
 
 
-def _cmd_lift(cfg: RunConfig, args) -> int:
+def _cmd_lift(args) -> int:
     gram = _load_gram(args.gram)
-    c = _build_complex(gram)
+    c = tiling.build_complex(gram)
     if c.dim != 2:
         raise InputError("the lift is built for two-dimensional lattices")
     frame = scaling.build_frame(c)
@@ -335,7 +322,7 @@ def _cmd_lift(cfg: RunConfig, args) -> int:
     out = scaling.propagate(c, gain, seed)
     if isinstance(out, scaling.InconsistencyWitness):
         _emit(_render({"status": "inconsistent",
-                       "circuit": list(out.circuit)}), cfg.output_path)
+                       "circuit": list(out.circuit)}), args.out)
         return 1
     g = lifting.build_generatrissa(c, out, frame)
     q = lifting.recover_qform(g, c)
@@ -348,7 +335,7 @@ def _cmd_lift(cfg: RunConfig, args) -> int:
         "tangency": rep.tangency,
         "convexity": rep.convexity,
     }
-    _emit(_render(doc), cfg.output_path)
+    _emit(_render(doc), args.out)
     return 0 if rep.tangency and rep.convexity else 1
 
 
@@ -357,7 +344,7 @@ def _cmd_lift(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_hyper_enumerate_k5(cfg: RunConfig, args) -> int:
+def _cmd_hyper_enumerate_k5(args) -> int:
     schemes = hypercomb.enumerate_k5_schemes()
     doc = {
         "cases": [{"case": k + 1, "cycles": [list(cy) for cy in p.cycles]}
@@ -366,7 +353,7 @@ def _cmd_hyper_enumerate_k5(cfg: RunConfig, args) -> int:
     }
     text = _render(doc)
     ok = _golden_check(text, args.golden, "enumerate-k5.json")
-    _emit(text, cfg.output_path)
+    _emit(text, args.out)
     return 0 if ok else GOLDEN_MISMATCH
 
 
@@ -383,7 +370,7 @@ def _hypergraph_from_json(path: str) -> hypercomb.Hypergraph4:
         raise InputError(f"{path}: not a hypergraph document ({e})") from e
 
 
-def _cmd_hyper_audit(cfg: RunConfig, args) -> int:
+def _cmd_hyper_audit(args) -> int:
     h = _hypergraph_from_json(args.input)
     closure = hypercomb.is_closed(h)
     doc: dict = {
@@ -404,17 +391,17 @@ def _cmd_hyper_audit(cfg: RunConfig, args) -> int:
             "ok": mom.ok,
         }
         ok = ok and mom.ok
-    _emit(_render(doc), cfg.output_path)
+    _emit(_render(doc), args.out)
     return 0 if ok else 1
 
 
-def _cmd_hyper_find_subgraph(cfg: RunConfig, args) -> int:
+def _cmd_hyper_find_subgraph(args) -> int:
     h = _hypergraph_from_json(args.input)
     try:
         found = hypercomb.find_5_10_or_6_11(h)
     except hypercomb.SearchFailure as e:
         _emit(_render({"status": "not_found", "reason": str(e)}),
-              cfg.output_path)
+              args.out)
         return 1
     doc = {
         "status": "found",
@@ -422,7 +409,7 @@ def _cmd_hyper_find_subgraph(cfg: RunConfig, args) -> int:
         "edges": [_plain(e) for e in found.edges],
         "embedding": _plain(found.embedding),
     }
-    _emit(_render(doc), cfg.output_path)
+    _emit(_render(doc), args.out)
     return 0
 
 
@@ -482,13 +469,15 @@ def _run_case_table() -> syssolve.CaseTable:
     six_keys = list(range(len(hypercomb.enumerate_6_11_matchings())))
     if jobs == 1:
         return syssolve.run_all_cases()
+    import multiprocessing
+
     with multiprocessing.Pool(jobs) as pool:
         five = pool.map(syssolve.five_ten_case, five_keys)
         six = pool.map(syssolve.six_eleven_case, six_keys)
     return syssolve.CaseTable(tuple(five), tuple(six))
 
 
-def _cmd_cases_run_all(cfg: RunConfig, args) -> int:
+def _cmd_cases_run_all(args) -> int:
     table = _run_case_table()
     doc = {
         "five_ten": [_case_row_json(r) for r in table.five_ten],
@@ -497,13 +486,13 @@ def _cmd_cases_run_all(cfg: RunConfig, args) -> int:
     }
     text = _render(doc)
     ok = _golden_check(text, args.golden, "cases-run-all.json")
-    _emit(text, cfg.output_path)
+    _emit(text, args.out)
     # Every case ends in a contradiction or an inconsistency certificate;
     # finding them is the point, and is flagged on exit.
     return 1 if ok else GOLDEN_MISMATCH
 
 
-def _cmd_cases_cone_pipeline(cfg: RunConfig, args) -> int:
+def _cmd_cases_cone_pipeline(args) -> int:
     rays = syssolve.cone_test_pipeline()
     doc = {
         "survivors": [vec_to_json(r) for r in rays],
@@ -512,15 +501,15 @@ def _cmd_cases_cone_pipeline(cfg: RunConfig, args) -> int:
     }
     text = _render(doc)
     ok = _golden_check(text, args.golden, "cone-pipeline.json")
-    _emit(text, cfg.output_path)
+    _emit(text, args.out)
     return 0 if ok else GOLDEN_MISMATCH
 
 
-def _cmd_cases_final_case(cfg: RunConfig, args) -> int:
+def _cmd_cases_final_case(args) -> int:
     rep = syssolve.final_case_check()
     text = _render({"contradiction": _report_json(rep)})
     ok = _golden_check(text, args.golden, "final-case.json")
-    _emit(text, cfg.output_path)
+    _emit(text, args.out)
     return 1 if ok else GOLDEN_MISMATCH
 
 
@@ -626,16 +615,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    cfg = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "gram", None) or getattr(args, "input", None),
-        output_path=getattr(args, "out", None),
-        seed=0,
-        limits={"max_dim": MAX_DIM},
-    )
     handler = _HANDLERS[(args.command, getattr(args, "sub", None))]
     try:
-        return handler(cfg, args)
+        return handler(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

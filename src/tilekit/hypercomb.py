@@ -554,6 +554,13 @@ def _all_raw_schemes():
         yield PloughingScheme(tuple(cycles))
 
 
+@cache
+def _raw_scheme_keys() -> tuple[tuple, ...]:
+    """Canonical keys of the 243 edge-pairing systems on K5, computed once
+    for both the class list and the exhaustiveness check."""
+    return tuple(canonical_scheme(s) for s in _all_raw_schemes())
+
+
 def k5_scheme_classes() -> list[PloughingScheme]:
     """Edge-disjoint cycle covers of K5 up to vertex relabeling.
 
@@ -566,8 +573,7 @@ def k5_scheme_classes() -> list[PloughingScheme]:
       One representative scheme per class, single-circuit classes first.
     """
     classes: dict[tuple, PloughingScheme] = {}
-    for scheme in _all_raw_schemes():
-        key = canonical_scheme(scheme)
+    for key in _raw_scheme_keys():
         classes.setdefault(key, PloughingScheme(key))
     return sorted(classes.values(),
                   key=lambda p: (len(p.cycles), p.cycles))
@@ -587,7 +593,7 @@ def enumerate_k5_schemes() -> list[PloughingScheme]:
     """
     case_keys = {canonical_scheme(PloughingScheme(c)): n
                  for n, c in SCHEME_CASES.items()}
-    class_keys = {canonical_scheme(s) for s in _all_raw_schemes()}
+    class_keys = set(_raw_scheme_keys())
     uncovered = class_keys - set(case_keys)
     if uncovered:
         raise SearchFailure(f"scheme classes missing from the case list: {uncovered}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil, floor
 
 from . import ratpoly
 from . import lattice as lat
@@ -170,27 +171,30 @@ class TilingComplex:
 # ---------------------------------------------------------------------------
 
 
-def _face_coords(p: Polytope) -> list[tuple[Vec, ...]]:
-    """All nonempty faces of ``p`` as sorted vertex tuples, the tile included."""
+def _face_coords(p: Polytope) -> list[tuple[int, tuple[Vec, ...]]]:
+    """All nonempty faces of ``p`` as (dimension, sorted vertex tuple) pairs,
+    the tile included."""
     fl = ratpoly.face_lattice(p)
     out = []
     for d, faces in sorted(fl.faces_by_dim.items()):
         if d < 0:
             continue
         for idxset in faces:
-            out.append(tuple(sorted(p.vertices[i] for i in idxset)))
+            out.append((d, tuple(sorted(p.vertices[i] for i in idxset))))
     return out
 
-def _lattice_shift(f: tuple[Vec, ...], g: tuple[Vec, ...]) -> Vec | None:
-    """Integer vector ``mu`` with ``f + mu == g``, or None."""
-    if len(f) != len(g):
-        return None
-    mu = vsub(g[0], f[0])
-    if any(x.denominator != 1 for x in mu):
-        return None
-    if all(vadd(v, mu) == w for v, w in zip(f, g)):
-        return mu
-    return None
+
+def _translation_key(f: tuple[Vec, ...]) -> tuple:
+    """Key on which two sorted faces agree iff they are integer translates.
+
+    Translation keeps the sorted order, so ``f + mu == g`` means the two
+    faces have the same shape (vertices relative to the first) and first
+    vertices that differ by ``mu``, that is, first vertices with the same
+    fractional part ``x - floor(x)`` in every coordinate.
+    """
+    first = f[0]
+    return (tuple(vsub(v, first) for v in f),
+            tuple(x - floor(x) for x in first))
 
 
 def _centroid(verts) -> Vec:
@@ -264,57 +268,56 @@ def build_complex(gram, prototile: Polytope | None = None) -> TilingComplex:
         _check_face_to_face(cell, _centroid(cell.vertices))
     center = _centroid(cell.vertices)
 
-    faces = _face_coords(cell)
-    # Group the faces of the base tile into lattice-translation orbits.
-    orbit_of: dict[tuple[Vec, ...], int] = {}
-    groups: list[list[tuple[Vec, ...]]] = []
-    for f in faces:
-        for gi, grp in enumerate(groups):
-            if _lattice_shift(grp[0], f) is not None:
-                grp.append(f)
-                orbit_of[f] = gi
-                break
-        else:
-            groups.append([f])
-            orbit_of[f] = len(groups) - 1
+    dims, faces = zip(*_face_coords(cell))
+    # Group the faces of the base tile into lattice-translation orbits: one
+    # dict lookup per face on its translation key, groups numbered in order
+    # of first appearance.
+    group_of_key: dict[tuple, int] = {}
+    groups: list[list[int]] = []
+    for fi, f in enumerate(faces):
+        gi = group_of_key.setdefault(_translation_key(f), len(groups))
+        if gi == len(groups):
+            groups.append([])
+        groups[gi].append(fi)
 
     # Representative: lexicographically smallest member.  Each member G
     # satisfies rep == G + lam_G, and the tile P + lam_G contains rep.
     orbits: list[FaceOrbit] = []
-    lam_of: dict[tuple[Vec, ...], Vec] = {}
+    orbit_of = [0] * len(faces)
+    lam_of: list[Vec] = [()] * len(faces)
+    reps = [min(faces[fi] for fi in grp) for grp in groups]
     order = sorted(range(len(groups)),
-                   key=lambda gi: (_face_dim(groups[gi][0]), min(groups[gi])))
-    renumber = {gi: i for i, gi in enumerate(order)}
-    for gi in order:
-        grp = groups[gi]
-        rep = min(grp)
-        shifts = []
-        for g in grp:
-            lam = _lattice_shift(g, rep)
-            lam_of[g] = lam
-            shifts.append(lam)
+                   key=lambda gi: (dims[groups[gi][0]], reps[gi]))
+    for q, gi in enumerate(order):
+        rep = reps[gi]
+        for fi in groups[gi]:
+            orbit_of[fi] = q
+            lam_of[fi] = vsub(rep[0], faces[fi][0])
         orbits.append(FaceOrbit(
-            index=renumber[gi],
-            dim=_face_dim(rep),
+            index=q,
+            dim=dims[groups[gi][0]],
             vertices=rep,
-            tile_shifts=tuple(sorted(shifts)),
+            tile_shifts=tuple(sorted(lam_of[fi] for fi in groups[gi])),
         ))
-    orbits.sort(key=lambda o: o.index)
 
-    face_set = set(faces)
+    # A face of the base tile is the bitmask of its vertices' indices in
+    # cell.vertices, so G contains H iff mask(H) & ~mask(G) == 0.
+    index = {v: i for i, v in enumerate(cell.vertices)}
+    face_info = [(sum(1 << index[v] for v in f), orbit_of[fi], lam_of[fi])
+                 for fi, f in enumerate(faces)]
     adjacency: list[tuple[FaceRef, ...]] = []
     for o in orbits:
-        rep = o.vertices
-        repset = set(rep)
         star: set[FaceRef] = set()
         for lam in o.tile_shifts:
             # Faces of the tile P + lam containing rep are the faces G of P
-            # with G containing rep - lam.
-            base = set(vsub(v, lam) for v in rep)
-            for g in faces:
-                if base <= set(g):
-                    q = renumber[orbit_of[g]]
-                    star.add(FaceRef(q, vsub(lam, lam_of[g])))
+            # with G containing rep - lam, itself a member of the orbit and
+            # so a face of P: every index lookup hits.
+            base = 0
+            for v in o.vertices:
+                base |= 1 << index[vsub(v, lam)]
+            for mask, q, lam_g in face_info:
+                if base & ~mask == 0:
+                    star.add(FaceRef(q, vsub(lam, lam_g)))
         adjacency.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
 
     cpx = TilingComplex(gram=[[frac(x) for x in row] for row in gram],
@@ -322,10 +325,6 @@ def build_complex(gram, prototile: Polytope | None = None) -> TilingComplex:
                         orbits=tuple(orbits), adjacency=tuple(adjacency))
     _validate_complex(cpx)
     return cpx
-
-
-def _face_dim(verts: tuple[Vec, ...]) -> int:
-    return rank([vsub(v, verts[0]) for v in verts[1:]])
 
 
 def _validate_complex(c: TilingComplex) -> None:
@@ -384,7 +383,6 @@ def _check_lattice_points(hull: Polytope, center: Vec, verts: tuple[Vec, ...]) -
     lo = [min(v[k] for v in verts) for k in range(d)]
     hi = [max(v[k] for v in verts) for k in range(d)]
     vset = set(verts)
-    from math import ceil, floor
     ranges = [range(ceil(lo[k] - center[k]), floor(hi[k] - center[k]) + 1)
               for k in range(d)]
     for z in product(*ranges):

@@ -3,9 +3,12 @@
 Everything here is written independently of tilekit internals: no imports
 from the package, own tiny Gaussian elimination, exhaustive or sampling
 strategies instead of the production algorithms.  Slow on purpose; only fed
-small instances.  The one exception is from_halfspaces_two_pass, the
-production H-to-V conversion before it became one pass: it keeps its first
-pass and rebuilds the result with tilekit's from_vertices, as it always did.
+small instances.  Two exceptions import tilekit, inside the function only:
+from_halfspaces_two_pass, the production H-to-V conversion before it became
+one pass, which keeps its first pass and rebuilds the result with tilekit's
+from_vertices, as it always did; and build_complex_reference, the
+production quotient complex before it was keyed on translation invariants
+and vertex bitmasks, which builds and checks the tile with tilekit.
 """
 
 from __future__ import annotations
@@ -570,6 +573,100 @@ def from_halfspaces_two_pass(halfspaces, equations=(), dim=None):
     if not verts:
         raise ratpoly.EmptyInput("system has no solution")
     return ratpoly.from_vertices(verts)
+
+
+def _lattice_shift(f, g):
+    """Integer vector mu with f + mu == g, or None."""
+    if len(f) != len(g):
+        return None
+    mu = tuple(b - a for a, b in zip(f[0], g[0]))
+    if any(x.denominator != 1 for x in mu):
+        return None
+    if all(tuple(x + m for x, m in zip(v, mu)) == w for v, w in zip(f, g)):
+        return mu
+    return None
+
+
+def build_complex_reference(gram, prototile=None):
+    """tiling.build_complex with its former orbit grouping and star loop:
+    each face is compared with the first member of every group found so
+    far, and each star is found by comparing Fraction vertex sets.  Same
+    arguments, result and exceptions."""
+    from tilekit import lattice, tiling
+    from tilekit.tiling import FaceOrbit, FaceRef
+
+    d = len(gram)
+    if d > 5:
+        raise ValueError("tilings are supported up to dimension 5 only")
+    if prototile is None:
+        cell = lattice.dv_cell(gram)
+        report = lattice.venkov_check_cell(cell)
+        if not report.passed:
+            raise tiling.VenkovFailure(report)
+    else:
+        cell = prototile
+        if cell.ambient_dim != d:
+            raise ValueError("prototile dimension disagrees with the Gram matrix")
+        report = lattice.venkov_check_cell(cell)
+        if not report.passed:
+            raise tiling.VenkovFailure(report)
+        tiling._check_face_to_face(cell, tiling._centroid(cell.vertices))
+    center = tiling._centroid(cell.vertices)
+
+    faces = [f for _, f in tiling._face_coords(cell)]
+    orbit_of = {}
+    groups = []
+    for f in faces:
+        for gi, grp in enumerate(groups):
+            if _lattice_shift(grp[0], f) is not None:
+                grp.append(f)
+                orbit_of[f] = gi
+                break
+        else:
+            groups.append([f])
+            orbit_of[f] = len(groups) - 1
+
+    def face_dim(f):
+        return matrix_rank([[x - y for x, y in zip(v, f[0])] for v in f[1:]], d)
+
+    orbits = []
+    lam_of = {}
+    order = sorted(range(len(groups)),
+                   key=lambda gi: (face_dim(groups[gi][0]), min(groups[gi])))
+    renumber = {gi: i for i, gi in enumerate(order)}
+    for gi in order:
+        grp = groups[gi]
+        rep = min(grp)
+        shifts = []
+        for g in grp:
+            lam = _lattice_shift(g, rep)
+            lam_of[g] = lam
+            shifts.append(lam)
+        orbits.append(FaceOrbit(
+            index=renumber[gi],
+            dim=face_dim(rep),
+            vertices=rep,
+            tile_shifts=tuple(sorted(shifts)),
+        ))
+    orbits.sort(key=lambda o: o.index)
+
+    adjacency = []
+    for o in orbits:
+        rep = o.vertices
+        star = set()
+        for lam in o.tile_shifts:
+            base = set(tuple(x - m for x, m in zip(v, lam)) for v in rep)
+            for g in faces:
+                if base <= set(g):
+                    q = renumber[orbit_of[g]]
+                    star.add(FaceRef(q, tuple(a - b for a, b in zip(lam, lam_of[g]))))
+        adjacency.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
+
+    cpx = tiling.TilingComplex(gram=[[frac(x) for x in row] for row in gram],
+                               prototile=cell, center=center,
+                               orbits=tuple(orbits), adjacency=tuple(adjacency))
+    tiling._validate_complex(cpx)
+    return cpx
 
 
 # ---------------------------------------------------------------------------

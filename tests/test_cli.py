@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,24 @@ def test_cases_run_all_rejects_bad_job_count(capsys, monkeypatch):
     monkeypatch.setenv(cli.JOBS_ENV, "0")
     rc, _, err = run(capsys, "cases", "run-all")
     assert rc == 2 and "at least 1" in err
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # The worker pool is needed only for TILEKIT_JOBS > 1, so a plain import
+    # of the CLI must not load multiprocessing.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, tilekit.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_plain_refuses_unknown_types():
+    with pytest.raises(TypeError, match="object"):
+        cli._plain(object())
+    with pytest.raises(TypeError, match="complex"):
+        cli._plain({"a": [1, (2, 1j)]})
 
 
 def test_cone_pipeline_report(tmp_path, capsys):

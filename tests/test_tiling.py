@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -9,6 +10,10 @@ import pytest
 
 from tilekit import ratpoly, tiling
 from tilekit.tiling import DualCell, FaceRef
+
+import oracles
+from test_acceptance import GRAMS
+from test_ratpoly import ROOT_GRAMS
 
 Z2 = [[1, 0], [0, 1]]
 A2 = [[2, 1], [1, 2]]
@@ -85,6 +90,76 @@ def test_explicit_prototile_dimension_mismatch():
     square = ratpoly.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(ValueError):
         tiling.build_complex(Z3, prototile=square)
+
+
+# --- build_complex against its former grouping and star loop
+# (oracles.build_complex_reference): the same orbits, stars and center.
+
+
+def _same_complex(c, ref):
+    return (c.orbits, c.adjacency, c.center) == (ref.orbits, ref.adjacency,
+                                                 ref.center)
+
+
+def test_translation_key_matches_integer_translates_only():
+    f = ((F(-3, 2), F(1, 3)), (F(-1, 2), F(1, 3)), (F(-1, 2), F(4, 3)))
+
+    def moved(t):
+        return tuple(tuple(x + y for x, y in zip(v, t)) for v in f)
+
+    key = tiling._translation_key(f)
+    assert tiling._translation_key(moved((F(-2), F(5)))) == key
+    assert tiling._translation_key(moved((F(3), F(-1)))) == key
+    assert tiling._translation_key(moved((F(1, 2), F(0)))) != key
+    assert tiling._translation_key(moved((F(0), F(-1, 2)))) != key
+    other_shape = (f[0], f[1], (F(-1, 2), F(7, 3)))
+    assert tiling._translation_key(other_shape) != key
+    assert tiling._translation_key(f[:2]) != key
+
+
+def test_complex_matches_reference_on_the_suite():
+    for name in (*GRAMS, "A4", "D4"):
+        gram = {**GRAMS, **ROOT_GRAMS}[name]
+        c = tiling.build_complex(gram)
+        assert _same_complex(c, oracles.build_complex_reference(gram)), name
+
+
+def test_complex_matches_reference_on_explicit_prototile():
+    cube = ratpoly.from_vertices(
+        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    c = tiling.build_complex(Z3, prototile=cube)
+    assert _same_complex(c, oracles.build_complex_reference(Z3, prototile=cube))
+
+
+def _rebased(gram, rng):
+    # U^T G U for U a product of random shears, unimodular by construction.
+    d = len(gram)
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2)
+        m = rng.choice((-1, 1))
+        for r in range(d):
+            u[r][i] += m * u[r][j]
+    return [[sum(u[a][i] * gram[a][b] * u[b][j]
+                 for a in range(d) for b in range(d))
+             for j in range(d)] for i in range(d)]
+
+
+def test_complex_matches_reference_on_rebased_lattices():
+    rng = random.Random(4)
+    fractional_negative = 0
+    for name in ("Z3", "FCC", "BCC", "HEXPRISM"):
+        for _ in range(2):
+            gram = _rebased(GRAMS[name], rng)
+            assert gram != GRAMS[name]
+            c = tiling.build_complex(gram)
+            assert _same_complex(c, oracles.build_complex_reference(gram)), gram
+            fractional_negative += any(
+                x < 0 and x.denominator != 1
+                for o in c.orbits for v in o.vertices for x in v)
+    # Faces with negative non-integer coordinates exercise the floor in the
+    # translation key.
+    assert fractional_negative == 8
 
 
 # ---------------------------------------------------------------------------
