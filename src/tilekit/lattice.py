@@ -166,22 +166,6 @@ def dv_cell(gram) -> ratpoly.Polytope:
     return ratpoly.from_halfspaces(_dv_halfspaces(gram)[1])
 
 
-def dv_cell_with_vectors(gram):
-    """Voronoi cell plus the facet -> lattice-vector correspondence.
-
-    Returns:
-        (cell, vectors) with vectors[i] the facet vector of cell.facets[i].
-    """
-    rel, halfspaces = _dv_halfspaces(gram)
-    cell = ratpoly.from_halfspaces(halfspaces)
-    # Every halfspace of a facet vector is a facet, already in the cell's
-    # canonical form once scaled to a primitive normal.
-    vector_of = {
-        ratpoly._canonical_facet(n, b): v for v, (n, b) in zip(rel, halfspaces)
-    }
-    return cell, tuple(vector_of[f] for f in cell.facets)
-
-
 # ---------------------------------------------------------------------------
 # Belts.
 # ---------------------------------------------------------------------------
@@ -311,11 +295,6 @@ def venkov_check_cell(cell: ratpoly.Polytope) -> VenkovReport:
         belt_lengths=lengths,
         passed=bool(ok),
     )
-
-
-def venkov_check(gram) -> VenkovReport:
-    """Audit the Voronoi cell of a Gram matrix.  See ``venkov_check_cell``."""
-    return venkov_check_cell(dv_cell(gram))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ from .hypercomb import (
     scheme_to_matching,
     swap_sigma,
 )
-from .ratpoly import Polytope, cone_at_vertex, cone_minus_linspace, from_vertices
+from .ratpoly import (Cone, Polytope, cone_at_vertex, cone_minus_linspace,
+                      from_vertices)
 
 
 class VerificationError(Exception):
@@ -698,6 +699,12 @@ def lifted_configuration() -> tuple[Polytope, tuple[tuple[Vec, ...], ...],
     return q, paras, planes
 
 
+@cache
+def _tangent_cone(v: Vec) -> Cone:
+    """Tangent cone of the lifted hull Q at its vertex v."""
+    return cone_at_vertex(lifted_configuration()[0], v)
+
+
 def excluded_direction_cone(i: int, v: Vec) -> tuple[Vec, ...]:
     """Facet normals of the tangent cone at v widened by parallelogram i's
     direction plane; directions with every normal strictly negative (or
@@ -707,10 +714,10 @@ def excluded_direction_cone(i: int, v: Vec) -> tuple[Vec, ...]:
         i: parallelogram index, 1..5.
         v: a hull vertex outside that parallelogram.
     """
-    q, paras, planes = lifted_configuration()
+    _q, paras, planes = lifted_configuration()
     if tuple(v) in paras[i - 1]:
         raise ValueError("vertex belongs to the parallelogram under test")
-    cone = cone_minus_linspace(cone_at_vertex(q, v), planes[i - 1])
+    cone = cone_minus_linspace(_tangent_cone(vec(v)), planes[i - 1])
     if cone.equations:
         raise VerificationError("direction cone is not full-dimensional")
     return cone.halfspaces

@@ -79,16 +79,19 @@ class DualCell:
     the tiling); ``dim`` is the measured affine dimension of the hull, which
     may be smaller.  ``face_vertices`` keeps the vertices of the defining
     face so direction-space checks need no back-reference to the complex.
+    ``hull`` is the polytope on ``verts``, built with the cell, so readers
+    of the cell never rebuild it.
     """
 
     verts: tuple[Vec, ...]
     combdim: int
-    dim: int
     face: FaceRef
     face_vertices: tuple[Vec, ...]
+    hull: Polytope
 
-    def hull(self) -> Polytope:
-        return ratpoly.from_vertices(self.verts)
+    @property
+    def dim(self) -> int:
+        return self.hull.dim
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,9 @@ class TilingComplex:
         adjacency: for each orbit, the star of its representative face --
             references to every face of the tiling containing it, the
             representative itself included.
+
+    The dual cell of each orbit's representative is kept in one slot per
+    orbit, filled by ``dual_cell`` the first time the orbit is asked for.
     """
 
     def __init__(self, gram, prototile: Polytope, center: Vec,
@@ -130,6 +136,7 @@ class TilingComplex:
         self.orbits = orbits
         self.adjacency = adjacency
         self.dim = prototile.ambient_dim
+        self._dual_cells: list[DualCell | None] = [None] * len(orbits)
 
     def orbit_counts(self) -> dict[int, int]:
         """Number of face orbits in each dimension."""
@@ -355,25 +362,44 @@ def dual_cell(c: TilingComplex, f: FaceRef) -> DualCell:
     The construction checks three facts about the center set: the points
     are in convex position, they are the only lattice translates of the
     tile center inside their hull, and no two of them differ by twice a
-    lattice vector.
+    lattice vector.  All three are invariant under lattice translation, so
+    the cell of each orbit's representative is built and checked once per
+    complex, and every other face of the orbit gets a translate of it, hull
+    included.
     """
-    orbit = c.orbits[f.orbit]
-    shifts = [vadd(s, f.shift) for s in orbit.tile_shifts]
-    verts = tuple(sorted(vadd(c.center, s) for s in shifts))
+    base = c._dual_cells[f.orbit]
+    if base is None:
+        base = c._dual_cells[f.orbit] = _representative_dual_cell(c, f.orbit)
+    if all(x == 0 for x in f.shift):
+        return base
+    return DualCell(
+        verts=tuple(vadd(v, f.shift) for v in base.verts),
+        combdim=base.combdim,
+        face=f,
+        face_vertices=c.face_vertices(f),
+        hull=base.hull.translate(f.shift),
+    )
+
+
+def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
+    """The dual cell of orbit ``q``'s representative face, with its checks."""
+    orbit = c.orbits[q]
+    verts = tuple(sorted(vadd(c.center, s) for s in orbit.tile_shifts))
     hull = ratpoly.from_vertices(verts)
     if set(hull.vertices) != set(verts):
         raise GeometryError("tile centers of a star must be in convex position")
     _check_lattice_points(hull, c.center, verts)
-    for a, b in combinations(shifts, 2):
+    for a, b in combinations(orbit.tile_shifts, 2):
         if all((x - y) % 2 == 0 for x, y in zip(a, b)):
             raise GeometryError(
                 "two tile centers of a star are congruent mod 2")
+    face = FaceRef(q, (Fraction(0),) * c.dim)
     return DualCell(
         verts=verts,
         combdim=c.dim - orbit.dim,
-        dim=hull.dim,
-        face=f,
-        face_vertices=c.face_vertices(f),
+        face=face,
+        face_vertices=c.face_vertices(face),
+        hull=hull,
     )
 
 
@@ -444,7 +470,7 @@ def classify_dual3(dc: DualCell) -> FanType:
     """
     if dc.combdim != 3:
         raise ValueError("fan classification needs a dual cell of codimension 3")
-    hull = dc.hull()
+    hull = dc.hull
     if hull.dim != 3:
         raise UnclassifiableCell(
             f"dual 3-cell spans only dimension {hull.dim}")
@@ -532,8 +558,7 @@ def classify_parallelogram_pair(pi1: DualCell, pi2: DualCell,
     if v1 == v2:
         raise NotSubcells("the two parallelograms must be distinct")
 
-    h1, h2 = ratpoly.from_vertices(pi1.verts), ratpoly.from_vertices(pi2.verts)
-    x = _intersect(h1, h2)
+    x = _intersect(pi1.hull, pi2.hull)
     span = rank([vsub(v, pi1.verts[0]) for v in (pi1.verts + pi2.verts)])
 
     if x is not None and len(x.vertices) == 1:
@@ -600,7 +625,7 @@ def translate_intersection(dc: DualCell, t) -> TranslateSlice:
         raise ValueError("translation vector must be nonzero")
     if any(x.denominator != 1 for x in t):
         raise ValueError("translation vector must be a lattice vector")
-    body = dc.hull()
+    body = dc.hull
     moved = body.translate(t)
     x = _intersect(body, moved)
     if x is None:
@@ -658,7 +683,7 @@ def skinny_audit(c: TilingComplex) -> SkinnyReport:
     for o in c.orbits:
         dc = dual_cell(c, FaceRef(o.index, zero))
         checked += 1
-        hull = dc.hull()
+        hull = dc.hull
         if not ratpoly.is_skinny(hull):
             failures.append(
                 f"orbit {o.index} (dim {o.dim}): dual cell admits a sliding segment")

@@ -3,12 +3,15 @@
 Everything here is written independently of tilekit internals: no imports
 from the package, own tiny Gaussian elimination, exhaustive or sampling
 strategies instead of the production algorithms.  Slow on purpose; only fed
-small instances.  Two exceptions import tilekit, inside the function only:
+small instances.  Four exceptions import tilekit, inside the function only:
 from_halfspaces_two_pass, the production H-to-V conversion before it became
 one pass, which keeps its first pass and rebuilds the result with tilekit's
-from_vertices, as it always did; and build_complex_reference, the
+from_vertices, as it always did; build_complex_reference, the
 production quotient complex before it was keyed on translation invariants
-and vertex bitmasks, which builds and checks the tile with tilekit.
+and vertex bitmasks, which builds and checks the tile with tilekit;
+dual_cell_reference, the dual cell built and checked afresh for every face
+rather than translated from its orbit's cell; and dv_cell_with_vectors,
+the Voronoi cell with the lattice vector of each facet.
 """
 
 from __future__ import annotations
@@ -667,6 +670,52 @@ def build_complex_reference(gram, prototile=None):
                                orbits=tuple(orbits), adjacency=tuple(adjacency))
     tiling._validate_complex(cpx)
     return cpx
+
+
+def dual_cell_reference(c, f):
+    """tiling.dual_cell as it was before the per-orbit cells: the hull of
+    the face's tile centers built by ratpoly.from_vertices and checked for
+    this face alone.  Same arguments, result and exceptions."""
+    from tilekit import ratpoly, tiling
+
+    orbit = c.orbits[f.orbit]
+    shifts = [tuple(s + t for s, t in zip(sh, f.shift)) for sh in orbit.tile_shifts]
+    verts = tuple(sorted(tuple(x + s for x, s in zip(c.center, sh))
+                         for sh in shifts))
+    hull = ratpoly.from_vertices(verts)
+    if set(hull.vertices) != set(verts):
+        raise ratpoly.GeometryError(
+            "tile centers of a star must be in convex position")
+    tiling._check_lattice_points(hull, c.center, verts)
+    for a, b in itertools.combinations(shifts, 2):
+        if all((x - y) % 2 == 0 for x, y in zip(a, b)):
+            raise ratpoly.GeometryError(
+                "two tile centers of a star are congruent mod 2")
+    return tiling.DualCell(
+        verts=verts,
+        combdim=c.dim - orbit.dim,
+        face=f,
+        face_vertices=c.face_vertices(f),
+        hull=hull,
+    )
+
+
+def dv_cell_with_vectors(gram):
+    """Voronoi cell plus the facet -> lattice-vector correspondence.
+
+    Returns:
+        (cell, vectors) with vectors[i] the facet vector of cell.facets[i].
+    """
+    from tilekit import lattice, ratpoly
+
+    rel, halfspaces = lattice._dv_halfspaces(gram)
+    cell = ratpoly.from_halfspaces(halfspaces)
+    # Every halfspace of a facet vector is a facet, already in the cell's
+    # canonical form once scaled to a primitive normal.
+    vector_of = {
+        ratpoly._canonical_facet(n, b): v for v, (n, b) in zip(rel, halfspaces)
+    }
+    return cell, tuple(vector_of[f] for f in cell.facets)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def test_6_dv_venkov_suite():
     t0 = time.monotonic()
     facet_counts = {"Z2": 4, "Z3": 6, "A2": 6, "FCC": 12, "BCC": 14}
     for name, want in facet_counts.items():
-        rep = lattice.venkov_check(GRAMS[name])
+        rep = lattice.venkov_check_cell(lattice.dv_cell(GRAMS[name]))
         assert rep.passed
         assert rep.facet_count == want
         assert set(rep.belt_lengths) <= {4, 6}

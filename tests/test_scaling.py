@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from tilekit import scaling, tiling
+from tilekit import cli, ratpoly, scaling, tiling
 from tilekit._lp import primitive, vec, vsub
 
 GRAMS = {
@@ -460,6 +460,33 @@ def test_coherence_on_elongated_lattice():
     for vo, fo in sorted(hits):
         pi = tiling.dual_cell(c, _first_hit_ref(c, vo, fo))
         assert scaling.test_coherence(c, pi, d4s[vo], frame("ELONG4"))
+
+
+def test_coherence_scan_builds_one_hull_per_orbit(monkeypatch):
+    # The `scaling coherence` path asks for many faces of each orbit; only
+    # the first ask of an orbit may build a hull.
+    c = tiling.build_complex(GRAMS["ELONG4"])
+    fr = scaling.build_frame(c)
+    real_hull, real_cell = ratpoly.from_vertices, tiling.dual_cell
+    built, asked, touched = [], [], set()
+
+    def counted_hull(points):
+        built.append(points)
+        return real_hull(points)
+
+    def recorded_cell(cc, f):
+        asked.append(f)
+        touched.add(f.orbit)
+        return real_cell(cc, f)
+
+    monkeypatch.setattr(ratpoly, "from_vertices", counted_hull)
+    monkeypatch.setattr(tiling, "dual_cell", recorded_cell)
+    pairs = cli._pyramid_flanked_parallelograms(c)
+    for _base, pref, d4 in pairs:
+        assert scaling.test_coherence(c, tiling.dual_cell(c, pref), d4, fr)
+    assert len(pairs) == len(ELONG4_HITS)
+    assert len(asked) > len(touched)
+    assert 0 < len(built) <= len(touched)
 
 
 def test_coherence_invariant_under_frame_rescaling():

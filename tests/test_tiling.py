@@ -36,6 +36,13 @@ def orbits_of_dim(c, d):
     return [o for o in c.orbits if o.dim == d]
 
 
+def _hand_cell(verts, combdim, face, face_vertices):
+    """A DualCell on given centers, not taken from a complex."""
+    return DualCell(verts=verts, combdim=combdim, face=face,
+                    face_vertices=face_vertices,
+                    hull=ratpoly.from_vertices(verts))
+
+
 # ---------------------------------------------------------------------------
 # Building the quotient.
 # ---------------------------------------------------------------------------
@@ -297,6 +304,60 @@ def test_duality_reverses_inclusion():
                 assert (faces[b] <= faces[a]) == (duals[a] <= duals[b])
 
 
+# --- dual_cell against the per-face construction
+# (oracles.dual_cell_reference): the same cell on every face of every star,
+# translates of the orbit's cell included.  The reference builds its hull
+# with ratpoly.from_vertices, so equal cells also mean that the carried hull
+# equals a fresh hull of the centers.
+
+
+def _check_dual_cells_against_reference(c):
+    checked = []
+    for st in c.adjacency:
+        for r in st:
+            dc = tiling.dual_cell(c, r)
+            assert dc == oracles.dual_cell_reference(c, r), r
+            checked.append(dc)
+    assert any(any(x != 0 for x in dc.face.shift) for dc in checked)
+    return checked
+
+
+def test_dual_cells_match_reference_on_the_suite():
+    for name, gram in GRAMS.items():
+        _check_dual_cells_against_reference(tiling.build_complex(gram))
+
+
+def test_dual_cells_match_reference_on_a_rebased_lattice():
+    gram = _rebased(GRAMS["FCC"], random.Random(5))
+    assert gram != GRAMS["FCC"]
+    cells = _check_dual_cells_against_reference(tiling.build_complex(gram))
+    # Defining faces with negative non-integer vertex coordinates.
+    assert any(x < 0 and x.denominator != 1
+               for dc in cells for v in dc.face_vertices for x in v)
+
+
+def test_readers_of_a_dual_cell_build_no_hull(monkeypatch):
+    c = tiling.build_complex(FCC)
+    octa = next(o for o in orbits_of_dim(c, 0) if len(o.tile_shifts) == 6)
+    moved = tiling.dual_cell(c, FaceRef(octa.index, (F(1), F(-2), F(0))))
+    cells = [tiling.dual_cell(c, FaceRef(o.index, zero(3))) for o in c.orbits]
+    real = ratpoly.from_vertices
+    built = []
+
+    def counted(points):
+        built.append(points)
+        return real(points)
+
+    monkeypatch.setattr(ratpoly, "from_vertices", counted)
+    assert tiling.skinny_audit(c).passed
+    for dc in cells + [moved]:
+        if dc.combdim == 3:
+            tiling.classify_dual3(dc)
+    t = tuple(w - v for v, w in zip(moved.verts[0], moved.verts[1]))
+    assert tiling.translate_intersection(moved, t).intersection is not None
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # Fan types in codimension 2.
 # ---------------------------------------------------------------------------
@@ -388,8 +449,7 @@ def test_classify_dual3_unclassifiable():
     # seven corners of a cube form none of the five shapes
     verts = tuple(sorted((F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1)
                          for z in (0, 1)))[:-1]
-    dc = DualCell(verts=verts, combdim=3, dim=3,
-                  face=FaceRef(0, zero(3)), face_vertices=(zero(3),))
+    dc = _hand_cell(verts, 3, FaceRef(0, zero(3)), (zero(3),))
     with pytest.raises(tiling.UnclassifiableCell):
         tiling.classify_dual3(dc)
 
@@ -425,8 +485,7 @@ def test_is_3_irreducible_needs_dimension_3():
 
 def _subcell(vs, d4ref):
     verts = tuple(sorted(tuple(F(x) - 1 for x in v) for v in vs))
-    return DualCell(verts=verts, combdim=2, dim=2, face=d4ref,
-                    face_vertices=(zero(4),))
+    return _hand_cell(verts, 2, d4ref, (zero(4),))
 
 
 def _pair_fixture():
@@ -476,15 +535,15 @@ def test_parallelogram_pair_rejects_bad_input():
     p1 = _subcell([z, e1, e2, add(e1, e2)], ref)
     with pytest.raises(tiling.NotSubcells):
         tiling.classify_parallelogram_pair(p1, p1, d4)
-    outside = DualCell(verts=tuple(sorted((tuple(map(F, v))
-                                           for v in (z, e1, e2, add(e1, e2))))),
-                       combdim=2, dim=2, face=ref, face_vertices=(zero(4),))
+    outside = _hand_cell(tuple(sorted((tuple(map(F, v))
+                                       for v in (z, e1, e2, add(e1, e2))))),
+                         2, ref, (zero(4),))
     with pytest.raises(tiling.NotSubcells):
         tiling.classify_parallelogram_pair(outside, p1, d4)
     # three tile centers do not make a parallelogram
-    tri = DualCell(verts=tuple(sorted((tuple(F(x) - 1 for x in v)
-                                       for v in (z, e1, e2, add(e1, e2, e3))))),
-                   combdim=2, dim=2, face=ref, face_vertices=(zero(4),))
+    tri = _hand_cell(tuple(sorted((tuple(F(x) - 1 for x in v)
+                                   for v in (z, e1, e2, add(e1, e2, e3))))),
+                     2, ref, (zero(4),))
     with pytest.raises(tiling.NotSubcells):
         tiling.classify_parallelogram_pair(tri, p1, d4)
 
@@ -495,7 +554,7 @@ def test_parallelogram_pair_rejects_bad_input():
 
 
 def _recheck_slice(dc, t, sl):
-    body = dc.hull()
+    body = dc.hull
     moved = body.translate(tuple(F(x) for x in t))
     n, a = sl.hyperplane.normal, sl.hyperplane.offset
     from tilekit._lp import dot
