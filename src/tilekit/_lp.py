@@ -30,11 +30,6 @@ def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vscale(c, a: Sequence[Fraction]) -> Vec:
-    c = frac(c)
-    return tuple(c * x for x in a)
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
@@ -43,18 +38,21 @@ def is_zero(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
 
+def primitive_ints(a: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """Scale a rational vector by a positive rational to coprime ints.
+
+    The zero vector stays zero.  A positive scale keeps every sign, so a
+    row and its primitive form have the same zero set on any ray.
+    """
+    den = lcm(*(x.denominator for x in a))
+    ints = [x.numerator * (den // x.denominator) for x in a]
+    g = gcd(*ints)
+    return tuple(ints) if g <= 1 else tuple(x // g for x in ints)
+
+
 def primitive(a: Sequence[Fraction]) -> Vec:
     """Scale a nonzero rational vector by a positive rational to coprime ints."""
-    denom = 1
-    for x in a:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in a]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    if g == 0:
-        return tuple(Fraction(0) for _ in a)
-    return tuple(Fraction(n // g) for n in ints)
+    return tuple(map(Fraction, primitive_ints(a)))
 
 
 def lex_positive(a: Sequence[Fraction]) -> Vec:

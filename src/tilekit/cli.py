@@ -7,7 +7,11 @@ produce byte-identical output.
 
 Exit codes: 0 on success, 1 when a contradiction or violation is found
 (the expected outcome for the case engine), 2 on input errors, 3 when a
-report differs from its --golden copy.
+report differs from its --golden copy, 70 on an internal error (a fault
+in tilekit itself, reported as "internal error:" on stderr).  Input errors
+are raised as InputError by the loading and parsing layer and by each
+command's own checks of its arguments; any other exception that is not a
+violation is an internal error.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ JOBS_ENV = "TILEKIT_JOBS"
 
 #: Exit code of a --golden command whose report differs from the stored copy.
 GOLDEN_MISMATCH = 3
+
+#: Exit code of an internal fault (BSD EX_SOFTWARE).
+INTERNAL_ERROR = 70
 
 _VIOLATIONS = (
     lattice.FacetNotCentrallySymmetric,
@@ -72,12 +79,15 @@ def _load_gram(path: str):
     obj = _load_json(path)
     try:
         gram = lattice.gram_from_json(obj)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"{path}: not a lattice document ({e})") from e
     if len(gram) > MAX_DIM:
         raise InputError(f"{path}: dimension {len(gram)} exceeds the "
                          f"cap of {MAX_DIM}")
-    return gram
+    try:
+        return lattice.check_gram(gram)
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
 
 
 def _plain(obj):
@@ -200,6 +210,9 @@ def _cmd_dual_cells(args) -> int:
 
 def _cmd_irreducible(args) -> int:
     gram = _load_gram(args.gram)
+    if len(gram) < 3:
+        raise InputError("3-irreducibility needs a lattice of dimension at "
+                         "least 3")
     c = tiling.build_complex(gram)
     ok, witness = tiling.is_3_irreducible(c)
     doc: dict = {"three_irreducible": ok}
@@ -397,6 +410,10 @@ def _cmd_hyper_audit(args) -> int:
 
 def _cmd_hyper_find_subgraph(args) -> int:
     h = _hypergraph_from_json(args.input)
+    closure = hypercomb.is_closed(h)
+    if closure.empty or not closure.closed:
+        raise InputError(f"{args.input}: the search needs a nonempty closed "
+                         "hypergraph")
     try:
         found = hypercomb.find_5_10_or_6_11(h)
     except hypercomb.SearchFailure as e:
@@ -624,9 +641,12 @@ def main(argv=None) -> int:
     except _VIOLATIONS as e:
         print(f"violation: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        import traceback
+
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

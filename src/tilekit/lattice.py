@@ -22,9 +22,17 @@ class FacetNotCentrallySymmetric(Exception):
     """A facet of the cell is not symmetric about its own center."""
 
 
-def _check_gram(gram) -> list[list[Fraction]]:
+def check_gram(gram) -> list[list[Fraction]]:
+    """The Gram matrix as Fractions.
+
+    Raises:
+        ValueError: it is empty, not square, not symmetric or not positive
+            definite.
+    """
     g = [[frac(x) for x in row] for row in gram]
     d = len(g)
+    if not d:
+        raise ValueError("gram matrix must be nonempty")
     if any(len(row) != d for row in g):
         raise ValueError("gram matrix must be square")
     for i in range(d):
@@ -76,7 +84,7 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
     Returns:
         lex-sorted tuple of integer vectors (both signs included).
     """
-    g = _check_gram(gram)
+    g = check_gram(gram)
     d = len(g)
     # Integerize the form for fast comparisons.
     den = 1
@@ -152,7 +160,7 @@ def _short_vectors(gi: list[list[int]], bound: int):
 
 def _dv_halfspaces(gram) -> tuple[tuple[Vec, ...], list[tuple[Vec, Fraction]]]:
     """Facet vectors v and their halfspaces v.G.x <= v.G.v / 2, in step."""
-    g = _check_gram(gram)
+    g = check_gram(gram)
     rel = relevant_vectors(g)
     halfspaces = []
     for v in rel:

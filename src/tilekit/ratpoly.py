@@ -10,17 +10,29 @@ returns every extreme ray with the set of rows tight on it.  from_vertices
 runs it over the cone dual to the points; from_halfspaces runs it over the
 homogenized rows and reads the facets and the incidence off those zero sets,
 so no second hull is built.
+
+The pass works on integer rows: each distinct row is scaled once to a
+primitive integer row, and rays are primitive integer tuples.  A new ray
+inherits the common processed zero set of its two parents, so it needs a
+dot product only with the rows not yet processed, and a pair of rays that
+shares fewer than dim - 2 processed zeros is dropped by a popcount before
+the adjacency scan.  The linear algebra around it is one elimination per
+hull: from_vertices takes a greedy basis of the point differences and one
+inverse of its Gram matrix, which gives every point's coordinates and every
+facet's normal; from_halfspaces and the cone duals lift their normals
+through the same map.  Fractions appear only in the results.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import _lp
-from ._lp import Vec, dot, frac, is_zero, primitive, vec, vsub
+from ._lp import Vec, dot, frac, is_zero, primitive, primitive_ints, vec, vsub
 
 MAX_DIM = 6
 
@@ -37,20 +49,12 @@ class UnboundedInput(GeometryError):
     """A halfspace system defines an unbounded set but vertices were requested."""
 
 
-class KernelNotIndependent(GeometryError):
-    """Projection kernel vectors are linearly dependent (or contain zero)."""
-
-
 class NotAVertex(GeometryError):
     """The given point is not a vertex of the polytope."""
 
 
 class NotSeparable(GeometryError):
     """No hyperplane keeps both relative interiors in opposite open halves."""
-
-
-class ZeroDirection(GeometryError):
-    """A direction argument was the zero vector."""
 
 
 @dataclass(frozen=True)
@@ -134,126 +138,184 @@ class _Lineality(Exception):
     pass
 
 
+def _int_matrix(mat) -> tuple[list[list[int]], int]:
+    """(integer matrix, positive integer) whose quotient is the rational mat."""
+    den = lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in mat], den
+
+
+def _independent(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
+    """Indices of the integer rows independent of the rows kept before them,
+    up to `limit` of them: a greedy basis, taken in order.
+
+    Fraction-free: a kept row is reduced by cross-multiplication against the
+    earlier ones, so it is zero on their pivot (first nonzero) columns.
+    """
+    picked: list[int] = []
+    pivots: list[int] = []
+    reduced: list[list[int]] = []
+    for i, row in enumerate(rows):
+        r = list(row)
+        for c, e in zip(pivots, reduced):
+            if r[c]:
+                a, b = e[c], r[c]
+                r = [a * x - b * y for x, y in zip(r, e)]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is None:
+            continue
+        g = gcd(*r)
+        picked.append(i)
+        pivots.append(c)
+        reduced.append([x // g for x in r])
+        if len(picked) == limit:
+            break
+    return picked
+
+
+def _int_inverse(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(N, den) with den > 0 and N / den the inverse of an invertible
+    integer matrix: fraction-free Gauss-Jordan elimination."""
+    n = len(mat)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(mat)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        pr = rows[c]
+        a = pr[c]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                r = [a * x - f * y for x, y in zip(rows[i], pr)]
+                g = gcd(*r)
+                rows[i] = [x // g for x in r] if g > 1 else r
+    # Row i is now a multiple rows[i][i] of (e_i | row i of the inverse).
+    den = lcm(*(r[i] for i, r in enumerate(rows)))
+    return [[x * (den // r[i]) for x in r[n:]] for i, r in enumerate(rows)], den
+
+
+def _span_map(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(Q, den) for independent integer vectors b_j: Q = den G^-1 B, with B
+    the b_j as rows and G = B B^T their Gram matrix.
+
+    One inverse per hull serves two maps.  For v in the span of the b_j,
+    Q.v / den are its coordinates over them.  For any y, Q^T.y is a
+    positive multiple of the one vector n in the span with n.b_j = y_j
+    (n = B^T G^-1 y, and G^-1 is symmetric).
+    """
+    ginv, den = _int_inverse([[sum(map(mul, a, b)) for b in basis] for a in basis])
+    return [[sum(map(mul, row, col)) for col in zip(*basis)] for row in ginv], den
+
+
+def _lift(q: list[list[int]], y: Sequence) -> list:
+    """Q^T.y for Q from _span_map: a positive multiple of the vector n in
+    span(b_j) with n.b_j = y_j."""
+    return [sum(map(mul, col, y)) for col in zip(*q)]
+
+
 def _extreme_rays(rows: list[Vec], dim: int) -> list[tuple[Vec, int]]:
     """Extreme rays of the pointed cone {x : r.x >= 0 for every row r}.
 
     Returns (ray, zero set) pairs sorted by ray, with primitive rays; bit i of
-    the zero set is on iff rows[i].ray == 0.
+    the zero set is on iff rows[i].ray == 0.  Rows may hold Fractions or ints.
 
     Raises _Lineality when the rows do not span (cone contains a line).
-    Incremental double description with combinatorial adjacency.
+
+    Incremental double description with combinatorial adjacency
+    (Fukuda-Prodon 1996), in integers.  Each distinct row is scaled once to
+    a primitive integer row, which keeps its signs and zero set; rows that
+    are positive multiples of one another become one.  Rays are primitive
+    integer tuples, turned into Fractions only on return.  When row a is
+    added, a ray p with a.p > 0 and a ray q with a.q < 0 give the new ray
+    w = (a.p) q - (a.q) p.  Both parents are >= 0 on every processed row,
+    so w is zero on one exactly when both are: w inherits their common
+    processed zero set, gains a, and needs a dot product only with the
+    rows not processed yet.  The pair is adjacent when no other ray is zero
+    on all of that common set; a pair sharing fewer than dim - 2 processed
+    rows spans a face of dimension 3 or more and is skipped before the scan.
     """
-    given = rows
-    rows = sorted(set(rows))
-    # Initial simplicial cone from dim independent rows.
-    chosen: list[int] = []
-    cur: list[Vec] = []
-    for i, r in enumerate(rows):
-        if _lp.rank(cur + [r]) > len(cur):
-            chosen.append(i)
-            cur.append(r)
-        if len(cur) == dim:
-            break
-    if len(cur) < dim:
+    where: dict = {}
+    index: dict[tuple[int, ...], int] = {}
+    ints: list[tuple[int, ...]] = []
+    for r in sorted(set(rows)):
+        p = primitive_ints(r)
+        if p not in index:
+            index[p] = len(ints)
+            ints.append(p)
+        where[r] = index[p]
+    n = len(ints)
+    chosen = _independent(ints, dim)
+    if len(chosen) < dim:
         raise _Lineality
-    inv = _lp.invert(cur)
-    rays = [primitive([inv[i][j] for i in range(dim)]) for j in range(dim)]
-    chosen_set = set(chosen)
-    # zero-set bitmask over row indices (all rows, processed or not yet).
-    zmask = []
-    for j, ray in enumerate(rays):
-        m = 0
-        for i in range(len(rows)):
-            if dot(rows[i], ray) == 0:
-                m |= 1 << i
-        zmask.append(m)
-    processed = 0
-    for i in chosen:
-        processed |= 1 << i
-    for idx, a in enumerate(rows):
-        if idx in chosen_set:
+    # Initial simplicial cone: ray j is zero on every chosen row but the j-th.
+    inv, _ = _int_inverse([ints[i] for i in chosen])
+    rays = [primitive_ints(col) for col in zip(*inv)]
+    # vals[j][i] = ints[i].rays[j], kept for the rows that were not yet
+    # processed when ray j was made; zero[j] is ray j's zero set.
+    vals = [[sum(map(mul, row, ray)) for row in ints] for ray in rays]
+    zero = [sum(1 << i for i, v in enumerate(vs) if not v) for vs in vals]
+    processed = sum(1 << i for i in chosen)
+    todo = [i for i in range(n) if not processed >> i & 1]
+    for step, idx in enumerate(todo):
+        bit = 1 << idx
+        col = [vs[idx] for vs in vals]
+        neg = [j for j, v in enumerate(col) if v < 0]
+        if not neg:
+            processed |= bit
             continue
-        vals = [dot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            processed |= 1 << idx
-            continue
-        pos = [j for j, v in enumerate(vals) if v > 0]
-        zer = [j for j, v in enumerate(vals) if v == 0]
-        neg = [j for j, v in enumerate(vals) if v < 0]
-        new_rays: list[Vec] = []
-        new_masks: list[int] = []
-        for jp, jn in itertools.product(pos, neg):
-            common = zmask[jp] & zmask[jn] & processed
-            adjacent = True
-            for jo in range(len(rays)):
-                if jo in (jp, jn):
+        pos = [j for j, v in enumerate(col) if v > 0]
+        later = todo[step + 1:]
+        zp = [z & processed for z in zero]
+        new_rays, new_vals, new_zero = [], [], []
+        for jp in pos:
+            a, rp, zjp = col[jp], rays[jp], zp[jp]
+            for jn in neg:
+                common = zjp & zp[jn]
+                if common.bit_count() < dim - 2:
                     continue
-                if (zmask[jo] & common) == common:
-                    adjacent = False
-                    break
-            if not adjacent:
-                continue
-            w = primitive(
-                [vals[jp] * rays[jn][k] - vals[jn] * rays[jp][k] for k in range(dim)]
-            )
-            m = 0
-            for i in range(len(rows)):
-                if dot(rows[i], w) == 0:
-                    m |= 1 << i
-            new_rays.append(w)
-            new_masks.append(m)
-        keep = pos + zer
+                hits = 0
+                for z in zp:
+                    if z & common == common:
+                        hits += 1
+                        if hits > 2:
+                            break
+                if hits > 2:
+                    continue
+                b = col[jn]
+                w = [a * y - b * x for x, y in zip(rp, rays[jn])]
+                g = gcd(*w)
+                if g > 1:
+                    w = [x // g for x in w]
+                vs = [0] * n
+                m = common | bit
+                for i in later:
+                    v = vs[i] = sum(map(mul, ints[i], w))
+                    if not v:
+                        m |= 1 << i
+                new_rays.append(tuple(w))
+                new_vals.append(vs)
+                new_zero.append(m)
+        keep = [j for j, v in enumerate(col) if v >= 0]
         rays = [rays[j] for j in keep] + new_rays
-        zmask = [zmask[j] for j in keep] + new_masks
-        processed |= 1 << idx
-        # De-duplicate (defensive; exact adjacency should already prevent it).
-        seen: dict[Vec, int] = {}
-        ded_r, ded_m = [], []
-        for r, m in zip(rays, zmask):
-            if r not in seen:
-                seen[r] = 1
-                ded_r.append(r)
-                ded_m.append(m)
-        rays, zmask = ded_r, ded_m
-    # The zero sets above index the sorted distinct rows; re-index them by
-    # the caller's rows.
-    where = {r: i for i, r in enumerate(rows)}
-    pos = [where[r] for r in given]
-    if pos != list(range(len(rows))):
-        zmask = [
-            sum(1 << i for i, p in enumerate(pos) if m >> p & 1) for m in zmask
-        ]
-    return sorted(zip(rays, zmask))
-
-
-def _affine_coords(points: list[Vec]):
-    """Split points into (origin, direction basis, coordinates per point)."""
-    p0 = points[0]
-    diffs = [vsub(p, p0) for p in points]
-    basis: list[Vec] = []
-    for d in diffs:
-        if _lp.rank(basis + [d]) > len(basis):
-            basis.append(d)
-    coords = []
-    for d in diffs:
-        if basis:
-            sol = _lp.solve_affine(list(zip(*basis)), d)
-            coords.append(sol[0])
-        else:
-            coords.append(())
-    return p0, basis, coords
-
-
-def _lift_normal(yhat: Vec, basis: list[Vec]) -> Vec:
-    """Ambient normal n in span(basis) with n.b_j = yhat_j for each j."""
-    gram = [[dot(bi, bj) for bj in basis] for bi in basis]
-    sol = _lp.solve_affine(gram, yhat)
-    coeffs = sol[0]
-    d = len(basis[0])
-    return tuple(
-        sum((coeffs[l] * basis[l][k] for l in range(len(basis))), Fraction(0))
-        for k in range(d)
-    )
+        vals = [vals[j] for j in keep] + new_vals
+        zero = [zero[j] for j in keep] + new_zero
+        processed |= bit
+    # The zero sets above index the primitive rows; re-index them by the
+    # caller's rows.
+    pos = [where[r] for r in rows]
+    if pos != list(range(n)):
+        spread = [0] * n
+        for i, p in enumerate(pos):
+            spread[p] |= 1 << i
+        out = []
+        for z in zero:
+            m = 0
+            while z:
+                low = z & -z
+                m |= spread[low.bit_length() - 1]
+                z ^= low
+            out.append(m)
+        zero = out
+    return [(tuple(map(Fraction, r)), z) for r, z in sorted(zip(rays, zero))]
 
 
 def _canonical_facet(n: Vec, b: Fraction) -> tuple[Vec, Fraction]:
@@ -294,6 +356,14 @@ def _affine_equations(
 def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
     """Convex hull with canonical facet description.
 
+    One elimination per hull: a greedy basis of the point differences and
+    one inverse of its Gram matrix (`_span_map`) give every point's
+    coordinates and every facet's normal.  The facets are the extreme rays
+    of the cone dual to the points in those coordinates, and each ray's
+    zero set is the set of points on its facet.  A point is a vertex iff it
+    is the only point on every facet through it, which also drops redundant
+    interior and boundary points.
+
     Args:
         points: nonempty iterable of equal-length rational points.
 
@@ -312,45 +382,51 @@ def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
         raise ValueError(f"ambient dimension {d} above supported bound {MAX_DIM}")
     if any(len(p) != d for p in pts):
         raise ValueError("points have mixed dimensions")
-    p0, basis, coords = _affine_coords(pts)
+    # The points times one common denominator, and their differences.
+    ipts, scale = _int_matrix(pts)
+    diffs = [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts]
+    basis = [diffs[i] for i in _independent(diffs, d)]
     k = len(basis)
-    equations = _affine_equations(p0, [vsub(p, p0) for p in pts[1:]], d)
+    equations = _affine_equations(pts[0], basis, d)
     if k == 0:
         return Polytope(
-            vertices=(p0,), facets=(), equations=equations, incidence=(), dim=0
+            vertices=(pts[0],), facets=(), equations=equations, incidence=(), dim=0
         )
-    # Facets of the full-dimensional image: extreme rays of the dual cone
-    # {(y, s) : v.y + s >= 0 for all points v}.
-    rows = [tuple(c) + (Fraction(1),) for c in coords]
-    rays = _extreme_rays(rows, k + 1)
+    # Row i of the dual cone {(y, s) : c_i.y + s >= 0}, with c_i the
+    # coordinates of point i over the basis, is taken times den.
+    q, den = _span_map(basis)
+    rows = [tuple(sum(map(mul, row, df)) for row in q) + (den,) for df in diffs]
     facets = []
-    for ray, _ in rays:
-        yhat, s = ray[:k], ray[k]
-        # Facet (-yhat).y <= s in image coordinates.
-        n_img = tuple(-y for y in yhat)
-        n_amb = _lift_normal(n_img, basis)
-        facets.append(_canonical_facet(n_amb, s + dot(n_amb, p0)))
+    meet = [(1 << len(pts)) - 1] * len(pts)
+    for ray, on in _extreme_rays(rows, k + 1):
+        # Facet (-y).c <= s in coordinates; its ambient normal is a positive
+        # multiple of the lift of -y, and its offset is read off a point on it.
+        n = _lift(q, [-x.numerator for x in ray[:k]])
+        g = gcd(*n)
+        first = (on & -on).bit_length() - 1
+        facets.append((
+            tuple(Fraction(x // g) for x in n),
+            Fraction(sum(map(mul, n, ipts[first])), scale * g),
+            on,
+        ))
+        z = on
+        while z:
+            low = z & -z
+            meet[low.bit_length() - 1] &= on
+            z ^= low
     facets.sort()
-    # True vertex set: points not in the hull of the others are exactly the
-    # points lying on some dim-many facets with full rank; equivalently the
-    # points that are the unique maximizers... use incidence count: a point of
-    # the hull is a vertex iff its active facet normals span the direction
-    # space.  Redundant interior/boundary points are dropped.
-    verts = []
-    for p in pts:
-        active = [n for n, b in facets if dot(n, p) == b]
-        if _lp.rank(active + [tuple(n) for n, _ in equations]) == d:
-            verts.append(p)
-    verts.sort()
-    incidence = tuple(
-        frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
-        for n, b in facets
-    )
+    vert_index = {}
+    for i in range(len(pts)):
+        if meet[i] == 1 << i:
+            vert_index[i] = len(vert_index)
     return Polytope(
-        vertices=tuple(verts),
-        facets=tuple(facets),
+        vertices=tuple(pts[i] for i in vert_index),
+        facets=tuple((n, b) for n, b, _ in facets),
         equations=equations,
-        incidence=incidence,
+        incidence=tuple(
+            frozenset(j for i, j in vert_index.items() if on >> i & 1)
+            for _, _, on in facets
+        ),
         dim=k,
     )
 
@@ -474,6 +550,7 @@ def from_halfspaces(
         return Polytope(
             vertices=points, facets=(), equations=equations_out, incidence=(), dim=0
         )
+    q = _span_map(_int_matrix(lin)[0])[0] if k < d else None
     first_row: dict[int, int] = {}
     for i, t in enumerate(tight):
         if t != everywhere:
@@ -483,8 +560,8 @@ def from_halfspaces(
         if any(u != t and u & t == t for u in first_row):
             continue  # a face inside some facet
         n, b = kept[i]
-        if k < d:
-            n = _lift_normal(tuple(dot(n, l) for l in lin), lin)
+        if q:
+            n = tuple(_lift(q, [dot(n, l) for l in lin]))
             b = dot(n, points[(t & -t).bit_length() - 1])
         on = frozenset(j for j in range(len(points)) if t >> j & 1)
         facets.append(_canonical_facet(n, b) + (on,))
@@ -496,23 +573,6 @@ def from_halfspaces(
         incidence=tuple(on for _, _, on in facets),
         dim=k,
     )
-
-
-def dual_description(
-    vertices: Iterable[Sequence[Fraction]] | None = None,
-    halfspaces: Iterable[tuple[Sequence[Fraction], Fraction]] | None = None,
-    equations: Iterable[tuple[Sequence[Fraction], Fraction]] = (),
-    dim: int | None = None,
-) -> Polytope:
-    """Complete a one-sided description into a canonical Polytope.
-
-    Exactly one of `vertices` / `halfspaces` must be given.
-    """
-    if (vertices is None) == (halfspaces is None):
-        raise ValueError("give exactly one of vertices or halfspaces")
-    if vertices is not None:
-        return from_vertices(vertices)
-    return from_halfspaces(halfspaces, equations, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -538,24 +598,15 @@ class FaceLattice:
         top = max(self.faces_by_dim)
         return tuple(len(self.faces_by_dim.get(k, ())) for k in range(top))
 
-    def hasse_edges(self) -> list[tuple[frozenset[int], frozenset[int]]]:
-        """Cover pairs (lower face, upper face), dims differing by one."""
-        out = []
-        dims = sorted(self.faces_by_dim)
-        for lo, hi in zip(dims, dims[1:]):
-            for f in self.faces_by_dim[lo]:
-                for g in self.faces_by_dim[hi]:
-                    if f < g or (lo == -1 and f <= g):
-                        out.append((f, g))
-        return out
-
 
 def face_lattice(p: Polytope) -> FaceLattice:
     """Every face of p (empty face and p itself included).
 
     Faces are intersections of facet vertex-sets; dimension is the affine rank
-    of the face's vertices.
+    of the face's vertices, taken on the vertices times one common
+    denominator.
     """
+    ints, _ = _int_matrix(p.vertices)
     full = frozenset(range(len(p.vertices)))
     facet_sets = list(p.incidence)
     found: set[frozenset[int]] = {full}
@@ -575,8 +626,9 @@ def face_lattice(p: Polytope) -> FaceLattice:
         if not f:
             d = -1
         else:
-            vs = [p.vertices[i] for i in sorted(f)]
-            d = _lp.rank([vsub(v, vs[0]) for v in vs[1:]]) if len(vs) > 1 else 0
+            vs = [ints[i] for i in sorted(f)]
+            diffs = [[x - y for x, y in zip(v, vs[0])] for v in vs[1:]]
+            d = len(_independent(diffs, p.dim))
         by_dim.setdefault(d, []).append(f)
     return FaceLattice(
         faces_by_dim={
@@ -584,43 +636,6 @@ def face_lattice(p: Polytope) -> FaceLattice:
             for d, fs in sorted(by_dim.items())
         }
     )
-
-
-# ---------------------------------------------------------------------------
-# Projection.
-# ---------------------------------------------------------------------------
-
-
-def project(p: Polytope, kernel: Sequence[Sequence[Fraction]]) -> Polytope:
-    """Image of p under the linear projection killing the kernel vectors.
-
-    The image space is the coordinate complement: standard basis vectors are
-    added greedily (in index order) to the kernel to form a basis, and the
-    image of x is its coefficient tuple over those added basis vectors.
-
-    Raises:
-        KernelNotIndependent: kernel vectors dependent or zero.
-    """
-    kv = [vec(v) for v in kernel]
-    d = p.ambient_dim
-    if any(is_zero(v) for v in kv) or _lp.rank(kv) != len(kv):
-        raise KernelNotIndependent("kernel vectors must be independent and nonzero")
-    basis = list(kv)
-    picked: list[int] = []
-    for j in range(d):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(d))
-        if _lp.rank(basis + [e]) > len(basis):
-            basis.append(e)
-            picked.append(j)
-        if len(basis) == d:
-            break
-    minv = _lp.invert(list(zip(*basis)))  # coefficient map: coeffs = minv . x
-    k = len(kv)
-    imgs = []
-    for v in p.vertices:
-        coeffs = [dot(minv[i], v) for i in range(d)]
-        imgs.append(tuple(coeffs[k:]))
-    return from_vertices(imgs)
 
 
 # ---------------------------------------------------------------------------
@@ -634,17 +649,15 @@ def _cone_dual(gens: list[Vec], d: int) -> tuple[list[Vec], list[Vec]]:
     if not gens:
         return [], _lp.nullspace([], d)
     eqs = _lp.nullspace(gens, d)
-    span_basis, _ = _lp.rref(gens)
-    s = len(span_basis)
-    coords = []
-    for g in gens:
-        sol = _lp.solve_affine(list(zip(*span_basis)), g)
-        coords.append(sol[0])
+    span_basis, pivots = _lp.rref(gens)
+    # A generator's coordinates over the reduced rows are its pivot entries.
+    coords = [tuple(g[c] for c in pivots) for g in gens]
     try:
-        rays = _extreme_rays(coords, s)
+        rays = _extreme_rays(coords, len(span_basis))
     except _Lineality:  # pragma: no cover - gens span by construction
         raise AssertionError("dual cone unexpectedly non-pointed") from None
-    normals = [primitive(_lift_normal(r, list(span_basis))) for r, _ in rays]
+    q, _ = _span_map(_int_matrix(span_basis)[0])
+    normals = [primitive(_lift(q, r)) for r, _ in rays]
     return sorted(normals), sorted(eqs)
 
 
@@ -861,38 +874,6 @@ def separate(p1: Polytope, p2: Polytope) -> Hyperplane:
     raise NotSeparable("only improper separation exists (a body lies inside every separating hyperplane)")
 
 
-# ---------------------------------------------------------------------------
-# Illumination.
-# ---------------------------------------------------------------------------
-
-
-def illuminated_vertices(p: Polytope, u: Sequence[Fraction]) -> tuple[Vec, ...]:
-    """Vertices v of p with v + t*u in relint(p) for small t > 0.
-
-    Args:
-        p: polytope.
-        u: nonzero direction in lin(p - p).
-
-    Raises:
-        ZeroDirection: u is zero.
-    """
-    u = vec(u)
-    if is_zero(u):
-        raise ZeroDirection("direction must be nonzero")
-    if any(dot(n, u) != 0 for n, _ in p.equations):
-        return ()
-    out = []
-    for vi, v in enumerate(p.vertices):
-        ok = True
-        for (n, b), inc in zip(p.facets, p.incidence):
-            if vi in inc and dot(n, u) >= 0:
-                ok = False
-                break
-        if ok:
-            out.append(v)
-    return tuple(out)
-
-
 def is_skinny(p: Polytope) -> bool:
     """No direction illuminates two distinct vertices of p.
 
@@ -944,10 +925,6 @@ def vec_to_json(v: Sequence[Fraction]):
     return [frac_to_json(x) for x in v]
 
 
-def vec_from_json(obj) -> Vec:
-    return tuple(frac_from_json(x) for x in obj)
-
-
 def polytope_to_json(p: Polytope) -> dict:
     out = {
         "dim": p.dim,
@@ -962,15 +939,3 @@ def polytope_to_json(p: Polytope) -> dict:
             for n, b in p.equations
         ]
     return out
-
-
-def polytope_from_json(obj: dict) -> Polytope:
-    if obj.get("vertices"):
-        return from_vertices([vec_from_json(v) for v in obj["vertices"]])
-    return from_halfspaces(
-        [(vec_from_json(f["normal"]), frac_from_json(f["offset"])) for f in obj["facets"]],
-        [
-            (vec_from_json(f["normal"]), frac_from_json(f["offset"]))
-            for f in obj.get("equations", ())
-        ],
-    )

@@ -3,15 +3,19 @@
 Everything here is written independently of tilekit internals: no imports
 from the package, own tiny Gaussian elimination, exhaustive or sampling
 strategies instead of the production algorithms.  Slow on purpose; only fed
-small instances.  Four exceptions import tilekit, inside the function only:
-from_halfspaces_two_pass, the production H-to-V conversion before it became
-one pass, which keeps its first pass and rebuilds the result with tilekit's
-from_vertices, as it always did; build_complex_reference, the
-production quotient complex before it was keyed on translation invariants
-and vertex bitmasks, which builds and checks the tile with tilekit;
-dual_cell_reference, the dual cell built and checked afresh for every face
-rather than translated from its orbit's cell; and dv_cell_with_vectors,
-the Voronoi cell with the lattice vector of each facet.
+small instances.  extreme_rays_reference, the Fraction double description
+that the integer one replaced, is independent too.  Six exceptions import
+tilekit, inside the function only: from_vertices_reference and
+cone_dual_reference, the V-to-H conversions before they made one basis
+solve per hull, which build tilekit's Polytope and use its unchanged
+exact linear algebra; from_halfspaces_two_pass, the production H-to-V
+conversion before it became one pass, which rebuilds the result with
+from_vertices_reference; build_complex_reference, the production quotient
+complex before it was keyed on translation invariants and vertex bitmasks,
+which builds and checks the tile with tilekit; dual_cell_reference, the
+dual cell built and checked afresh for every face rather than translated
+from its orbit's cell; and dv_cell_with_vectors, the Voronoi cell with the
+lattice vector of each facet.
 """
 
 from __future__ import annotations
@@ -327,47 +331,6 @@ def point_in_hull_bruteforce(x, points):
     return False
 
 
-def illuminated_bruteforce(points, u):
-    """Hull vertices v with v + t*u inside the relative interior for small t.
-
-    Facets come from hull_facets_bruteforce; the sign criterion is exact (no
-    epsilon): v is illuminated iff the direction points strictly inside every
-    facet active at v, and u is parallel to the hull's affine span.
-    """
-    pts = [tuple(map(Fraction, p)) for p in points]
-    u = tuple(map(Fraction, u))
-    d = len(u)
-    base = pts[0]
-    diffs = [tuple(p[k] - base[k] for k in range(d)) for p in pts[1:]]
-    # u must be a combination of the difference vectors.
-    cols = [[diff[j] for diff in diffs] for j in range(d)]
-    if diffs:
-        sol = gauss_solve(cols, list(u))
-        if sol is None or any(
-            sum(sol[t] * diffs[t][j] for t in range(len(diffs))) != u[j]
-            for j in range(d)
-        ):
-            return []
-    else:
-        return []
-    verts = hull_vertices_bruteforce(pts)
-    # Work inside the affine span: facets of the full-dim image.  For the
-    # oracle we only handle full-dimensional input hulls.
-    facets = hull_facets_bruteforce(pts)
-    out = []
-    for v in verts:
-        good = True
-        for n, c in facets:
-            val = sum(n[k] * v[k] for k in range(d))
-            du = sum(n[k] * u[k] for k in range(d))
-            if val == c and du >= 0:
-                good = False
-                break
-        if good:
-            out.append(v)
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # Lattice oracle: shortest-in-coset facet vectors by window search.
 # ---------------------------------------------------------------------------
@@ -512,10 +475,151 @@ def make_cell_reference(eqs, neg):
     return tuple(sorted(eset)), tuple(sorted(nset))
 
 
+class Lineality(Exception):
+    """The rows given to extreme_rays_reference do not span: the cone
+    contains a line."""
+
+
+def extreme_rays_reference(rows, dim):
+    """Extreme rays of the pointed cone {x : r.x >= 0 for every row r}.
+
+    ratpoly._extreme_rays before it moved to integer rows: incremental
+    double description over Fractions, every new ray's zero set taken by a
+    dot product with every row, and every pair's adjacency tested by a
+    scan of all rays.  Returns (primitive ray, zero set) pairs sorted by
+    ray, bit i of the zero set on iff rows[i].ray == 0.
+
+    Raises:
+        Lineality: the rows do not span.
+    """
+    given = rows
+    rows = sorted(set(vec(r) for r in rows))
+    chosen = []
+    cur = []
+    for i, r in enumerate(rows):
+        if matrix_rank(cur + [r], dim) > len(cur):
+            chosen.append(i)
+            cur.append(r)
+        if len(cur) == dim:
+            break
+    if len(cur) < dim:
+        raise Lineality
+    # Column j of the inverse: zero on every chosen row but the j-th.
+    rays = [_primitive(gauss_solve(cur, [int(i == j) for i in range(dim)]))
+            for j in range(dim)]
+    zmask = [sum(1 << i for i, r in enumerate(rows) if dot(r, ray) == 0)
+             for ray in rays]
+    processed = sum(1 << i for i in chosen)
+    for idx, a in enumerate(rows):
+        if idx in chosen:
+            continue
+        vals = [dot(a, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            processed |= 1 << idx
+            continue
+        pos = [j for j, v in enumerate(vals) if v > 0]
+        zer = [j for j, v in enumerate(vals) if v == 0]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        new_rays, new_masks = [], []
+        for jp, jn in itertools.product(pos, neg):
+            common = zmask[jp] & zmask[jn] & processed
+            if any(zmask[jo] & common == common
+                   for jo in range(len(rays)) if jo not in (jp, jn)):
+                continue
+            w = _primitive([vals[jp] * rays[jn][k] - vals[jn] * rays[jp][k]
+                            for k in range(dim)])
+            new_rays.append(w)
+            new_masks.append(sum(1 << i for i, r in enumerate(rows)
+                                 if dot(r, w) == 0))
+        keep = pos + zer
+        rays = [rays[j] for j in keep] + new_rays
+        zmask = [zmask[j] for j in keep] + new_masks
+        processed |= 1 << idx
+    where = {r: i for i, r in enumerate(rows)}
+    pos = [where[vec(r)] for r in given]
+    zmask = [sum(1 << i for i, p in enumerate(pos) if m >> p & 1) for m in zmask]
+    return sorted(zip(rays, zmask))
+
+
+def from_vertices_reference(points):
+    """ratpoly.from_vertices before it made one basis solve per hull: a
+    fresh solve for each point's coordinates and for each facet's lifted
+    normal, the dual cone's rays from extreme_rays_reference, and each
+    point's vertex status from the rank of the facet normals through it.
+    Same arguments, result and exceptions."""
+    from tilekit import _lp, ratpoly
+
+    pts = sorted({vec(p) for p in points})
+    if not pts:
+        raise ratpoly.EmptyInput("no points given")
+    d = len(pts[0])
+    if d > ratpoly.MAX_DIM:
+        raise ValueError(f"ambient dimension {d} above supported bound")
+    if any(len(p) != d for p in pts):
+        raise ValueError("points have mixed dimensions")
+    p0 = pts[0]
+    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in pts]
+    basis = []
+    for df in diffs:
+        if matrix_rank(basis + [df], d) > len(basis):
+            basis.append(df)
+    k = len(basis)
+    equations = ratpoly._affine_equations(p0, diffs[1:], d)
+    if k == 0:
+        return ratpoly.Polytope(vertices=(p0,), facets=(), equations=equations,
+                                incidence=(), dim=0)
+    cols = [list(col) for col in zip(*basis)]
+    coords = [_lp.solve_affine(cols, df)[0] for df in diffs]
+    gram = [[dot(bi, bj) for bj in basis] for bi in basis]
+    facets = []
+    for ray, _ in extreme_rays_reference(
+            [tuple(c) + (Fraction(1),) for c in coords], k + 1):
+        yhat, s = ray[:k], ray[k]
+        coeffs = _lp.solve_affine(gram, [-y for y in yhat])[0]
+        n = tuple(sum((coeffs[j] * basis[j][r] for j in range(k)), Fraction(0))
+                  for r in range(d))
+        facets.append(ratpoly._canonical_facet(n, s + dot(n, p0)))
+    facets.sort()
+    verts = []
+    for p in pts:
+        active = [n for n, b in facets if dot(n, p) == b]
+        if matrix_rank(active + [n for n, _ in equations], d) == d:
+            verts.append(p)
+    incidence = tuple(
+        frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
+        for n, b in facets
+    )
+    return ratpoly.Polytope(vertices=tuple(verts), facets=tuple(facets),
+                            equations=equations, incidence=incidence, dim=k)
+
+
+def cone_dual_reference(gens, d):
+    """ratpoly._cone_dual before it read coordinates off the reduced row
+    echelon form: a solve per generator, extreme_rays_reference, and a
+    Gram solve per ray to lift it into the span.  Same result."""
+    from tilekit import _lp
+
+    gens = [vec(g) for g in gens if any(x != 0 for x in g)]
+    if not gens:
+        return [], _lp.nullspace([], d)
+    eqs = _lp.nullspace(gens, d)
+    span_basis, _ = _lp.rref(gens)
+    cols = [list(col) for col in zip(*span_basis)]
+    coords = [_lp.solve_affine(cols, g)[0] for g in gens]
+    gram = [[dot(bi, bj) for bj in span_basis] for bi in span_basis]
+    normals = []
+    for ray, _ in extreme_rays_reference(coords, len(span_basis)):
+        coeffs = _lp.solve_affine(gram, ray)[0]
+        normals.append(_primitive([
+            sum((coeffs[j] * b[r] for j, b in enumerate(span_basis)), Fraction(0))
+            for r in range(d)]))
+    return sorted(normals), sorted(eqs)
+
+
 def from_halfspaces_two_pass(halfspaces, equations=(), dim=None):
     """ratpoly.from_halfspaces as two hulls: double description finds the
-    vertices, then ratpoly.from_vertices rebuilds the facets, equations and
-    incidence from them.  Same arguments, result and exceptions."""
+    vertices, then from_vertices_reference rebuilds the facets, equations
+    and incidence from them.  Same arguments, result and exceptions."""
     from tilekit import _lp, ratpoly
 
     hs = [(vec(n), frac(b)) for n, b in halfspaces]
@@ -541,7 +645,7 @@ def from_halfspaces_two_pass(halfspaces, equations=(), dim=None):
     m = len(null)
     if m == 0:
         if all(dot(n, x0) <= b for n, b in hs):
-            return ratpoly.from_vertices([x0])
+            return from_vertices_reference([x0])
         raise ratpoly.EmptyInput("system has no solution")
     red = []
     for n, b in hs:
@@ -555,8 +659,8 @@ def from_halfspaces_two_pass(halfspaces, equations=(), dim=None):
     rows = [tuple(-x for x in a) + (c,) for a, c in red]
     rows.append(tuple(Fraction(0) for _ in range(m)) + (Fraction(1),))
     try:
-        rays = [r for r, _ in ratpoly._extreme_rays(rows, m + 1)]
-    except ratpoly._Lineality:
+        rays = [r for r, _ in extreme_rays_reference(rows, m + 1)]
+    except Lineality:
         res = _lp.maximize(
             tuple(Fraction(0) for _ in range(m)),
             [a for a, _ in red],
@@ -575,7 +679,7 @@ def from_halfspaces_two_pass(halfspaces, equations=(), dim=None):
                            for k, nb_row in enumerate(zip(*null))))
     if not verts:
         raise ratpoly.EmptyInput("system has no solution")
-    return ratpoly.from_vertices(verts)
+    return from_vertices_reference(verts)
 
 
 def _lattice_shift(f, g):
@@ -674,15 +778,15 @@ def build_complex_reference(gram, prototile=None):
 
 def dual_cell_reference(c, f):
     """tiling.dual_cell as it was before the per-orbit cells: the hull of
-    the face's tile centers built by ratpoly.from_vertices and checked for
-    this face alone.  Same arguments, result and exceptions."""
+    the face's tile centers built by from_vertices_reference and checked
+    for this face alone.  Same arguments, result and exceptions."""
     from tilekit import ratpoly, tiling
 
     orbit = c.orbits[f.orbit]
     shifts = [tuple(s + t for s, t in zip(sh, f.shift)) for sh in orbit.tile_shifts]
     verts = tuple(sorted(tuple(x + s for x, s in zip(c.center, sh))
                          for sh in shifts))
-    hull = ratpoly.from_vertices(verts)
+    hull = from_vertices_reference(verts)
     if set(hull.vertices) != set(verts):
         raise ratpoly.GeometryError(
             "tile centers of a star must be in convex position")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tilekit import cli, hypercomb
+from tilekit import cli, hypercomb, ratpoly
 
 A2 = {"dim": 2, "gram": [[2, 1], [1, 2]]}
 Z2 = {"dim": 2, "gram": [[1, 0], [0, 1]]}
@@ -352,6 +352,43 @@ def test_not_a_lattice_document(tmp_path, capsys):
     rc, _, err = run(capsys, "dv", "--gram", str(p))
     assert rc == 2
     assert "not a lattice document" in err
+
+
+def test_invalid_inputs_exit_two(tmp_path, capsys):
+    """Every refusal comes from the loading layer or a command's own
+    argument checks, as an input error: exit 2, never 70."""
+    grams = {
+        "not positive definite": {"gram": [[1, 2], [2, 1]]},
+        "not symmetric": {"gram": [[2, 0], [1, 2]]},
+        "not square": {"gram": [[1, 0], [0]]},
+        "empty": {"gram": []},
+        "zero denominator": {"gram": [[[1, 0]]]},
+    }
+    for why, doc in grams.items():
+        rc, _, err = run(capsys, "dv", "--gram", gram_file(tmp_path, doc))
+        assert rc == 2 and err.startswith("error:"), why
+    rc, _, err = run(capsys, "irreducible",
+                     "--gram", gram_file(tmp_path, {"gram": [[2, 1], [1, 2]]}))
+    assert rc == 2 and "dimension" in err
+    p = tmp_path / "open.json"
+    p.write_text(json.dumps({"edges": [[1, 2, 3, 4], [1, 2, 5, 6]]}))
+    rc, _, err = run(capsys, "hyper", "find-subgraph", "--input", str(p))
+    assert rc == 2 and "closed" in err
+
+
+def test_internal_fault_exits_seventy(tmp_path, capsys, monkeypatch):
+    """A fault inside a kernel is not an input error (2) and not a found
+    violation (1)."""
+    path = gram_file(tmp_path, A2)
+    for fault in (ValueError("bad pivot"), ZeroDivisionError("division by zero")):
+        def broken(rows, dim, fault=fault):
+            raise fault
+
+        monkeypatch.setattr(ratpoly, "_extreme_rays", broken)
+        rc, out, err = run(capsys, "dv", "--gram", path)
+        assert rc == cli.INTERNAL_ERROR == 70
+        assert out == ""
+        assert err.startswith("internal error:") and type(fault).__name__ in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -13,21 +13,16 @@ from tilekit.ratpoly import (
     EmptyInput,
     GeometryError,
     Hyperplane,
-    KernelNotIndependent,
     NotAVertex,
     NotSeparable,
     UnboundedInput,
-    ZeroDirection,
     cone_at_vertex,
     cone_from_generators,
     cone_minus_linspace,
-    dual_description,
     face_lattice,
     from_halfspaces,
     from_vertices,
-    illuminated_vertices,
     is_skinny,
-    project,
     relint_contains,
     separate,
 )
@@ -282,14 +277,166 @@ def test_from_halfspaces_matches_bruteforce_oracle():
     assert checked >= 10
 
 
+# --- The integer kernels against the Fraction kernels they replaced
+# (oracles.extreme_rays_reference, from_vertices_reference and
+# cone_dual_reference): equal results, and only Fractions in them.
+
+# 6 times the inverse Cartan matrix of A5: the permutohedral A5*.
+A5_STAR = [[min(i, j) * (6 - max(i, j)) for j in range(1, 6)] for i in range(1, 6)]
+
+
+def _dd_calls(monkeypatch, build):
+    """The result of build() and the (rows, dim) of every _extreme_rays call
+    it made."""
+    calls = []
+    dd = ratpoly._extreme_rays
+
+    def record(rows, dim):
+        calls.append((list(rows), dim))
+        return dd(rows, dim)
+
+    with monkeypatch.context() as m:
+        m.setattr(ratpoly, "_extreme_rays", record)
+        out = build()
+    return out, calls
+
+
+def _dd_outcome(dd, rows, dim):
+    try:
+        return dd(rows, dim)
+    except (ratpoly._Lineality, oracles.Lineality):
+        return "lineality"
+
+
+def _assert_dd_matches_reference(calls):
+    for rows, dim in calls:
+        got = _dd_outcome(ratpoly._extreme_rays, rows, dim)
+        assert got == _dd_outcome(oracles.extreme_rays_reference, rows, dim)
+        if got != "lineality":
+            # Callers divide ray entries: an int ray would give floats.
+            assert all(type(x) is F for ray, _ in got for x in ray)
+
+
+def _assert_fractions(p):
+    """Every number of p is a Fraction; a leaked int would print as 5, not
+    [5, 1], in a report."""
+    nums = [x for v in p.vertices for x in v]
+    for n, b in p.facets + p.equations:
+        nums += [*n, b]
+    assert all(type(x) is F for x in nums)
+
+
+def test_extreme_rays_match_reference_on_voronoi_rows(monkeypatch):
+    for name, gram in {**GRAMS, **ROOT_GRAMS, "A5*": A5_STAR}.items():
+        hs = lattice._dv_halfspaces(gram)[1]
+        cell, calls = _dd_calls(monkeypatch, lambda: from_halfspaces(hs))
+        assert len(calls) == 1, name
+        _assert_dd_matches_reference(calls)
+        _assert_fractions(cell)
+    assert len(cell.vertices) == 720 and len(cell.facets) == 62
+
+
+def test_extreme_rays_match_reference_on_h_descriptions(monkeypatch):
+    rng = random.Random(20261018)
+    lineal = total = 0
+    for _ in range(150):
+        hs, eqs, d, _p = _random_h_description(rng)
+        got, calls = _dd_calls(
+            monkeypatch, lambda: _hull_outcome(from_halfspaces, hs, eqs, d))
+        _assert_dd_matches_reference(calls)
+        if isinstance(got, ratpoly.Polytope):
+            _assert_fractions(got)
+        total += len(calls)
+        lineal += any(_dd_outcome(ratpoly._extreme_rays, r, k) == "lineality"
+                      for r, k in calls)
+    # Most systems reach the double description, one of them with rows
+    # that do not span.
+    assert total >= 120 and lineal >= 1
+
+
+def _random_v_description(rng):
+    """Points in R^d, d from 1 to 6, whose hull may be lower-dimensional,
+    with rational coordinates, repeated points, midpoints (inside an edge,
+    a face or the interior) and sometimes the centroid."""
+    d = rng.randint(1, 6)
+    k = rng.randint(0, d)
+    base = tuple(F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(d))
+    dirs = [tuple(F(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(d))
+            for _ in range(k)]
+    pts = [
+        tuple(b + sum(rng.randint(-2, 2) * u[i] for u in dirs) for i, b in enumerate(base))
+        for _ in range(k + 1 + rng.randint(0, 4))
+    ]
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(pts), rng.choice(pts)
+        extra.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    if len(pts) > 2 and rng.random() < 0.5:
+        extra.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+    extra += rng.sample(pts, min(len(pts), rng.randint(0, 2)))
+    pts += extra
+    rng.shuffle(pts)
+    return pts
+
+
+def _vertices_outcome(build, pts):
+    try:
+        return build(pts)
+    except (EmptyInput, ValueError) as exc:
+        return type(exc)
+
+
+def test_from_vertices_matches_reference_on_v_descriptions(monkeypatch):
+    rng = random.Random(20261019)
+    dims = set()
+    dropped = 0
+    for _ in range(120):
+        pts = _random_v_description(rng)
+        got, calls = _dd_calls(monkeypatch, lambda: from_vertices(pts))
+        assert got == oracles.from_vertices_reference(pts)
+        _assert_fractions(got)
+        _assert_dd_matches_reference(calls)
+        dims.add(got.dim)
+        dropped += len(got.vertices) < len(set(pts))
+    # Every dimension was reached, and many inputs had points that are not
+    # vertices.
+    assert dims == set(range(7))
+    assert dropped >= 40
+    for bad in ([], [fv(0, 0), fv(1, 0, 0)], [(F(0),) * 7, (F(1),) * 7]):
+        got = _vertices_outcome(from_vertices, bad)
+        assert got == _vertices_outcome(oracles.from_vertices_reference, bad)
+        assert got in (EmptyInput, ValueError)
+
+
+def test_cone_dual_matches_reference(monkeypatch):
+    seen = []
+    build = ratpoly._cone_from_gen_list
+
+    def record(apex, glist, d):
+        seen.append((list(glist), d))
+        return build(apex, glist, d)
+
+    monkeypatch.setattr(ratpoly, "_cone_from_gen_list", record)
+    q, paras, _ = syssolve.lifted_configuration()
+    for i in range(1, 6):
+        for v in q.vertices:
+            if v not in paras[i - 1]:
+                syssolve.excluded_direction_cone(i, v)
+    assert len(seen) == 30
+    rng = random.Random(1018)
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        seen.append(([tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d))
+                      for _ in range(rng.randint(0, 6))], d))
+    for glist, d in seen:
+        got = ratpoly._cone_dual(glist, d)
+        assert got == oracles.cone_dual_reference(glist, d)
+        assert all(type(x) is F for n in got[0] for x in n)
+
+
 def test_dimension_cap():
     with pytest.raises(ValueError):
         from_vertices([tuple(F(0) for _ in range(7)), tuple(F(1) for _ in range(7))])
-
-
-def test_dual_description_rejects_double_input():
-    with pytest.raises(ValueError):
-        dual_description(vertices=SQUARE, halfspaces=[(fv(1, 0), F(1))])
 
 
 def test_face_lattice_square():
@@ -299,7 +446,6 @@ def test_face_lattice_square():
     assert counts == {-1: 1, 0: 4, 1: 4, 2: 1}
     euler = sum((-1) ** d * len(fs) for d, fs in fl.faces_by_dim.items())
     assert euler == 0
-    assert len(fl.hasse_edges()) == 4 + 8 + 4
 
 
 def test_face_lattice_cube():
@@ -307,28 +453,6 @@ def test_face_lattice_cube():
     assert fl.f_vector() == (8, 12, 6)
     euler = sum((-1) ** d * len(fs) for d, fs in fl.faces_by_dim.items())
     assert euler == 0
-
-
-def test_project_cube_along_diagonal_gives_hexagon():
-    p = from_vertices(CUBE)
-    q = project(p, [fv(1, 1, 1)])
-    assert q.dim == 2
-    assert len(q.vertices) == 6
-
-
-def test_project_kernel_must_be_independent():
-    p = from_vertices(SQUARE)
-    with pytest.raises(KernelNotIndependent):
-        project(p, [fv(1, 0), fv(2, 0)])
-    with pytest.raises(KernelNotIndependent):
-        project(p, [fv(0, 0)])
-
-
-def test_projection_image_coordinates():
-    # Killing the last axis keeps the first coordinates.
-    p = from_vertices(CUBE)
-    q = project(p, [fv(0, 0, 1)])
-    assert q.vertices == (fv(0, 0), fv(0, 1), fv(1, 0), fv(1, 1))
 
 
 def test_cone_at_cube_corner():
@@ -493,30 +617,6 @@ def test_separate_strong_lp_result_is_checked(monkeypatch):
         assert not isinstance(info.value, NotSeparable)
 
 
-def test_illuminated_square():
-    p = from_vertices(SQUARE)
-    assert illuminated_vertices(p, fv(1, 1)) == (fv(-1, -1),)
-    assert illuminated_vertices(p, fv(1, 0)) == ()
-    with pytest.raises(ZeroDirection):
-        illuminated_vertices(p, fv(0, 0))
-
-
-def test_illuminated_matches_bruteforce():
-    rng = random.Random(99)
-    for _ in range(6):
-        pts = [fv(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(6)]
-        p = from_vertices(pts)
-        if p.dim < 2:
-            continue
-        for _ in range(4):
-            u = fv(rng.randint(-2, 2), rng.randint(-2, 2))
-            if u == fv(0, 0):
-                continue
-            assert list(illuminated_vertices(p, u)) == oracles.illuminated_bruteforce(
-                pts, u
-            )
-
-
 def test_skinny_frozen_shapes():
     assert is_skinny(from_vertices(SQUARE))
     assert is_skinny(from_vertices(CUBE))
@@ -537,12 +637,15 @@ def test_skinny_degenerate_shapes():
 
 
 def test_json_round_trip():
-    p = from_vertices(CUBE)
+    p = from_vertices(SQUARE + [fv(F(1, 2), 3)])
     obj = ratpoly.polytope_to_json(p)
-    assert ratpoly.polytope_from_json(obj) == p
-    # Vertex route dropped: rebuild from facets only.
-    obj2 = {"facets": obj["facets"]}
-    assert ratpoly.polytope_from_json(obj2) == p
+    assert obj["dim"] == 2 and "equations" not in obj
+    back = ratpoly.frac_from_json
+    assert [tuple(map(back, v)) for v in obj["vertices"]] == list(p.vertices)
+    assert [(tuple(map(back, f["normal"])), back(f["offset"]))
+            for f in obj["facets"]] == list(p.facets)
+    assert obj["vertices"][0] == ratpoly.vec_to_json(p.vertices[0])
+    assert obj["facets"][0]["offset"] == ratpoly.frac_to_json(p.facets[0][1])
 
 
 def test_json_big_numbers_become_strings():
