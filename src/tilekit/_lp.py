@@ -136,30 +136,6 @@ def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return tuple(x), nullspace(rows, n)
 
 
-def extend_to_basis(vectors: Sequence[Vec], dim: int) -> list[Vec]:
-    """Extend independent vectors to a basis using standard basis vectors."""
-    basis = [vec(v) for v in vectors]
-    for j in range(dim):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(dim))
-        if rank(basis + [e]) > len(basis):
-            basis.append(e)
-        if len(basis) == dim:
-            break
-    if len(basis) != dim:
-        raise ValueError("input vectors were dependent")
-    return basis
-
-
-def invert(mat: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Inverse of a square rational matrix (rows)."""
-    n = len(mat)
-    aug = [vec(mat[i]) + tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [r[n:] for r in red]
-
-
 def in_int_span(target: Sequence[Fraction], gens: Sequence[Sequence[Fraction]]) -> list[int] | None:
     """Integer coefficients expressing target in the integer span of gens.
 

@@ -755,20 +755,3 @@ def enumerate_6_11_matchings() -> tuple[SigmaPair, ...]:
 def swap_sigma(sp: SigmaPair) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """The matching with the roles of the two apex stars exchanged."""
     return sp.sigma_prime, sp.sigma
-
-
-# ---------------------------------------------------------------------------
-# JSON plumbing.
-# ---------------------------------------------------------------------------
-
-
-def to_dict(h: Hypergraph4) -> dict:
-    verts = sorted(h.vertices, key=repr)
-    return {"vertices": [repr(v) if not isinstance(v, (str, int)) else v
-                         for v in verts],
-            "edges": [sorted((repr(v) if not isinstance(v, (str, int)) else v)
-                             for v in e) for e in h.edges]}
-
-
-def from_dict(data: dict) -> Hypergraph4:
-    return hypergraph(data["edges"])

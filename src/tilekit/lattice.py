@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 from typing import Sequence
 
-from . import _lp, ratpoly
+from . import ratpoly
 from ._lp import Vec, dot, frac, vec
 
 
@@ -179,23 +179,50 @@ def dv_cell(gram) -> ratpoly.Polytope:
 # ---------------------------------------------------------------------------
 
 
-def _direction_key(verts: list[Vec]):
-    rows, _ = _lp.rref([_lp.vsub(v, verts[0]) for v in verts[1:]])
-    return tuple(rows)
+def _facet_reflections(cell: ratpoly.Polytope) -> list[dict[int, int]]:
+    """Each facet's central reflection about its vertex centroid, as a map
+    from the facet's vertex indices to the indices of their images.
+
+    Raises:
+        FacetNotCentrallySymmetric: the image of some vertex of a facet is
+            not a vertex of that facet.
+    """
+    ints, _ = ratpoly._int_matrix(cell.vertices)
+    out = []
+    for inc in cell.incidence:
+        # The image of v is 2c - v for the centroid c = s / n; both sides
+        # are compared times n, in integers.
+        n = len(inc)
+        s = [sum(col) for col in zip(*(ints[i] for i in inc))]
+        at = {tuple(n * x for x in ints[i]): i for i in inc}
+        image = {}
+        for i in inc:
+            j = at.get(tuple(2 * t - n * x for t, x in zip(s, ints[i])))
+            if j is None:
+                raise FacetNotCentrallySymmetric(
+                    "facet is not symmetric about its center"
+                )
+            image[i] = j
+        out.append(image)
+    return out
 
 
 def belts_of(cell: ratpoly.Polytope) -> list[list[int]]:
-    """Belts of a centrally symmetric polytope, as facet-index cycles.
+    """Belts of a polytope with centrally symmetric facets, as facet-index
+    cycles.
 
-    A belt collects the facets sharing translates of a fixed (d-2)-face; the
-    walk steps from a facet to its neighbour across the current face, moving
-    to the parallel opposite face inside each facet.  For d == 2 the single
-    belt is the cycle of all edges.
+    A belt collects the facets sharing translates of a fixed (d-2)-face.
+    The walk crosses the current ridge into the next facet, and inside that
+    facet moves to the ridge's image under the facet's central reflection,
+    which is the parallel opposite ridge.  Belts start from the ridges in
+    face_lattice order, each at the first facet through its ridge.  For
+    d == 2 the single belt is the cycle of all edges.
 
     Raises:
-        FacetNotCentrallySymmetric: some facet has no parallel opposite face
-            to continue the walk through.
+        FacetNotCentrallySymmetric: some facet is not symmetric about its
+            vertex centroid.
     """
+    reflections = _facet_reflections(cell)
     d = cell.dim
     if d < 2:
         return []
@@ -203,24 +230,18 @@ def belts_of(cell: ratpoly.Polytope) -> list[list[int]]:
         return [list(range(len(cell.facets)))]
     fl = ratpoly.face_lattice(cell)
     ridges = list(fl.faces_by_dim.get(d - 2, ()))
+    index = {r: i for i, r in enumerate(ridges)}
     # Facets containing each ridge (exactly two in a polytope).
     facet_sets = [set(inc) for inc in cell.incidence]
     ridge_facets = []
     for r in ridges:
         fs = [i for i, s in enumerate(facet_sets) if r <= s]
         ridge_facets.append(fs)
-    # Group ridges by direction space.
-    key_of = []
-    for r in ridges:
-        verts = [cell.vertices[i] for i in sorted(r)]
-        key_of.append(_direction_key(verts))
     belts: list[list[int]] = []
     seen_ridges: set[int] = set()
-    order = sorted(range(len(ridges)), key=lambda i: tuple(sorted(ridges[i])))
-    for start in order:
+    for start in range(len(ridges)):
         if start in seen_ridges:
             continue
-        key = key_of[start]
         cycle: list[int] = []
         ridge = start
         facet = ridge_facets[start][0]
@@ -230,27 +251,11 @@ def belts_of(cell: ratpoly.Polytope) -> list[list[int]]:
             # Step across the ridge to the other facet.
             a, b = ridge_facets[ridge]
             facet = b if facet == a else a
-            # Inside `facet`, move to the other ridge parallel to the class.
-            cands = [
-                i
-                for i in range(len(ridges))
-                if i != ridge
-                and key_of[i] == key
-                and facet in ridge_facets[i]
-            ]
-            if len(cands) != 1:
-                raise FacetNotCentrallySymmetric(
-                    "facet has no unique parallel opposite face"
-                )
-            ridge = cands[0]
+            # Inside `facet`, move to the ridge's image under its reflection.
+            image = reflections[facet]
+            ridge = index[frozenset(image[i] for i in ridges[ridge])]
             if ridge == start:
-                seen_ridges.add(ridge)
-                cycle.append(facet)
                 break
-        # The walk appends the entry facet twice (once per half turn) when it
-        # closes; normalize to the facet cycle.
-        if cycle[0] == cycle[-1]:
-            cycle = cycle[:-1]
         belts.append(cycle)
     return belts
 
@@ -278,23 +283,12 @@ def venkov_check_cell(cell: ratpoly.Polytope) -> VenkovReport:
     centroid = tuple(sum(v[k] for v in cell.vertices) / n for k in range(d))
     vset = set(cell.vertices)
     cs = all(tuple(2 * centroid[k] - v[k] for k in range(d)) in vset for v in cell.vertices)
-    facet_cs = True
-    for inc in cell.incidence:
-        verts = [cell.vertices[i] for i in sorted(inc)]
-        n = len(verts)
-        center = tuple(sum(v[k] for v in verts) / n for k in range(cell.ambient_dim))
-        fset = set(verts)
-        if not all(tuple(2 * center[k] - v[k] for k in range(len(v))) in fset for v in verts):
-            facet_cs = False
-            break
-    lengths: tuple[int, ...] = ()
-    belts_ok = False
-    if facet_cs:
-        try:
-            lengths = tuple(sorted(len(b) for b in belts_of(cell)))
-            belts_ok = all(l in (4, 6) for l in lengths)
-        except FacetNotCentrallySymmetric:
-            belts_ok = False
+    try:
+        lengths = tuple(sorted(len(b) for b in belts_of(cell)))
+        facet_cs = True
+    except FacetNotCentrallySymmetric:
+        lengths, facet_cs = (), False
+    belts_ok = facet_cs and all(l in (4, 6) for l in lengths)
     ok = cs and facet_cs and belts_ok if cell.dim >= 3 else cs and facet_cs
     return VenkovReport(
         facet_count=len(cell.facets),

@@ -9,7 +9,9 @@ Each conversion runs one double description pass (`_extreme_rays`), which
 returns every extreme ray with the set of rows tight on it.  from_vertices
 runs it over the cone dual to the points; from_halfspaces runs it over the
 homogenized rows and reads the facets and the incidence off those zero sets,
-so no second hull is built.
+so no second hull is built.  A cone's facet normals come from one pass over
+the cone dual to its generating set, and nothing reduces that set to minimal
+generators.
 
 The pass works on integer rows: each distinct row is scaled once to a
 primitive integer row, and rays are primitive integer tuples.  A new ray
@@ -102,12 +104,6 @@ class Polytope:
             dim=self.dim,
         )
 
-    def lin_basis(self) -> list[Vec]:
-        """Basis of the direction space lin(P - P)."""
-        if not self.equations:
-            return _lp.nullspace([], self.ambient_dim)
-        return _lp.nullspace([n for n, _ in self.equations], self.ambient_dim)
-
 
 @dataclass(frozen=True)
 class Cone:
@@ -115,8 +111,9 @@ class Cone:
 
     Constraints apply to x - apex: halfspace normals n mean n.(x - apex) <= 0,
     equations mean n.(x - apex) == 0.  generators are primitive direction
-    vectors (extreme rays modulo the lineality part, plus a +/- basis of the
-    lineality space).
+    vectors that generate the cone: the edge directions for a tangent cone,
+    and the generating set itself (not reduced to extreme rays) for a cone
+    from cone_minus_linspace.
     """
 
     apex: Vec
@@ -590,10 +587,6 @@ class FaceLattice:
 
     faces_by_dim: dict[int, tuple[frozenset[int], ...]]
 
-    def all_faces(self):
-        for d in sorted(self.faces_by_dim):
-            yield from ((d, f) for f in self.faces_by_dim[d])
-
     def f_vector(self) -> tuple[int, ...]:
         top = max(self.faces_by_dim)
         return tuple(len(self.faces_by_dim.get(k, ())) for k in range(top))
@@ -690,14 +683,6 @@ def cone_at_vertex(p: Polytope, v: Sequence[Fraction]) -> Cone:
     )
 
 
-def cone_from_generators(apex: Sequence[Fraction], gens: Iterable[Sequence[Fraction]]) -> Cone:
-    """Cone spanned by direction vectors, with halfspace description filled in."""
-    apex = vec(apex)
-    d = len(apex)
-    glist = [primitive(vec(g)) for g in gens if not is_zero(vec(g))]
-    return _cone_from_gen_list(apex, glist, d)
-
-
 def _rays_from_hrep(ge_normals: list[Vec], eq_normals: list[Vec], d: int) -> list[Vec]:
     """Extreme rays of {x : n.x >= 0, e.x == 0}; the cone must be pointed."""
     null = _lp.nullspace(eq_normals, d) if eq_normals else _lp.nullspace([], d)
@@ -708,65 +693,13 @@ def _rays_from_hrep(ge_normals: list[Vec], eq_normals: list[Vec], d: int) -> lis
     return sorted(primitive(tuple(dot(row, r) for row in zip(*null))) for r, _ in rays_q)
 
 
-def _cone_from_gen_list(apex: Vec, glist: list[Vec], d: int) -> Cone:
-    # Halfspaces: a facet normal is nonnegative on every generator, and on a
-    # two-sided (lineality) generator it is then forced to vanish — so the
-    # dual over the full generator list is correct even in the lineal case.
-    normals_ge, _ = _cone_dual(glist, d)
-    halfspaces = sorted(tuple(-x for x in n) for n in normals_ge)
-    eqs = _lp.nullspace(glist, d) if glist else _lp.nullspace([], d)
-    # Lineality: span of generators whose negation stays in the cone.  Every
-    # facet normal is >= 0 on a generator g, so -g is in the cone exactly
-    # when all of them vanish on g.
-    two_sided: list[Vec] = []
-    one_sided: list[Vec] = []
-    for g in glist:
-        if all(dot(f, g) == 0 for f in normals_ge):
-            two_sided.append(g)
-        else:
-            one_sided.append(g)
-    lin_rows, _ = _lp.rref(two_sided) if two_sided else ([], [])
-    lin_basis = [primitive(b) for b in lin_rows]
-    if lin_basis and one_sided:
-        # Project the one-sided part along the lineality onto a fixed
-        # coordinate complement; the projected cone is pointed.
-        full = _lp.extend_to_basis(lin_basis, d)
-        comp = full[len(lin_basis):]
-        minv = _lp.invert(list(zip(*full)))
-        work = []
-        for g in one_sided:
-            coeffs = [dot(minv[i], g) for i in range(d)]
-            w = coeffs[len(lin_basis):]
-            amb = tuple(
-                sum((w[j] * comp[j][k] for j in range(len(comp))), Fraction(0))
-                for k in range(d)
-            )
-            if not is_zero(amb):
-                work.append(primitive(amb))
-    else:
-        work = list(one_sided)
-    # Minimal generators for the pointed part: extreme rays of cone(work).
-    if work:
-        hs_w, eq_w = _cone_dual(work, d)
-        ext = _rays_from_hrep([tuple(n) for n in hs_w], list(eq_w), d)
-    else:
-        ext = []
-    gens_out = sorted(
-        set(ext) | set(lin_basis) | {tuple(-x for x in b) for b in lin_basis}
-    )
-    return Cone(
-        apex=apex,
-        generators=tuple(gens_out),
-        halfspaces=tuple(halfspaces),
-        equations=tuple(sorted(primitive(e) for e in eqs)),
-    )
-
-
 def cone_minus_linspace(c: Cone, directions: Iterable[Sequence[Fraction]]) -> Cone:
     """Minkowski sum of the cone with the linear span of the given directions.
 
-    The result's lineality contains that span; generators/halfspaces are
-    recomputed from scratch.
+    One double description pass over the generating set: c's generators
+    plus +/- each primitive direction, sorted and deduplicated.  That set
+    is the result's generators; its halfspaces are the negated facet
+    normals of the set's dual, and its equations those of the set's span.
     """
     d = c.ambient_dim
     dirs = [vec(v) for v in directions]
@@ -776,19 +709,20 @@ def cone_minus_linspace(c: Cone, directions: Iterable[Sequence[Fraction]]) -> Co
         glist.append(v)
         glist.append(tuple(-x for x in v))
     glist = sorted(set(glist))
-    return _cone_from_gen_list(c.apex, glist, d)
+    normals, eqs = _cone_dual(glist, d)
+    return Cone(
+        apex=c.apex,
+        generators=tuple(glist),
+        halfspaces=tuple(sorted(tuple(-x for x in n) for n in normals)),
+        equations=tuple(eqs),
+    )
 
 
-def relint_contains(body: Polytope | Cone, x: Sequence[Fraction]) -> bool:
-    """Is x in the relative interior of the polytope or cone?"""
+def relint_contains(p: Polytope, x: Sequence[Fraction]) -> bool:
+    """Is x in the relative interior of the polytope?"""
     x = vec(x)
-    if isinstance(body, Polytope):
-        return all(dot(n, x) == b for n, b in body.equations) and all(
-            dot(n, x) < b for n, b in body.facets
-        )
-    w = vsub(x, body.apex)
-    return all(dot(n, w) == 0 for n in body.equations) and all(
-        dot(n, w) < 0 for n in body.halfspaces
+    return all(dot(n, x) == b for n, b in p.equations) and all(
+        dot(n, x) < b for n, b in p.facets
     )
 
 

@@ -4,7 +4,7 @@ Everything here is written independently of tilekit internals: no imports
 from the package, own tiny Gaussian elimination, exhaustive or sampling
 strategies instead of the production algorithms.  Slow on purpose; only fed
 small instances.  extreme_rays_reference, the Fraction double description
-that the integer one replaced, is independent too.  Six exceptions import
+that the integer one replaced, is independent too.  Seven exceptions import
 tilekit, inside the function only: from_vertices_reference and
 cone_dual_reference, the V-to-H conversions before they made one basis
 solve per hull, which build tilekit's Polytope and use its unchanged
@@ -14,8 +14,10 @@ from_vertices_reference; build_complex_reference, the production quotient
 complex before it was keyed on translation invariants and vertex bitmasks,
 which builds and checks the tile with tilekit; dual_cell_reference, the
 dual cell built and checked afresh for every face rather than translated
-from its orbit's cell; and dv_cell_with_vectors, the Voronoi cell with the
-lattice vector of each facet.
+from its orbit's cell; dv_cell_with_vectors, the Voronoi cell with the
+lattice vector of each facet; and belts_of_reference, the belt walk that
+found each opposite ridge by an echelon-form key and a scan of all ridges
+rather than by the facet's central reflection.
 """
 
 from __future__ import annotations
@@ -416,30 +418,6 @@ def relevant_vectors_box(gram):
 # ---------------------------------------------------------------------------
 
 
-def in_cone_hull(target, gens, maximize=maximize_reference):
-    """Is target a nonnegative combination of gens?  One exact LP.
-
-    The lineality test of ratpoly._cone_from_gen_list before it read the
-    answer off the facet normals.  maximize is the LP solver: the reference
-    by default, or tilekit._lp.maximize (checked against it in test_lp) for
-    many calls.
-    """
-    target = vec(target)
-    if all(x == 0 for x in target):
-        return True
-    if not gens:
-        return False
-    k = len(gens)
-    d = len(target)
-    # alpha >= 0, sum alpha_i g_i = target.
-    a_ub = [[Fraction(-1 if j == i else 0) for j in range(k)] for i in range(k)]
-    b_ub = [Fraction(0)] * k
-    a_eq = [[frac(gens[j][r]) for j in range(k)] for r in range(d)]
-    b_eq = [target[r] for r in range(d)]
-    res = maximize([Fraction(0)] * k, a_ub, b_ub, a_eq, b_eq)
-    return res.status == "optimal"
-
-
 def make_cell_reference(eqs, neg):
     """Canonical (equations, strict negatives) of a direction cell, or None.
 
@@ -820,6 +798,57 @@ def dv_cell_with_vectors(gram):
         ratpoly._canonical_facet(n, b): v for v, (n, b) in zip(rel, halfspaces)
     }
     return cell, tuple(vector_of[f] for f in cell.facets)
+
+
+def belts_of_reference(cell):
+    """lattice.belts_of before it walked by facet reflections: every ridge
+    is keyed by the reduced row echelon form of its directions, and each
+    step scans all ridges for the other one of the current key in the
+    current facet.  Same cycles, and FacetNotCentrallySymmetric where a
+    facet has no unique parallel opposite ridge."""
+    from tilekit import _lp, lattice, ratpoly
+
+    d = cell.dim
+    if d < 2:
+        return []
+    if d == 2:
+        return [list(range(len(cell.facets)))]
+    ridges = list(ratpoly.face_lattice(cell).faces_by_dim.get(d - 2, ()))
+    facet_sets = [set(inc) for inc in cell.incidence]
+    ridge_facets = [[i for i, s in enumerate(facet_sets) if r <= s] for r in ridges]
+    key_of = []
+    for r in ridges:
+        verts = [cell.vertices[i] for i in sorted(r)]
+        key_of.append(tuple(_lp.rref([_lp.vsub(v, verts[0]) for v in verts[1:]])[0]))
+    belts = []
+    seen = set()
+    order = sorted(range(len(ridges)), key=lambda i: tuple(sorted(ridges[i])))
+    for start in order:
+        if start in seen:
+            continue
+        key = key_of[start]
+        cycle = []
+        ridge = start
+        facet = ridge_facets[start][0]
+        while True:
+            seen.add(ridge)
+            cycle.append(facet)
+            a, b = ridge_facets[ridge]
+            facet = b if facet == a else a
+            cands = [i for i in range(len(ridges))
+                     if i != ridge and key_of[i] == key and facet in ridge_facets[i]]
+            if len(cands) != 1:
+                raise lattice.FacetNotCentrallySymmetric(
+                    "facet has no unique parallel opposite face")
+            ridge = cands[0]
+            if ridge == start:
+                cycle.append(facet)
+                break
+        # The walk appends the entry facet twice when it closes.
+        if cycle[0] == cycle[-1]:
+            cycle = cycle[:-1]
+        belts.append(cycle)
+    return belts
 
 
 # ---------------------------------------------------------------------------

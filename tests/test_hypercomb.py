@@ -288,14 +288,6 @@ def test_sigma_swap_reductions():
         assert hc.swap_sigma(sig[item]) == hc.DOCUMENTED_SIGMA_ITEMS[target]
 
 
-def test_hypergraph_dict_roundtrip():
-    h = hc.five_ten()
-    data = hc.to_dict(h)
-    assert len(data["vertices"]) == 10 and len(data["edges"]) == 5
-    back = hc.from_dict(data)
-    assert hc.are_isomorphic(h, back)
-
-
 def test_hypergraph_validation():
     with pytest.raises(ValueError):
         hc.hypergraph([[0, 1, 2]])

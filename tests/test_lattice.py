@@ -18,6 +18,9 @@ from tilekit.lattice import (
 )
 
 import oracles
+from test_acceptance import GRAMS
+from test_ratpoly import A5_STAR, ROOT_GRAMS
+from test_tiling import _rebased
 
 F = Fraction
 
@@ -183,6 +186,20 @@ def test_facet_vector_correspondence():
             assert scale > 0
             assert all(F(n[i]) == scale * gv[i] for i in range(len(v)))
             assert b == scale * gram_norm(gram, v) / 2
+
+
+def test_belts_match_reference_walk():
+    """The reflection walk and the echelon-key walk give the same cycles."""
+    grams = {**GRAMS, **ROOT_GRAMS, "A5*": A5_STAR}
+    rng = random.Random(7)
+    for name in ("FCC", "A4", "D4"):
+        for k in range(2):
+            gram = _rebased(grams[name], rng)
+            assert gram != grams[name]
+            grams[f"{name} rebased {k}"] = gram
+    for name, gram in grams.items():
+        cell = dv_cell(gram)
+        assert belts_of(cell) == oracles.belts_of_reference(cell), name
 
 
 def test_belts_reject_prism_with_triangle_facets():

@@ -17,7 +17,6 @@ from tilekit.ratpoly import (
     NotSeparable,
     UnboundedInput,
     cone_at_vertex,
-    cone_from_generators,
     cone_minus_linspace,
     face_lattice,
     from_halfspaces,
@@ -408,20 +407,25 @@ def test_from_vertices_matches_reference_on_v_descriptions(monkeypatch):
         assert got in (EmptyInput, ValueError)
 
 
+def _pipeline_cones():
+    """Every (i, v) that the cone pipeline asks excluded_direction_cone for."""
+    q, paras, _ = syssolve.lifted_configuration()
+    return [(i, v) for i in range(1, 6) for v in q.vertices if v not in paras[i - 1]]
+
+
 def test_cone_dual_matches_reference(monkeypatch):
     seen = []
-    build = ratpoly._cone_from_gen_list
+    dual = ratpoly._cone_dual
 
-    def record(apex, glist, d):
-        seen.append((list(glist), d))
-        return build(apex, glist, d)
+    def record(gens, d):
+        seen.append((list(gens), d))
+        return dual(gens, d)
 
-    monkeypatch.setattr(ratpoly, "_cone_from_gen_list", record)
-    q, paras, _ = syssolve.lifted_configuration()
-    for i in range(1, 6):
-        for v in q.vertices:
-            if v not in paras[i - 1]:
-                syssolve.excluded_direction_cone(i, v)
+    monkeypatch.setattr(ratpoly, "_cone_dual", record)
+    for i, v in _pipeline_cones():
+        got = syssolve.excluded_direction_cone(i, v)
+        normals, _ = oracles.cone_dual_reference(*seen[-1])
+        assert got == tuple(sorted(tuple(-x for x in n) for n in normals))
     assert len(seen) == 30
     rng = random.Random(1018)
     for _ in range(60):
@@ -429,9 +433,26 @@ def test_cone_dual_matches_reference(monkeypatch):
         seen.append(([tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d))
                       for _ in range(rng.randint(0, 6))], d))
     for glist, d in seen:
-        got = ratpoly._cone_dual(glist, d)
+        got = dual(glist, d)
         assert got == oracles.cone_dual_reference(glist, d)
         assert all(type(x) is F for n in got[0] for x in n)
+
+
+def test_pipeline_cone_makes_one_dd_pass(monkeypatch):
+    cones = _pipeline_cones()
+    for v in {v for _, v in cones}:
+        syssolve._tangent_cone(v)
+    real = ratpoly._extreme_rays
+    passes = []
+
+    def counted(rows, dim):
+        passes.append(dim)
+        return real(rows, dim)
+
+    monkeypatch.setattr(ratpoly, "_extreme_rays", counted)
+    for i, v in cones:
+        syssolve.excluded_direction_cone(i, v)
+    assert len(cones) == len(passes) == 30
 
 
 def test_dimension_cap():
@@ -474,69 +495,24 @@ def test_cone_round_trip():
     p = from_vertices(CUBE)
     for v in p.vertices:
         c = cone_at_vertex(p, v)
-        rebuilt = cone_from_generators(c.apex, c.generators)
-        assert set(rebuilt.halfspaces) == set(c.halfspaces)
-        assert rebuilt.equations == c.equations
+        assert cone_minus_linspace(c, []) == c
+
+
+def _quadrant():
+    return cone_at_vertex(from_vertices([fv(0, 0), fv(1, 0), fv(0, 1), fv(1, 1)]), fv(0, 0))
 
 
 def test_cone_minus_linspace_quadrant():
-    c = cone_from_generators(fv(0, 0), [fv(1, 0), fv(0, 1)])
-    half = cone_minus_linspace(c, [fv(1, 0)])
+    half = cone_minus_linspace(_quadrant(), [fv(1, 0)])
     assert half.halfspaces == (fv(0, -1),)
     assert half.equations == ()
     assert fv(1, 0) in half.generators and fv(-1, 0) in half.generators
 
 
 def test_cone_minus_linspace_full_space():
-    c = cone_from_generators(fv(0, 0), [fv(1, 0), fv(0, 1)])
-    full = cone_minus_linspace(c, [fv(1, 0), fv(0, 1)])
+    full = cone_minus_linspace(_quadrant(), [fv(1, 0), fv(0, 1)])
     assert full.halfspaces == ()
     assert full.equations == ()
-
-
-def test_lineality_read_off_normals_matches_lp(monkeypatch):
-    """A generator is two-sided exactly when every facet normal of the cone
-    vanishes on it.  The LP oracle decides the same on the cone pipeline's
-    cones and on random generator lists, lineal ones among them, and each
-    built cone carries +/- a basis of that lineality space."""
-    seen = []
-    build = ratpoly._cone_from_gen_list
-
-    def record(apex, glist, d):
-        cone = build(apex, glist, d)
-        seen.append((list(glist), d, cone))
-        return cone
-
-    monkeypatch.setattr(ratpoly, "_cone_from_gen_list", record)
-    q, paras, _ = syssolve.lifted_configuration()
-    for i in range(1, 6):
-        for v in q.vertices:
-            if v not in paras[i - 1]:
-                syssolve.excluded_direction_cone(i, v)
-    pipeline = len(seen)
-    assert pipeline == 30
-    rng = random.Random(99)
-    for _ in range(60):
-        d = rng.randint(1, 4)
-        gens = [tuple(F(rng.randint(-2, 2)) for _ in range(d))
-                for _ in range(rng.randint(0, 5))]
-        for _ in range(rng.randint(0, 2)):
-            g = tuple(F(rng.randint(-2, 2)) for _ in range(d))
-            gens += [g, tuple(-x for x in g)]
-        cone_from_generators((F(0),) * d, gens)
-    lineal = 0
-    for n, (glist, d, cone) in enumerate(seen):
-        solver = _lp.maximize if n < pipeline else oracles.maximize_reference
-        by_lp = [oracles.in_cone_hull(tuple(-x for x in g), glist, solver)
-                 for g in glist]
-        normals = ratpoly._cone_dual(glist, d)[0]
-        assert by_lp == [all(_lp.dot(f, g) == 0 for f in normals) for g in glist]
-        two_sided = [g for g, two in zip(glist, by_lp) if two]
-        basis = {_lp.primitive(r) for r in _lp.rref(two_sided)[0]}
-        pairs = {g for g in cone.generators if tuple(-x for x in g) in cone.generators}
-        assert pairs == basis | {tuple(-x for x in b) for b in basis}
-        lineal += bool(two_sided)
-    assert lineal >= 20
 
 
 def test_relint_polytope():
@@ -549,16 +525,6 @@ def test_relint_polytope():
     assert relint_contains(seg, fv(1, 0))
     assert not relint_contains(seg, fv(0, 0))
     assert not relint_contains(seg, fv(1, 1))
-
-
-def test_relint_cone():
-    c = cone_from_generators(fv(0, 0), [fv(1, 0), fv(0, 1)])
-    assert relint_contains(c, fv(1, 1))
-    assert not relint_contains(c, fv(1, 0))
-    assert not relint_contains(c, fv(0, 0))
-    half = cone_minus_linspace(c, [fv(1, 0)])
-    assert relint_contains(half, fv(-5, 1))
-    assert not relint_contains(half, fv(3, 0))
 
 
 def test_separate_touching_squares():
