@@ -1,7 +1,7 @@
 """tilekit: exact-rational geometry for parallelotope tilings.
 
 Modules:
-    ratpoly   -- rational polytopes/cones, dual descriptions, separation
+    ratpoly   -- rational polytopes/cones and their dual descriptions
     lattice   -- Voronoi cells of lattices, facet vectors, belts
     tiling    -- the face-to-face tiling by lattice translates and its dual cells
     scaling   -- canonical facet scalings and their coherence

@@ -1,8 +1,10 @@
-"""Exact linear algebra and linear programming over Fraction.
+"""Exact linear algebra and linear programming.
 
-Internal helpers shared by the geometry modules.  Everything here is
-deterministic and allocation-light at desk scale (dimension <= 8, a few
-dozen rows); no floating point anywhere.
+Internal helpers shared by the geometry modules.  Vectors are Fraction
+tuples at the interface; the simplex pivots an integer tableau.
+Everything here is deterministic and sized for the package's caps
+(dimension <= ratpoly.MAX_DIM = 6, a few dozen rows); no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -104,8 +106,12 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> l
         if ncols is None:
             raise ValueError("ncols required for empty row set")
         return [tuple(Fraction(1 if i == j else 0) for i in range(ncols)) for j in range(ncols)]
-    n = len(rows[0])
     red, pivots = rref(rows)
+    return echelon_nullspace(red, pivots, len(rows[0]))
+
+
+def echelon_nullspace(red: Sequence[Vec], pivots: Sequence[int], n: int) -> list[Vec]:
+    """Nullspace basis read off a reduced row echelon form from ``rref``."""
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:

@@ -42,12 +42,9 @@ _VIOLATIONS = (
     tiling.VenkovFailure,
     tiling.UnexpectedStarSize,
     tiling.UnclassifiableCell,
-    tiling.NotSubcells,
     scaling.NoPositiveSolution,
-    scaling.NotPrimitiveVertex,
     scaling.HypothesisViolated,
     lifting.InconsistentScaling,
-    lifting.PointOnSkeletonAmbiguity,
     lifting.NotPositiveDefinite,
     ratpoly.GeometryError,
     hypercomb.SearchFailure,
@@ -488,7 +485,8 @@ def _run_case_table() -> syssolve.CaseTable:
         return syssolve.run_all_cases()
     import multiprocessing
 
-    with multiprocessing.Pool(jobs) as pool:
+    # No more workers than rows in the longer list (19 six-eleven rows).
+    with multiprocessing.Pool(min(jobs, len(six_keys))) as pool:
         five = pool.map(syssolve.five_ten_case, five_keys)
         six = pool.map(syssolve.six_eleven_case, six_keys)
     return syssolve.CaseTable(tuple(five), tuple(six))

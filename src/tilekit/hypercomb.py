@@ -21,7 +21,6 @@ everywhere a canonical form is needed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
@@ -105,18 +104,6 @@ def is_closed(h: Hypergraph4) -> ClosureReport:
         if deg < 2:
             return ClosureReport(False, False, ("degree", v, deg))
     return ClosureReport(closed=True, empty=False, witness=None)
-
-
-def degree_four_count(r: int, v: int) -> int | None:
-    """Predicted number of degree-4 vertices for a closed graph, or None.
-
-    None marks parameter pairs the count formula rules out (a negative
-    value) or that violate R <= V <= 2R.
-    """
-    if not r <= v <= 2 * r:
-        return None
-    count = r * (r - 17) // 2 + 3 * v
-    return count if count >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -349,110 +336,6 @@ def find_5_10_or_6_11(h: Hypergraph4) -> FoundSubgraph:
 
 
 # ---------------------------------------------------------------------------
-# Generation of closed hypergraphs (exhaustive and randomized).
-# ---------------------------------------------------------------------------
-
-
-def _candidate_anchors(edges: list[frozenset], nverts: int):
-    # Vertex sets meeting every existing hyperedge exactly once; the new
-    # hyperedge is such a set plus fresh vertices.  Built by covering the
-    # lowest unmet hyperedge at each step, so each set appears once.
-    inc = [frozenset(i for i, e in enumerate(edges) if v in e)
-           for v in range(nverts)]
-    k = len(edges)
-    out: list[set] = []
-
-    def rec(next_edge: int, chosen: list[int], covered: frozenset):
-        while next_edge < k and next_edge in covered:
-            next_edge += 1
-        if next_edge == k:
-            out.append(set(chosen))
-            return
-        if len(chosen) == 4:
-            return
-        for v in range(nverts):
-            if next_edge in inc[v] and not (inc[v] & covered):
-                rec(next_edge + 1, chosen + [v], covered | inc[v])
-
-    rec(0, [], frozenset())
-    return out
-
-
-def _grow(edges: list[frozenset], nverts: int, r_target: int, rng,
-          collect, budget: list[int]) -> Hypergraph4 | None:
-    if budget[0] <= 0:
-        return None
-    budget[0] -= 1
-    k = len(edges)
-    degs: dict = {}
-    for e in edges:
-        for v in e:
-            degs[v] = degs.get(v, 0) + 1
-    deficient = {v for v, d in degs.items() if d == 1}
-    if not deficient:
-        if collect is not None:
-            collect(Hypergraph4(tuple(edges)))
-        elif k == r_target:
-            return Hypergraph4(tuple(edges))
-    if k == r_target:
-        return None
-    remaining = r_target - k
-    # Each future hyperedge can lift at most one degree-1 vertex per
-    # existing hyperedge, so any hyperedge with more stranded vertices
-    # than remaining slots is a dead end.
-    for e in edges:
-        if sum(1 for v in e if v in deficient) > remaining:
-            return None
-    # Symmetry cuts at the first two extensions.  After one edge the state
-    # is fully symmetric, so the second edge may anchor on vertex 0.  The
-    # resulting two-edge state {0,1,2,3},{0,4,5,6} has automorphisms
-    # permuting {1,2,3} and {4,5,6} and swapping the edges, so the anchor
-    # orbits are represented by {0} and {1,4}.
-    if k == 1:
-        anchors = [{0}]
-    elif k == 2 and edges[0] == frozenset({0, 1, 2, 3}) \
-            and edges[1] == frozenset({0, 4, 5, 6}):
-        anchors = [{0}, {1, 4}]
-    else:
-        anchors = _candidate_anchors(edges, nverts)
-    if rng is not None:
-        rng.shuffle(anchors)
-    for ts in anchors:
-        fresh = 4 - len(ts)
-        if nverts + fresh > 2 * r_target:
-            continue
-        new_edge = frozenset(ts | set(range(nverts, nverts + fresh)))
-        found = _grow(edges + [new_edge], nverts + fresh, r_target, rng,
-                      collect, budget)
-        if found is not None:
-            return found
-    return None
-
-
-def all_closed(r_max: int) -> dict[int, list[Hypergraph4]]:
-    """Exhaustively enumerates closed hypergraphs with at most r_max edges.
-
-    Returns one representative per isomorphism class, keyed by hyperedge
-    count.  Empty lists record sizes with no closed graph.
-    """
-    found: dict[int, dict[tuple, Hypergraph4]] = {r: {} for r in range(1, r_max + 1)}
-
-    def collect(h: Hypergraph4):
-        bucket = found[len(h.edges)]
-        cert = canonical_form(h)
-        bucket.setdefault(cert, h)
-
-    _grow([frozenset({0, 1, 2, 3})], 4, r_max, None, collect, [10 ** 9])
-    return {r: list(found[r].values()) for r in range(1, r_max + 1)}
-
-
-def random_closed(rng: random.Random, r_target: int,
-                  budget: int = 20000) -> Hypergraph4 | None:
-    """Randomized search for one closed hypergraph with r_target edges."""
-    return _grow([frozenset({0, 1, 2, 3})], 4, r_target, rng, None, [budget])
-
-
-# ---------------------------------------------------------------------------
 # Cycle covers of K5 and the diagonal matchings they induce.
 # ---------------------------------------------------------------------------
 
@@ -600,11 +483,6 @@ def enumerate_k5_schemes() -> list[PloughingScheme]:
     return [PloughingScheme(SCHEME_CASES[n]) for n in sorted(SCHEME_CASES)]
 
 
-def schemes_equivalent(a: PloughingScheme, b: PloughingScheme) -> bool:
-    """Whether two schemes differ only by a relabeling of K5 vertices."""
-    return canonical_scheme(a) == canonical_scheme(b)
-
-
 Edge = tuple[int, int]
 
 
@@ -664,10 +542,6 @@ class SigmaPair:
     sigma_prime: tuple[int, int, int]
     item: int | None
     reduces_to: int | None
-
-    @property
-    def census(self) -> tuple[int, int]:
-        return (len(set(self.sigma)), len(set(self.sigma_prime)))
 
 
 DOCUMENTED_SIGMA_ITEMS: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {

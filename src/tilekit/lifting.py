@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
 
 from ._lp import Vec, dot, vadd, vec, vsub
 from .ratpoly import GeometryError
@@ -28,10 +27,6 @@ from .tiling import TilingComplex
 
 class InconsistentScaling(Exception):
     """The scaling does not close up around some circuit of tiles."""
-
-
-class PointOnSkeletonAmbiguity(Exception):
-    """Evaluation at a vertex of the tiling; no tile owns the point."""
 
 
 class NotPositiveDefinite(Exception):
@@ -263,40 +258,6 @@ def center_value(g: Generatrissa, shift) -> Fraction:
         path = _path_from_base(g.jumps, shift)
         g._values[shift] = value_along_path(g, path)
     return g._values[shift]
-
-
-def eval_G(g: Generatrissa, x) -> Fraction:
-    """Value of the lift at a rational point of the plane.
-
-    On an edge both adjacent tiles give the same value (the lift is
-    continuous) and the tile with the smaller shift is used.
-
-    Raises:
-        PointOnSkeletonAmbiguity: ``x`` is a vertex of the tiling.
-    """
-    x = vec(x)
-    c = g.complex
-    if len(x) != c.dim:
-        raise ValueError("point dimension mismatch")
-    for o in c.orbits:
-        if o.dim == 0:
-            v = o.vertices[0]
-            if all((xi - vi).denominator == 1 for xi, vi in zip(x, v)):
-                raise PointOnSkeletonAmbiguity(f"{x} is a vertex of the tiling")
-    p = c.prototile
-    lo = [min(v[k] for v in p.vertices) for k in range(2)]
-    hi = [max(v[k] for v in p.vertices) for k in range(2)]
-    owners = []
-    for l0 in range(ceil(x[0] - hi[0]), floor(x[0] - lo[0]) + 1):
-        for l1 in range(ceil(x[1] - hi[1]), floor(x[1] - lo[1]) + 1):
-            lam = vec([l0, l1])
-            if p.contains(vsub(x, lam)):
-                owners.append(lam)
-    if not owners:
-        raise GeometryError("point lies in no tile of the tiling")
-    lam = min(owners)
-    return center_value(g, lam) + dot(gradient_of(g, lam),
-                                      vsub(x, vadd(c.center, lam)))
 
 
 # ---------------------------------------------------------------------------

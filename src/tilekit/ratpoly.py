@@ -34,7 +34,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import _lp
-from ._lp import Vec, dot, frac, is_zero, primitive, primitive_ints, vec, vsub
+from ._lp import Vec, dot, frac, is_zero, primitive, primitive_ints, vec
 
 MAX_DIM = 6
 
@@ -53,18 +53,6 @@ class UnboundedInput(GeometryError):
 
 class NotAVertex(GeometryError):
     """The given point is not a vertex of the polytope."""
-
-
-class NotSeparable(GeometryError):
-    """No hyperplane keeps both relative interiors in opposite open halves."""
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Oriented hyperplane normal.x == offset (normal is a primitive int vector)."""
-
-    normal: Vec
-    offset: Fraction
 
 
 @dataclass(frozen=True)
@@ -587,10 +575,6 @@ class FaceLattice:
 
     faces_by_dim: dict[int, tuple[frozenset[int], ...]]
 
-    def f_vector(self) -> tuple[int, ...]:
-        top = max(self.faces_by_dim)
-        return tuple(len(self.faces_by_dim.get(k, ())) for k in range(top))
-
 
 def face_lattice(p: Polytope) -> FaceLattice:
     """Every face of p (empty face and p itself included).
@@ -641,8 +625,8 @@ def _cone_dual(gens: list[Vec], d: int) -> tuple[list[Vec], list[Vec]]:
     gens = [g for g in gens if not is_zero(g)]
     if not gens:
         return [], _lp.nullspace([], d)
-    eqs = _lp.nullspace(gens, d)
     span_basis, pivots = _lp.rref(gens)
+    eqs = _lp.echelon_nullspace(span_basis, pivots, d)
     # A generator's coordinates over the reduced rows are its pivot entries.
     coords = [tuple(g[c] for c in pivots) for g in gens]
     try:
@@ -685,7 +669,7 @@ def cone_at_vertex(p: Polytope, v: Sequence[Fraction]) -> Cone:
 
 def _rays_from_hrep(ge_normals: list[Vec], eq_normals: list[Vec], d: int) -> list[Vec]:
     """Extreme rays of {x : n.x >= 0, e.x == 0}; the cone must be pointed."""
-    null = _lp.nullspace(eq_normals, d) if eq_normals else _lp.nullspace([], d)
+    null = _lp.nullspace(eq_normals, d)
     if not null:
         return []
     rows = [tuple(dot(n, nb) for nb in null) for n in ge_normals]
@@ -716,96 +700,6 @@ def cone_minus_linspace(c: Cone, directions: Iterable[Sequence[Fraction]]) -> Co
         halfspaces=tuple(sorted(tuple(-x for x in n) for n in normals)),
         equations=tuple(eqs),
     )
-
-
-def relint_contains(p: Polytope, x: Sequence[Fraction]) -> bool:
-    """Is x in the relative interior of the polytope?"""
-    x = vec(x)
-    return all(dot(n, x) == b for n, b in p.equations) and all(
-        dot(n, x) < b for n, b in p.facets
-    )
-
-
-# ---------------------------------------------------------------------------
-# Separation.
-# ---------------------------------------------------------------------------
-
-
-def _const_on(a: Vec, verts: tuple[Vec, ...]) -> bool:
-    v0 = verts[0]
-    return all(dot(a, v) == dot(a, v0) for v in verts[1:])
-
-
-def separate(p1: Polytope, p2: Polytope) -> Hyperplane:
-    """Hyperplane with relint(p1) and relint(p2) in opposite open halves.
-
-    p1 lands on the side normal.x < offset, p2 on normal.x > offset.
-
-    Raises:
-        NotSeparable: the relative interiors intersect, or every separating
-            hyperplane contains one of the bodies entirely.
-    """
-    diff = from_vertices(
-        [vsub(v, w) for v in p1.vertices for w in p2.vertices]
-    )
-    d = p1.ambient_dim
-    zero = tuple(Fraction(0) for _ in range(d))
-    if relint_contains(diff, zero):
-        raise NotSeparable("relative interiors intersect")
-
-    def finish(a: Vec) -> Hyperplane:
-        a = primitive(a)
-        m1 = max(dot(a, v) for v in p1.vertices)
-        m2 = min(dot(a, w) for w in p2.vertices)
-        return Hyperplane(normal=a, offset=(m1 + m2) / 2)
-
-    # Off the affine hull: an equation normal separates strongly.
-    for n, b in diff.equations:
-        if b != 0:
-            a = tuple(-x for x in n) if b > 0 else n
-            return finish(a)
-    if not diff.contains(zero):
-        # Strong separation LP: maximize margin t with |a_i| <= 1.
-        nverts = len(diff.vertices)
-        a_ub = []
-        b_ub = []
-        for z in diff.vertices:
-            a_ub.append(tuple(z) + (Fraction(1),))
-            b_ub.append(Fraction(0))
-        for i in range(d):
-            e = [Fraction(0)] * (d + 1)
-            e[i] = Fraction(1)
-            a_ub.append(tuple(e))
-            b_ub.append(Fraction(1))
-            e2 = [Fraction(0)] * (d + 1)
-            e2[i] = Fraction(-1)
-            a_ub.append(tuple(e2))
-            b_ub.append(Fraction(1))
-        c = tuple(Fraction(0) for _ in range(d)) + (Fraction(1),)
-        res = _lp.maximize(c, a_ub, b_ub)
-        if res.status != "optimal" or res.value <= 0:
-            raise GeometryError(f"separation LP gave {res.status} with "
-                                f"margin {res.value} for disjoint bodies")
-        return finish(res.x[:d])
-    # 0 on the relative boundary of diff: candidates from the normal cone at 0.
-    cands: list[Vec] = [n for n, b in diff.facets if b == 0]
-    for n, b in diff.equations:
-        cands.append(n)
-        cands.append(tuple(-x for x in n))
-    good1 = [a for a in cands if not _const_on(a, p1.vertices)]
-    good2 = [a for a in cands if not _const_on(a, p2.vertices)]
-    for a in cands:
-        if not _const_on(a, p1.vertices) and not _const_on(a, p2.vertices):
-            return finish(a)
-    if good1 and good2:
-        a = _lp.vadd(good1[0], good2[0])
-        if (
-            all(dot(a, z) <= 0 for z in diff.vertices)
-            and not _const_on(a, p1.vertices)
-            and not _const_on(a, p2.vertices)
-        ):
-            return finish(a)
-    raise NotSeparable("only improper separation exists (a body lies inside every separating hyperplane)")
 
 
 def is_skinny(p: Polytope) -> bool:

@@ -28,10 +28,6 @@ class NoPositiveSolution(Exception):
     """A facet star admits no positive scaling; the input cannot tile."""
 
 
-class NotPrimitiveVertex(Exception):
-    """The vertex star does not consist of exactly d+1 tiles."""
-
-
 class HypothesisViolated(Exception):
     """The two dual 3-cells flanking the parallelogram are not pyramids."""
 
@@ -172,8 +168,20 @@ class _RatioForest:
         return groups
 
 
-def _joint_star_solve(c: TilingComplex, f: FaceRef, frame: NormalFrame,
-                      require_a: bool = False) -> StarScaling:
+def star_scaling_d3(c: TilingComplex, f: FaceRef,
+                    frame: NormalFrame) -> StarScaling:
+    """Joint scaling family of all facets around a codimension-3 face.
+
+    Solves every three-facet condition inside the star simultaneously.
+    The family is a single ray exactly when the dual 3-cell is an
+    octahedron, a pyramid over a parallelogram, or a simplex.
+
+    Raises:
+        ValueError: the face does not have dimension d-3.
+        NoPositiveSolution: the ratio constraints conflict.
+    """
+    if c.orbits[f.orbit].dim != c.dim - 3:
+        raise ValueError("joint star scaling needs a face of dimension d-3")
     st = tiling.star(c, f)
     orbs = sorted({r.orbit for r in _facet_refs(c, st)})
     forest = _RatioForest(orbs)
@@ -182,12 +190,7 @@ def _joint_star_solve(c: TilingComplex, f: FaceRef, frame: NormalFrame,
         if c.orbits[r.orbit].dim != c.dim - 2 or r in seen:
             continue
         seen.add(r)
-        ft = tiling.classify_d2(c, r)
-        if ft.tag != "A":
-            if require_a:
-                raise NotPrimitiveVertex(
-                    "a vertex star of d+1 tiles cannot contain a "
-                    "four-tile codimension-2 face")
+        if tiling.classify_d2(c, r).tag != "A":
             continue
         sub = star_scaling_d2(c, r, frame)
         pairs = sorted(sub.factors)
@@ -207,62 +210,6 @@ def _joint_star_solve(c: TilingComplex, f: FaceRef, frame: NormalFrame,
         factors = _normalize_ray(factors)
     return StarScaling(kind="unique_ray" if dof == 1 else "family",
                        factors=factors, dof=dof, unique=dof == 1)
-
-
-def star_scaling_d3(c: TilingComplex, f: FaceRef,
-                    frame: NormalFrame) -> StarScaling:
-    """Joint scaling family of all facets around a codimension-3 face.
-
-    Solves every three-facet condition inside the star simultaneously.
-    The family is a single ray exactly when the dual 3-cell is an
-    octahedron, a pyramid over a parallelogram, or a simplex.
-
-    Raises:
-        ValueError: the face does not have dimension d-3.
-        NoPositiveSolution: the ratio constraints conflict.
-    """
-    if c.orbits[f.orbit].dim != c.dim - 3:
-        raise ValueError("joint star scaling needs a face of dimension d-3")
-    return _joint_star_solve(c, f, frame)
-
-
-def primitive_vertex_scaling(c: TilingComplex, f: FaceRef,
-                             frame: NormalFrame) -> StarScaling:
-    """Scaling of the facets around a vertex lying in exactly d+1 tiles.
-
-    The dual cell of such a vertex is a simplex, every codimension-2 face
-    of its star is a three-tile face, and the joint solution is a single
-    positive ray.  Each triple condition is re-verified exactly on the
-    returned factors.
-
-    Raises:
-        NotPrimitiveVertex: the vertex star is not d+1 tiles, or a
-            four-tile codimension-2 face shows up inside it.
-    """
-    orbit = c.orbits[f.orbit]
-    if orbit.dim != 0:
-        raise NotPrimitiveVertex("primitive scaling needs a vertex")
-    if len(orbit.tile_shifts) != c.dim + 1:
-        raise NotPrimitiveVertex(
-            f"vertex lies in {len(orbit.tile_shifts)} tiles, "
-            f"expected {c.dim + 1}")
-    sol = _joint_star_solve(c, f, frame, require_a=True)
-    if not sol.unique:
-        raise NoPositiveSolution(
-            "triple conditions of a primitive vertex star do not chain into "
-            "a single ray")
-    # Re-verify each triple identity on the joint solution.
-    st = tiling.star(c, f)
-    for r in st:
-        if c.orbits[r.orbit].dim != c.dim - 2:
-            continue
-        sub = star_scaling_d2(c, r, frame)
-        orbs = sorted(sub.factors)
-        base = orbs[0]
-        for o in orbs[1:]:
-            assert (sol.factors[o] * sub.factors[base]
-                    == sol.factors[base] * sub.factors[o])
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ lattice gives a face-to-face tiling of space.  This module stores the tiling
 as a finite quotient: faces of the tiling are grouped into translation
 orbits, and a concrete face is an orbit representative plus an integer
 shift.  On top of that quotient it computes stars, dual cells (convex hulls
-of the centers of the tiles sharing a face), the fan type of low-dimensional
-dual cells, and the relative position of parallelogram subcells inside a
-four-dimensional dual cell.
+of the centers of the tiles sharing a face) and the fan type of
+low-dimensional dual cells.
 
 Coordinates are taken in the lattice basis, so the lattice is always
 ``Z^d`` and the geometry of the tile is carried by a Gram matrix.
@@ -22,9 +21,8 @@ from math import ceil, floor
 
 from . import ratpoly
 from . import lattice as lat
-from ._lp import (Vec, frac, lex_positive, primitive, rank, strictly_feasible,
-                  vadd, vec, vsub)
-from .ratpoly import GeometryError, Hyperplane, Polytope
+from ._lp import Vec, frac, vadd, vec, vsub
+from .ratpoly import GeometryError, Polytope
 
 
 class VenkovFailure(Exception):
@@ -37,10 +35,6 @@ class UnexpectedStarSize(Exception):
 
 class UnclassifiableCell(Exception):
     """A three-dimensional dual cell matches none of the five known shapes."""
-
-
-class NotSubcells(Exception):
-    """The given parallelograms are not subcells of the given 4-cell."""
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +143,6 @@ class TilingComplex:
         """Vertices of a concrete face of the tiling."""
         rep = self.orbits[f.orbit].vertices
         return tuple(vadd(v, f.shift) for v in rep)
-
-    def tiles_of(self, f: FaceRef) -> tuple[Vec, ...]:
-        """Lattice translations of the tiles containing the face."""
-        return tuple(vadd(s, f.shift)
-                     for s in self.orbits[f.orbit].tile_shifts)
-
-    def find_face(self, vertices) -> FaceRef:
-        """Locate the face of the tiling with the given vertex set.
-
-        Raises:
-            KeyError: no face of the tiling has that vertex set.
-        """
-        target = sorted(vec(v) for v in vertices)
-        for o in self.orbits:
-            if len(o.vertices) != len(target):
-                continue
-            mu = vsub(target[0], o.vertices[0])
-            if any(x.denominator != 1 for x in mu):
-                continue
-            if [vadd(v, mu) for v in o.vertices] == target:
-                return FaceRef(o.index, mu)
-        raise KeyError("no face of the tiling has the given vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -508,152 +480,6 @@ def is_3_irreducible(c: TilingComplex) -> tuple[bool, tuple[int, FanType] | None
         if ft.tag in ("I", "II"):
             return (False, (o.index, ft))
     return (True, None)
-
-
-# ---------------------------------------------------------------------------
-# Parallelogram subcells of a dual 4-cell.
-# ---------------------------------------------------------------------------
-
-
-def _parallelogram_edges(verts: tuple[Vec, ...]) -> list[tuple[Vec, Vec]]:
-    """The four edges of a 4-point centrally symmetric 2-cell."""
-    s = _double(_centroid(verts))
-    return [(v, w) for v, w in combinations(verts, 2) if vadd(v, w) != s]
-
-
-def _is_parallelogram(verts: tuple[Vec, ...]) -> bool:
-    if len(verts) != 4:
-        return False
-    if rank([vsub(v, verts[0]) for v in verts[1:]]) != 2:
-        return False
-    s = _double(_centroid(verts))
-    return all(vsub(s, v) in set(verts) for v in verts)
-
-
-def classify_parallelogram_pair(pi1: DualCell, pi2: DualCell,
-                                d4: DualCell) -> str:
-    """Relative position of two parallelogram subcells of a dual 4-cell.
-
-    Returns one of ``"complementary"`` (they share one vertex and affinely
-    span dimension 4), ``"adjacent"`` (they share an edge and span dimension
-    3), ``"translate"`` (one is a translate of the other, off its own
-    plane), or ``"skew"`` (disjoint, spanning dimension 4, with exactly one
-    pair of parallel edge directions).
-
-    Raises:
-        NotSubcells: an input is not a parallelogram subcell of ``d4``, the
-            two parallelograms are equal, or their position matches none of
-            the four configurations.
-    """
-    v1, v2 = set(pi1.verts), set(pi2.verts)
-    d4v = set(d4.verts)
-    if d4.combdim != 4:
-        raise NotSubcells("the containing cell must have codimension 4")
-    for dc, vs in ((pi1, v1), (pi2, v2)):
-        if not vs <= d4v:
-            raise NotSubcells("parallelogram vertices must be tile centers "
-                              "of the 4-cell's star")
-        if not _is_parallelogram(dc.verts):
-            raise NotSubcells("subcell is not a parallelogram")
-    if v1 == v2:
-        raise NotSubcells("the two parallelograms must be distinct")
-
-    x = _intersect(pi1.hull, pi2.hull)
-    span = rank([vsub(v, pi1.verts[0]) for v in (pi1.verts + pi2.verts)])
-
-    if x is not None and len(x.vertices) == 1:
-        pt = x.vertices[0]
-        if pt in v1 and pt in v2 and span == 4:
-            return "complementary"
-    if x is not None and len(x.vertices) == 2 and span == 3:
-        a, b = x.vertices
-        if ({a, b} <= v1 and {a, b} <= v2
-                and vadd(a, b) != _double(_centroid(pi1.verts))
-                and vadd(a, b) != _double(_centroid(pi2.verts))):
-            return "adjacent"
-    if x is None:
-        dirs1 = {lex_positive(primitive(vsub(w, v)))
-                 for v, w in _parallelogram_edges(pi1.verts)}
-        dirs2 = {lex_positive(primitive(vsub(w, v)))
-                 for v, w in _parallelogram_edges(pi2.verts)}
-        common = dirs1 & dirs2
-        if len(common) == 2 and span == 3:
-            t = vsub(_centroid(pi2.verts), _centroid(pi1.verts))
-            if {vadd(v, t) for v in pi1.verts} == v2:
-                return "translate"
-        if len(common) == 1 and span == 4:
-            return "skew"
-    raise NotSubcells("parallelogram pair matches none of the four "
-                      "configurations of subcells of a dual 4-cell")
-
-
-# ---------------------------------------------------------------------------
-# Dual cells meeting their own lattice translates.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TranslateSlice:
-    """Intersection of a dual cell with a lattice translate of itself.
-
-    ``intersection`` is None when the two bodies are disjoint; otherwise it
-    holds the vertex set of the common face.  ``hyperplane`` separates the
-    cell from its translate in either case.
-    """
-
-    intersection: tuple[Vec, ...] | None
-    hyperplane: Hyperplane
-
-
-def translate_intersection(dc: DualCell, t) -> TranslateSlice:
-    """Meet a dual cell with its translate by a nonzero lattice vector.
-
-    When the two bodies meet, the returned hyperplane ``N`` certifies the
-    whole configuration at once: it cuts the cell and its translate exactly
-    in their intersection (so the intersection is an exposed face of both),
-    and it is parallel to the direction space of the face of the tiling
-    that defines the dual cell.  The certificate is found by an exact
-    strict-feasibility program over the vertices.
-
-    Raises:
-        ValueError: ``t`` is zero or not a lattice vector.
-        GeometryError: no such hyperplane exists (the input was not the
-            dual cell of a face).
-    """
-    t = vec(t)
-    if all(x == 0 for x in t):
-        raise ValueError("translation vector must be nonzero")
-    if any(x.denominator != 1 for x in t):
-        raise ValueError("translation vector must be a lattice vector")
-    body = dc.hull
-    moved = body.translate(t)
-    x = _intersect(body, moved)
-    if x is None:
-        return TranslateSlice(intersection=None,
-                              hyperplane=ratpoly.separate(body, moved))
-
-    # Find (a, alpha) with a.v = alpha on the intersection, a.v < alpha on
-    # the remaining vertices of the cell, a.w > alpha on the remaining
-    # vertices of the translate, and a constant on the defining face.
-    d = body.ambient_dim
-    on = set(x.vertices)
-    fdirs = [vsub(v, dc.face_vertices[0]) for v in dc.face_vertices[1:]]
-    eqs = [v + (Fraction(-1),) for v in on]
-    eqs += [u + (Fraction(0),) for u in fdirs]
-    strict = [tuple(-c for c in v) + (Fraction(1),)
-              for v in body.vertices if v not in on]
-    strict += [w + (Fraction(-1),)
-               for w in moved.vertices if w not in on]
-    wit = strictly_feasible(strict, eqs, d + 1)
-    if wit is None:
-        raise GeometryError(
-            "no hyperplane cuts the cell and its translate exactly in their "
-            "intersection while staying parallel to the defining face")
-    normal, offset = wit[:d], wit[d]
-    g = primitive(normal)
-    j = next(i for i, c in enumerate(normal) if c != 0)
-    h = Hyperplane(normal=g, offset=offset * g[j] / normal[j])
-    return TranslateSlice(intersection=tuple(sorted(x.vertices)), hyperplane=h)
 
 
 # ---------------------------------------------------------------------------

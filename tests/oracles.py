@@ -18,12 +18,18 @@ from its orbit's cell; dv_cell_with_vectors, the Voronoi cell with the
 lattice vector of each facet; and belts_of_reference, the belt walk that
 found each opposite ridge by an echelon-form key and a scan of all ridges
 rather than by the facet's central reflection.
+
+Closed 4-uniform hypergraphs come from two sources here, neither of them
+in the package: closed_hypergraph_classes enumerates every isomorphism
+class with R hyperedges through clique partitions of K_R, and
+random_closed, which once lived in tilekit.hypercomb, draws random
+instances by growing one hyperedge at a time.  Both return plain lists of
+frozenset hyperedges.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -862,12 +868,8 @@ def belts_of_reference(cell):
 # the hypergraph, each K_R-vertex a hyperedge.
 
 
-def clique_partitions(r, rng=None, first_only=False):
-    """All partitions of E(K_r) into cliques, four cliques at each vertex.
-
-    With rng given, option order is shuffled (for random valid instances);
-    with first_only=True returns at most one partition.
-    """
+def clique_partitions(r):
+    """All partitions of E(K_r) into cliques, four cliques at each vertex."""
     edges = list(itertools.combinations(range(r), 2))
     assigned = set()
     counts = [0] * r
@@ -895,8 +897,6 @@ def clique_partitions(r, rng=None, first_only=False):
         return True
 
     def rec():
-        if first_only and results:
-            return
         e = next((e for e in edges if e not in assigned), None)
         if e is None:
             if all(c == 4 for c in counts):
@@ -912,8 +912,6 @@ def clique_partitions(r, rng=None, first_only=False):
                 if any(ed in assigned for ed in needed):
                     continue
                 options.append((cl, needed))
-        if rng is not None:
-            rng.shuffle(options)
         for cl, needed in options:
             for ed in needed:
                 assigned.add(ed)
@@ -963,10 +961,83 @@ def closed_hypergraph_classes(r):
     return list(seen.values())
 
 
-def random_closed_hypergraph(r, seed):
-    """One uniformly-shuffled valid closed hypergraph, or None if none exist."""
-    rng = random.Random(seed)
-    parts = clique_partitions(r, rng=rng, first_only=True)
-    if not parts:
+# ---------------------------------------------------------------------------
+# Random closed hypergraphs by growing one hyperedge at a time.
+# ---------------------------------------------------------------------------
+#
+# The test-input generator for the moment identities: 200 draws at R in
+# {5, 6, 8} take about a second, well inside test_5's budget.
+
+
+def _candidate_anchors(edges, nverts):
+    # Vertex sets meeting every existing hyperedge exactly once; the new
+    # hyperedge is such a set plus fresh vertices.  Built by covering the
+    # lowest unmet hyperedge at each step, so each set appears once.
+    inc = [frozenset(i for i, e in enumerate(edges) if v in e)
+           for v in range(nverts)]
+    k = len(edges)
+    out = []
+
+    def rec(next_edge, chosen, covered):
+        while next_edge < k and next_edge in covered:
+            next_edge += 1
+        if next_edge == k:
+            out.append(set(chosen))
+            return
+        if len(chosen) == 4:
+            return
+        for v in range(nverts):
+            if next_edge in inc[v] and not (inc[v] & covered):
+                rec(next_edge + 1, chosen + [v], covered | inc[v])
+
+    rec(0, [], frozenset())
+    return out
+
+
+def _grow(edges, nverts, r_target, rng, budget):
+    if budget[0] <= 0:
         return None
-    return partition_to_hypergraph(r, parts[0])
+    budget[0] -= 1
+    k = len(edges)
+    degs = {}
+    for e in edges:
+        for v in e:
+            degs[v] = degs.get(v, 0) + 1
+    deficient = {v for v, d in degs.items() if d == 1}
+    if k == r_target:
+        return None if deficient else edges
+    remaining = r_target - k
+    # Each future hyperedge can lift at most one degree-1 vertex per
+    # existing hyperedge, so any hyperedge with more stranded vertices
+    # than remaining slots is a dead end.
+    for e in edges:
+        if sum(1 for v in e if v in deficient) > remaining:
+            return None
+    # Symmetry cuts at the first two extensions.  After one edge the state
+    # is fully symmetric, so the second edge may anchor on vertex 0.  The
+    # resulting two-edge state {0,1,2,3},{0,4,5,6} has automorphisms
+    # permuting {1,2,3} and {4,5,6} and swapping the edges, so the anchor
+    # orbits are represented by {0} and {1,4}.
+    if k == 1:
+        anchors = [{0}]
+    elif k == 2 and edges[0] == frozenset({0, 1, 2, 3}) \
+            and edges[1] == frozenset({0, 4, 5, 6}):
+        anchors = [{0}, {1, 4}]
+    else:
+        anchors = _candidate_anchors(edges, nverts)
+    rng.shuffle(anchors)
+    for ts in anchors:
+        fresh = 4 - len(ts)
+        if nverts + fresh > 2 * r_target:
+            continue
+        new_edge = frozenset(ts | set(range(nverts, nverts + fresh)))
+        found = _grow(edges + [new_edge], nverts + fresh, r_target, rng, budget)
+        if found is not None:
+            return found
+    return None
+
+
+def random_closed(rng, r_target):
+    """Hyperedges of one closed hypergraph with r_target hyperedges, or None
+    when 20000 growth steps find none."""
+    return _grow([frozenset({0, 1, 2, 3})], 4, r_target, rng, [20000])

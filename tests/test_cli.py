@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -227,6 +228,36 @@ def test_cases_run_all_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.JOBS_ENV, "3")
     assert run(capsys, "cases", "run-all", "--out", str(par))[0] == 1
     assert serial.read_bytes() == par.read_bytes()
+
+
+def test_cases_run_all_pool_is_capped_at_the_row_count(tmp_path, capsys,
+                                                       monkeypatch):
+    # The fake pool maps in this process and records the size asked for,
+    # so the large job count starts no process.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    serial = tmp_path / "serial.json"
+    capped = tmp_path / "capped.json"
+    assert run(capsys, "cases", "run-all", "--out", str(serial))[0] == 1
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setenv(cli.JOBS_ENV, "1000")
+    assert run(capsys, "cases", "run-all", "--out", str(capped))[0] == 1
+    # One worker per row at most: 19 six-eleven rows, 8 five-ten rows.
+    assert len(sizes) == 1 and sizes[0] <= 19
+    assert serial.read_bytes() == capped.read_bytes()
 
 
 def test_cases_run_all_rejects_bad_job_count(capsys, monkeypatch):

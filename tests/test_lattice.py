@@ -137,7 +137,7 @@ def test_cubic_lattice_cell():
 def test_face_centered_cell_is_rhombic_dodecahedron():
     cell = dv_cell(FCC)
     fl = ratpoly.face_lattice(cell)
-    assert fl.f_vector() == (14, 24, 12)
+    assert tuple(len(fl.faces_by_dim[k]) for k in range(3)) == (14, 24, 12)
     lengths = sorted(len(b) for b in belts_of(cell))
     assert lengths == [6, 6, 6, 6]
 
@@ -145,7 +145,7 @@ def test_face_centered_cell_is_rhombic_dodecahedron():
 def test_body_centered_cell_is_truncated_octahedron():
     cell = dv_cell(BCC)
     fl = ratpoly.face_lattice(cell)
-    assert fl.f_vector() == (24, 36, 14)
+    assert tuple(len(fl.faces_by_dim[k]) for k in range(3)) == (24, 36, 14)
     lengths = sorted(len(b) for b in belts_of(cell))
     assert lengths == [6, 6, 6, 6, 6, 6]
 

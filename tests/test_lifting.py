@@ -105,25 +105,10 @@ def test_window_closure_holds():
 
 def test_square_grid_center_values():
     g = lift("Z2")
-    assert lifting.eval_G(g, (0, 0)) == 0
     for k in range(-3, 4):
         assert lifting.center_value(g, (k, 0)) == Fraction(k * k, 2)
     for k1, k2 in product(range(-3, 4), repeat=2):
         assert lifting.center_value(g, (k1, k2)) == Fraction(k1 * k1 + k2 * k2, 2)
-
-
-def test_eval_on_edge_uses_the_continuous_value():
-    g = lift("Z2")
-    assert lifting.eval_G(g, (Fraction(1, 2), 0)) == 0
-    assert lifting.eval_G(g, (Fraction(3, 2), 0)) == 1
-
-
-def test_eval_at_vertex_is_ambiguous():
-    g = lift("Z2")
-    with pytest.raises(lifting.PointOnSkeletonAmbiguity):
-        lifting.eval_G(g, (Fraction(1, 2), Fraction(1, 2)))
-    with pytest.raises(lifting.PointOnSkeletonAmbiguity):
-        lifting.eval_G(g, (Fraction(7, 2), Fraction(-3, 2)))
 
 
 def test_path_independence_on_random_paths():
@@ -203,7 +188,7 @@ def test_lift_matches_form_far_from_base():
         c, _, _ = setup(name)
         g = lift(name)
         q = lifting.recover_qform(g, c)
-        assert lifting.eval_G(g, lam) == lifting.qform_value(q, lam)
+        assert lifting.center_value(g, lam) == lifting.qform_value(q, lam)
 
 
 def test_flipped_orbit_breaks_convexity():

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 
 from tilekit import cli, ratpoly, scaling, tiling
-from tilekit._lp import primitive, vec, vsub
+from tilekit._lp import primitive, vadd, vec, vsub
 
 GRAMS = {
     "Z2": [[1, 0], [0, 1]],
@@ -178,43 +178,13 @@ def test_star_scaling_d3_needs_codim3_face():
 # ---------------------------------------------------------------------------
 
 
-def test_primitive_vertex_matches_joint_solution():
-    c = cpx("BCC")
-    for vo in orbits_of_dim(c, 0):
-        p = scaling.primitive_vertex_scaling(c, ref(c, vo), frame("BCC"))
-        q = scaling.star_scaling_d3(c, ref(c, vo), frame("BCC"))
-        assert p.unique and p.factors == q.factors
-
-
 def test_primitive_vertex_in_skewed_basis():
     c = cpx("BCC_SKEW")
     for vo in orbits_of_dim(c, 0):
-        p = scaling.primitive_vertex_scaling(c, ref(c, vo), frame("BCC_SKEW"))
+        p = scaling.star_scaling_d3(c, ref(c, vo), frame("BCC_SKEW"))
         assert p.unique
         assert all(v > 0 for v in p.factors.values())
         assert sorted(p.factors.values()) == [1, 1, 1, 1, 2, 2]
-
-
-def test_primitive_vertex_in_plane_matches_flat_star():
-    c = cpx("A2")
-    vo = orbits_of_dim(c, 0)[0]
-    p = scaling.primitive_vertex_scaling(c, ref(c, vo), frame("A2"))
-    q = scaling.star_scaling_d2(c, ref(c, vo), frame("A2"))
-    assert p.factors == q.factors
-
-
-def test_primitive_vertex_rejects_large_stars():
-    c = cpx("FCC")
-    octa = next(vo for vo in orbits_of_dim(c, 0)
-                if len(c.orbits[vo].tile_shifts) == 6)
-    with pytest.raises(scaling.NotPrimitiveVertex):
-        scaling.primitive_vertex_scaling(c, ref(c, octa), frame("FCC"))
-    z3 = cpx("Z3")
-    with pytest.raises(scaling.NotPrimitiveVertex):
-        scaling.primitive_vertex_scaling(z3, ref(z3, 0), frame("Z3"))
-    edge = orbits_of_dim(c, 1)[0]
-    with pytest.raises(scaling.NotPrimitiveVertex):
-        scaling.primitive_vertex_scaling(c, ref(c, edge), frame("FCC"))
 
 
 def test_scaled_normals_follow_center_differences():
@@ -225,12 +195,13 @@ def test_scaled_normals_follow_center_differences():
         c = cpx(name)
         fr = frame(name)
         for vo in orbits_of_dim(c, 0):
-            s = scaling.primitive_vertex_scaling(c, ref(c, vo), fr)
+            s = scaling.star_scaling_d3(c, ref(c, vo), fr)
             ratios = set()
             for r in tiling.star(c, ref(c, vo)):
                 if c.orbits[r.orbit].dim != c.dim - 1:
                     continue
-                ta, tb = c.tiles_of(r)
+                ta, tb = (vadd(t, r.shift)
+                          for t in c.orbits[r.orbit].tile_shifts)
                 w = mat_vec(c.gram, vsub(ta, tb))
                 sn = tuple(s.factors[r.orbit] * x
                            for x in fr.normals[r.orbit])

@@ -21,7 +21,6 @@ Z3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 FCC = [[2, 0, 1], [0, 2, 1], [1, 1, 2]]
 BCC = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
 HEXPRISM = [[2, 1, 0], [1, 2, 0], [0, 0, 1]]
-Z4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def zero(d):
@@ -217,18 +216,6 @@ def test_star_translates_with_the_face():
     assert set(moved) == expect
 
 
-def test_find_face_round_trip():
-    c = tiling.build_complex(FCC)
-    for o in c.orbits:
-        shifted = [tuple(x + s for x, s in zip(v, (F(1), F(0), F(-2))))
-                   for v in o.vertices]
-        ref = c.find_face(shifted)
-        assert ref.orbit == o.index
-        assert ref.shift == (F(1), F(0), F(-2))
-    with pytest.raises(KeyError):
-        c.find_face([(F(1, 7), F(0), F(0))])
-
-
 # ---------------------------------------------------------------------------
 # Dual cells.
 # ---------------------------------------------------------------------------
@@ -289,14 +276,11 @@ def test_dual_cell_parity_classes_are_distinct():
 def test_duality_reverses_inclusion():
     for gram in (Z3, FCC, HEXPRISM):
         c = tiling.build_complex(gram)
-        fl = ratpoly.face_lattice(c.prototile)
-        faces = []
-        for d, idxsets in fl.faces_by_dim.items():
-            if d < 0:
-                continue
-            for s in idxsets:
-                faces.append(frozenset(c.prototile.vertices[i] for i in s))
-        refs = [c.find_face(f) for f in faces]
+        # Each member of an orbit is rep - lam for one lam in tile_shifts,
+        # so these are the faces of the base tile, the tile included.
+        refs = [FaceRef(o.index, tuple(-x for x in lam))
+                for o in c.orbits for lam in o.tile_shifts]
+        faces = [frozenset(c.face_vertices(r)) for r in refs]
         duals = [set(tiling.dual_cell(c, r).verts) for r in refs]
         for i, j in combinations(range(len(faces)), 2):
             for a, b in ((i, j), (j, i)):
@@ -353,8 +337,6 @@ def test_readers_of_a_dual_cell_build_no_hull(monkeypatch):
     for dc in cells + [moved]:
         if dc.combdim == 3:
             tiling.classify_dual3(dc)
-    t = tuple(w - v for v, w in zip(moved.verts[0], moved.verts[1]))
-    assert tiling.translate_intersection(moved, t).intersection is not None
     assert built == []
 
 
@@ -476,144 +458,6 @@ def test_bcc_vertices_are_all_simplices():
 def test_is_3_irreducible_needs_dimension_3():
     with pytest.raises(ValueError):
         tiling.is_3_irreducible(tiling.build_complex(Z2))
-
-
-# ---------------------------------------------------------------------------
-# Parallelogram pairs in a dual 4-cell.
-# ---------------------------------------------------------------------------
-
-
-def _subcell(vs, d4ref):
-    verts = tuple(sorted(tuple(F(x) - 1 for x in v) for v in vs))
-    return _hand_cell(verts, 2, d4ref, (zero(4),))
-
-
-def _pair_fixture():
-    c = tiling.build_complex(Z4)
-    v = orbits_of_dim(c, 0)[0]
-    ref = FaceRef(v.index, zero(4))
-    d4 = tiling.dual_cell(c, ref)
-    e1, e2, e3, e4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
-    z = (0, 0, 0, 0)
-
-    def add(*vs):
-        return tuple(sum(x) for x in zip(*vs))
-
-    return d4, ref, z, e1, e2, e3, e4, add
-
-
-def test_parallelogram_pair_complementary():
-    d4, ref, z, e1, e2, e3, e4, add = _pair_fixture()
-    p1 = _subcell([z, e1, e2, add(e1, e2)], ref)
-    p2 = _subcell([z, e3, e4, add(e3, e4)], ref)
-    assert tiling.classify_parallelogram_pair(p1, p2, d4) == "complementary"
-
-
-def test_parallelogram_pair_adjacent():
-    d4, ref, z, e1, e2, e3, e4, add = _pair_fixture()
-    p1 = _subcell([z, e1, e2, add(e1, e2)], ref)
-    p2 = _subcell([z, e1, e3, add(e1, e3)], ref)
-    assert tiling.classify_parallelogram_pair(p1, p2, d4) == "adjacent"
-
-
-def test_parallelogram_pair_translate():
-    d4, ref, z, e1, e2, e3, e4, add = _pair_fixture()
-    p1 = _subcell([z, e1, e2, add(e1, e2)], ref)
-    p2 = _subcell([e3, add(e1, e3), add(e2, e3), add(e1, e2, e3)], ref)
-    assert tiling.classify_parallelogram_pair(p1, p2, d4) == "translate"
-
-
-def test_parallelogram_pair_skew():
-    d4, ref, z, e1, e2, e3, e4, add = _pair_fixture()
-    p1 = _subcell([z, e1, e2, add(e1, e2)], ref)
-    p2 = _subcell([e3, add(e1, e3), add(e3, e4), add(e1, e3, e4)], ref)
-    assert tiling.classify_parallelogram_pair(p1, p2, d4) == "skew"
-
-
-def test_parallelogram_pair_rejects_bad_input():
-    d4, ref, z, e1, e2, e3, e4, add = _pair_fixture()
-    p1 = _subcell([z, e1, e2, add(e1, e2)], ref)
-    with pytest.raises(tiling.NotSubcells):
-        tiling.classify_parallelogram_pair(p1, p1, d4)
-    outside = _hand_cell(tuple(sorted((tuple(map(F, v))
-                                       for v in (z, e1, e2, add(e1, e2))))),
-                         2, ref, (zero(4),))
-    with pytest.raises(tiling.NotSubcells):
-        tiling.classify_parallelogram_pair(outside, p1, d4)
-    # three tile centers do not make a parallelogram
-    tri = _hand_cell(tuple(sorted((tuple(F(x) - 1 for x in v)
-                                   for v in (z, e1, e2, add(e1, e2, e3))))),
-                     2, ref, (zero(4),))
-    with pytest.raises(tiling.NotSubcells):
-        tiling.classify_parallelogram_pair(tri, p1, d4)
-
-
-# ---------------------------------------------------------------------------
-# Intersections with lattice translates.
-# ---------------------------------------------------------------------------
-
-
-def _recheck_slice(dc, t, sl):
-    body = dc.hull
-    moved = body.translate(tuple(F(x) for x in t))
-    n, a = sl.hyperplane.normal, sl.hyperplane.offset
-    from tilekit._lp import dot
-    on_body = {v for v in body.vertices if dot(n, v) == a}
-    on_moved = {v for v in moved.vertices if dot(n, v) == a}
-    assert all(dot(n, v) <= a for v in body.vertices) or \
-        all(dot(n, v) >= a for v in body.vertices)
-    if sl.intersection is None:
-        assert not (on_body and on_moved)
-    else:
-        assert on_body == set(sl.intersection) == on_moved
-        f0 = dc.face_vertices[0]
-        for v in dc.face_vertices[1:]:
-            assert dot(n, v) == dot(n, f0)
-
-
-def test_z2_edge_dual_meets_its_translate_in_an_endpoint():
-    c = tiling.build_complex(Z2)
-    o = orbits_of_dim(c, 1)[0]
-    dc = tiling.dual_cell(c, FaceRef(o.index, zero(2)))
-    t = tuple(dc.verts[1][k] - dc.verts[0][k] for k in range(2))
-    sl = tiling.translate_intersection(dc, t)
-    assert sl.intersection == (dc.verts[1],)
-    _recheck_slice(dc, t, sl)
-
-
-def test_fcc_octahedron_translate_slices():
-    c = tiling.build_complex(FCC)
-    o = next(o for o in orbits_of_dim(c, 0) if len(o.tile_shifts) == 6)
-    dc = tiling.dual_cell(c, FaceRef(o.index, zero(3)))
-    sizes = {}
-    for v, w in combinations(dc.verts, 2):
-        t = tuple(w[k] - v[k] for k in range(3))
-        sl = tiling.translate_intersection(dc, t)
-        k = 0 if sl.intersection is None else len(sl.intersection)
-        sizes[k] = sizes.get(k, 0) + 1
-        _recheck_slice(dc, t, sl)
-    # 12 edge vectors share an edge, 3 antipodal vectors share a vertex
-    assert sizes == {2: 12, 1: 3}
-
-
-def test_translate_by_three_long_vectors_is_empty():
-    c = tiling.build_complex(FCC)
-    o = next(o for o in orbits_of_dim(c, 0) if len(o.tile_shifts) == 6)
-    dc = tiling.dual_cell(c, FaceRef(o.index, zero(3)))
-    t = tuple(3 * (dc.verts[-1][k] - dc.verts[0][k]) for k in range(3))
-    sl = tiling.translate_intersection(dc, t)
-    assert sl.intersection is None
-    _recheck_slice(dc, t, sl)
-
-
-def test_translate_intersection_rejects_bad_vectors():
-    c = tiling.build_complex(Z2)
-    o = orbits_of_dim(c, 1)[0]
-    dc = tiling.dual_cell(c, FaceRef(o.index, zero(2)))
-    with pytest.raises(ValueError):
-        tiling.translate_intersection(dc, (0, 0))
-    with pytest.raises(ValueError):
-        tiling.translate_intersection(dc, (F(1, 2), F(0)))
 
 
 # ---------------------------------------------------------------------------
