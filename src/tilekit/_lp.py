@@ -99,15 +99,14 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows)[0])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
-    """Basis of {x : row . x = 0 for all rows} (primitive integer vectors)."""
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
+    """Basis of {x : row . x = 0 for all rows} in R^ncols (primitive integer
+    vectors)."""
     rows = [vec(r) for r in rows if not is_zero(r)]
     if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for empty row set")
         return [tuple(Fraction(1 if i == j else 0) for i in range(ncols)) for j in range(ncols)]
     red, pivots = rref(rows)
-    return echelon_nullspace(red, pivots, len(rows[0]))
+    return echelon_nullspace(red, pivots, ncols)
 
 
 def echelon_nullspace(red: Sequence[Vec], pivots: Sequence[int], n: int) -> list[Vec]:
@@ -121,25 +120,6 @@ def echelon_nullspace(red: Sequence[Vec], pivots: Sequence[int], n: int) -> list
             v[pc] = -red[i][fc]
         basis.append(primitive(v))
     return basis
-
-
-def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve rows . x = rhs exactly.
-
-    Returns:
-        (particular solution, nullspace basis) or None when inconsistent.
-    """
-    rows = [vec(r) for r in rows]
-    rhs = vec(rhs)
-    n = len(rows[0]) if rows else 0
-    aug = [r + (b,) for r, b in zip(rows, rhs, strict=True)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][n]
-    return tuple(x), nullspace(rows, n)
 
 
 def in_int_span(target: Sequence[Fraction], gens: Sequence[Sequence[Fraction]]) -> list[int] | None:
@@ -351,8 +331,8 @@ def _eliminate(row: list[int], pr: list[int], a: int, col: int) -> list[int]:
 
 def strictly_feasible(
     strict_pos: Sequence[Sequence[Fraction]],
-    eqs: Sequence[Sequence[Fraction]] = (),
-    dim: int | None = None,
+    eqs: Sequence[Sequence[Fraction]],
+    dim: int,
 ) -> Vec | None:
     """Find x with row.x > 0 for every strict row and row.x == 0 on eqs.
 
@@ -361,8 +341,6 @@ def strictly_feasible(
     """
     strict_pos = [vec(r) for r in strict_pos]
     eqs = [vec(r) for r in eqs]
-    if dim is None:
-        dim = len(strict_pos[0]) if strict_pos else len(eqs[0])
     if not strict_pos:
         if not eqs:
             return tuple(Fraction(0) for _ in range(dim))

@@ -166,7 +166,7 @@ def _cmd_tiling_audit(args) -> int:
     sk = tiling.skinny_audit(c)
     doc = {
         "dim": c.dim,
-        "facet_count": len(c.prototile.facets),
+        "facet_count": len(c.tile.facets),
         "orbit_counts": {str(k): v for k, v in sorted(c.orbit_counts().items())},
         "skinny": {
             "checked": sk.checked,
@@ -225,16 +225,16 @@ def _cmd_irreducible(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scaling_pieces(gram):
-    c = tiling.build_complex(gram)
+def _scaling_pieces(c: tiling.TilingComplex):
+    """The normal frame of ``c`` and the scaling propagated over it."""
     frame = scaling.build_frame(c)
     gain = scaling.bridge_gain(c, scaling.gain_from_d2(c, frame))
     seed = min(o.index for o in c.orbits if o.dim == c.dim - 1)
-    return c, frame, scaling.propagate(c, gain, seed)
+    return frame, scaling.propagate(c, gain, seed)
 
 
 def _cmd_scaling_build(args) -> int:
-    c, _frame, out = _scaling_pieces(_load_gram(args.gram))
+    _frame, out = _scaling_pieces(tiling.build_complex(_load_gram(args.gram)))
     if isinstance(out, scaling.InconsistencyWitness):
         doc = {
             "status": "inconsistent",
@@ -253,7 +253,8 @@ def _cmd_scaling_build(args) -> int:
 
 
 def _cmd_scaling_verify(args) -> int:
-    c, frame, out = _scaling_pieces(_load_gram(args.gram))
+    c = tiling.build_complex(_load_gram(args.gram))
+    frame, out = _scaling_pieces(c)
     if isinstance(out, scaling.InconsistencyWitness):
         doc = {"status": "inconsistent", "circuit": list(out.circuit),
                "gain_product": frac_to_json(out.gain_product)}
@@ -322,14 +323,10 @@ def _cmd_scaling_coherence(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    gram = _load_gram(args.gram)
-    c = tiling.build_complex(gram)
+    c = tiling.build_complex(_load_gram(args.gram))
     if c.dim != 2:
         raise InputError("the lift is built for two-dimensional lattices")
-    frame = scaling.build_frame(c)
-    gain = scaling.bridge_gain(c, scaling.gain_from_d2(c, frame))
-    seed = min(o.index for o in c.orbits if o.dim == 1)
-    out = scaling.propagate(c, gain, seed)
+    frame, out = _scaling_pieces(c)
     if isinstance(out, scaling.InconsistencyWitness):
         _emit(_render({"status": "inconsistent",
                        "circuit": list(out.circuit)}), args.out)

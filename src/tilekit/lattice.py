@@ -39,30 +39,35 @@ def check_gram(gram) -> list[list[Fraction]]:
         for j in range(d):
             if g[i][j] != g[j][i]:
                 raise ValueError("gram matrix must be symmetric")
-    # Positive definiteness via leading principal minors.
-    for k in range(1, d + 1):
-        if _det([row[:k] for row in g[:k]]) <= 0:
-            raise ValueError("gram matrix must be positive definite")
+    if _ldl(g) is None:
+        raise ValueError("gram matrix must be positive definite")
     return g
 
 
-def _det(m) -> Fraction:
-    n = len(m)
-    m = [list(row) for row in m]
-    out = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            out = -out
-        out *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            for j in range(c, n):
-                m[i][j] -= f * m[c][j]
-    return out
+def _ldl(a) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """Symmetric elimination a = L D L^T of a symmetric rational matrix, or
+    None when it is not positive definite.
+
+    Returns (diag, mu): the pivots D and, in row i, the multipliers
+    mu[i][j] = L[j][i] for j > i.  Elimination stops at the first pivot
+    that is not positive; by Sylvester's criterion that happens iff some
+    leading principal minor is not positive, since the k-th minor is the
+    product of the first k pivots.
+    """
+    a = [[frac(x) for x in row] for row in a]
+    d = len(a)
+    diag: list[Fraction] = []
+    mu: list[list[Fraction]] = []
+    for i in range(d):
+        p = a[i][i]
+        if p <= 0:
+            return None
+        diag.append(p)
+        mu.append([a[i][j] / p for j in range(d)])
+        for j in range(i + 1, d):
+            for k in range(i + 1, d):
+                a[j][k] -= a[j][i] * a[i][k] / p
+    return diag, mu
 
 
 def gram_norm(gram, v: Sequence) -> Fraction:
@@ -129,16 +134,7 @@ def _short_vectors(gi: list[list[int]], bound: int):
     lattice points of the ellipsoid, not of its bounding box.
     """
     d = len(gi)
-    a = [[Fraction(x) for x in row] for row in gi]
-    diag: list[Fraction] = []
-    mu: list[list[Fraction]] = []
-    for i in range(d):
-        p = a[i][i]
-        diag.append(p)
-        mu.append([a[i][j] / p for j in range(d)])
-        for j in range(i + 1, d):
-            for k in range(i + 1, d):
-                a[j][k] -= a[j][i] * a[i][k] / p
+    diag, mu = _ldl(gi)
     v = [0] * d
 
     def level(i: int, budget: Fraction):
@@ -272,7 +268,7 @@ class VenkovReport:
 
 
 def venkov_check_cell(cell: ratpoly.Polytope) -> VenkovReport:
-    """Audit an explicit tile: central symmetry, facet symmetry, belt sizes.
+    """Audit a tile: central symmetry, facet symmetry, belt sizes.
 
     The tile must be centrally symmetric (about its own vertex centroid),
     every facet must be symmetric about its own center, and every belt must

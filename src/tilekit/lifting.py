@@ -25,6 +25,12 @@ from .scaling import NormalFrame, ScalingAssignment, verify_canonical
 from .tiling import TilingComplex
 
 
+# Half-width of the box of tile shifts kept in ``Generatrissa.gradient_map``.
+WINDOW = 2
+# Tiles a path search from the base tile may expand before it gives up.
+PATH_SEARCH_CAP = 20000
+
+
 class InconsistentScaling(Exception):
     """The scaling does not close up around some circuit of tiles."""
 
@@ -42,7 +48,8 @@ class Generatrissa:
     neighbor step ``delta`` to the gradient increment for crossing from a
     tile into its ``delta``-neighbor, together with a point on the shared
     edge of the base tile and its ``delta``-neighbor.  ``gradient_map``
-    records the propagated gradients on a window around the base tile.
+    records the propagated gradients on the ``WINDOW`` box around the base
+    tile.
     """
 
     complex: TilingComplex
@@ -102,7 +109,7 @@ def _bfs_tree(jumps, inside, start: Vec):
     return parent
 
 
-def _path_from_base(jumps, target: Vec, cap: int = 20000) -> list[Vec]:
+def _path_from_base(jumps, target: Vec) -> list[Vec]:
     """Shifts of a deterministic tile path from the origin to ``target``."""
     d = len(target)
     zero = vec([0] * d)
@@ -117,7 +124,7 @@ def _path_from_base(jumps, target: Vec, cap: int = 20000) -> list[Vec]:
                 path.append(parent[path[-1]])
             return list(reversed(path))
         seen += 1
-        if seen > cap:
+        if seen > PATH_SEARCH_CAP:
             break
         for delta in sorted(jumps):
             b = vadd(a, delta)
@@ -128,14 +135,13 @@ def _path_from_base(jumps, target: Vec, cap: int = 20000) -> list[Vec]:
 
 
 def build_generatrissa(c: TilingComplex, s: ScalingAssignment,
-                       frame: NormalFrame, window: int = 2) -> Generatrissa:
+                       frame: NormalFrame) -> Generatrissa:
     """Propagate gradients from the base tile and verify all closures.
 
     Args:
         c: a two-dimensional tiling complex.
         s: positive factors per edge orbit; must verify as canonical.
         frame: fixed primitive normals per edge orbit.
-        window: half-width of the shift box kept in ``gradient_map``.
 
     Raises:
         ValueError: the complex is not two-dimensional.
@@ -152,7 +158,7 @@ def build_generatrissa(c: TilingComplex, s: ScalingAssignment,
     zero = vec([0, 0])
 
     def inside(b):
-        return all(abs(x) <= window for x in b)
+        return all(abs(x) <= WINDOW for x in b)
 
     parent = _bfs_tree(jumps, inside, zero)
     grads: dict[Vec, Vec] = {zero: zero}

@@ -418,25 +418,22 @@ def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
 
 def from_halfspaces(
     halfspaces: Iterable[tuple[Sequence[Fraction], Fraction]],
-    equations: Iterable[tuple[Sequence[Fraction], Fraction]] = (),
-    dim: int | None = None,
 ) -> Polytope:
-    """Bounded solution set of normal.x <= offset rows (plus equation rows).
+    """Bounded solution set of normal.x <= offset rows.
 
     One double description pass over the homogenized rows gives the vertices
     and, for each vertex, the rows tight on it.  Everything else is read off
     those zero sets (Fukuda-Prodon's combinatorial facet test): rows tight on
-    every vertex are implicit equations and, with the given equations, cut
-    out the affine hull; the facets are the rows whose vertex sets are
-    inclusion-maximal among the rest, and those sets are the incidence.  A
-    facet's normal is its row's normal projected onto the direction space,
-    which is a positive multiple of the facet's own normal, so the result is
-    the same canonical Polytope that from_vertices builds from the vertices.
+    every vertex are implicit equations and cut out the affine hull; the
+    facets are the rows whose vertex sets are inclusion-maximal among the
+    rest, and those sets are the incidence.  A facet's normal is its row's
+    normal projected onto the direction space, which is a positive multiple
+    of the facet's own normal, so the result is the same canonical Polytope
+    that from_vertices builds from the vertices.
 
     Args:
-        halfspaces: (normal, offset) pairs meaning normal.x <= offset.
-        equations: (normal, offset) pairs meaning normal.x == offset.
-        dim: ambient dimension (required when both lists are empty).
+        halfspaces: nonempty list of (normal, offset) pairs meaning
+            normal.x <= offset.
 
     Returns:
         canonical Polytope of the solution set.
@@ -444,91 +441,60 @@ def from_halfspaces(
     Raises:
         EmptyInput: the system has no solution.
         UnboundedInput: the solution set is unbounded.
+        ValueError: no rows, or dimension above MAX_DIM.
     """
     hs = [(vec(n), frac(b)) for n, b in halfspaces]
-    eqs = [(vec(n), frac(b)) for n, b in equations]
-    if hs:
-        d = len(hs[0][0])
-    elif eqs:
-        d = len(eqs[0][0])
-    elif dim is not None:
-        d = dim
-    else:
-        raise ValueError("empty system with no dimension given")
+    if not hs:
+        raise ValueError("empty system")
+    d = len(hs[0][0])
     if d > MAX_DIM:
         raise ValueError(f"ambient dimension {d} above supported bound {MAX_DIM}")
-    # Eliminate equations.
-    if eqs:
-        sol = _lp.solve_affine([n for n, _ in eqs], [b for _, b in eqs])
-        if sol is None:
-            raise EmptyInput("equation system is inconsistent")
-        x0, null = sol
-    else:
-        x0 = tuple(Fraction(0) for _ in range(d))
-        null = _lp.nullspace([], d)
-    m = len(null)
-    if m == 0:
-        if all(dot(n, x0) <= b for n, b in hs):
-            return Polytope(
-                vertices=(x0,), facets=(), equations=_affine_equations(x0, [], d),
-                incidence=(), dim=0,
-            )
-        raise EmptyInput("system has no solution")
-    # Reduced inequalities a.z <= c over z in R^m, x = x0 + N z; kept[i] is
-    # the input row behind red[i].
-    red = []
+    # kept[i] is the input row behind the i-th row of the pass; a zero
+    # normal bounds nothing, or empties the system.
     kept = []
     for n, b in hs:
-        a = tuple(dot(n, nb) for nb in null)
-        c = b - dot(n, x0)
-        if is_zero(a):
-            if c < 0:
+        if is_zero(n):
+            if b < 0:
                 raise EmptyInput("system has no solution")
             continue
-        red.append((a, c))
         kept.append((n, b))
-    # Homogenize: rays (z, t) with c t - a.z >= 0 and t >= 0.
-    rows = [tuple(-x for x in a) + (c,) for a, c in red]
-    rows.append(tuple(Fraction(0) for _ in range(m)) + (Fraction(1),))
+    # Homogenize: rays (x, t) with b t - n.x >= 0 and t >= 0.
+    rows = [tuple(-x for x in n) + (b,) for n, b in kept]
+    rows.append(tuple(Fraction(0) for _ in range(d)) + (Fraction(1),))
     try:
-        rays = _extreme_rays(rows, m + 1)
+        rays = _extreme_rays(rows, d + 1)
     except _Lineality:
         # The recession cone contains a line, or the system is empty.
         res = _lp.maximize(
-            tuple(Fraction(0) for _ in range(m)),
-            [a for a, _ in red],
-            [c for _, c in red],
+            tuple(Fraction(0) for _ in range(d)),
+            [n for n, _ in kept],
+            [b for _, b in kept],
         )
         if res.status == "infeasible":
             raise EmptyInput("system has no solution") from None
         raise UnboundedInput("solution set contains a line") from None
     verts = []
     for ray, zero in rays:
-        z, t = ray[:m], ray[m]
+        t = ray[d]
         if t == 0:
             raise UnboundedInput("solution set has a recession direction")
-        zz = tuple(x / t for x in z)
-        x = _lp.vadd(x0, tuple(dot(nb_row, zz) for nb_row in zip(*null)))
-        verts.append((x, zero))
+        verts.append((tuple(x / t for x in ray[:d]), zero))
     if not verts:
         raise EmptyInput("system has no solution")
     verts.sort()
     points = tuple(v for v, _ in verts)
     # tight[i]: bit j on iff input row kept[i] is tight on points[j].
-    tight = [0] * len(red)
+    tight = [0] * len(kept)
     for j, (_, zero) in enumerate(verts):
         while zero:
             low = zero & -zero
             tight[low.bit_length() - 1] |= 1 << j
             zero ^= low
     everywhere = (1 << len(points)) - 1
-    # Rows tight on every vertex are implicit equations; with the given
-    # equations they cut out the affine hull, whose direction space is lin.
+    # Rows tight on every vertex are implicit equations; they cut out the
+    # affine hull, whose direction space is lin.
     lin = _lp.nullspace(
-        [n for n, _ in eqs]
-        + [kept[i][0] for i, t in enumerate(tight) if t == everywhere],
-        d,
-    )
+        [kept[i][0] for i, t in enumerate(tight) if t == everywhere], d)
     equations_out = _affine_equations(points[0], lin, d)
     k = len(lin)
     if k == 0:

@@ -47,7 +47,7 @@ class NormalFrame:
 def build_frame(c: TilingComplex) -> NormalFrame:
     """Fix a canonical normal representative for every facet orbit."""
     normals: dict[int, Vec] = {}
-    p = c.prototile
+    p = c.tile
     for o in c.orbits:
         if o.dim != c.dim - 1:
             continue
@@ -371,25 +371,22 @@ def _root_path(parent: dict[int, int], n: int) -> list[int]:
 
 
 def verify_canonical(c: TilingComplex, s: ScalingAssignment,
-                     frame: NormalFrame, ref_overrides=None):
+                     frame: NormalFrame):
     """Check the sign-closure condition on every codimension-2 star.
 
     For each codimension-2 orbit, searches the (at most 2^4) sign vectors
-    for one making the scaled normal sum exactly zero.  ``ref_overrides``
-    optionally replaces the factor of individual facet references (used by
-    fault-injection tests to model a translation-variant assignment).
+    for one making the scaled normal sum exactly zero.
 
     Returns:
         ``(True, None)`` or ``(False, orbit_index)`` with the first star
         where no sign choice works.
     """
-    overrides = ref_overrides or {}
     zero = (Fraction(0),) * c.dim
     for o in c.orbits:
         if o.dim != c.dim - 2:
             continue
         refs = _facet_refs(c, tiling.star(c, FaceRef(o.index, zero)))
-        vals = [overrides.get(r, s.factors[r.orbit]) for r in refs]
+        vals = [s.factors[r.orbit] for r in refs]
         normals = [frame.normals[r.orbit] for r in refs]
         d = c.dim
         found = False

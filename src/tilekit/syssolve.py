@@ -440,20 +440,15 @@ def detect_contradiction(sf: SolutionFamily) -> ContradictionReport:
                                "direction tests")
 
 
-def resolve_octahedron_case(sf: SolutionFamily,
-                            labels: tuple[str, ...] | None = None
-                            ) -> ContradictionReport | None:
+def resolve_octahedron_case(sf: SolutionFamily) -> ContradictionReport | None:
     """Search a 5-10 solution for a centrally symmetric six-point subset
     whose antipodal pairs include a parallelogram diagonal.
 
     Such a subset spans a three-dimensional cross-polytope whose main
     diagonals must be diagonals of no parallelogram; a hit kills the case.
 
-    Args:
-        sf: a solved 5-10 family.
-        labels: optionally restrict the check to exactly these six labels;
-            by default every six-point subset is tried in label order and
-            the first hit is reported.
+    Every six-point subset is tried in label order and the first hit is
+    reported.
 
     Returns:
         A "coincidence-with-diagonal" report, or None.
@@ -464,13 +459,7 @@ def resolve_octahedron_case(sf: SolutionFamily,
     vals = sf.as_map()
     diag_sets = {frozenset(d): p.name
                  for p in sf.system.parallelograms for d in p.diagonals}
-    if labels is not None:
-        if len(set(labels)) != 6 or not set(labels) <= set(all_labels):
-            raise ValueError("expected six distinct point labels")
-        candidates = [tuple(sorted(all_labels.index(lab) for lab in labels))]
-    else:
-        candidates = combinations(range(len(all_labels)), 6)
-    for idx in candidates:
+    for idx in combinations(range(len(all_labels)), 6):
         pts = [vals[all_labels[i]] for i in idx]
         # Central symmetry forces the center to be the centroid; pair every
         # point with its reflection through it.
@@ -815,7 +804,7 @@ def _direction_passes(x: Vec, pairs) -> bool:
     return True
 
 
-def cone_test_pipeline(sf: SolutionFamily | None = None) -> tuple[Vec, ...]:
+def cone_test_pipeline() -> tuple[Vec, ...]:
     """Every direction that survives all the cone tests, as primitive rays.
 
     Excludes, for each parallelogram of the lifted configuration and each
@@ -823,15 +812,7 @@ def cone_test_pipeline(sf: SolutionFamily | None = None) -> tuple[Vec, ...]:
     directions with any vanishing coordinate.  The returned rays are
     checked one by one against the raw tests and for closure under the
     cyclic index shift.
-
-    Args:
-        sf: optionally, the residual 5-10 family this reduction serves;
-            validated and otherwise unused.
     """
-    if sf is not None:
-        if sf.system.kind != "5-10" or len(sf.params) != 1:
-            raise ValueError("the direction tests serve the residual "
-                             "one-parameter 5-10 family")
     q, paras, _planes = lifted_configuration()
     singles = [v for v in Q_VERTEX_ORDER if sum(1 for c in v if c != 0) == 1]
     sums = [v for v in Q_VERTEX_ORDER if sum(1 for c in v if c != 0) == 2]
@@ -901,7 +882,7 @@ def _project_off(w: Vec, x: Vec) -> Vec:
     return img[:4]
 
 
-def final_case_check(x: Vec = SURVIVOR_DIRECTION) -> ContradictionReport:
+def final_case_check() -> ContradictionReport:
     """Rule out the surviving direction by a vertex count.
 
     Projects the lifted ten-point configuration along the direction,
@@ -912,12 +893,7 @@ def final_case_check(x: Vec = SURVIVOR_DIRECTION) -> ContradictionReport:
 
     Raises:
         VerificationError: any sub-check fails.
-        ValueError: x is not a positive multiple of the surviving direction.
     """
-    x = vec(x)
-    if len(x) != 5 or primitive(x) != SURVIVOR_DIRECTION:
-        raise ValueError("expected the surviving direction (or a positive "
-                         "multiple)")
     x = SURVIVOR_DIRECTION
     images = [_project_off(w, x) for w in Q_VERTEX_ORDER]
     expected = [vec(t) for t in (

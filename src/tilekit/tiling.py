@@ -8,8 +8,9 @@ shift.  On top of that quotient it computes stars, dual cells (convex hulls
 of the centers of the tiles sharing a face) and the fan type of
 low-dimensional dual cells.
 
-Coordinates are taken in the lattice basis, so the lattice is always
-``Z^d`` and the geometry of the tile is carried by a Gram matrix.
+The tile is the Dirichlet-Voronoi cell of a lattice.  Coordinates are
+taken in the lattice basis, so the lattice is always ``Z^d`` and the
+geometry of the tile is carried by a Gram matrix.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ class TilingComplex:
 
     Attributes:
         gram: Gram matrix of the lattice basis.
-        prototile: the base tile (tile of the lattice point at the origin).
+        tile: the base tile, the Voronoi cell of the lattice point at the
+            origin.
         center: center of symmetry of the base tile.
         orbits: face orbits of every dimension, in a fixed order.
         adjacency: for each orbit, the star of its representative face --
@@ -121,15 +123,15 @@ class TilingComplex:
     orbit, filled by ``dual_cell`` the first time the orbit is asked for.
     """
 
-    def __init__(self, gram, prototile: Polytope, center: Vec,
+    def __init__(self, gram, tile: Polytope, center: Vec,
                  orbits: tuple[FaceOrbit, ...],
                  adjacency: tuple[tuple[FaceRef, ...], ...]):
         self.gram = gram
-        self.prototile = prototile
+        self.tile = tile
         self.center = center
         self.orbits = orbits
         self.adjacency = adjacency
-        self.dim = prototile.ambient_dim
+        self.dim = tile.ambient_dim
         self._dual_cells: list[DualCell | None] = [None] * len(orbits)
 
     def orbit_counts(self) -> dict[int, int]:
@@ -182,69 +184,28 @@ def _centroid(verts) -> Vec:
     return tuple(sum(v[k] for v in verts) / n for k in range(d))
 
 
-def _double(v: Vec) -> Vec:
-    return tuple(2 * x for x in v)
+def build_complex(gram) -> TilingComplex:
+    """Build the quotient complex of the Dirichlet-Voronoi tiling of a lattice.
 
-
-def _intersect(p1: Polytope, p2: Polytope) -> Polytope | None:
-    """Exact intersection of two bounded polytopes, or None when empty."""
-    try:
-        return ratpoly.from_halfspaces(
-            p1.facets + p2.facets,
-            equations=p1.equations + p2.equations,
-            dim=p1.ambient_dim,
-        )
-    except ratpoly.EmptyInput:
-        return None
-
-
-def _check_face_to_face(p: Polytope, center: Vec) -> None:
-    """Verify that across each facet the neighbor tile meets ``p`` in it."""
-    for inc in p.incidence:
-        fverts = sorted(p.vertices[i] for i in inc)
-        t = vsub(_double(_centroid(fverts)), _double(center))
-        if any(x.denominator != 1 for x in t):
-            raise VenkovFailure(
-                "facet center is not at half a lattice vector from the tile "
-                "center; the translates cannot meet face-to-face")
-        shared = _intersect(p, p.translate(t))
-        if shared is None or sorted(shared.vertices) != fverts:
-            raise VenkovFailure(
-                "tile and its facet neighbor do not meet in that facet")
-
-
-def build_complex(gram, prototile: Polytope | None = None) -> TilingComplex:
-    """Build the quotient complex of a face-to-face lattice tiling.
+    The tile is the Voronoi cell of the Gram matrix, audited for central
+    symmetry, facet symmetry and belt sizes before the faces are grouped.
 
     Args:
         gram: Gram matrix of the lattice basis (coordinates are taken in
             that basis, so lattice vectors are integer tuples).
-        prototile: optional explicit tile.  When omitted the Voronoi cell of
-            the Gram matrix is used.  An explicit tile must satisfy the same
-            symmetry-and-belts conditions and must meet each of its facet
-            neighbors face-to-face.
 
     Raises:
-        VenkovFailure: the (explicit or Voronoi) tile fails the symmetry or
-            belt conditions, or does not tile face-to-face.
+        VenkovFailure: the Voronoi cell fails the symmetry or belt
+            conditions.
         ValueError: dimension above five.
     """
     d = len(gram)
     if d > 5:
         raise ValueError("tilings are supported up to dimension 5 only")
-    if prototile is None:
-        cell = lat.dv_cell(gram)
-        report = lat.venkov_check_cell(cell)
-        if not report.passed:
-            raise VenkovFailure(report)
-    else:
-        cell = prototile
-        if cell.ambient_dim != d:
-            raise ValueError("prototile dimension disagrees with the Gram matrix")
-        report = lat.venkov_check_cell(cell)
-        if not report.passed:
-            raise VenkovFailure(report)
-        _check_face_to_face(cell, _centroid(cell.vertices))
+    cell = lat.dv_cell(gram)
+    report = lat.venkov_check_cell(cell)
+    if not report.passed:
+        raise VenkovFailure(report)
     center = _centroid(cell.vertices)
 
     dims, faces = zip(*_face_coords(cell))
@@ -300,7 +261,7 @@ def build_complex(gram, prototile: Polytope | None = None) -> TilingComplex:
         adjacency.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
 
     cpx = TilingComplex(gram=[[frac(x) for x in row] for row in gram],
-                        prototile=cell, center=center,
+                        tile=cell, center=center,
                         orbits=tuple(orbits), adjacency=tuple(adjacency))
     _validate_complex(cpx)
     return cpx

@@ -4,20 +4,33 @@ Everything here is written independently of tilekit internals: no imports
 from the package, own tiny Gaussian elimination, exhaustive or sampling
 strategies instead of the production algorithms.  Slow on purpose; only fed
 small instances.  extreme_rays_reference, the Fraction double description
-that the integer one replaced, is independent too.  Seven exceptions import
-tilekit, inside the function only: from_vertices_reference and
-cone_dual_reference, the V-to-H conversions before they made one basis
-solve per hull, which build tilekit's Polytope and use its unchanged
-exact linear algebra; from_halfspaces_two_pass, the production H-to-V
-conversion before it became one pass, which rebuilds the result with
-from_vertices_reference; build_complex_reference, the production quotient
-complex before it was keyed on translation invariants and vertex bitmasks,
-which builds and checks the tile with tilekit; dual_cell_reference, the
-dual cell built and checked afresh for every face rather than translated
-from its orbit's cell; dv_cell_with_vectors, the Voronoi cell with the
-lattice vector of each facet; and belts_of_reference, the belt walk that
-found each opposite ridge by an echelon-form key and a scan of all ridges
-rather than by the facet's central reflection.
+that the integer one replaced, is independent too, and so is
+leading_minors_positive, the determinant test of positive definiteness
+that lattice's symmetric elimination replaced.  Seven exceptions import
+tilekit, inside the function only:
+
+- from_vertices_reference, the V-to-H conversion before it made one basis
+  solve per hull: builds ratpoly.Polytope and uses ratpoly's equation and
+  facet canonicalization; its solves are gauss_solve.
+- cone_dual_reference, the cone dual before it read coordinates off the
+  echelon form: _lp.rref and _lp.nullspace for the span; its solves are
+  gauss_solve.
+- from_halfspaces_two_pass, the H-to-V conversion before it became one
+  pass: rebuilds the result with from_vertices_reference, raises
+  ratpoly's exceptions and tells an empty system from one with a line by
+  _lp.maximize.
+- build_complex_reference, the quotient complex before it was keyed on
+  translation invariants and vertex bitmasks: builds and audits the
+  Voronoi cell with lattice, and takes tiling's face list, centroid and
+  complex checks.
+- dual_cell_reference, the dual cell built and checked afresh for every
+  face rather than translated from its orbit's cell: tiling's DualCell
+  and lattice-point check.
+- dv_cell_with_vectors, the Voronoi cell with the lattice vector of each
+  facet: lattice's halfspaces and ratpoly.from_halfspaces.
+- belts_of_reference, the belt walk that found each opposite ridge by an
+  echelon-form key and a scan of all ridges rather than by the facet's
+  central reflection: ratpoly.face_lattice and _lp.rref.
 
 Closed 4-uniform hypergraphs come from two sources here, neither of them
 in the package: closed_hypergraph_classes enumerates every isomorphism
@@ -30,6 +43,7 @@ frozenset hyperedges.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -89,6 +103,32 @@ def matrix_rank(rows, n):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def leading_minors_positive(m) -> bool:
+    """Sylvester's criterion as lattice.check_gram once applied it: every
+    leading principal minor of the symmetric matrix m, each a determinant
+    by Gaussian elimination, is positive."""
+
+    def det(a):
+        a = [list(map(Fraction, row)) for row in a]
+        n = len(a)
+        out = Fraction(1)
+        for c in range(n):
+            p = next((i for i in range(c, n) if a[i][c] != 0), None)
+            if p is None:
+                return Fraction(0)
+            if p != c:
+                a[c], a[p] = a[p], a[c]
+                out = -out
+            out *= a[c][c]
+            for i in range(c + 1, n):
+                f = a[i][c] / a[c][c]
+                for j in range(c, n):
+                    a[i][j] -= f * a[c][j]
+        return out
+
+    return all(det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1))
 
 
 def null_vector(rows, n):
@@ -350,27 +390,34 @@ def relevant_vectors_bruteforce(gram, radius=3):
     Enumerates integer vectors in a +/- radius box; v qualifies iff {v, -v}
     are the unique minimizers of the Gram norm in the coset v + 2Z^d, checked
     against a 3x-larger window.  radius must exceed the true maximum
-    coordinate of any facet vector for the answer to be complete.
+    coordinate of any facet vector for the answer to be complete.  Norms
+    are compared on the Gram times the lcm of its denominators, in
+    integers, and the window is walked over the coset alone (step 2 per
+    axis).
     """
     d = len(gram)
     gram = [[Fraction(x) for x in row] for row in gram]
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    gi = [[int(x * den) for x in row] for row in gram]
 
     def norm(v):
-        return sum(v[i] * gram[i][j] * v[j] for i in range(d) for j in range(d))
+        return sum(v[i] * gi[i][j] * v[j] for i in range(d) for j in range(d))
 
+    wide = 3 * radius
     out = []
     for v in itertools.product(range(-radius, radius + 1), repeat=d):
         if all(x == 0 for x in v):
             continue
         nv = norm(v)
+        neg = tuple(-x for x in v)
+        coset = [range(-wide + (x + wide) % 2, wide + 1, 2) for x in v]
         ok = True
-        for w in itertools.product(range(-3 * radius, 3 * radius + 1), repeat=d):
-            if all((w[i] - v[i]) % 2 == 0 for i in range(d)):
-                if w == v or all(w[i] == -v[i] for i in range(d)):
-                    continue
-                if norm(w) <= nv:
-                    ok = False
-                    break
+        for w in itertools.product(*coset):
+            if w == v or w == neg:
+                continue
+            if norm(w) <= nv:
+                ok = False
+                break
         if ok:
             out.append(tuple(map(Fraction, v)))
     return sorted(out)
@@ -531,7 +578,7 @@ def from_vertices_reference(points):
     normal, the dual cone's rays from extreme_rays_reference, and each
     point's vertex status from the rank of the facet normals through it.
     Same arguments, result and exceptions."""
-    from tilekit import _lp, ratpoly
+    from tilekit import ratpoly
 
     pts = sorted({vec(p) for p in points})
     if not pts:
@@ -553,13 +600,13 @@ def from_vertices_reference(points):
         return ratpoly.Polytope(vertices=(p0,), facets=(), equations=equations,
                                 incidence=(), dim=0)
     cols = [list(col) for col in zip(*basis)]
-    coords = [_lp.solve_affine(cols, df)[0] for df in diffs]
+    coords = [gauss_solve(cols, df) for df in diffs]
     gram = [[dot(bi, bj) for bj in basis] for bi in basis]
     facets = []
     for ray, _ in extreme_rays_reference(
             [tuple(c) + (Fraction(1),) for c in coords], k + 1):
         yhat, s = ray[:k], ray[k]
-        coeffs = _lp.solve_affine(gram, [-y for y in yhat])[0]
+        coeffs = gauss_solve(gram, [-y for y in yhat])
         n = tuple(sum((coeffs[j] * basis[j][r] for j in range(k)), Fraction(0))
                   for r in range(d))
         facets.append(ratpoly._canonical_facet(n, s + dot(n, p0)))
@@ -589,78 +636,55 @@ def cone_dual_reference(gens, d):
     eqs = _lp.nullspace(gens, d)
     span_basis, _ = _lp.rref(gens)
     cols = [list(col) for col in zip(*span_basis)]
-    coords = [_lp.solve_affine(cols, g)[0] for g in gens]
+    coords = [tuple(gauss_solve(cols, g)) for g in gens]
     gram = [[dot(bi, bj) for bj in span_basis] for bi in span_basis]
     normals = []
     for ray, _ in extreme_rays_reference(coords, len(span_basis)):
-        coeffs = _lp.solve_affine(gram, ray)[0]
+        coeffs = gauss_solve(gram, ray)
         normals.append(_primitive([
             sum((coeffs[j] * b[r] for j, b in enumerate(span_basis)), Fraction(0))
             for r in range(d)]))
     return sorted(normals), sorted(eqs)
 
 
-def from_halfspaces_two_pass(halfspaces, equations=(), dim=None):
+def from_halfspaces_two_pass(halfspaces):
     """ratpoly.from_halfspaces as two hulls: double description finds the
     vertices, then from_vertices_reference rebuilds the facets, equations
     and incidence from them.  Same arguments, result and exceptions."""
     from tilekit import _lp, ratpoly
 
     hs = [(vec(n), frac(b)) for n, b in halfspaces]
-    eqs = [(vec(n), frac(b)) for n, b in equations]
-    if hs:
-        d = len(hs[0][0])
-    elif eqs:
-        d = len(eqs[0][0])
-    elif dim is not None:
-        d = dim
-    else:
-        raise ValueError("empty system with no dimension given")
+    if not hs:
+        raise ValueError("empty system")
+    d = len(hs[0][0])
     if d > ratpoly.MAX_DIM:
         raise ValueError(f"ambient dimension {d} above supported bound")
-    if eqs:
-        sol = _lp.solve_affine([n for n, _ in eqs], [b for _, b in eqs])
-        if sol is None:
-            raise ratpoly.EmptyInput("equation system is inconsistent")
-        x0, null = sol
-    else:
-        x0 = tuple(Fraction(0) for _ in range(d))
-        null = _lp.nullspace([], d)
-    m = len(null)
-    if m == 0:
-        if all(dot(n, x0) <= b for n, b in hs):
-            return from_vertices_reference([x0])
-        raise ratpoly.EmptyInput("system has no solution")
-    red = []
+    kept = []
     for n, b in hs:
-        a = tuple(dot(n, nb) for nb in null)
-        c = b - dot(n, x0)
-        if all(x == 0 for x in a):
-            if c < 0:
+        if all(x == 0 for x in n):
+            if b < 0:
                 raise ratpoly.EmptyInput("system has no solution")
             continue
-        red.append((a, c))
-    rows = [tuple(-x for x in a) + (c,) for a, c in red]
-    rows.append(tuple(Fraction(0) for _ in range(m)) + (Fraction(1),))
+        kept.append((n, b))
+    rows = [tuple(-x for x in n) + (b,) for n, b in kept]
+    rows.append(tuple(Fraction(0) for _ in range(d)) + (Fraction(1),))
     try:
-        rays = [r for r, _ in extreme_rays_reference(rows, m + 1)]
+        rays = [r for r, _ in extreme_rays_reference(rows, d + 1)]
     except Lineality:
         res = _lp.maximize(
-            tuple(Fraction(0) for _ in range(m)),
-            [a for a, _ in red],
-            [c for _, c in red],
+            tuple(Fraction(0) for _ in range(d)),
+            [n for n, _ in kept],
+            [b for _, b in kept],
         )
         if res.status == "infeasible":
             raise ratpoly.EmptyInput("system has no solution") from None
         raise ratpoly.UnboundedInput("solution set contains a line") from None
     verts = []
     for ray in rays:
-        z, t = ray[:m], ray[m]
+        t = ray[d]
         if t == 0:
             raise ratpoly.UnboundedInput("solution set has a recession direction")
-        zz = tuple(x / t for x in z)
-        verts.append(tuple(x0[k] + dot(nb_row, zz)
-                           for k, nb_row in enumerate(zip(*null))))
+        verts.append(tuple(x / t for x in ray[:d]))
     if not verts:
         raise ratpoly.EmptyInput("system has no solution")
     return from_vertices_reference(verts)
@@ -678,7 +702,7 @@ def _lattice_shift(f, g):
     return None
 
 
-def build_complex_reference(gram, prototile=None):
+def build_complex_reference(gram):
     """tiling.build_complex with its former orbit grouping and star loop:
     each face is compared with the first member of every group found so
     far, and each star is found by comparing Fraction vertex sets.  Same
@@ -689,19 +713,10 @@ def build_complex_reference(gram, prototile=None):
     d = len(gram)
     if d > 5:
         raise ValueError("tilings are supported up to dimension 5 only")
-    if prototile is None:
-        cell = lattice.dv_cell(gram)
-        report = lattice.venkov_check_cell(cell)
-        if not report.passed:
-            raise tiling.VenkovFailure(report)
-    else:
-        cell = prototile
-        if cell.ambient_dim != d:
-            raise ValueError("prototile dimension disagrees with the Gram matrix")
-        report = lattice.venkov_check_cell(cell)
-        if not report.passed:
-            raise tiling.VenkovFailure(report)
-        tiling._check_face_to_face(cell, tiling._centroid(cell.vertices))
+    cell = lattice.dv_cell(gram)
+    report = lattice.venkov_check_cell(cell)
+    if not report.passed:
+        raise tiling.VenkovFailure(report)
     center = tiling._centroid(cell.vertices)
 
     faces = [f for _, f in tiling._face_coords(cell)]
@@ -754,7 +769,7 @@ def build_complex_reference(gram, prototile=None):
         adjacency.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
 
     cpx = tiling.TilingComplex(gram=[[frac(x) for x in row] for row in gram],
-                               prototile=cell, center=center,
+                               tile=cell, center=center,
                                orbits=tuple(orbits), adjacency=tuple(adjacency))
     tiling._validate_complex(cpx)
     return cpx

@@ -5,6 +5,11 @@ not a dunder, must be referenced somewhere under ``src/tilekit`` by name,
 by attribute or by an import alias.  Docstrings and comments are not
 references.  A definition that only tests call fails here: it belongs in
 ``tests/oracles.py`` or nowhere.
+
+The same holds for parameters: every optional parameter of a function or
+method under ``src/tilekit`` must be passed, by keyword or by position, by
+some call under ``src/tilekit``.  An option that only tests set, or that
+nobody sets, is a branch no command runs.
 """
 
 from __future__ import annotations
@@ -13,6 +18,18 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tilekit"
+
+#: Optional parameters that no package call passes, on purpose.  The console
+#: script calls ``main()`` and reads ``sys.argv``; tests and the benchmark
+#: tracer pass ``argv``.
+PARAMETER_EXEMPTIONS = {"cli.main(argv)"}
+
+
+def _trees() -> dict[str, ast.Module]:
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert trees, f"no modules found under {SRC}"
+    return trees
 
 
 def _definitions(tree: ast.Module, module: str):
@@ -40,9 +57,7 @@ def _references(tree: ast.Module) -> set[str]:
 
 
 def test_every_definition_is_used_by_the_package():
-    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
-             for p in sorted(SRC.glob("*.py"))}
-    assert trees, f"no modules found under {SRC}"
+    trees = _trees()
     used: set[str] = set()
     for tree in trees.values():
         used |= _references(tree)
@@ -50,3 +65,64 @@ def test_every_definition_is_used_by_the_package():
               for qual, name in _definitions(tree, module) if name not in used]
     assert not unused, "defined but never referenced under src/tilekit: " \
         + ", ".join(unused)
+
+
+def _optional_parameters(tree: ast.Module, module: str):
+    """(qualified name, callee name, is method, [(parameter, position)]) for
+    every function and method with defaults; position is None for a
+    keyword-only parameter.  A class's ``__init__`` is called by the class
+    name."""
+
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                first = len(pos) - len(a.defaults)
+                opt = [(p.arg, i) for i, p in enumerate(pos) if i >= first]
+                opt += [(p.arg, None) for p, dflt in zip(a.kwonlyargs, a.kw_defaults)
+                        if dflt is not None]
+                callee = cls if cls and node.name == "__init__" else node.name
+                if opt:
+                    yield (f"{module}.{prefix}{node.name}", callee,
+                           cls is not None, opt)
+                yield from visit(node.body, f"{prefix}{node.name}.", None)
+
+    yield from visit(tree.body, "", None)
+
+
+def _passes(call: ast.Call, param: str, position: int | None, method: bool) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    # A method's positional arguments start after self.
+    return len(call.args) + method > position
+
+
+def test_every_optional_parameter_is_passed_by_the_package():
+    trees = _trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                if name:
+                    calls.setdefault(name, []).append(node)
+    unpassed = [
+        f"{qual}({param})"
+        for module, tree in trees.items()
+        for qual, callee, method, opt in _optional_parameters(tree, module)
+        for param, position in opt
+        if not any(_passes(c, param, position, method)
+                   for c in calls.get(callee, ()))
+    ]
+    unpassed = [u for u in unpassed if u not in PARAMETER_EXEMPTIONS]
+    assert not unpassed, "optional parameters no call under src/tilekit " \
+        "passes: " + ", ".join(unpassed)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tilekit import cli, hypercomb, ratpoly
+from tilekit import cli, hypercomb, lattice, ratpoly, tiling
 
 A2 = {"dim": 2, "gram": [[2, 1], [1, 2]]}
 Z2 = {"dim": 2, "gram": [[1, 0], [0, 1]]}
@@ -420,6 +420,23 @@ def test_internal_fault_exits_seventy(tmp_path, capsys, monkeypatch):
         assert rc == cli.INTERNAL_ERROR == 70
         assert out == ""
         assert err.startswith("internal error:") and type(fault).__name__ in err
+
+
+def test_failed_venkov_audit_is_a_violation(tmp_path, capsys, monkeypatch):
+    """A Voronoi cell that fails the symmetry-and-belts audit stops
+    build_complex with VenkovFailure, which the CLI reports as a found
+    violation (1)."""
+    failed = lattice.VenkovReport(facet_count=6, centrally_symmetric=True,
+                                  facets_centrally_symmetric=True,
+                                  belt_lengths=(4, 4, 8), passed=False)
+    monkeypatch.setattr(lattice, "venkov_check_cell", lambda cell: failed)
+    with pytest.raises(tiling.VenkovFailure):
+        tiling.build_complex(Z3["gram"])
+    rc, out, err = run(capsys, "tiling", "audit",
+                       "--gram", gram_file(tmp_path, Z3))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("violation: VenkovFailure")
 
 
 def test_usage_errors_exit_two(capsys):

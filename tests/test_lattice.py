@@ -226,6 +226,56 @@ def test_gram_validation():
         relevant_vectors([[0, 0], [0, 1]])
 
 
+def _ldl_product(diag, mu):
+    """L D L^T from the pivots and the multipliers mu[k][i] = L[i][k]."""
+    d = len(diag)
+
+    def low(i, k):
+        return F(1) if i == k else mu[k][i] if i > k else F(0)
+
+    return [[sum(low(i, k) * diag[k] * low(j, k) for k in range(d))
+             for j in range(d)] for i in range(d)]
+
+
+def test_ldl_matches_leading_minors():
+    """The symmetric elimination accepts exactly the matrices whose leading
+    minors are all positive, and then factors them, on seeded positive
+    definite, semidefinite, indefinite and rational symmetric matrices."""
+    rng = random.Random(1789)
+    verdicts = {kind: set() for kind in
+                ("definite", "semidefinite", "indefinite", "rational")}
+    for _ in range(240):
+        d = rng.randint(1, 5)
+        kind = rng.choice(sorted(verdicts))
+        a = [[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+        if kind == "definite":
+            # Strictly diagonally dominant, so invertible: a^T a is definite.
+            for i in range(d):
+                a[i][i] += 3 * d
+        elif kind == "semidefinite":
+            a = a[:-1]  # rank below d
+        m = [[sum(r[i] * r[j] for r in a) for j in range(d)] for i in range(d)]
+        if kind in ("indefinite", "rational"):
+            for i in range(d):
+                for j in range(i, d):
+                    x = F(rng.randint(-3, 3), rng.randint(1, 4) if kind == "rational" else 1)
+                    m[i][j] = x if kind == "indefinite" else m[i][j] / 2 + x
+                    m[j][i] = m[i][j]
+        want = oracles.leading_minors_positive(m)
+        got = lattice._ldl(m)
+        assert (got is not None) == want, m
+        if got is not None:
+            assert _ldl_product(*got) == m
+            assert lattice.check_gram(m) == m
+        else:
+            with pytest.raises(ValueError, match="positive definite"):
+                lattice.check_gram(m)
+        verdicts[kind].add(want)
+    assert verdicts["definite"] == {True}
+    assert verdicts["semidefinite"] == {False}
+    assert verdicts["indefinite"] == verdicts["rational"] == {True, False}
+
+
 def test_fractional_gram():
     gram = [[F(1, 2), 0], [0, F(1, 3)]]
     cell = dv_cell(gram)

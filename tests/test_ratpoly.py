@@ -88,6 +88,12 @@ def test_random_hulls_match_bruteforce_oracle():
             assert list(p.facets) == oracles.hull_facets_bruteforce(pts)
 
 
+def _as_pairs(equations):
+    """Each equation n.x == b as the opposite rows n.x <= b, -n.x <= -b."""
+    return [row for n, b in equations
+            for row in ((n, b), (tuple(-x for x in n), -b))]
+
+
 def test_halfspaces_round_trip():
     p = from_vertices(CUBE)
     q = from_halfspaces(p.facets)
@@ -102,7 +108,7 @@ def test_lower_dimensional_carries_equations():
         assert all(x.denominator == 1 for x in n)
         assert sum(n_i * v_i for n_i, v_i in zip(n, fv(1, 1, 0))) == b
     assert len(seg.facets) == 2
-    back = from_halfspaces(seg.facets, seg.equations)
+    back = from_halfspaces(list(seg.facets) + _as_pairs(seg.equations))
     assert back == seg
 
 
@@ -141,9 +147,9 @@ ROOT_GRAMS = {
 }
 
 
-def _hull_outcome(build, hs, eqs, dim):
+def _hull_outcome(build, hs):
     try:
-        return build(hs, eqs, dim)
+        return build(hs)
     except (EmptyInput, UnboundedInput) as exc:
         return type(exc)
 
@@ -159,10 +165,11 @@ def test_voronoi_cells_match_two_pass_oracle():
 def _random_h_description(rng):
     """A random polytope (possibly lower-dimensional or a point) and an
     H-description of it with redundant rows, positive rescalings, equations
-    given as equations or as opposite row pairs, and zero-normal rows;
-    sometimes cut to empty or opened along a direction.
+    given as opposite row pairs (rescaled, plain, or plain with one row
+    repeated), and zero-normal rows; sometimes cut to empty or opened
+    along a direction.
 
-    Returns (halfspaces, equations, d, polytope or None when cut)."""
+    Returns (halfspaces, polytope or None when cut)."""
     d = rng.randint(1, 4)
     k = d if rng.random() < 0.5 else rng.randint(0, d - 1)
     base = tuple(F(rng.randint(-3, 3)) for _ in range(d))
@@ -173,17 +180,15 @@ def _random_h_description(rng):
     ]
     p = from_vertices(pts)
     hs = list(p.facets)
-    eqs = []
     for n, b in p.equations:
         s = F(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice((1, -1))
         r = rng.random()
         if r < 0.4:
-            eqs.append((tuple(s * x for x in n), s * b))
+            hs += _as_pairs([(tuple(s * x for x in n), s * b)])
         elif r < 0.8:
-            hs += [(n, b), (tuple(-x for x in n), -b)]
+            hs += _as_pairs([(n, b)])
         else:
-            eqs.append((n, b))
-            hs.append((n, b))
+            hs += _as_pairs([(n, b)]) + [(n, b)]
     for _ in range(rng.randint(0, 3)):
         # Valid rows: tight on some face, or strictly redundant.
         n = tuple(F(rng.randint(-2, 2)) for _ in range(d))
@@ -207,19 +212,18 @@ def _random_h_description(rng):
         # Drop every row that bounds some direction u: u recedes.
         u = tuple(F(rng.randint(-2, 2)) for _ in range(d))
         hs = [(n, b) for n, b in hs if _lp.dot(n, u) <= 0]
-        eqs = [(n, b) for n, b in eqs if _lp.dot(n, u) == 0]
         p = None
     rng.shuffle(hs)
-    return hs, eqs, d, p
+    return hs, p
 
 
 def test_random_h_descriptions_match_two_pass_oracle():
     rng = random.Random(20261018)
     outcomes = set()
     for _ in range(150):
-        hs, eqs, d, p = _random_h_description(rng)
-        got = _hull_outcome(from_halfspaces, hs, eqs, d)
-        assert got == _hull_outcome(oracles.from_halfspaces_two_pass, hs, eqs, d)
+        hs, p = _random_h_description(rng)
+        got = _hull_outcome(from_halfspaces, hs)
+        assert got == _hull_outcome(oracles.from_halfspaces_two_pass, hs)
         if p is not None:
             assert got == p
         outcomes.add(got.dim if isinstance(got, ratpoly.Polytope) else got)
@@ -229,24 +233,24 @@ def test_random_h_descriptions_match_two_pass_oracle():
 
 def test_hand_made_systems_match_two_pass_oracle():
     cases = [
-        # A point cut out by opposite rows, and by equations (with a row
-        # that it meets, then one that it misses).
-        ([(fv(1, 0), F(1)), (fv(-1, 0), F(-1)),
-          (fv(0, 1), F(2)), (fv(0, -1), F(-2))], []),
-        ([(fv(1, 1), F(5))], [(fv(1, 0), F(1)), (fv(0, 2), F(4))]),
-        ([(fv(1, 1), F(2))], [(fv(1, 0), F(1)), (fv(0, 2), F(4))]),
+        # A point cut out by opposite rows, and by equations as row pairs
+        # (with a row that it meets, then one that it misses).
+        [(fv(1, 0), F(1)), (fv(-1, 0), F(-1)),
+         (fv(0, 1), F(2)), (fv(0, -1), F(-2))],
+        [(fv(1, 1), F(5))] + _as_pairs([(fv(1, 0), F(1)), (fv(0, 2), F(4))]),
+        [(fv(1, 1), F(2))] + _as_pairs([(fv(1, 0), F(1)), (fv(0, 2), F(4))]),
         # An edge of the cube with an implicit equation and a rescaled copy.
-        ([(fv(1, 0, 0), F(1)), (fv(-1, 0, 0), F(0)), (fv(0, 1, 0), F(0)),
-          (fv(0, -3, 0), F(0)), (fv(0, 0, 1), F(0)), (fv(0, 0, -1), F(0))], []),
+        [(fv(1, 0, 0), F(1)), (fv(-1, 0, 0), F(0)), (fv(0, 1, 0), F(0)),
+         (fv(0, -3, 0), F(0)), (fv(0, 0, 1), F(0)), (fv(0, 0, -1), F(0))],
         # Lineality, and an empty system whose rows do not span.
-        ([(fv(1, 0), F(1))], []),
-        ([(fv(1, 0), F(0)), (fv(-1, 0), F(-1))], []),
-        # Inconsistent equations.
-        ([], [(fv(1, 1), F(1)), (fv(2, 2), F(3))]),
+        [(fv(1, 0), F(1))],
+        [(fv(1, 0), F(0)), (fv(-1, 0), F(-1))],
+        # Inconsistent equations as row pairs.
+        _as_pairs([(fv(1, 1), F(1)), (fv(2, 2), F(3))]),
     ]
-    for hs, eqs in cases:
-        assert _hull_outcome(from_halfspaces, hs, eqs, None) == _hull_outcome(
-            oracles.from_halfspaces_two_pass, hs, eqs, None
+    for hs in cases:
+        assert _hull_outcome(from_halfspaces, hs) == _hull_outcome(
+            oracles.from_halfspaces_two_pass, hs
         )
 
 
@@ -333,9 +337,9 @@ def test_extreme_rays_match_reference_on_h_descriptions(monkeypatch):
     rng = random.Random(20261018)
     lineal = total = 0
     for _ in range(150):
-        hs, eqs, d, _p = _random_h_description(rng)
+        hs, _p = _random_h_description(rng)
         got, calls = _dd_calls(
-            monkeypatch, lambda: _hull_outcome(from_halfspaces, hs, eqs, d))
+            monkeypatch, lambda: _hull_outcome(from_halfspaces, hs))
         _assert_dd_matches_reference(calls)
         if isinstance(got, ratpoly.Polytope):
             _assert_fractions(got)

@@ -351,16 +351,6 @@ def test_verify_flags_wrong_ratios():
         assert scaling.verify_canonical(c, ones, frame(name)) == (False, bad_orbit)
 
 
-def test_verify_detects_per_face_fault():
-    c = cpx("Z2")
-    ones = scaling.ScalingAssignment({1: Fraction(1), 2: Fraction(1)})
-    refs = [r for r in tiling.star(c, ref(c, 0))
-            if c.orbits[r.orbit].dim == 1]
-    faulty = {refs[0]: Fraction(2)}
-    assert scaling.verify_canonical(c, ones, frame("Z2"),
-                                    ref_overrides=faulty) == (False, 0)
-
-
 # ---------------------------------------------------------------------------
 # Coherence across parallelogram cells.
 # ---------------------------------------------------------------------------

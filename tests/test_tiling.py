@@ -77,27 +77,6 @@ def test_dimension_cap():
                               for i in range(6)])
 
 
-def test_explicit_prototile_unit_cube():
-    cube = ratpoly.from_vertices(
-        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    c = tiling.build_complex(Z3, prototile=cube)
-    assert c.orbit_counts() == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert c.center == (F(1, 2), F(1, 2), F(1, 2))
-
-
-def test_explicit_prototile_rejects_octahedron():
-    octa = ratpoly.from_vertices(
-        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
-    with pytest.raises(tiling.VenkovFailure):
-        tiling.build_complex(Z3, prototile=octa)
-
-
-def test_explicit_prototile_dimension_mismatch():
-    square = ratpoly.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
-    with pytest.raises(ValueError):
-        tiling.build_complex(Z3, prototile=square)
-
-
 # --- build_complex against its former grouping and star loop
 # (oracles.build_complex_reference): the same orbits, stars and center.
 
@@ -128,13 +107,6 @@ def test_complex_matches_reference_on_the_suite():
         gram = {**GRAMS, **ROOT_GRAMS}[name]
         c = tiling.build_complex(gram)
         assert _same_complex(c, oracles.build_complex_reference(gram)), name
-
-
-def test_complex_matches_reference_on_explicit_prototile():
-    cube = ratpoly.from_vertices(
-        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    c = tiling.build_complex(Z3, prototile=cube)
-    assert _same_complex(c, oracles.build_complex_reference(Z3, prototile=cube))
 
 
 def _rebased(gram, rng):
@@ -383,7 +355,7 @@ def test_classify_d2_unexpected_star_size():
                             tile_shifts=o.tile_shifts + ((F(9), F(9), F(9)),))
     orbits = list(c.orbits)
     orbits[o.index] = fake
-    broken = tiling.TilingComplex(c.gram, c.prototile, c.center,
+    broken = tiling.TilingComplex(c.gram, c.tile, c.center,
                                   tuple(orbits), c.adjacency)
     with pytest.raises(tiling.UnexpectedStarSize):
         tiling.classify_d2(broken, FaceRef(o.index, zero(3)))
@@ -394,8 +366,8 @@ def test_quadruple_faces_have_two_parallel_facet_pairs():
         c = tiling.build_complex(gram)
         facet_normal = {}
         for o in orbits_of_dim(c, c.dim - 1):
-            for inc, hp in zip(c.prototile.incidence, c.prototile.facets):
-                if frozenset(c.prototile.vertices[i] for i in inc) == frozenset(o.vertices):
+            for inc, hp in zip(c.tile.incidence, c.tile.facets):
+                if frozenset(c.tile.vertices[i] for i in inc) == frozenset(o.vertices):
                     facet_normal[o.index] = hp[0]
         for o in orbits_of_dim(c, c.dim - 2):
             ref = FaceRef(o.index, zero(c.dim))
