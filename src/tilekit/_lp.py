@@ -336,16 +336,13 @@ def strictly_feasible(
 ) -> Vec | None:
     """Find x with row.x > 0 for every strict row and row.x == 0 on eqs.
 
-    Homogeneous system: solved as max t <= 1 s.t. row.x >= t.  Returns a
+    Homogeneous system: solved as max t <= 1 s.t. row.x >= t.  The strict
+    rows must be nonempty: is_skinny passes the facets through two
+    vertices, and the cone pipeline a cell's negative rows.  Returns a
     witness x or None.
     """
     strict_pos = [vec(r) for r in strict_pos]
     eqs = [vec(r) for r in eqs]
-    if not strict_pos:
-        if not eqs:
-            return tuple(Fraction(0) for _ in range(dim))
-        ns = nullspace(eqs, dim)
-        return ns[0] if ns else tuple(Fraction(0) for _ in range(dim))
     # Variables (x, t): maximize t.
     a_ub = [tuple(-x for x in r) + (Fraction(1),) for r in strict_pos]
     a_ub.append(tuple(Fraction(0) for _ in range(dim)) + (Fraction(1),))

@@ -7,11 +7,13 @@ consumer in this package.
 
 Each conversion runs one double description pass (`_extreme_rays`), which
 returns every extreme ray with the set of rows tight on it.  from_vertices
-runs it over the cone dual to the points; from_halfspaces runs it over the
-homogenized rows and reads the facets and the incidence off those zero sets,
-so no second hull is built.  A cone's facet normals come from one pass over
-the cone dual to its generating set, and nothing reduces that set to minimal
-generators.
+runs it over the cone dual to the points.  from_halfspaces converts only
+what the package gives it, the irredundant facet rows of a Voronoi cell: it
+runs the pass over the homogenized rows and reads each facet's incidence
+off those zero sets, so no second hull is built, and a system that is not
+such a description is an internal fault.  A cone's facet normals come from
+one pass over the cone dual to its generating set, and nothing reduces that
+set to minimal generators.
 
 The pass works on integer rows: each distinct row is scaled once to a
 primitive integer row, and rays are primitive integer tuples.  A new ray
@@ -21,8 +23,8 @@ shares fewer than dim - 2 processed zeros is dropped by a popcount before
 the adjacency scan.  The linear algebra around it is one elimination per
 hull: from_vertices takes a greedy basis of the point differences and one
 inverse of its Gram matrix, which gives every point's coordinates and every
-facet's normal; from_halfspaces and the cone duals lift their normals
-through the same map.  Fractions appear only in the results.
+facet's normal; the cone duals lift their normals through the same map.
+Fractions appear only in the results.
 """
 
 from __future__ import annotations
@@ -44,11 +46,7 @@ class GeometryError(Exception):
 
 
 class EmptyInput(GeometryError):
-    """No points given, or a halfspace system with empty solution set."""
-
-
-class UnboundedInput(GeometryError):
-    """A halfspace system defines an unbounded set but vertices were requested."""
+    """No points given."""
 
 
 class NotAVertex(GeometryError):
@@ -119,8 +117,10 @@ class Cone:
 # ---------------------------------------------------------------------------
 
 
-class _Lineality(Exception):
-    pass
+class _Lineality(AssertionError):
+    """The rows given to _extreme_rays do not span: the cone contains a
+    line.  Every caller passes rows that span, so this is an internal
+    fault."""
 
 
 def _int_matrix(mat) -> tuple[list[list[int]], int]:
@@ -203,7 +203,8 @@ def _extreme_rays(rows: list[Vec], dim: int) -> list[tuple[Vec, int]]:
     Returns (ray, zero set) pairs sorted by ray, with primitive rays; bit i of
     the zero set is on iff rows[i].ray == 0.  Rows may hold Fractions or ints.
 
-    Raises _Lineality when the rows do not span (cone contains a line).
+    Raises _Lineality, an AssertionError, when the rows do not span (the
+    cone contains a line).
 
     Incremental double description with combinatorial adjacency
     (Fukuda-Prodon 1996), in integers.  Each distinct row is scaled once to
@@ -230,7 +231,7 @@ def _extreme_rays(rows: list[Vec], dim: int) -> list[tuple[Vec, int]]:
     n = len(ints)
     chosen = _independent(ints, dim)
     if len(chosen) < dim:
-        raise _Lineality
+        raise _Lineality(f"rows span {len(chosen)} of {dim} dimensions")
     # Initial simplicial cone: ray j is zero on every chosen row but the j-th.
     inv, _ = _int_inverse([ints[i] for i in chosen])
     rays = [primitive_ints(col) for col in zip(*inv)]
@@ -419,29 +420,32 @@ def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
 def from_halfspaces(
     halfspaces: Iterable[tuple[Sequence[Fraction], Fraction]],
 ) -> Polytope:
-    """Bounded solution set of normal.x <= offset rows.
+    """Polytope of an irredundant H-description of a full-dimensional
+    bounded polyhedron: the rows normal.x <= offset.
 
-    One double description pass over the homogenized rows gives the vertices
-    and, for each vertex, the rows tight on it.  Everything else is read off
-    those zero sets (Fukuda-Prodon's combinatorial facet test): rows tight on
-    every vertex are implicit equations and cut out the affine hull; the
-    facets are the rows whose vertex sets are inclusion-maximal among the
-    rest, and those sets are the incidence.  A facet's normal is its row's
-    normal projected onto the direction space, which is a positive multiple
-    of the facet's own normal, so the result is the same canonical Polytope
-    that from_vertices builds from the vertices.
+    Every system tilekit converts is a Voronoi cell given by the halfspaces
+    of its relevant vectors, and each relevant vector is a facet vector
+    (Voronoi 1908), so the solution set is nonempty, bounded and
+    full-dimensional and every row is a facet.  One double description pass
+    over the homogenized rows gives the vertices and, for each vertex, the
+    rows tight on it; a row's tight vertices are its facet's incidence, and
+    its normal scaled to a primitive integer row is the facet's normal.  The
+    result is the same canonical Polytope that from_vertices builds from the
+    vertices.
 
     Args:
         halfspaces: nonempty list of (normal, offset) pairs meaning
             normal.x <= offset.
 
     Returns:
-        canonical Polytope of the solution set.
+        canonical Polytope of the solution set, with one facet per row.
 
     Raises:
-        EmptyInput: the system has no solution.
-        UnboundedInput: the solution set is unbounded.
         ValueError: no rows, or dimension above MAX_DIM.
+        AssertionError: the system breaks the precondition (the solution
+            set has a line, which the pass reports as _Lineality, or a
+            recession direction, or a row is not a facet or repeats one):
+            a fault in whatever built the rows.
     """
     hs = [(vec(n), frac(b)) for n, b in halfspaces]
     if not hs:
@@ -449,80 +453,42 @@ def from_halfspaces(
     d = len(hs[0][0])
     if d > MAX_DIM:
         raise ValueError(f"ambient dimension {d} above supported bound {MAX_DIM}")
-    # kept[i] is the input row behind the i-th row of the pass; a zero
-    # normal bounds nothing, or empties the system.
-    kept = []
-    for n, b in hs:
-        if is_zero(n):
-            if b < 0:
-                raise EmptyInput("system has no solution")
-            continue
-        kept.append((n, b))
     # Homogenize: rays (x, t) with b t - n.x >= 0 and t >= 0.
-    rows = [tuple(-x for x in n) + (b,) for n, b in kept]
+    rows = [tuple(-x for x in n) + (b,) for n, b in hs]
     rows.append(tuple(Fraction(0) for _ in range(d)) + (Fraction(1),))
-    try:
-        rays = _extreme_rays(rows, d + 1)
-    except _Lineality:
-        # The recession cone contains a line, or the system is empty.
-        res = _lp.maximize(
-            tuple(Fraction(0) for _ in range(d)),
-            [n for n, _ in kept],
-            [b for _, b in kept],
-        )
-        if res.status == "infeasible":
-            raise EmptyInput("system has no solution") from None
-        raise UnboundedInput("solution set contains a line") from None
     verts = []
-    for ray, zero in rays:
+    for ray, zero in _extreme_rays(rows, d + 1):
         t = ray[d]
-        if t == 0:
-            raise UnboundedInput("solution set has a recession direction")
+        if t <= 0:
+            raise AssertionError("halfspace system has a recession direction")
         verts.append((tuple(x / t for x in ray[:d]), zero))
-    if not verts:
-        raise EmptyInput("system has no solution")
     verts.sort()
     points = tuple(v for v, _ in verts)
-    # tight[i]: bit j on iff input row kept[i] is tight on points[j].
-    tight = [0] * len(kept)
+    # tight[i]: bit j on iff row i is tight on points[j].  No vertex has
+    # t = 0, so the zero sets never hold the last, homogenizing row.
+    tight = [0] * len(hs)
     for j, (_, zero) in enumerate(verts):
         while zero:
             low = zero & -zero
             tight[low.bit_length() - 1] |= 1 << j
             zero ^= low
-    everywhere = (1 << len(points)) - 1
-    # Rows tight on every vertex are implicit equations; they cut out the
-    # affine hull, whose direction space is lin.
-    lin = _lp.nullspace(
-        [kept[i][0] for i, t in enumerate(tight) if t == everywhere], d)
-    equations_out = _affine_equations(points[0], lin, d)
-    k = len(lin)
-    if k == 0:
-        return Polytope(
-            vertices=points, facets=(), equations=equations_out, incidence=(), dim=0
-        )
-    q = _span_map(_int_matrix(lin)[0])[0] if k < d else None
-    first_row: dict[int, int] = {}
-    for i, t in enumerate(tight):
-        if t != everywhere:
-            first_row.setdefault(t, i)
+    # Every row is a facet iff no row's vertex set lies inside another's
+    # (Fukuda-Prodon): an implicit equation's set holds every other one, a
+    # redundant or repeated row's lies inside a facet's, and an empty
+    # system's sets are all empty.
     facets = []
-    for t, i in first_row.items():
-        if any(u != t and u & t == t for u in first_row):
-            continue  # a face inside some facet
-        n, b = kept[i]
-        if q:
-            n = tuple(_lift(q, [dot(n, l) for l in lin]))
-            b = dot(n, points[(t & -t).bit_length() - 1])
+    for i, t in enumerate(tight):
+        if any(u & t == t for j, u in enumerate(tight) if j != i):
+            raise AssertionError(f"halfspace row {i} is not a facet")
         on = frozenset(j for j in range(len(points)) if t >> j & 1)
-        facets.append(_canonical_facet(n, b) + (on,))
+        facets.append(_canonical_facet(*hs[i]) + (on,))
     facets.sort()
     return Polytope(
         vertices=points,
         facets=tuple((n, b) for n, b, _ in facets),
-        equations=equations_out,
+        equations=(),
         incidence=tuple(on for _, _, on in facets),
-        dim=k,
+        dim=d,
     )
 
 
@@ -587,18 +553,13 @@ def face_lattice(p: Polytope) -> FaceLattice:
 
 
 def _cone_dual(gens: list[Vec], d: int) -> tuple[list[Vec], list[Vec]]:
-    """Facet normals (f.x >= 0 form) and span equations of cone(gens)."""
-    gens = [g for g in gens if not is_zero(g)]
-    if not gens:
-        return [], _lp.nullspace([], d)
+    """Facet normals (f.x >= 0 form) and span equations of cone(gens), for
+    a nonempty list of nonzero generators."""
     span_basis, pivots = _lp.rref(gens)
     eqs = _lp.echelon_nullspace(span_basis, pivots, d)
     # A generator's coordinates over the reduced rows are its pivot entries.
     coords = [tuple(g[c] for c in pivots) for g in gens]
-    try:
-        rays = _extreme_rays(coords, len(span_basis))
-    except _Lineality:  # pragma: no cover - gens span by construction
-        raise AssertionError("dual cone unexpectedly non-pointed") from None
+    rays = _extreme_rays(coords, len(span_basis))
     q, _ = _span_map(_int_matrix(span_basis)[0])
     normals = [primitive(_lift(q, r)) for r, _ in rays]
     return sorted(normals), sorted(eqs)
@@ -621,8 +582,6 @@ def cone_at_vertex(p: Polytope, v: Sequence[Fraction]) -> Cone:
     active = [n for (n, b), inc in zip(p.facets, p.incidence) if vi in inc]
     eq_normals = [n for n, _ in p.equations]
     d = p.ambient_dim
-    if p.dim == 0:
-        return Cone(apex=v, generators=(), halfspaces=(), equations=tuple(sorted(eq_normals)))
     # Extreme rays of {x : n.x <= 0 active, e.x = 0} are the edge directions.
     gens = _rays_from_hrep([tuple(-x for x in n) for n in active], eq_normals, d)
     return Cone(
@@ -636,8 +595,6 @@ def cone_at_vertex(p: Polytope, v: Sequence[Fraction]) -> Cone:
 def _rays_from_hrep(ge_normals: list[Vec], eq_normals: list[Vec], d: int) -> list[Vec]:
     """Extreme rays of {x : n.x >= 0, e.x == 0}; the cone must be pointed."""
     null = _lp.nullspace(eq_normals, d)
-    if not null:
-        return []
     rows = [tuple(dot(n, nb) for nb in null) for n in ge_normals]
     rays_q = _extreme_rays(rows, len(null))
     return sorted(primitive(tuple(dot(row, r) for row in zip(*null))) for r, _ in rays_q)

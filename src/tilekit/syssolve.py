@@ -744,20 +744,15 @@ def _make_cell(eqs, neg, extra_eqs=(), extra_neg=()
     return tuple(sorted(eset)), tuple(sorted(nset))
 
 
-def _cell_feasible(eqs, neg) -> Vec | None:
-    if not neg:
-        ns = nullspace(eqs, 5) if eqs else [_unit(0, 5)]
-        return ns[0] if ns else None
-    return _lp.strictly_feasible([tuple(-x for x in n) for n in neg],
-                                 list(eqs), dim=5)
-
-
 def _refine(cell: _Cell, extra_eqs=(), extra_neg=()) -> _Cell | None:
     made = _make_cell(cell.eqs, cell.neg, extra_eqs, extra_neg)
     if made is None:
         return None
     eqs, neg = made
-    wit = _cell_feasible(eqs, neg)
+    # neg is never empty: the first refinement of the pipeline splits the
+    # whole space along an axis, and every later cell keeps those rows.
+    wit = _lp.strictly_feasible([tuple(-x for x in n) for n in neg],
+                                list(eqs), dim=5)
     if wit is None:
         return None
     return _Cell(eqs, neg, wit)

@@ -16,9 +16,7 @@ tilekit, inside the function only:
   echelon form: _lp.rref and _lp.nullspace for the span; its solves are
   gauss_solve.
 - from_halfspaces_two_pass, the H-to-V conversion before it became one
-  pass: rebuilds the result with from_vertices_reference, raises
-  ratpoly's exceptions and tells an empty system from one with a line by
-  _lp.maximize.
+  pass: rebuilds the result with from_vertices_reference.
 - build_complex_reference, the quotient complex before it was keyed on
   translation invariants and vertex bitmasks: builds and audits the
   Voronoi cell with lattice, and takes tiling's face list, centroid and
@@ -650,8 +648,9 @@ def cone_dual_reference(gens, d):
 def from_halfspaces_two_pass(halfspaces):
     """ratpoly.from_halfspaces as two hulls: double description finds the
     vertices, then from_vertices_reference rebuilds the facets, equations
-    and incidence from them.  Same arguments, result and exceptions."""
-    from tilekit import _lp, ratpoly
+    and incidence from them.  Same arguments and result, for the bounded
+    full-dimensional systems that from_halfspaces accepts."""
+    from tilekit import ratpoly
 
     hs = [(vec(n), frac(b)) for n, b in halfspaces]
     if not hs:
@@ -659,35 +658,10 @@ def from_halfspaces_two_pass(halfspaces):
     d = len(hs[0][0])
     if d > ratpoly.MAX_DIM:
         raise ValueError(f"ambient dimension {d} above supported bound")
-    kept = []
-    for n, b in hs:
-        if all(x == 0 for x in n):
-            if b < 0:
-                raise ratpoly.EmptyInput("system has no solution")
-            continue
-        kept.append((n, b))
-    rows = [tuple(-x for x in n) + (b,) for n, b in kept]
+    rows = [tuple(-x for x in n) + (b,) for n, b in hs]
     rows.append(tuple(Fraction(0) for _ in range(d)) + (Fraction(1),))
-    try:
-        rays = [r for r, _ in extreme_rays_reference(rows, d + 1)]
-    except Lineality:
-        res = _lp.maximize(
-            tuple(Fraction(0) for _ in range(d)),
-            [n for n, _ in kept],
-            [b for _, b in kept],
-        )
-        if res.status == "infeasible":
-            raise ratpoly.EmptyInput("system has no solution") from None
-        raise ratpoly.UnboundedInput("solution set contains a line") from None
-    verts = []
-    for ray in rays:
-        t = ray[d]
-        if t == 0:
-            raise ratpoly.UnboundedInput("solution set has a recession direction")
-        verts.append(tuple(x / t for x in ray[:d]))
-    if not verts:
-        raise ratpoly.EmptyInput("system has no solution")
-    return from_vertices_reference(verts)
+    rays = [r for r, _ in extreme_rays_reference(rows, d + 1)]
+    return from_vertices_reference([tuple(x / r[d] for x in r[:d]) for r in rays])
 
 
 def _lattice_shift(f, g):

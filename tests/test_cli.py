@@ -422,6 +422,21 @@ def test_internal_fault_exits_seventy(tmp_path, capsys, monkeypatch):
         assert err.startswith("internal error:") and type(fault).__name__ in err
 
 
+def test_broken_voronoi_cell_is_an_internal_fault(tmp_path, capsys, monkeypatch):
+    """Relevant vectors that do not cut out the Voronoi cell facet by facet
+    are a fault in tilekit, not an input error or a found violation."""
+    path = gram_file(tmp_path, Z2)
+    real = lattice.relevant_vectors
+    # Without (1, 0) the cell is unbounded; (2, 0) adds a redundant row.
+    for broken in (lambda g: tuple(v for v in real(g) if v != (1, 0)),
+                   lambda g: real(g) + ((2, 0),)):
+        monkeypatch.setattr(lattice, "relevant_vectors", broken)
+        rc, out, err = run(capsys, "dv", "--gram", path)
+        assert rc == cli.INTERNAL_ERROR == 70
+        assert out == ""
+        assert err.startswith("internal error:")
+
+
 def test_failed_venkov_audit_is_a_violation(tmp_path, capsys, monkeypatch):
     """A Voronoi cell that fails the symmetry-and-belts audit stops
     build_complex with VenkovFailure, which the CLI reports as a found

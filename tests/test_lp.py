@@ -137,7 +137,6 @@ STRICT_SYSTEMS = [
     ([[F(1), F(1), F(0)], [F(1, 2), F(-1), F(0)]], [[F(0), F(0), F(1)]], 3, True),
     ([[F(1), F(0)]], [[F(1), F(0)]], 2, False),
     ([[F(1), F(2), F(-1)], [F(-1), F(1), F(1)], [F(0), F(-3), F(0)]], [], 3, False),
-    ([], [[F(1), F(1)]], 2, True),
 ]
 
 
