@@ -213,8 +213,16 @@ def maximize(
     row by its gcd.  Signs and ratios are exact, so the pivot sequence,
     and hence the returned x, is the one a Fraction tableau would take.
 
+    Phase 1 maximizes minus the sum of the artificials, which is at most
+    0, so it is never unbounded.  Phase 2 is bounded for both package
+    callers: strictly_feasible caps t <= 1, and the cone pipeline's
+    witness has a zero objective.
+
     Returns:
-        LPResult with status in {"optimal", "unbounded", "infeasible"}.
+        LPResult with status in {"optimal", "infeasible"}.
+
+    Raises:
+        AssertionError: phase 2 is unbounded, an internal fault.
     """
     n = len(c)
     c = vec(c)
@@ -268,9 +276,9 @@ def maximize(
             z = [x - k * y for x, y in zip(z, tab[i])]
         return _primitive_row(z)
 
-    def run(z: list[int]) -> list[int] | None:
+    def run(z: list[int]) -> list[int]:
         # Maximize over the current tableau; Bland's rule.  Returns the
-        # final reduced-cost row, or None when unbounded.
+        # final reduced-cost row.
         ncols = len(z) - 1
         while True:
             col = next((j for j in range(ncols) if z[j] > 0), None)
@@ -289,13 +297,13 @@ def maximize(
                     if new < best or (new == best and basis[i] < basis[bi]):
                         bi, br, bt = i, r, t
             if bi < 0:
-                return None
+                raise AssertionError("linear program is unbounded")
             z = pivot(bi, col, z)
 
     # Phase 1: drive artificials out.
     z = run(reduced_costs([0] * nvars + [-1] * m))
     # The last entry is a positive multiple of minus the phase-1 optimum.
-    if z is None or z[-1] > 0:
+    if z[-1] > 0:
         return LPResult("infeasible")
     # Pivot any artificial still basic (degenerate) to a real column, else drop row.
     for i in range(m):
@@ -308,8 +316,7 @@ def maximize(
         tab[i] = tab[i][:nvars] + tab[i][width:]
     den = lcm(*(x.denominator for x in c))
     cost = [x.numerator * (den // x.denominator) for x in c]
-    if run(reduced_costs(cost + [-x for x in cost] + [0] * n_ub)) is None:
-        return LPResult("unbounded")
+    run(reduced_costs(cost + [-x for x in cost] + [0] * n_ub))
     x = [Fraction(0)] * nvars
     for i, bv in enumerate(basis):
         if bv < nvars:

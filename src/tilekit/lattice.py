@@ -210,8 +210,12 @@ def belts_of(cell: ratpoly.Polytope) -> list[list[int]]:
     A belt collects the facets sharing translates of a fixed (d-2)-face.
     The walk crosses the current ridge into the next facet, and inside that
     facet moves to the ridge's image under the facet's central reflection,
-    which is the parallel opposite ridge.  Belts start from the ridges in
-    face_lattice order, each at the first facet through its ridge.  For
+    which is the parallel opposite ridge.  The ridges come from one pass
+    over the facet pairs on vertex bitmasks: two facets meet in a ridge iff
+    no third facet holds every vertex they share, since a nonempty face of
+    dimension k lies in at least d - k facets and the empty face in all of
+    them.  Belts start from the ridges in order of their sorted vertex
+    indices, each at the lower-numbered facet through its ridge.  For
     d == 2 the single belt is the cycle of all edges.
 
     Raises:
@@ -224,32 +228,32 @@ def belts_of(cell: ratpoly.Polytope) -> list[list[int]]:
         return []
     if d == 2:
         return [list(range(len(cell.facets)))]
-    fl = ratpoly.face_lattice(cell)
-    ridges = list(fl.faces_by_dim.get(d - 2, ()))
-    index = {r: i for i, r in enumerate(ridges)}
-    # Facets containing each ridge (exactly two in a polytope).
-    facet_sets = [set(inc) for inc in cell.incidence]
-    ridge_facets = []
-    for r in ridges:
-        fs = [i for i, s in enumerate(facet_sets) if r <= s]
-        ridge_facets.append(fs)
+    masks = [sum(1 << i for i in inc) for inc in cell.incidence]
+    # (sorted vertex indices, mask, facet a, facet b) for each ridge, a < b.
+    found = []
+    for a, b in itertools.combinations(range(len(masks)), 2):
+        common = masks[a] & masks[b]
+        if sum(m & common == common for m in masks) == 2:
+            found.append((ratpoly.bit_indices(common), common, a, b))
+    found.sort()
+    index = {mask: i for i, (_, mask, _, _) in enumerate(found)}
     belts: list[list[int]] = []
     seen_ridges: set[int] = set()
-    for start in range(len(ridges)):
+    for start in range(len(found)):
         if start in seen_ridges:
             continue
         cycle: list[int] = []
         ridge = start
-        facet = ridge_facets[start][0]
+        facet = found[start][2]
         while True:
             seen_ridges.add(ridge)
             cycle.append(facet)
             # Step across the ridge to the other facet.
-            a, b = ridge_facets[ridge]
+            verts, _, a, b = found[ridge]
             facet = b if facet == a else a
             # Inside `facet`, move to the ridge's image under its reflection.
             image = reflections[facet]
-            ridge = index[frozenset(image[i] for i in ridges[ridge])]
+            ridge = index[sum(1 << image[i] for i in verts)]
             if ridge == start:
                 break
         belts.append(cycle)

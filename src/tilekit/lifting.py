@@ -229,10 +229,8 @@ def _cross_value(g: Generatrissa, a: Vec, delta: Vec,
     w, p = g.jumps[delta]
     m = vadd(p, a)
     b = vadd(a, delta)
-    ca = vadd(g.complex.center, a)
-    cb = vadd(g.complex.center, b)
-    return (value_a + dot(gradient_of(g, a), vsub(m, ca))
-            + dot(gradient_of(g, b), vsub(cb, m)))
+    return (value_a + dot(gradient_of(g, a), vsub(m, a))
+            + dot(gradient_of(g, b), vsub(b, m)))
 
 
 def value_along_path(g: Generatrissa, path) -> Fraction:

@@ -129,6 +129,16 @@ def _int_matrix(mat) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in mat], den
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the on bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _independent(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
     """Indices of the integer rows independent of the rows kept before them,
     up to `limit` of them: a greedy basis, taken in order.
@@ -286,21 +296,14 @@ def _extreme_rays(rows: list[Vec], dim: int) -> list[tuple[Vec, int]]:
         zero = [zero[j] for j in keep] + new_zero
         processed |= bit
     # The zero sets above index the primitive rows; re-index them by the
-    # caller's rows.
+    # caller's rows (each caller row spreads from one primitive row, so the
+    # spreads are disjoint and their sum is their union).
     pos = [where[r] for r in rows]
     if pos != list(range(n)):
         spread = [0] * n
         for i, p in enumerate(pos):
             spread[p] |= 1 << i
-        out = []
-        for z in zero:
-            m = 0
-            while z:
-                low = z & -z
-                m |= spread[low.bit_length() - 1]
-                z ^= low
-            out.append(m)
-        zero = out
+        zero = [sum(spread[i] for i in bit_indices(z)) for z in zero]
     return [(tuple(map(Fraction, r)), z) for r, z in sorted(zip(rays, zero))]
 
 
@@ -395,11 +398,8 @@ def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
             Fraction(sum(map(mul, n, ipts[first])), scale * g),
             on,
         ))
-        z = on
-        while z:
-            low = z & -z
-            meet[low.bit_length() - 1] &= on
-            z ^= low
+        for i in bit_indices(on):
+            meet[i] &= on
     facets.sort()
     vert_index = {}
     for i in range(len(pts)):
@@ -468,10 +468,8 @@ def from_halfspaces(
     # t = 0, so the zero sets never hold the last, homogenizing row.
     tight = [0] * len(hs)
     for j, (_, zero) in enumerate(verts):
-        while zero:
-            low = zero & -zero
-            tight[low.bit_length() - 1] |= 1 << j
-            zero ^= low
+        for i in bit_indices(zero):
+            tight[i] |= 1 << j
     # Every row is a facet iff no row's vertex set lies inside another's
     # (Fukuda-Prodon): an implicit equation's set holds every other one, a
     # redundant or repeated row's lies inside a facet's, and an empty
@@ -497,54 +495,36 @@ def from_halfspaces(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaceLattice:
-    """All faces of a polytope as vertex-index sets, graded by dimension.
+def face_lattice(p: Polytope) -> list[tuple[int, int]]:
+    """Every nonempty face of p, p itself included, as (dimension, vertex
+    bitmask) pairs; bit i is on iff p.vertices[i] lies on the face.  Ordered
+    by dimension, then by sorted vertex indices.
 
-    faces_by_dim maps dimension (-1 for the empty face through p.dim) to the
-    sorted tuple of faces; each face is a frozenset of vertex indices.
-    """
-
-    faces_by_dim: dict[int, tuple[frozenset[int], ...]]
-
-
-def face_lattice(p: Polytope) -> FaceLattice:
-    """Every face of p (empty face and p itself included).
-
-    Faces are intersections of facet vertex-sets; dimension is the affine rank
-    of the face's vertices, taken on the vertices times one common
-    denominator.
+    Faces are the nonempty intersections of facet vertex sets, found breadth
+    first on bitmasks; dimension is the affine rank of the face's vertices,
+    taken on the vertices times one common denominator.
     """
     ints, _ = _int_matrix(p.vertices)
-    full = frozenset(range(len(p.vertices)))
-    facet_sets = list(p.incidence)
-    found: set[frozenset[int]] = {full}
+    full = (1 << len(p.vertices)) - 1
+    facet_masks = [sum(1 << i for i in inc) for inc in p.incidence]
+    found = {full}
     frontier = [full]
     while frontier:
         nxt = []
         for f in frontier:
-            for fs in facet_sets:
-                g = f & fs
-                if g != f and g not in found:
+            for fm in facet_masks:
+                g = f & fm
+                if g and g != f and g not in found:
                     found.add(g)
                     nxt.append(g)
         frontier = nxt
-    found.add(frozenset())
-    by_dim: dict[int, list[frozenset[int]]] = {}
+    faces = []
     for f in found:
-        if not f:
-            d = -1
-        else:
-            vs = [ints[i] for i in sorted(f)]
-            diffs = [[x - y for x, y in zip(v, vs[0])] for v in vs[1:]]
-            d = len(_independent(diffs, p.dim))
-        by_dim.setdefault(d, []).append(f)
-    return FaceLattice(
-        faces_by_dim={
-            d: tuple(sorted(fs, key=lambda f: tuple(sorted(f))))
-            for d, fs in sorted(by_dim.items())
-        }
-    )
+        idx = bit_indices(f)
+        diffs = [[x - y for x, y in zip(ints[i], ints[idx[0]])] for i in idx[1:]]
+        faces.append((len(_independent(diffs, p.dim)), idx, f))
+    faces.sort()
+    return [(d, f) for d, _, f in faces]
 
 
 # ---------------------------------------------------------------------------
@@ -677,16 +657,10 @@ def vec_to_json(v: Sequence[Fraction]):
 
 
 def polytope_to_json(p: Polytope) -> dict:
-    out = {
+    return {
         "dim": p.dim,
         "vertices": [vec_to_json(v) for v in p.vertices],
         "facets": [
             {"normal": vec_to_json(n), "offset": frac_to_json(b)} for n, b in p.facets
         ],
     }
-    if p.equations:
-        out["equations"] = [
-            {"normal": vec_to_json(n), "offset": frac_to_json(b)}
-            for n, b in p.equations
-        ]
-    return out

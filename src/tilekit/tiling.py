@@ -10,7 +10,9 @@ low-dimensional dual cells.
 
 The tile is the Dirichlet-Voronoi cell of a lattice.  Coordinates are
 taken in the lattice basis, so the lattice is always ``Z^d`` and the
-geometry of the tile is carried by a Gram matrix.
+geometry of the tile is carried by a Gram matrix.  The base tile is
+centered at the origin (its relevant vectors come in +/- pairs), so the
+center of the tile ``P + lam`` is the lattice point ``lam`` itself.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import floor
 
 from . import ratpoly
 from . import lattice as lat
@@ -112,8 +114,8 @@ class TilingComplex:
     Attributes:
         gram: Gram matrix of the lattice basis.
         tile: the base tile, the Voronoi cell of the lattice point at the
-            origin.
-        center: center of symmetry of the base tile.
+            origin.  Tile centers are the lattice points: ``P + lam`` is
+            centered at ``lam``.
         orbits: face orbits of every dimension, in a fixed order.
         adjacency: for each orbit, the star of its representative face --
             references to every face of the tiling containing it, the
@@ -123,12 +125,11 @@ class TilingComplex:
     orbit, filled by ``dual_cell`` the first time the orbit is asked for.
     """
 
-    def __init__(self, gram, tile: Polytope, center: Vec,
+    def __init__(self, gram, tile: Polytope,
                  orbits: tuple[FaceOrbit, ...],
                  adjacency: tuple[tuple[FaceRef, ...], ...]):
         self.gram = gram
         self.tile = tile
-        self.center = center
         self.orbits = orbits
         self.adjacency = adjacency
         self.dim = tile.ambient_dim
@@ -150,19 +151,6 @@ class TilingComplex:
 # ---------------------------------------------------------------------------
 # Building the quotient complex.
 # ---------------------------------------------------------------------------
-
-
-def _face_coords(p: Polytope) -> list[tuple[int, tuple[Vec, ...]]]:
-    """All nonempty faces of ``p`` as (dimension, sorted vertex tuple) pairs,
-    the tile included."""
-    fl = ratpoly.face_lattice(p)
-    out = []
-    for d, faces in sorted(fl.faces_by_dim.items()):
-        if d < 0:
-            continue
-        for idxset in faces:
-            out.append((d, tuple(sorted(p.vertices[i] for i in idxset))))
-    return out
 
 
 def _translation_key(f: tuple[Vec, ...]) -> tuple:
@@ -206,9 +194,13 @@ def build_complex(gram) -> TilingComplex:
     report = lat.venkov_check_cell(cell)
     if not report.passed:
         raise VenkovFailure(report)
-    center = _centroid(cell.vertices)
 
-    dims, faces = zip(*_face_coords(cell))
+    # A face of the base tile is the bitmask of its vertices' indices in
+    # cell.vertices, so G contains H iff mask(H) & ~mask(G) == 0.  The
+    # vertices are lex-sorted, so each face's vertex tuple is sorted too.
+    dims, masks = zip(*ratpoly.face_lattice(cell))
+    faces = [tuple(cell.vertices[i] for i in ratpoly.bit_indices(m))
+             for m in masks]
     # Group the faces of the base tile into lattice-translation orbits: one
     # dict lookup per face on its translation key, groups numbered in order
     # of first appearance.
@@ -240,11 +232,8 @@ def build_complex(gram) -> TilingComplex:
             tile_shifts=tuple(sorted(lam_of[fi] for fi in groups[gi])),
         ))
 
-    # A face of the base tile is the bitmask of its vertices' indices in
-    # cell.vertices, so G contains H iff mask(H) & ~mask(G) == 0.
     index = {v: i for i, v in enumerate(cell.vertices)}
-    face_info = [(sum(1 << index[v] for v in f), orbit_of[fi], lam_of[fi])
-                 for fi, f in enumerate(faces)]
+    face_info = list(zip(masks, orbit_of, lam_of))
     adjacency: list[tuple[FaceRef, ...]] = []
     for o in orbits:
         star: set[FaceRef] = set()
@@ -261,8 +250,7 @@ def build_complex(gram) -> TilingComplex:
         adjacency.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
 
     cpx = TilingComplex(gram=[[frac(x) for x in row] for row in gram],
-                        tile=cell, center=center,
-                        orbits=tuple(orbits), adjacency=tuple(adjacency))
+                        tile=cell, orbits=tuple(orbits), adjacency=tuple(adjacency))
     _validate_complex(cpx)
     return cpx
 
@@ -293,9 +281,8 @@ def dual_cell(c: TilingComplex, f: FaceRef) -> DualCell:
     """Hull of the centers of the tiles containing ``f``.
 
     The construction checks three facts about the center set: the points
-    are in convex position, they are the only lattice translates of the
-    tile center inside their hull, and no two of them differ by twice a
-    lattice vector.  All three are invariant under lattice translation, so
+    are in convex position, they are the only lattice points inside their
+    hull, and no two of them differ by twice a lattice vector.  All three are invariant under lattice translation, so
     the cell of each orbit's representative is built and checked once per
     complex, and every other face of the orbit gets a translate of it, hull
     included.
@@ -317,12 +304,13 @@ def dual_cell(c: TilingComplex, f: FaceRef) -> DualCell:
 def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
     """The dual cell of orbit ``q``'s representative face, with its checks."""
     orbit = c.orbits[q]
-    verts = tuple(sorted(vadd(c.center, s) for s in orbit.tile_shifts))
+    # The tile P + lam is centered at lam, so the centers are the shifts.
+    verts = orbit.tile_shifts
     hull = ratpoly.from_vertices(verts)
     if set(hull.vertices) != set(verts):
         raise GeometryError("tile centers of a star must be in convex position")
-    _check_lattice_points(hull, c.center, verts)
-    for a, b in combinations(orbit.tile_shifts, 2):
+    _check_lattice_points(hull, verts)
+    for a, b in combinations(verts, 2):
         if all((x - y) % 2 == 0 for x, y in zip(a, b)):
             raise GeometryError(
                 "two tile centers of a star are congruent mod 2")
@@ -336,16 +324,14 @@ def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
     )
 
 
-def _check_lattice_points(hull: Polytope, center: Vec, verts: tuple[Vec, ...]) -> None:
-    """The lattice translates of ``center`` in ``hull`` are exactly ``verts``."""
+def _check_lattice_points(hull: Polytope, verts: tuple[Vec, ...]) -> None:
+    """The lattice points in ``hull`` are exactly the tile centers ``verts``."""
     d = hull.ambient_dim
-    lo = [min(v[k] for v in verts) for k in range(d)]
-    hi = [max(v[k] for v in verts) for k in range(d)]
     vset = set(verts)
-    ranges = [range(ceil(lo[k] - center[k]), floor(hi[k] - center[k]) + 1)
-              for k in range(d)]
+    ranges = [range(int(min(v[k] for v in verts)),
+                    int(max(v[k] for v in verts)) + 1) for k in range(d)]
     for z in product(*ranges):
-        pt = vadd(center, vec(z))
+        pt = vec(z)
         if hull.contains(pt) and pt not in vset:
             raise GeometryError("hull of a star contains an extra tile center")
 
@@ -393,9 +379,8 @@ def _is_parallelepiped(hull: Polytope) -> bool:
 def classify_dual3(dc: DualCell) -> FanType:
     """Shape of a three-dimensional dual cell.
 
-    The five possibilities are told apart by the vertex count together with
-    the number of triangular facets, and the answer is cross-checked against
-    the face lattice of the hull.
+    The five possibilities are told apart by the vertex count, the facet
+    count and the number of triangular facets of the hull.
 
     Raises:
         ValueError: ``dc`` does not have combinatorial dimension 3.

@@ -19,7 +19,7 @@ tilekit, inside the function only:
   pass: rebuilds the result with from_vertices_reference.
 - build_complex_reference, the quotient complex before it was keyed on
   translation invariants and vertex bitmasks: builds and audits the
-  Voronoi cell with lattice, and takes tiling's face list, centroid and
+  Voronoi cell with lattice, and takes ratpoly.face_lattice and tiling's
   complex checks.
 - dual_cell_reference, the dual cell built and checked afresh for every
   face rather than translated from its orbit's cell: tiling's DualCell
@@ -28,7 +28,8 @@ tilekit, inside the function only:
   facet: lattice's halfspaces and ratpoly.from_halfspaces.
 - belts_of_reference, the belt walk that found each opposite ridge by an
   echelon-form key and a scan of all ridges rather than by the facet's
-  central reflection: ratpoly.face_lattice and _lp.rref.
+  central reflection, with the ridges read off the face lattice rather
+  than off facet pairs: ratpoly.face_lattice and _lp.rref.
 
 Closed 4-uniform hypergraphs come from two sources here, neither of them
 in the package: closed_hypergraph_classes enumerates every isomorphism
@@ -681,7 +682,7 @@ def build_complex_reference(gram):
     each face is compared with the first member of every group found so
     far, and each star is found by comparing Fraction vertex sets.  Same
     arguments, result and exceptions."""
-    from tilekit import lattice, tiling
+    from tilekit import lattice, ratpoly, tiling
     from tilekit.tiling import FaceOrbit, FaceRef
 
     d = len(gram)
@@ -691,9 +692,10 @@ def build_complex_reference(gram):
     report = lattice.venkov_check_cell(cell)
     if not report.passed:
         raise tiling.VenkovFailure(report)
-    center = tiling._centroid(cell.vertices)
 
-    faces = [f for _, f in tiling._face_coords(cell)]
+    faces = [tuple(sorted(cell.vertices[i] for i in range(len(cell.vertices))
+                          if m >> i & 1))
+             for _, m in ratpoly.face_lattice(cell)]
     orbit_of = {}
     groups = []
     for f in faces:
@@ -743,7 +745,7 @@ def build_complex_reference(gram):
         adjacency.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
 
     cpx = tiling.TilingComplex(gram=[[frac(x) for x in row] for row in gram],
-                               tile=cell, center=center,
+                               tile=cell,
                                orbits=tuple(orbits), adjacency=tuple(adjacency))
     tiling._validate_complex(cpx)
     return cpx
@@ -757,13 +759,12 @@ def dual_cell_reference(c, f):
 
     orbit = c.orbits[f.orbit]
     shifts = [tuple(s + t for s, t in zip(sh, f.shift)) for sh in orbit.tile_shifts]
-    verts = tuple(sorted(tuple(x + s for x, s in zip(c.center, sh))
-                         for sh in shifts))
+    verts = tuple(sorted(shifts))
     hull = from_vertices_reference(verts)
     if set(hull.vertices) != set(verts):
         raise ratpoly.GeometryError(
             "tile centers of a star must be in convex position")
-    tiling._check_lattice_points(hull, c.center, verts)
+    tiling._check_lattice_points(hull, verts)
     for a, b in itertools.combinations(shifts, 2):
         if all((x - y) % 2 == 0 for x, y in zip(a, b)):
             raise ratpoly.GeometryError(
@@ -808,7 +809,8 @@ def belts_of_reference(cell):
         return []
     if d == 2:
         return [list(range(len(cell.facets)))]
-    ridges = list(ratpoly.face_lattice(cell).faces_by_dim.get(d - 2, ()))
+    ridges = [frozenset(i for i in range(len(cell.vertices)) if m >> i & 1)
+              for k, m in ratpoly.face_lattice(cell) if k == d - 2]
     facet_sets = [set(inc) for inc in cell.incidence]
     ridge_facets = [[i for i, s in enumerate(facet_sets) if r <= s] for r in ridges]
     key_of = []

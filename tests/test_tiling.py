@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from tilekit import ratpoly, tiling
+from tilekit import lattice, ratpoly, tiling
 from tilekit.tiling import DualCell, FaceRef
 
 import oracles
@@ -77,13 +77,29 @@ def test_dimension_cap():
                               for i in range(6)])
 
 
+def test_one_face_lattice_per_complex(monkeypatch):
+    """The belts read their ridges off facet pairs, so the Venkov audit
+    builds no face lattice and build_complex builds exactly one."""
+    calls = []
+    whole = ratpoly.face_lattice
+
+    def counted(p):
+        calls.append(p)
+        return whole(p)
+
+    monkeypatch.setattr(ratpoly, "face_lattice", counted)
+    assert lattice.venkov_check_cell(lattice.dv_cell(FCC)).passed
+    assert len(calls) == 0
+    tiling.build_complex(FCC)
+    assert len(calls) == 1
+
+
 # --- build_complex against its former grouping and star loop
-# (oracles.build_complex_reference): the same orbits, stars and center.
+# (oracles.build_complex_reference): the same orbits and stars.
 
 
 def _same_complex(c, ref):
-    return (c.orbits, c.adjacency, c.center) == (ref.orbits, ref.adjacency,
-                                                 ref.center)
+    return (c.orbits, c.adjacency) == (ref.orbits, ref.adjacency)
 
 
 def test_translation_key_matches_integer_translates_only():
@@ -355,8 +371,7 @@ def test_classify_d2_unexpected_star_size():
                             tile_shifts=o.tile_shifts + ((F(9), F(9), F(9)),))
     orbits = list(c.orbits)
     orbits[o.index] = fake
-    broken = tiling.TilingComplex(c.gram, c.tile, c.center,
-                                  tuple(orbits), c.adjacency)
+    broken = tiling.TilingComplex(c.gram, c.tile, tuple(orbits), c.adjacency)
     with pytest.raises(tiling.UnexpectedStarSize):
         tiling.classify_d2(broken, FaceRef(o.index, zero(3)))
 
