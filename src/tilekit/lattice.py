@@ -3,7 +3,9 @@
 The lattice is Z^d with inner product <x, y> = x.G.y for a symmetric positive
 definite rational G.  Facet vectors of the Voronoi cell around the origin are
 found exactly as the strict norm minimizers of the nonzero classes of
-Z^d / 2Z^d; no floating point and no basis reduction is involved.
+Z^d / 2Z^d.  The search for them runs in an LLL-reduced basis, computed
+over exact rationals like everything else, and its results are mapped back
+to the given basis; no floating point is involved.
 """
 
 from __future__ import annotations
@@ -83,8 +85,14 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
 
     A nonzero lattice vector v is a facet vector iff +/-v are the unique
     minimizers of the norm in the class v + 2Z^d.  Minimization is exact:
-    every lattice vector with norm at most the largest class
-    representative's is enumerated (see _short_vectors).
+    the search runs in an LLL-reduced basis (see _lll) and enumerates every
+    lattice vector of norm at most a bound on all class minima (see
+    _short_vectors).  The reduction's unimodular U maps Z^d / 2Z^d onto
+    itself, so each nonzero class has a 0/1 representative r in the reduced
+    basis and one, U r mod 2, in the given basis; its minimum is at most
+    the smaller of their norms, and the bound is the largest of these.
+    Each vector found is mapped back through U, so the result does not
+    depend on the reduction, only the time taken does.
 
     Returns:
         lex-sorted tuple of integer vectors (both signs included).
@@ -101,11 +109,20 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
     def q(v):
         return sum(v[i] * gi[i][j] * v[j] for i in range(d) for j in range(d))
 
-    reps = [c for c in itertools.product((0, 1), repeat=d) if any(c)]
-    bound = max(q(c) for c in reps)  # integerized class-minimum upper bound
+    u, diag, mu = _lll(gi)
+
+    def image(w):  # reduced-basis coordinates -> given coordinates
+        return tuple(sum(u[i][j] * w[j] for j in range(d)) for i in range(d))
+
+    bound = 0  # integerized upper bound on every class minimum
+    for r in itertools.product((0, 1), repeat=d):
+        if any(r):
+            v = image(r)
+            bound = max(bound, min(q(v), q([x & 1 for x in v])))
     best: dict[tuple, int] = {}
     argmin: dict[tuple, list] = {}
-    for v in _short_vectors(gi, bound):
+    for w in _short_vectors(diag, mu, bound):
+        v = image(w)
         cls = tuple(x & 1 for x in v)
         if not any(cls):
             continue  # the zero class of Z^d / 2Z^d never yields facets
@@ -123,41 +140,110 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _short_vectors(gi: list[list[int]], bound: int):
-    """Every integer vector v with v.G.v <= bound, for a positive definite
-    integer G.
+def _lll(g) -> tuple[list[list[int]], list[Fraction], list[list[Fraction]]]:
+    """LLL reduction with delta = 3/4 of the basis of a positive definite
+    rational Gram matrix g.
 
-    Exact Fincke-Pohst enumeration (Fincke-Pohst 1985) in the given basis:
-    v.G.v = sum_i diag[i] * (v_i + sum_{j>i} mu[i][j] v_j)^2 over rationals,
+    Lenstra-Lenstra-Lovasz (1982) in the Gram-matrix form of Cohen, "A
+    Course in Computational Algebraic Number Theory", Alg. 2.6.3, over exact
+    rationals.  Only the Gram-Schmidt data are updated; a new row of them is
+    computed from u^T g u when the scan first reaches its index.
+
+    Returns (u, diag, mu): the columns of the unimodular integer matrix u
+    are the reduced basis in the given coordinates, and u^T g u = L D L^T
+    with D = diag and L[k][j] = mu[k][j] for j < k, where |mu[k][j]| <= 1/2
+    and diag[k] >= (3/4 - mu[k][k-1]^2) diag[k-1].
+    """
+    d = len(g)
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    diag = [frac(g[0][0])] + [Fraction(0)] * (d - 1)
+    mu = [[Fraction(0)] * d for _ in range(d)]
+
+    def reduce(k: int, l: int) -> None:  # b_k -= round(mu[k][l]) b_l
+        m = floor(mu[k][l] + Fraction(1, 2))
+        if m:
+            for row in u:
+                row[k] -= m * row[l]
+            mu[k][l] -= m
+            for i in range(l):
+                mu[k][i] -= m * mu[l][i]
+
+    k, kmax = 1, 0
+    while k < d:
+        if k > kmax:
+            kmax = k
+            gk = [sum(g[i][j] * u[j][k] for j in range(d)) for i in range(d)]
+            for j in range(k + 1):
+                a = sum(u[i][j] * gk[i] for i in range(d))  # b_j . b_k
+                a -= sum((mu[j][i] * mu[k][i] * diag[i] for i in range(j)), Fraction(0))
+                if j < k:
+                    mu[k][j] = a / diag[j]
+                else:
+                    diag[k] = a
+        reduce(k, k - 1)
+        if diag[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * diag[k - 1]:
+            # Swap b_{k-1} and b_k and update the Gram-Schmidt data.
+            for row in u:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            for j in range(k - 1):
+                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            m = mu[k][k - 1]
+            b = diag[k] + m * m * diag[k - 1]
+            mu[k][k - 1] = m * diag[k - 1] / b
+            diag[k] = diag[k - 1] * diag[k] / b
+            diag[k - 1] = b
+            for i in range(k + 1, kmax + 1):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return u, diag, mu
+
+
+def _short_vectors(diag: list[Fraction], mu: list[list[Fraction]], bound: int):
+    """Every integer vector w with w.A.w <= bound, for the positive definite
+    A = L D L^T given by its pivots D = diag and multipliers
+    L[k][j] = mu[k][j], j < k (as _lll returns them for the reduced Gram).
+
+    Exact Fincke-Pohst enumeration (Fincke-Pohst 1985):
+    w.A.w = sum_i diag[i] * (w_i + sum_{j>i} mu[j][i] w_j)^2 over rationals,
     so the last coordinates are fixed first and each coordinate ranges over
     the integers that keep the partial sum within the bound.  It visits the
-    lattice points of the ellipsoid, not of its bounding box.
+    lattice points of the ellipsoid, not of its bounding box; in an
+    LLL-reduced basis the partial sums cannot grow far past the bound, so
+    the work is bounded for every basis of the same lattice.
     """
-    d = len(gi)
-    diag, mu = _ldl(gi)
-    v = [0] * d
+    d = len(diag)
+    w = [0] * d
 
     def level(i: int, budget: Fraction):
         if i < 0:
-            yield tuple(v)
+            yield tuple(w)
             return
-        c = -sum((mu[i][j] * v[j] for j in range(i + 1, d)), Fraction(0))
+        c = -sum((mu[j][i] * w[j] for j in range(i + 1, d)), Fraction(0))
         t = budget / diag[i]
-        # |v_i - c| <= sqrt(t) < r, so the range below covers every candidate.
+        # |w_i - c| <= sqrt(t) < r, so the range below covers every candidate.
         r = isqrt(t.numerator // t.denominator) + 1
         for x in range(floor(c) - r, ceil(c) + r + 1):
             rest = budget - diag[i] * (x - c) ** 2
             if rest >= 0:
-                v[i] = x
+                w[i] = x
                 yield from level(i - 1, rest)
 
     yield from level(d - 1, Fraction(bound))
 
 
 def _dv_halfspaces(gram) -> tuple[tuple[Vec, ...], list[tuple[Vec, Fraction]]]:
-    """Facet vectors v and their halfspaces v.G.x <= v.G.v / 2, in step."""
-    g = check_gram(gram)
-    rel = relevant_vectors(g)
+    """Facet vectors v and their halfspaces v.G.x <= v.G.v / 2, in step.
+
+    The Gram matrix is checked once, by relevant_vectors.
+    """
+    rel = relevant_vectors(gram)
+    g = [[frac(x) for x in row] for row in gram]
     halfspaces = []
     for v in rel:
         n = tuple(dot(vec(row), v) for row in g)  # G v

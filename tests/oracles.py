@@ -37,6 +37,9 @@ class with R hyperedges through clique partitions of K_R, and
 random_closed, which once lived in tilekit.hypercomb, draws random
 instances by growing one hyperedge at a time.  Both return plain lists of
 frozenset hyperedges.
+
+Lattice bases come from random_unimodular: seeded products of integer
+shears, with their inverses, for re-basing a Gram matrix as U^T G U.
 """
 
 from __future__ import annotations
@@ -104,30 +107,32 @@ def matrix_rank(rows, n):
     return r
 
 
+def determinant(a):
+    """Determinant of a square rational matrix by Gaussian elimination."""
+    a = [list(map(Fraction, row)) for row in a]
+    n = len(a)
+    out = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            out = -out
+        out *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            for j in range(c, n):
+                a[i][j] -= f * a[c][j]
+    return out
+
+
 def leading_minors_positive(m) -> bool:
     """Sylvester's criterion as lattice.check_gram once applied it: every
     leading principal minor of the symmetric matrix m, each a determinant
     by Gaussian elimination, is positive."""
-
-    def det(a):
-        a = [list(map(Fraction, row)) for row in a]
-        n = len(a)
-        out = Fraction(1)
-        for c in range(n):
-            p = next((i for i in range(c, n) if a[i][c] != 0), None)
-            if p is None:
-                return Fraction(0)
-            if p != c:
-                a[c], a[p] = a[p], a[c]
-                out = -out
-            out *= a[c][c]
-            for i in range(c + 1, n):
-                f = a[i][c] / a[c][c]
-                for j in range(c, n):
-                    a[i][j] -= f * a[c][j]
-        return out
-
-    return all(det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1))
+    return all(determinant([row[:k] for row in m[:k]]) > 0
+               for k in range(1, len(m) + 1))
 
 
 def null_vector(rows, n):
@@ -464,6 +469,24 @@ def relevant_vectors_box(gram):
                   if len(mins) == 2 for m in mins)
 
 
+def random_unimodular(rng, d, top):
+    """(U, U^-1) for a seeded unimodular integer U with entries at most top
+    in absolute value: 400 random shears col_i += m col_j, each kept only
+    while U stays within top, and the matching row operations on U^-1."""
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    inv = [row[:] for row in u]
+    for _ in range(400):
+        i, j = rng.sample(range(d), 2)
+        m = rng.choice((-9, -5, -3, -2, -1, 1, 2, 3, 5, 9))
+        col = [u[r][i] + m * u[r][j] for r in range(d)]
+        if max(map(abs, col)) > top:
+            continue
+        for r in range(d):
+            u[r][i] = col[r]
+        inv[j] = [a - m * b for a, b in zip(inv[j], inv[i])]
+    return u, inv
+
+
 # ---------------------------------------------------------------------------
 # Cones and halfspace systems: the production code before it moved to
 # combinatorial tests, kept as differential oracles.
@@ -764,7 +787,7 @@ def dual_cell_reference(c, f):
     if set(hull.vertices) != set(verts):
         raise ratpoly.GeometryError(
             "tile centers of a star must be in convex position")
-    tiling._check_lattice_points(hull, verts)
+    tiling._check_lattice_points(hull, verts, c._reduced)
     for a, b in itertools.combinations(shifts, 2):
         if all((x - y) % 2 == 0 for x, y in zip(a, b)):
             raise ratpoly.GeometryError(

@@ -280,6 +280,42 @@ def test_import_leaves_multiprocessing_unloaded():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("e", [1000, 10**40])
+def test_skewed_square_lattice_finishes(tmp_path, e):
+    """Z^2 in the basis (1, e), (0, 1): dv finds the facet vectors +/-(0, 1)
+    and +/-(1, -e), and tiling audit passes, in one process each.  Before
+    the search ran in a reduced basis, e = 1000 did not finish in 300 s; the
+    timeout turns a hang into a failure."""
+    gram = [[e * e + 1, e], [e, 1]]
+    path = gram_file(tmp_path, {"gram": gram})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def tilekit(*argv):
+        done = subprocess.run([sys.executable, "-m", "tilekit.cli", *argv,
+                               "--gram", path], env=env, capture_output=True,
+                              text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    facets = [([ratpoly.frac_from_json(x) for x in f["normal"]],
+               ratpoly.frac_from_json(f["offset"]))
+              for f in tilekit("dv")["cell"]["facets"]]
+    found = set()
+    for n, b in facets:
+        # {x : n.x = b} is the bisector of 0 and v: n is a positive multiple
+        # of G v, and v / 2 lies on it.
+        (v,) = [v for v in ((0, 1), (0, -1), (1, -e), (-1, e))
+                if n[0] * (gram[1][0] * v[0] + gram[1][1] * v[1])
+                == n[1] * (gram[0][0] * v[0] + gram[0][1] * v[1])
+                and n[0] * v[0] + n[1] * v[1] == 2 * b > 0]
+        found.add(v)
+    assert len(facets) == len(found) == 4
+    audit = tilekit("tiling", "audit")
+    assert audit["facet_count"] == 4
+    assert audit["skinny"]["passed"] is True
+
+
 def test_plain_refuses_unknown_types():
     with pytest.raises(TypeError, match="object"):
         cli._plain(object())

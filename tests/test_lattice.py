@@ -99,6 +99,93 @@ def test_relevant_vectors_match_box_scan():
         assert list(got) == oracles.relevant_vectors_box(gram), gram
 
 
+# --- the reduced basis the search runs in.
+
+
+def _gram_schmidt(a):
+    """Pivots and multipliers of a positive definite a in _lll's layout:
+    a = L D L^T with D = diag and mu[k][j] = L[k][j] for j < k, else 0."""
+    diag, up = lattice._ldl(a)
+    d = len(a)
+    return diag, [[up[j][k] if j < k else F(0) for j in range(d)] for k in range(d)]
+
+
+def test_lll_returns_a_reduced_basis_and_its_gram_schmidt_data():
+    """On integer and rational Grams, reduced and skewed: U is unimodular,
+    diag and mu are the pivots and multipliers of U^T G U, every |mu| is at
+    most 1/2, and the Lovasz condition holds with delta = 3/4."""
+    rng = random.Random(1982)
+    e = 10**40
+    grams = [Z2, A2, FCC, BCC, GEN5, A5_STAR, [[e * e + 1, e], [e, 1]],
+             [[F(1, 2), F(1, 3)], [F(1, 3), F(5, 7)]]]
+    for d in (2, 3, 4, 5):
+        for den in (1, 7):
+            a = [[rng.randint(-2, 2) + (3 * d if i == j else 0) for j in range(d)]
+                 for i in range(d)]
+            m = [[F(sum(r[i] * r[j] for r in a), den) for j in range(d)]
+                 for i in range(d)]
+            grams.append(_skew(m, oracles.random_unimodular(rng, d, 10**6)[0]))
+    for gram in grams:
+        d = len(gram)
+        u, diag, mu = lattice._lll(gram)
+        assert all(type(x) is int for row in u for x in row)
+        assert all(type(x) is F for x in diag + [y for row in mu for y in row])
+        assert abs(oracles.determinant(u)) == 1, gram
+        assert (diag, mu) == _gram_schmidt(_skew(gram, u)), gram
+        assert all(abs(mu[k][j]) <= F(1, 2) for k in range(d) for j in range(k))
+        assert all(diag[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * diag[k - 1]
+                   for k in range(1, d))
+    # Z^2 in the basis (1, e), (0, 1) reduces to an orthonormal basis.
+    assert _skew(grams[6], lattice._lll(grams[6])[0]) == Z2
+
+
+def test_relevant_vectors_do_not_depend_on_the_reduction(monkeypatch):
+    """The per-class bound holds in any basis: with the reduction replaced
+    by the identity, and then by a seeded unimodular basis that is not
+    reduced, relevant_vectors returns the same tuple."""
+    rng = random.Random(1985)
+    grams = [*GRAMS.values(), ROOT_GRAMS["A4"], ROOT_GRAMS["D4"],
+             [[2, F(1, 3), 0], [F(1, 3), 1, F(1, 5)], [0, F(1, 5), 3]],
+             _skew(FCC, [[1, 1, 0], [0, 1, 2], [0, 0, 1]])]
+    want = [relevant_vectors(g) for g in grams]
+
+    def identity(g):
+        return ([[int(i == j) for j in range(len(g))] for i in range(len(g))],
+                *_gram_schmidt(g))
+
+    def unreduced(g):
+        u = oracles.random_unimodular(rng, len(g), 6)[0]
+        return (u, *_gram_schmidt(_skew(g, u)))
+
+    for basis in (identity, unreduced):
+        monkeypatch.setattr(lattice, "_lll", basis)
+        assert [relevant_vectors(g) for g in grams] == want, basis.__name__
+
+
+def test_rebased_lattices_keep_their_relevant_vectors_and_cells():
+    """U^T G U for seeded unimodular U with entries up to 10^6: the facet
+    vectors are those of G mapped through U^-1, and the Voronoi cell has
+    the same facet, vertex and belt counts."""
+    rng = random.Random(1908)
+    grams = {**GRAMS, "A4*": ROOT_GRAMS["A4*"], "A5": ROOT_GRAMS["A5"],
+             "A5*": A5_STAR}
+    for name, gram in grams.items():
+        d = len(gram)
+        u, inv = oracles.random_unimodular(rng, d, 10**6)
+        assert max(abs(x) for row in u for x in row) > 10**5, name
+        skewed = _skew(gram, u)
+        mapped = sorted(tuple(sum(r * x for r, x in zip(row, v)) for row in inv)
+                        for v in relevant_vectors(gram))
+        assert relevant_vectors(skewed) == tuple(mapped), name
+        shapes = []
+        for g in (gram, skewed):
+            cell = dv_cell(g)
+            report = venkov_check_cell(cell)
+            shapes.append((len(cell.facets), len(cell.vertices),
+                           report.belt_lengths, report.passed))
+        assert shapes[0] == shapes[1], name
+
+
 # --- frozen shapes.
 
 

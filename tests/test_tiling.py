@@ -308,6 +308,42 @@ def test_dual_cells_match_reference_on_a_rebased_lattice():
                for dc in cells for v in dc.face_vertices for x in v)
 
 
+def test_lattice_point_scan_finds_an_extra_center_in_either_box():
+    """The segment from 0 to twice a lattice vector holds that vector: the
+    scan finds it in the given coordinates for (0, 1), and in the reduced
+    ones for (1, -e), whose box in the given coordinates has 2e + 1 rows."""
+    e = 10**40
+    c = tiling.build_complex([[e * e + 1, e], [e, 1]])
+    for step in ((F(0), F(1)), (F(1), F(-e))):
+        ends = ((F(0), F(0)), step)
+        tiling._check_lattice_points(ratpoly.from_vertices(ends), ends, c._reduced)
+        ends = ((F(0), F(0)), tuple(2 * x for x in step))
+        with pytest.raises(ratpoly.GeometryError, match="extra tile center"):
+            tiling._check_lattice_points(ratpoly.from_vertices(ends), ends,
+                                         c._reduced)
+
+
+def test_rebased_lattices_keep_their_tiling_audit():
+    """tiling audit's counts for U^T G U, with seeded unimodular U of
+    entries up to 10^6, equal those for G on the acceptance Grams and A4*."""
+    rng = random.Random(1909)
+    for name, gram in {**GRAMS, "A4*": ROOT_GRAMS["A4*"]}.items():
+        d = len(gram)
+        u, _ = oracles.random_unimodular(rng, d, 10**6)
+        skewed = [[sum(u[a][i] * gram[a][b] * u[b][j]
+                       for a in range(d) for b in range(d))
+                   for j in range(d)] for i in range(d)]
+        audits = []
+        for g in (gram, skewed):
+            c = tiling.build_complex(g)
+            sk = tiling.skinny_audit(c)
+            audits.append((len(c.tile.facets), len(c.tile.vertices),
+                           c.orbit_counts(),
+                           lattice.venkov_check_cell(c.tile).belt_lengths,
+                           sk.checked, sk.passed))
+        assert audits[0] == audits[1], name
+
+
 def test_readers_of_a_dual_cell_build_no_hull(monkeypatch):
     c = tiling.build_complex(FCC)
     octa = next(o for o in orbits_of_dim(c, 0) if len(o.tile_shifts) == 6)
