@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, isqrt, lcm
 from typing import Sequence
 
 from . import ratpoly
@@ -97,14 +98,8 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
     Returns:
         lex-sorted tuple of integer vectors (both signs included).
     """
-    g = check_gram(gram)
-    d = len(g)
-    # Integerize the form for fast comparisons.
-    den = 1
-    for row in g:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    gi = [[int(x * den) for x in row] for row in g]
+    gi = _integral(check_gram(gram))  # integer form for fast comparisons
+    d = len(gi)
 
     def q(v):
         return sum(v[i] * gi[i][j] * v[j] for i in range(d) for j in range(d))
@@ -140,14 +135,35 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _lll(g) -> tuple[list[list[int]], list[Fraction], list[list[Fraction]]]:
+def _integral(g) -> tuple[tuple[int, ...], ...]:
+    """The rational matrix g times the lcm of its entries' denominators."""
+    den = lcm(*(frac(x).denominator for row in g for x in row))
+    return tuple(tuple(int(frac(x) * den) for x in row) for row in g)
+
+
+def reduced_basis(gram) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
+    """(u, u^-1), where the columns of the unimodular u are the LLL-reduced
+    basis that relevant_vectors searches in.  _lll is cached, so after
+    relevant_vectors of the same Gram this runs no second reduction.
+    """
+    u = _lll(_integral(gram))[0]
+    inv, den = ratpoly._int_inverse(u)
+    return u, [[x // den for x in row] for row in inv]
+
+
+@cache
+def _lll(g: tuple[tuple, ...]) -> tuple[tuple, tuple, tuple]:
     """LLL reduction with delta = 3/4 of the basis of a positive definite
-    rational Gram matrix g.
+    rational Gram matrix g, given as a tuple of rows.
 
     Lenstra-Lenstra-Lovasz (1982) in the Gram-matrix form of Cohen, "A
     Course in Computational Algebraic Number Theory", Alg. 2.6.3, over exact
     rationals.  Only the Gram-Schmidt data are updated; a new row of them is
-    computed from u^T g u when the scan first reaches its index.
+    computed from u^T g u when the scan first reaches its index.  As in
+    Cohen's algorithm, b_k is shifted only while some |mu[k][l]| > 1/2, so
+    a basis that is already reduced comes back with u = I.  Cached per
+    Gram: the relevant-vector search and the tiling's lattice-point scans
+    (reduced_basis) share one reduction.
 
     Returns (u, diag, mu): the columns of the unimodular integer matrix u
     are the reduced basis in the given coordinates, and u^T g u = L D L^T
@@ -160,8 +176,8 @@ def _lll(g) -> tuple[list[list[int]], list[Fraction], list[list[Fraction]]]:
     mu = [[Fraction(0)] * d for _ in range(d)]
 
     def reduce(k: int, l: int) -> None:  # b_k -= round(mu[k][l]) b_l
-        m = floor(mu[k][l] + Fraction(1, 2))
-        if m:
+        if abs(mu[k][l]) > Fraction(1, 2):
+            m = floor(mu[k][l] + Fraction(1, 2))
             for row in u:
                 row[k] -= m * row[l]
             mu[k][l] -= m
@@ -201,10 +217,10 @@ def _lll(g) -> tuple[list[list[int]], list[Fraction], list[list[Fraction]]]:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return u, diag, mu
+    return tuple(map(tuple, u)), tuple(diag), tuple(map(tuple, mu))
 
 
-def _short_vectors(diag: list[Fraction], mu: list[list[Fraction]], bound: int):
+def _short_vectors(diag: Sequence[Fraction], mu: Sequence[Sequence[Fraction]], bound: int):
     """Every integer vector w with w.A.w <= bound, for the positive definite
     A = L D L^T given by its pivots D = diag and multipliers
     L[k][j] = mu[k][j], j < k (as _lll returns them for the reduced Gram).

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor, prod
+from math import floor
 
 from . import ratpoly
 from . import lattice as lat
-from ._lp import Vec, frac, vadd, vec, vsub
+from ._lp import Vec, frac, vadd, vsub
 from .ratpoly import GeometryError, Polytope
 
 
@@ -123,8 +123,9 @@ class TilingComplex:
 
     The dual cell of each orbit's representative is kept in one slot per
     orbit, filled by ``dual_cell`` the first time the orbit is asked for.
-    The lattice's LLL-reduced basis (the columns of a unimodular u) and u^-1
-    are kept for the lattice-point scans of dual cells.
+    The lattice's LLL-reduced basis (the columns of a unimodular u) and u^-1,
+    as lattice.reduced_basis gives them, are kept for the lattice-point
+    scans of dual cells.
     """
 
     def __init__(self, gram, tile: Polytope,
@@ -136,9 +137,7 @@ class TilingComplex:
         self.adjacency = adjacency
         self.dim = tile.ambient_dim
         self._dual_cells: list[DualCell | None] = [None] * len(orbits)
-        u = lat._lll(gram)[0]
-        inv, den = ratpoly._int_inverse(u)
-        self._reduced = (u, [[x // den for x in row] for row in inv])
+        self._reduced = lat.reduced_basis(gram)
 
     def orbit_counts(self) -> dict[int, int]:
         """Number of face orbits in each dimension."""
@@ -330,35 +329,25 @@ def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
 
 
 def _check_lattice_points(hull: Polytope, verts: tuple[Vec, ...],
-                          basis: tuple[list[list[int]], list[list[int]]]) -> None:
+                          basis: tuple[tuple, list]) -> None:
     """The lattice points in ``hull`` are exactly the tile centers ``verts``.
 
-    Every integer point of a box around the centers is tested, in the given
-    coordinates or in those of the reduced basis ``basis`` = (u, u^-1),
-    whichever box holds fewer points.  The centers are close in the lattice
-    metric, so the reduced box is small whatever the given basis; in a
-    skewed basis the given box can hold arbitrarily many points.
+    Every integer point of the centers' bounding box in the coordinates of
+    the reduced basis ``basis`` = (u, u^-1) is tested.  The centers are
+    close in the lattice metric, so that box is small whatever the given
+    basis; in a skewed basis the box in the given coordinates can hold
+    arbitrarily many points.
     """
     u, inv = basis
-    d = hull.ambient_dim
     vset = set(verts)
-
-    def box(points) -> list[tuple[int, int]]:
-        return [(int(min(p[k] for p in points)), int(max(p[k] for p in points)))
-                for k in range(d)]
-
-    def size(b) -> int:
-        return prod(hi - lo + 1 for lo, hi in b)
-
-    given = box(verts)
-    reduced = box([[sum(r * x for r, x in zip(row, v)) for row in inv] for v in verts])
-    if size(reduced) < size(given):
-        points = ([sum(r * y for r, y in zip(row, w)) for row in u]
-                  for w in product(*(range(lo, hi + 1) for lo, hi in reduced)))
-    else:
-        points = product(*(range(lo, hi + 1) for lo, hi in given))
-    for z in points:
-        pt = vec(z)
+    coords = [[sum(r * x for r, x in zip(row, map(int, v))) for row in inv]
+              for v in verts]
+    # Reduced coordinate y_k adds y_k times column k of u to the point.
+    steps = [[tuple(y * x for x in col)
+              for y in range(min(w[k] for w in coords), max(w[k] for w in coords) + 1)]
+             for k, col in enumerate(zip(*u))]
+    for parts in product(*steps):
+        pt = tuple(map(sum, zip(*parts)))
         if hull.contains(pt) and pt not in vset:
             raise GeometryError("hull of a star contains an extra tile center")
 

@@ -107,13 +107,19 @@ def _gram_schmidt(a):
     a = L D L^T with D = diag and mu[k][j] = L[k][j] for j < k, else 0."""
     diag, up = lattice._ldl(a)
     d = len(a)
-    return diag, [[up[j][k] if j < k else F(0) for j in range(d)] for k in range(d)]
+    return tuple(diag), tuple(tuple(up[j][k] if j < k else F(0) for j in range(d))
+                              for k in range(d))
+
+
+def _lll(gram):
+    return lattice._lll(tuple(map(tuple, gram)))
 
 
 def test_lll_returns_a_reduced_basis_and_its_gram_schmidt_data():
     """On integer and rational Grams, reduced and skewed: U is unimodular,
     diag and mu are the pivots and multipliers of U^T G U, every |mu| is at
-    most 1/2, and the Lovasz condition holds with delta = 3/4."""
+    most 1/2, and the Lovasz condition holds with delta = 3/4.  A basis that
+    is already reduced, A2's with mu = 1/2 among them, keeps U = I."""
     rng = random.Random(1982)
     e = 10**40
     grams = [Z2, A2, FCC, BCC, GEN5, A5_STAR, [[e * e + 1, e], [e, 1]],
@@ -127,16 +133,20 @@ def test_lll_returns_a_reduced_basis_and_its_gram_schmidt_data():
             grams.append(_skew(m, oracles.random_unimodular(rng, d, 10**6)[0]))
     for gram in grams:
         d = len(gram)
-        u, diag, mu = lattice._lll(gram)
+        u, diag, mu = _lll(gram)
         assert all(type(x) is int for row in u for x in row)
-        assert all(type(x) is F for x in diag + [y for row in mu for y in row])
+        assert all(type(x) is F for x in [*diag, *(y for row in mu for y in row)])
         assert abs(oracles.determinant(u)) == 1, gram
         assert (diag, mu) == _gram_schmidt(_skew(gram, u)), gram
         assert all(abs(mu[k][j]) <= F(1, 2) for k in range(d) for j in range(k))
         assert all(diag[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * diag[k - 1]
                    for k in range(1, d))
     # Z^2 in the basis (1, e), (0, 1) reduces to an orthonormal basis.
-    assert _skew(grams[6], lattice._lll(grams[6])[0]) == Z2
+    assert _skew(grams[6], _lll(grams[6])[0]) == Z2
+    for gram in (Z2, A2, FCC, BCC):
+        d = len(gram)
+        assert _lll(gram)[0] == tuple(tuple(int(i == j) for j in range(d))
+                                      for i in range(d)), gram
 
 
 def test_relevant_vectors_do_not_depend_on_the_reduction(monkeypatch):

@@ -308,10 +308,10 @@ def test_dual_cells_match_reference_on_a_rebased_lattice():
                for dc in cells for v in dc.face_vertices for x in v)
 
 
-def test_lattice_point_scan_finds_an_extra_center_in_either_box():
+def test_lattice_point_scan_finds_an_extra_center_in_the_reduced_box():
     """The segment from 0 to twice a lattice vector holds that vector: the
-    scan finds it in the given coordinates for (0, 1), and in the reduced
-    ones for (1, -e), whose box in the given coordinates has 2e + 1 rows."""
+    scan finds it for (0, 1), and for (1, -e), whose box in the given
+    coordinates has 2e + 1 rows."""
     e = 10**40
     c = tiling.build_complex([[e * e + 1, e], [e, 1]])
     for step in ((F(0), F(1)), (F(1), F(-e))):
@@ -321,6 +321,19 @@ def test_lattice_point_scan_finds_an_extra_center_in_either_box():
         with pytest.raises(ratpoly.GeometryError, match="extra tile center"):
             tiling._check_lattice_points(ratpoly.from_vertices(ends), ends,
                                          c._reduced)
+
+
+def test_complex_scans_in_the_reduction_of_its_search():
+    """build_complex reduces the Gram once: the complex's lattice-point
+    scans read the reduction that the relevant-vector search made, and keep
+    its unimodular u with u^-1."""
+    lattice._lll.cache_clear()
+    c = tiling.build_complex(ROOT_GRAMS["D4"])
+    assert lattice._lll.cache_info()[:2] == (1, 1)  # (hits, misses)
+    u, inv = c._reduced
+    assert u != tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
+            for row in u] == [[int(i == j) for j in range(4)] for i in range(4)]
 
 
 def test_rebased_lattices_keep_their_tiling_audit():
