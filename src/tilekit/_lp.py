@@ -57,14 +57,6 @@ def primitive(a: Sequence[Fraction]) -> Vec:
     return tuple(map(Fraction, primitive_ints(a)))
 
 
-def lex_positive(a: Sequence[Fraction]) -> Vec:
-    """Flip sign so the first nonzero coordinate is positive (0 stays 0)."""
-    for x in a:
-        if x != 0:
-            return tuple(a) if x > 0 else tuple(-y for y in a)
-    return tuple(a)
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form.
 
@@ -122,55 +114,59 @@ def echelon_nullspace(red: Sequence[Vec], pivots: Sequence[int], n: int) -> list
     return basis
 
 
-def in_int_span(target: Sequence[Fraction], gens: Sequence[Sequence[Fraction]]) -> list[int] | None:
-    """Integer coefficients expressing target in the integer span of gens.
+class IntSpan:
+    """The integer span of a fixed list of rational generators.
 
-    Returns the coefficient list, or None when target is not in the span.
-    Exact column-style Hermite reduction; generators and target must be
-    integer vectors.
+    Exact column-style Hermite reduction, run once, of the generators
+    scaled by the least common multiple of their denominators.  A common
+    positive scale changes no quotient of the reduction, so any rational
+    target is decided by back-substituting it, scaled the same way, against
+    the one reduction.
     """
-    cols = [[int(x) for x in g] for g in gens]
-    tgt = [int(x) for x in target]
-    n = len(tgt)
-    # Track coefficients: each working column = integer combo of original gens.
-    coeffs = [[1 if i == j else 0 for i in range(len(cols))] for j in range(len(cols))]
-    work = [list(c) for c in cols]
-    row = 0
-    used: list[tuple[int, int]] = []  # (pivot row, column index in work)
-    avail = list(range(len(work)))
-    for row in range(n):
-        live = [j for j in avail if work[j][row] != 0]
-        if not live:
-            continue
-        # gcd-reduce the live columns on this row.
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(work[j][row]))
-            j0 = live[0]
-            for j in live[1:]:
-                q = work[j][row] // work[j0][row]
-                if q:
-                    for r in range(n):
-                        work[j][r] -= q * work[j0][r]
-                    for r in range(len(coeffs[j])):
-                        coeffs[j][r] -= q * coeffs[j0][r]
-            live = [j for j in live if work[j][row] != 0]
-        piv = live[0]
-        used.append((row, piv))
-        avail.remove(piv)
-    # Back-substitute target against pivot columns.
-    t = list(tgt)
-    out = [0] * len(cols)
-    for row, piv in used:
-        if t[row] % work[piv][row] != 0:
+
+    def __init__(self, gens: Sequence[Sequence[Fraction]]):
+        self._scale = lcm(*(frac(x).denominator for g in gens for x in g))
+        work = [[int(x * self._scale) for x in g] for g in gens]
+        self._ngens = len(work)
+        n = len(work[0])
+        # Each working column is an integer combination of the generators.
+        coeffs = [[1 if i == j else 0 for i in range(len(work))]
+                  for j in range(len(work))]
+        avail = list(range(len(work)))
+        self._pivots: list[tuple[int, list[int], list[int]]] = []
+        for row in range(n):
+            live = [j for j in avail if work[j][row] != 0]
+            if not live:
+                continue
+            # gcd-reduce the live columns on this row.
+            while len(live) > 1:
+                live.sort(key=lambda j: abs(work[j][row]))
+                j0 = live[0]
+                for j in live[1:]:
+                    q = work[j][row] // work[j0][row]
+                    if q:
+                        work[j] = [x - q * y for x, y in zip(work[j], work[j0])]
+                        coeffs[j] = [x - q * y for x, y in zip(coeffs[j], coeffs[j0])]
+                live = [j for j in live if work[j][row] != 0]
+            piv = live[0]
+            self._pivots.append((row, work[piv], coeffs[piv]))
+            avail.remove(piv)
+
+    def coefficients(self, target: Sequence[Fraction]) -> list[int] | None:
+        """Integer coefficients of the generators that sum to target, or
+        None when target is not in the span."""
+        t = [frac(x) * self._scale for x in target]
+        out = [0] * self._ngens
+        for row, col, co in self._pivots:
+            q = t[row] / col[row]
+            if q.denominator != 1:
+                return None
+            q = q.numerator
+            t = [x - q * y for x, y in zip(t, col)]
+            out = [x + q * y for x, y in zip(out, co)]
+        if any(t):
             return None
-        q = t[row] // work[piv][row]
-        for r in range(n):
-            t[r] -= q * work[piv][r]
-        for r in range(len(cols)):
-            out[r] += q * coeffs[piv][r]
-    if any(t):
-        return None
-    return out
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -377,17 +377,6 @@ def _scheme_key(cycles) -> tuple:
     return tuple(sorted(_canon_cycle(c) for c in cycles))
 
 
-def canonical_scheme(p: PloughingScheme) -> tuple:
-    """Relabeling-invariant certificate of a scheme."""
-    best = None
-    for perm in permutations(K5_VERTICES):
-        relabeled = [(tuple(perm[v - 1] for v in cyc)) for cyc in p.cycles]
-        key = _scheme_key(relabeled)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 # The eight scheme cases whose parallelogram systems the solver works
 # through, in their conventional order.  Cases 3 and 4 are relabeling
 # equivalent (each is a reversed relabeling of the other) but both are
@@ -438,10 +427,23 @@ def _all_raw_schemes():
 
 
 @cache
-def _raw_scheme_keys() -> tuple[tuple, ...]:
-    """Canonical keys of the 243 edge-pairing systems on K5, computed once
-    for both the class list and the exhaustiveness check."""
-    return tuple(canonical_scheme(s) for s in _all_raw_schemes())
+def _scheme_classes() -> dict[tuple, tuple]:
+    """Class key of each of the 243 edge-pairing systems on K5, by its own
+    key.
+
+    A pairing system is determined by its circuits and a relabeling of one
+    is another, so the systems fall into orbits under the 120 relabelings.
+    The first member met of each orbit is relabeled 120 times; the least of
+    the image keys is the class key, and every image gets it.
+    """
+    classes: dict[tuple, tuple] = {}
+    for s in _all_raw_schemes():
+        if _scheme_key(s.cycles) in classes:
+            continue
+        images = [_scheme_key([tuple(perm[v - 1] for v in cyc) for cyc in s.cycles])
+                  for perm in permutations(K5_VERTICES)]
+        classes.update(dict.fromkeys(images, min(images)))
+    return classes
 
 
 def k5_scheme_classes() -> list[PloughingScheme]:
@@ -455,10 +457,7 @@ def k5_scheme_classes() -> list[PloughingScheme]:
     Returns:
       One representative scheme per class, single-circuit classes first.
     """
-    classes: dict[tuple, PloughingScheme] = {}
-    for key in _raw_scheme_keys():
-        classes.setdefault(key, PloughingScheme(key))
-    return sorted(classes.values(),
+    return sorted((PloughingScheme(key) for key in set(_scheme_classes().values())),
                   key=lambda p: (len(p.cycles), p.cycles))
 
 
@@ -474,10 +473,10 @@ def enumerate_k5_schemes() -> list[PloughingScheme]:
     Returns:
       The eight case schemes in case order.
     """
-    case_keys = {canonical_scheme(PloughingScheme(c)): n
-                 for n, c in SCHEME_CASES.items()}
-    class_keys = set(_raw_scheme_keys())
-    uncovered = class_keys - set(case_keys)
+    classes = _scheme_classes()
+    # A valid scheme is a pairing system, so its key is always present.
+    case_keys = {classes[_scheme_key(c)] for c in SCHEME_CASES.values()}
+    uncovered = set(classes.values()) - case_keys
     if uncovered:
         raise SearchFailure(f"scheme classes missing from the case list: {uncovered}")
     return [PloughingScheme(SCHEME_CASES[n]) for n in sorted(SCHEME_CASES)]
@@ -579,10 +578,19 @@ def _act(sig, sig_p, pi, pi_p):
     return new_sig, new_sig_p
 
 
-def sigma_orbit_key(sigma, sigma_prime) -> tuple:
-    """Canonical representative of a matching under independent relabeling."""
-    return min((_act(sigma, sigma_prime, pi, pi_p)
-                for pi in _PERMS3 for pi_p in _PERMS3))
+def _sigma_orbit_keys() -> dict[tuple, tuple]:
+    """Orbit key of each of the 729 mapping pairs (sigma, sigma'), by the
+    pair: the least image under independent relabeling of the two triples.
+
+    The 36 relabelings of the first pair met of each orbit give the whole
+    orbit, and every image gets the least of them.
+    """
+    keys: dict[tuple, tuple] = {}
+    for pair in product(product((1, 2, 3), repeat=3), repeat=2):
+        if pair not in keys:
+            images = [_act(*pair, pi, pi_p) for pi in _PERMS3 for pi_p in _PERMS3]
+            keys.update(dict.fromkeys(images, min(images)))
+    return keys
 
 
 @cache
@@ -601,20 +609,15 @@ def enumerate_6_11_matchings() -> tuple[SigmaPair, ...]:
       One SigmaPair per orbit: documented items 1..18 in order, then the
       undocumented class.
     """
-    orbits: dict[tuple, list] = {}
-    for sig in product((1, 2, 3), repeat=3):
-        for sig_p in product((1, 2, 3), repeat=3):
-            # Image sizes are orbit invariants; orbits with
-            # |Im sigma| > |Im sigma'| are star-swaps of kept ones, so only
-            # the swap-normalized side is enumerated.
-            if len(set(sig)) > len(set(sig_p)):
-                continue
-            orbits.setdefault(sigma_orbit_key(sig, sig_p), []).append((sig, sig_p))
+    orbit_key = _sigma_orbit_keys()
+    # Image sizes are orbit invariants; orbits with |Im sigma| > |Im sigma'|
+    # are star-swaps of kept ones, so only the swap-normalized side is kept.
+    kept = {key for (sig, sig_p), key in orbit_key.items()
+            if len(set(sig)) <= len(set(sig_p))}
     by_item: dict[int, SigmaPair] = {}
     extras = []
-    doc_keys = {sigma_orbit_key(*rep): item
-                for item, rep in DOCUMENTED_SIGMA_ITEMS.items()}
-    for key in orbits:
+    doc_keys = {orbit_key[rep]: item for item, rep in DOCUMENTED_SIGMA_ITEMS.items()}
+    for key in kept:
         if key in doc_keys:
             item = doc_keys[key]
             sig, sig_p = DOCUMENTED_SIGMA_ITEMS[item]

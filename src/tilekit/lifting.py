@@ -20,15 +20,13 @@ from fractions import Fraction
 from itertools import product
 
 from ._lp import Vec, dot, vadd, vec, vsub
-from .ratpoly import GeometryError
 from .scaling import NormalFrame, ScalingAssignment, verify_canonical
 from .tiling import TilingComplex
 
 
-# Half-width of the box of tile shifts kept in ``Generatrissa.gradient_map``.
+# Half-width, in reduced coordinates, of the box of tile shifts kept in
+# ``Generatrissa.gradient_map``.
 WINDOW = 2
-# Tiles a path search from the base tile may expand before it gives up.
-PATH_SEARCH_CAP = 20000
 
 
 class InconsistentScaling(Exception):
@@ -49,7 +47,9 @@ class Generatrissa:
     tile into its ``delta``-neighbor, together with a point on the shared
     edge of the base tile and its ``delta``-neighbor.  ``gradient_map``
     records the propagated gradients on the ``WINDOW`` box around the base
-    tile.
+    tile, a box in the coordinates of the lattice's reduced basis
+    (``TilingComplex.reduced``), so its tiles stay few and near however
+    skewed the given basis is.
     """
 
     complex: TilingComplex
@@ -109,31 +109,6 @@ def _bfs_tree(jumps, inside, start: Vec):
     return parent
 
 
-def _path_from_base(jumps, target: Vec) -> list[Vec]:
-    """Shifts of a deterministic tile path from the origin to ``target``."""
-    d = len(target)
-    zero = vec([0] * d)
-    parent: dict[Vec, Vec | None] = {zero: None}
-    queue = [zero]
-    seen = 0
-    while queue:
-        a = queue.pop(0)
-        if a == target:
-            path = [a]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return list(reversed(path))
-        seen += 1
-        if seen > PATH_SEARCH_CAP:
-            break
-        for delta in sorted(jumps):
-            b = vadd(a, delta)
-            if b not in parent:
-                parent[b] = a
-                queue.append(b)
-    raise GeometryError("tile adjacency search did not reach the target")
-
-
 def build_generatrissa(c: TilingComplex, s: ScalingAssignment,
                        frame: NormalFrame) -> Generatrissa:
     """Propagate gradients from the base tile and verify all closures.
@@ -156,9 +131,10 @@ def build_generatrissa(c: TilingComplex, s: ScalingAssignment,
             f"scaling violates the sign condition at face orbit {star}")
     jumps = _neighbor_jumps(c, s, frame)
     zero = vec([0, 0])
+    u, inv = c.reduced
 
     def inside(b):
-        return all(abs(x) <= WINDOW for x in b)
+        return all(abs(dot(row, b)) <= WINDOW for row in inv)
 
     parent = _bfs_tree(jumps, inside, zero)
     grads: dict[Vec, Vec] = {zero: zero}
@@ -176,18 +152,14 @@ def build_generatrissa(c: TilingComplex, s: ScalingAssignment,
                 raise InconsistentScaling(
                     f"circuit through tiles {a} and {b} does not close")
 
-    e1, e2 = vec([1, 0]), vec([0, 1])
-    basis_grads = []
-    for e in (e1, e2):
-        if e in grads:
-            basis_grads.append(grads[e])
-        else:
-            path = _path_from_base(jumps, e)
-            g = zero
-            for u, v in zip(path, path[1:]):
-                g = vadd(g, jumps[vsub(v, u)][0])
-            basis_grads.append(g)
-    g1, g2 = basis_grads
+    # The reduced basis vectors are facet vectors of a planar cell, so their
+    # tiles neighbor the base tile.  The gradient is linear in the shift, so
+    # the gradient at the given basis vector e_i is the combination of
+    # theirs with the coordinates of e_i in the reduced basis: column i of
+    # u^-1.
+    h1, h2 = (grads[vec(col)] for col in zip(*u))
+    g1, g2 = (tuple(inv[0][i] * x + inv[1][i] * y for x, y in zip(h1, h2))
+              for i in range(2))
     # The gradient is additive over tile steps, hence linear in the shift;
     # check the linear extension against every neighbor step.
     for delta, (w, _) in jumps.items():
@@ -255,12 +227,30 @@ def value_along_path(g: Generatrissa, path) -> Fraction:
     return val
 
 
+def _reduced_path(g: Generatrissa, shift: Vec) -> list[Vec]:
+    """Tile path from the base tile to a lattice shift: whole steps along
+    the first reduced basis vector, then along the second.
+
+    Both are neighbor steps, so the path takes |y1| + |y2| steps for the
+    reduced coordinates y of the shift, however skewed the given basis.
+    """
+    u, inv = g.complex.reduced
+    path = [g.base_tile]
+    for col, row in zip(zip(*u), inv):
+        y = dot(row, shift)
+        step = vec(col) if y > 0 else vec(-x for x in col)
+        for _ in range(abs(int(y))):
+            path.append(vadd(path[-1], step))
+    if path[-1] != shift:
+        raise ValueError(f"{shift} is not a lattice shift")
+    return path
+
+
 def center_value(g: Generatrissa, shift) -> Fraction:
     """Lift value at the center of the tile at a lattice shift."""
     shift = vec(shift)
     if shift not in g._values:
-        path = _path_from_base(g.jumps, shift)
-        g._values[shift] = value_along_path(g, path)
+        g._values[shift] = value_along_path(g, _reduced_path(g, shift))
     return g._values[shift]
 
 

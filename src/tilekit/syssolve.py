@@ -14,16 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
+from operator import mul
 
 from . import _lp
 from ._lp import (
+    IntSpan,
     Vec,
     dot,
-    in_int_span,
     is_zero,
     nullspace,
     primitive,
+    primitive_ints,
     vadd,
     vec,
     vsub,
@@ -348,19 +349,11 @@ def parity_certificate(sf: SolutionFamily, a: str, b: str
     """Integer combination showing value(a) - value(b) in twice the point
     lattice, or None.
 
-    The lattice is generated by all labeled points and all free directions;
-    membership is decided on an integer rescaling, which leaves it unchanged.
+    The lattice is generated by all labeled points and all free directions.
     """
     names, gens = _parity_generators(sf)
-    diff = vsub(sf.value(a), sf.value(b))
-    half = vec(x / 2 for x in diff)
-    scale = 1
-    for v in [half, *gens]:
-        for x in v:
-            scale = lcm(scale, x.denominator)
-    target = [int(x * scale) for x in half]
-    igens = [[int(x * scale) for x in g] for g in gens]
-    coeffs = in_int_span(target, igens)
+    half = vec(x / 2 for x in vsub(sf.value(a), sf.value(b)))
+    coeffs = IntSpan(gens).coefficients(half)
     if coeffs is None:
         return None
     return tuple(coeffs), tuple(names)
@@ -420,14 +413,17 @@ def detect_contradiction(sf: SolutionFamily) -> ContradictionReport:
                     "coincidence",
                     (labels[j], labels[i], vals[labels[j]]),
                     f"{labels[j]} = {labels[i]}")
+    # One reduction of the point lattice serves every pair.
+    names, gens = _parity_generators(sf)
+    span = IntSpan(gens)
     for j in range(len(labels)):
         for i in range(j):
-            cert = parity_certificate(sf, labels[j], labels[i])
-            if cert is not None:
-                coeffs, names = cert
+            half = vec(x / 2 for x in vsub(vals[labels[j]], vals[labels[i]]))
+            coeffs = span.coefficients(half)
+            if coeffs is not None:
                 return ContradictionReport(
                     "parity",
-                    (labels[j], labels[i], coeffs, names),
+                    (labels[j], labels[i], tuple(coeffs), tuple(names)),
                     f"{labels[j]} - {labels[i]} is twice a lattice point")
     for lab in labels:
         wit = convex_witness(sf, lab)
@@ -714,24 +710,36 @@ def excluded_direction_cone(i: int, v: Vec) -> tuple[Vec, ...]:
 
 @dataclass(frozen=True)
 class _Cell:
-    eqs: tuple[Vec, ...]
-    neg: tuple[Vec, ...]
-    witness: Vec
+    """The directions x with eqs.x == 0 and neg.x < 0.
+
+    Rows are primitive integer tuples, sorted, equations lex-positive;
+    witness is a primitive integer point of the cell.
+    """
+
+    eqs: tuple[tuple[int, ...], ...]
+    neg: tuple[tuple[int, ...], ...]
+    witness: tuple[int, ...]
+
+
+def _lex_positive(a: tuple[int, ...]) -> tuple[int, ...]:
+    # Flip the sign so that the first nonzero coordinate is positive.
+    return tuple(-x for x in a) if next((x for x in a if x), 0) < 0 else a
 
 
 def _make_cell(eqs, neg, extra_eqs=(), extra_neg=()
-               ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]] | None:
-    """Canonical rows of a cell refined by extra rows, or None when empty.
+               ) -> tuple[tuple[tuple[int, ...], ...],
+                          tuple[tuple[int, ...], ...]] | None:
+    """Rows of a cell refined by extra rows, or None when empty.
 
-    eqs and neg are a cell's own rows, already canonical and consistent;
-    only the extra rows are scaled to primitive integers (equations also to
-    lex-positive) and checked against the rest.
+    eqs and neg are a cell's own rows, as _Cell holds them and consistent;
+    only the extra rows, integer or rational, are scaled to primitive
+    integers (equations also to lex-positive) and checked against the rest.
     """
-    new_eqs = {_lp.lex_positive(primitive(n)) for n in extra_eqs} - set(eqs)
-    new_neg = {primitive(n) for n in extra_neg} - set(neg)
-    if any(is_zero(n) for n in new_neg):
+    new_eqs = {_lex_positive(primitive_ints(n)) for n in extra_eqs} - set(eqs)
+    new_neg = {primitive_ints(n) for n in extra_neg} - set(neg)
+    if any(not any(n) for n in new_neg):
         return None
-    new_eqs = {n for n in new_eqs if not is_zero(n)}
+    new_eqs = {n for n in new_eqs if any(n)}
     eset = set(eqs) | new_eqs
     nset = set(neg) | new_neg
     for n in new_neg:
@@ -749,34 +757,35 @@ def _refine(cell: _Cell, extra_eqs=(), extra_neg=()) -> _Cell | None:
     if made is None:
         return None
     eqs, neg = made
+    # A witness of the cell that meets the extra rows strictly is a witness
+    # of the refined cell, and no LP is needed: no split and no ray
+    # orientation depends on which interior point a cell holds.
+    w = cell.witness
+    if (all(sum(map(mul, n, w)) == 0 for n in extra_eqs)
+            and all(sum(map(mul, n, w)) < 0 for n in extra_neg)):
+        return _Cell(eqs, neg, w)
     # neg is never empty: the first refinement of the pipeline splits the
     # whole space along an axis, and every later cell keeps those rows.
     wit = _lp.strictly_feasible([tuple(-x for x in n) for n in neg],
                                 list(eqs), dim=5)
     if wit is None:
         return None
-    return _Cell(eqs, neg, wit)
+    return _Cell(eqs, neg, primitive_ints(wit))
 
 
-def _exclude_open(cells: list[_Cell], normals: tuple[Vec, ...]) -> list[_Cell]:
+def _exclude_open(cells: list[_Cell], normals: tuple[tuple[int, ...], ...]
+                  ) -> list[_Cell]:
     # Remove {x : n.x < 0 for every n} from each cell, splitting along the
-    # first failed inequality so the pieces stay disjoint.
+    # first failed inequality so the pieces stay disjoint.  The normals are
+    # primitive integer rows.
     out: list[_Cell] = []
     for cell in cells:
-        quick_out = False
-        for n in normals:
-            pn = _lp.lex_positive(primitive(n))
-            if pn in cell.eqs or tuple(-x for x in primitive(n)) in cell.neg:
-                quick_out = True
-                break
-        if quick_out:
+        # The open cone misses the cell: its rows clash with the cell's (the
+        # cell lies on a normal's plane or past it), or no point meets both.
+        if _refine(cell, extra_neg=normals) is None:
             out.append(cell)
             continue
-        if not all(dot(n, cell.witness) < 0 for n in normals):
-            if _refine(cell, extra_neg=normals) is None:
-                out.append(cell)
-                continue
-        prefix: list[Vec] = []
+        prefix: list[tuple[int, ...]] = []
         for n in normals:
             hit_eq = _refine(cell, extra_eqs=(n,), extra_neg=tuple(prefix))
             if hit_eq is not None:
@@ -818,9 +827,9 @@ def cone_test_pipeline() -> tuple[Vec, ...]:
                 continue
             pairs.append((i, v, excluded_direction_cone(i, v)))
 
-    cells = [_Cell((), (), _unit(0, 5))]
+    cells = [_Cell((), (), (1, 0, 0, 0, 0))]
     for i in range(5):
-        axis = _unit(i, 5)
+        axis = tuple(int(k == i) for k in range(5))
         split: list[_Cell] = []
         for cell in cells:
             for side in (axis, tuple(-x for x in axis)):
@@ -830,6 +839,7 @@ def cone_test_pipeline() -> tuple[Vec, ...]:
         cells = split
     ordered = sorted(pairs, key=lambda t: (sum(1 for c in t[1] if c != 0), t[0], t[1]))
     for _i, _v, normals in ordered:
+        normals = tuple(primitive_ints(n) for n in normals)
         cells = _exclude_open(cells, normals)
         cells = _exclude_open(cells, tuple(tuple(-x for x in n) for n in normals))
 
@@ -840,7 +850,7 @@ def cone_test_pipeline() -> tuple[Vec, ...]:
             raise VerificationError("a surviving region is not a single ray")
         d = primitive(ns[0])
         j = next(k for k in range(5) if d[k] != 0)
-        ray = d if cell.witness[j] / d[j] > 0 else tuple(-x for x in d)
+        ray = d if cell.witness[j] * d[j] > 0 else tuple(-x for x in d)
         rays.add(ray)
     for ray in rays:
         if not _direction_passes(ray, pairs):

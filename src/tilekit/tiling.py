@@ -123,9 +123,9 @@ class TilingComplex:
 
     The dual cell of each orbit's representative is kept in one slot per
     orbit, filled by ``dual_cell`` the first time the orbit is asked for.
-    The lattice's LLL-reduced basis (the columns of a unimodular u) and u^-1,
-    as lattice.reduced_basis gives them, are kept for the lattice-point
-    scans of dual cells.
+    ``reduced`` keeps the lattice's LLL-reduced basis (the columns of a
+    unimodular u) and u^-1, as lattice.reduced_basis gives them, for the
+    lattice-point scans of dual cells and the tile paths of the lift.
     """
 
     def __init__(self, gram, tile: Polytope,
@@ -137,7 +137,7 @@ class TilingComplex:
         self.adjacency = adjacency
         self.dim = tile.ambient_dim
         self._dual_cells: list[DualCell | None] = [None] * len(orbits)
-        self._reduced = lat.reduced_basis(gram)
+        self.reduced = lat.reduced_basis(gram)
 
     def orbit_counts(self) -> dict[int, int]:
         """Number of face orbits in each dimension."""
@@ -313,7 +313,7 @@ def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
     hull = ratpoly.from_vertices(verts)
     if set(hull.vertices) != set(verts):
         raise GeometryError("tile centers of a star must be in convex position")
-    _check_lattice_points(hull, verts, c._reduced)
+    _check_lattice_points(hull, verts, c.reduced)
     for a, b in combinations(verts, 2):
         if all((x - y) % 2 == 0 for x, y in zip(a, b)):
             raise GeometryError(

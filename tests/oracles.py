@@ -6,8 +6,11 @@ strategies instead of the production algorithms.  Slow on purpose; only fed
 small instances.  extreme_rays_reference, the Fraction double description
 that the integer one replaced, is independent too, and so is
 leading_minors_positive, the determinant test of positive definiteness
-that lattice's symmetric elimination replaced.  Seven exceptions import
-tilekit, inside the function only:
+that lattice's symmetric elimination replaced.  So are the case-engine
+kernels before each ran once per orbit, lattice or cell row:
+canonical_scheme and sigma_orbit_key (every relabeling of every member),
+and in_int_span with parity_certificate_reference (one Hermite reduction
+per target).  Eight exceptions import tilekit, inside the function only:
 
 - from_vertices_reference, the V-to-H conversion before it made one basis
   solve per hull: builds ratpoly.Polytope and uses ratpoly's equation and
@@ -30,6 +33,9 @@ tilekit, inside the function only:
   echelon-form key and a scan of all ridges rather than by the facet's
   central reflection, with the ridges read off the face lattice rather
   than off facet pairs: ratpoly.face_lattice and _lp.rref.
+- cone_pipeline_reference, the direction-cone pipeline on Fraction rows
+  with an LP for every refined cell: syssolve's excluded cones and
+  _lp.strictly_feasible and _lp.nullspace.
 
 Closed 4-uniform hypergraphs come from two sources here, neither of them
 in the package: closed_hypergraph_classes enumerates every isomorphism
@@ -787,7 +793,7 @@ def dual_cell_reference(c, f):
     if set(hull.vertices) != set(verts):
         raise ratpoly.GeometryError(
             "tile centers of a star must be in convex position")
-    tiling._check_lattice_points(hull, verts, c._reduced)
+    tiling._check_lattice_points(hull, verts, c.reduced)
     for a, b in itertools.combinations(shifts, 2):
         if all((x - y) % 2 == 0 for x, y in zip(a, b)):
             raise ratpoly.GeometryError(
@@ -869,6 +875,180 @@ def belts_of_reference(cell):
             cycle = cycle[:-1]
         belts.append(cycle)
     return belts
+
+
+# ---------------------------------------------------------------------------
+# The case engine before it did each orbit, lattice and cell row once.
+# ---------------------------------------------------------------------------
+
+
+def canonical_scheme(cycles):
+    """Relabeling-invariant key of a cover of K5 by circuits.
+
+    hypercomb.canonical_scheme before the orbit sweep: the least, over all
+    120 relabelings of the vertices 1..5, of the sorted circuits, each
+    written as the least of its rotations and reversed rotations.
+    """
+
+    def canon_cycle(cyc):
+        return min(seq[r:] + seq[:r] for seq in (cyc, tuple(reversed(cyc)))
+                   for r in range(len(cyc)))
+
+    return min(tuple(sorted(canon_cycle(tuple(perm[v - 1] for v in cyc))
+                            for cyc in cycles))
+               for perm in itertools.permutations(range(1, 6)))
+
+
+def sigma_orbit_key(sigma, sigma_prime):
+    """hypercomb.sigma_orbit_key before the orbit sweep: the least image of
+    a 6-11 matching (sigma, sigma_prime) under the 36 independent
+    relabelings pi, pi_p of the hyperedges at s and at s'."""
+    best = None
+    for pi in itertools.permutations((1, 2, 3)):
+        for pi_p in itertools.permutations((1, 2, 3)):
+            inv = {pi[i]: i + 1 for i in range(3)}
+            inv_p = {pi_p[i]: i + 1 for i in range(3)}
+            image = (tuple(pi_p[sigma[inv[k] - 1] - 1] for k in (1, 2, 3)),
+                     tuple(pi[sigma_prime[inv_p[l] - 1] - 1] for l in (1, 2, 3)))
+            if best is None or image < best:
+                best = image
+    return best
+
+
+def in_int_span(target, gens):
+    """Integer coefficients expressing target in the integer span of gens,
+    or None: _lp.in_int_span, the exact column-style Hermite reduction that
+    ran once per target.  Generators and target must be integer vectors."""
+    cols = [[int(x) for x in g] for g in gens]
+    tgt = [int(x) for x in target]
+    n = len(tgt)
+    coeffs = [[1 if i == j else 0 for i in range(len(cols))] for j in range(len(cols))]
+    work = [list(c) for c in cols]
+    used = []
+    avail = list(range(len(work)))
+    for row in range(n):
+        live = [j for j in avail if work[j][row] != 0]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda j: abs(work[j][row]))
+            j0 = live[0]
+            for j in live[1:]:
+                q = work[j][row] // work[j0][row]
+                if q:
+                    for r in range(n):
+                        work[j][r] -= q * work[j0][r]
+                    for r in range(len(coeffs[j])):
+                        coeffs[j][r] -= q * coeffs[j0][r]
+            live = [j for j in live if work[j][row] != 0]
+        used.append((row, live[0]))
+        avail.remove(live[0])
+    t = list(tgt)
+    out = [0] * len(cols)
+    for row, piv in used:
+        if t[row] % work[piv][row] != 0:
+            return None
+        q = t[row] // work[piv][row]
+        for r in range(n):
+            t[r] -= q * work[piv][r]
+        for r in range(len(cols)):
+            out[r] += q * coeffs[piv][r]
+    if any(t):
+        return None
+    return out
+
+
+def parity_certificate_reference(sf, a, b):
+    """syssolve.parity_certificate before the point lattice was reduced
+    once per family: the half difference and the generators (every labeled
+    point, then a unit vector per free parameter) are rescaled together to
+    integers, and in_int_span reduces them afresh.  Reads the fields of a
+    syssolve.SolutionFamily only."""
+    vals = dict(sf.values)
+    p = len(sf.params)
+    gens = [vals[lab] for lab in sf.system.labels]
+    gens += [(Fraction(0),) * 4 + tuple(Fraction(int(j == k)) for j in range(p))
+             for k in range(p)]
+    half = [(x - y) / 2 for x, y in zip(vals[a], vals[b])]
+    scale = 1
+    for v in [half, *gens]:
+        for x in v:
+            scale = math.lcm(scale, x.denominator)
+    coeffs = in_int_span([int(x * scale) for x in half],
+                         [[int(x * scale) for x in g] for g in gens])
+    if coeffs is None:
+        return None
+    return tuple(coeffs), tuple(sf.system.labels) + tuple(sf.params)
+
+
+def cone_pipeline_reference():
+    """The survivors of syssolve.cone_test_pipeline on the Fraction-row
+    cell path: every refinement re-canonicalizes all its rows with
+    make_cell_reference and runs an LP for its witness, and every
+    exclusion makes its normals primitive again for each cell.  Takes the
+    excluded cones and the LP from tilekit."""
+    from tilekit import _lp, syssolve
+
+    def neg_of(n):
+        return tuple(-x for x in n)
+
+    def lexpos(n):
+        first = next((x for x in n if x != 0), 0)
+        return neg_of(n) if first < 0 else tuple(n)
+
+    def refine(cell, extra_eqs=(), extra_neg=()):
+        made = make_cell_reference(list(cell[0]) + list(extra_eqs),
+                                   list(cell[1]) + list(extra_neg))
+        if made is None:
+            return None
+        eqs, neg = made
+        wit = _lp.strictly_feasible([neg_of(n) for n in neg], list(eqs), dim=5)
+        return None if wit is None else (eqs, neg, wit)
+
+    def exclude_open(cells, normals):
+        out = []
+        for cell in cells:
+            eqs, neg, wit = cell
+            if any(lexpos(_primitive(n)) in eqs or neg_of(_primitive(n)) in neg
+                   for n in normals):
+                out.append(cell)
+                continue
+            if not all(dot(n, wit) < 0 for n in normals):
+                if refine(cell, extra_neg=normals) is None:
+                    out.append(cell)
+                    continue
+            prefix = []
+            for n in normals:
+                for piece in (refine(cell, (n,), prefix),
+                              refine(cell, (), prefix + [neg_of(n)])):
+                    if piece is not None:
+                        out.append(piece)
+                prefix.append(n)
+        return out
+
+    _q, paras, _planes = syssolve.lifted_configuration()
+    verts = syssolve.Q_VERTEX_ORDER
+    singles = [v for v in verts if sum(1 for c in v if c != 0) == 1]
+    sums = [v for v in verts if sum(1 for c in v if c != 0) == 2]
+    pairs = [(i, v, syssolve.excluded_direction_cone(i, v))
+             for i in range(1, 6) for v in singles + sums
+             if tuple(v) not in paras[i - 1]]
+    unit = [tuple(Fraction(int(j == i)) for j in range(5)) for i in range(5)]
+    cells = [((), (), unit[0])]
+    for axis in unit:
+        cells = [piece for cell in cells for side in (axis, neg_of(axis))
+                 for piece in [refine(cell, extra_neg=(side,))] if piece is not None]
+    for _i, _v, normals in sorted(
+            pairs, key=lambda t: (sum(1 for c in t[1] if c != 0), t[0], t[1])):
+        cells = exclude_open(cells, normals)
+        cells = exclude_open(cells, tuple(neg_of(n) for n in normals))
+    rays = set()
+    for eqs, _neg, wit in cells:
+        (d,) = _lp.nullspace(eqs, 5)
+        d = _primitive(d)
+        j = next(k for k in range(5) if d[k] != 0)
+        rays.add(d if wit[j] / d[j] > 0 else neg_of(d))
+    return tuple(sorted(rays))
 
 
 # ---------------------------------------------------------------------------

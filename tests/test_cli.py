@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -314,6 +316,54 @@ def test_skewed_square_lattice_finishes(tmp_path, e):
     audit = tilekit("tiling", "audit")
     assert audit["facet_count"] == 4
     assert audit["skinny"]["passed"] is True
+
+
+#: The benchmark's stored sha256 of each fixed-input report, read only.
+DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                      / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("digest, argv, jobs", [
+    ("hyper:enumerate-k5", ("hyper", "enumerate-k5"), None),
+    ("cases:run-all", ("cases", "run-all"), None),
+    ("cases:run-all", ("cases", "run-all"), "2"),
+    ("cases:cone-pipeline", ("cases", "cone-pipeline"), None),
+    ("cases:final-case", ("cases", "final-case"), None),
+])
+def test_case_engine_reports_match_the_stored_digests(capsys, monkeypatch,
+                                                      digest, argv, jobs):
+    if jobs is not None:
+        monkeypatch.setenv(cli.JOBS_ENV, jobs)
+    _, out, _ = run(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[digest]
+
+
+@pytest.mark.parametrize("name, gram", [
+    ("Z2", [[1, 0], [0, 1]]), ("A2", [[2, 1], [1, 2]]),
+    ("SHEARED", [[4, 1], [1, 4]])])
+def test_lift_reports_match_the_stored_digests(tmp_path, capsys, name, gram):
+    """Reduced bases (u = I): the lift walks the same window as in the
+    given basis, and its reports stay byte for byte the same."""
+    rc, out, _ = run(capsys, "lift", "--gram", gram_file(tmp_path, {"gram": gram}))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"lift:{name}"]
+
+
+def test_lift_on_a_skewed_square_lattice(tmp_path, capsys):
+    """Z^2 in the basis (1, 1000), (0, 1).  Its basis vector (1, 0) is about
+    a thousand tiles from the base tile; the lift takes its gradient from
+    the reduced basis, so the command exits 0 quickly with the square form.
+    Before, a tile search in the given basis gave up after 20 000 tiles and
+    reported a violation."""
+    path = gram_file(tmp_path, {"gram": [[1000001, 1000], [1000, 1]]})
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "lift", "--gram", path)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["tangency"] is True and doc["convexity"] is True
+    half, zero = [1, 2], [0, 1]
+    assert doc["qform"]["matrix"] == [[half, zero], [zero, half]]
 
 
 def test_plain_refuses_unknown_types():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -210,18 +211,18 @@ def test_scheme_cases_and_classes():
     assert sum(1 for c in classes if len(c.cycles) == 1) == 3
     # Canonicalization is idempotent on class representatives.
     for c in classes:
-        assert hc.canonical_scheme(c) == c.cycles
+        assert oracles.canonical_scheme(c.cycles) == c.cycles
     # Cases 3 and 4 are the one redundant pair; all other case pairs are
     # inequivalent.
     for i in range(1, 9):
         for j in range(i + 1, 9):
-            equal = (hc.canonical_scheme(cases[i - 1])
-                     == hc.canonical_scheme(cases[j - 1]))
+            equal = (oracles.canonical_scheme(cases[i - 1].cycles)
+                     == oracles.canonical_scheme(cases[j - 1].cycles))
             assert equal == ((i, j) == (3, 4))
     # Every case belongs to an enumerated class.
-    keys = {hc.canonical_scheme(c) for c in classes}
+    keys = {oracles.canonical_scheme(c.cycles) for c in classes}
     for c in cases:
-        assert hc.canonical_scheme(c) in keys
+        assert oracles.canonical_scheme(c.cycles) in keys
 
 
 def test_scheme_to_matching_case1():
@@ -268,7 +269,7 @@ def test_sigma_matchings_orbit_census():
     assert census == {(1, 1): 1, (1, 2): 2, (1, 3): 1,
                       (2, 2): 9, (2, 3): 3, (3, 3): 3}
     # Documented representatives really are pairwise inequivalent.
-    keys = {hc.sigma_orbit_key(*rep) for rep in hc.DOCUMENTED_SIGMA_ITEMS.values()}
+    keys = {oracles.sigma_orbit_key(*rep) for rep in hc.DOCUMENTED_SIGMA_ITEMS.values()}
     assert len(keys) == 18
 
 
@@ -278,6 +279,62 @@ def test_sigma_swap_reductions():
         {8: 6, 11: 7, 12: 10}
     for item, target in hc.SIGMA_REDUCTIONS.items():
         assert hc.swap_sigma(sig[item]) == hc.DOCUMENTED_SIGMA_ITEMS[target]
+
+
+def test_scheme_sweep_matches_the_per_scheme_keys():
+    """The orbit sweep gives every one of the 243 pairing systems the key
+    that relabeling it 120 times gives."""
+    classes = hc._scheme_classes()
+    raw = list(hc._all_raw_schemes())
+    assert len(raw) == len(classes) == 243
+    for s in raw:
+        assert classes[hc._scheme_key(s.cycles)] == oracles.canonical_scheme(s.cycles)
+
+
+def test_scheme_sweep_relabels_one_member_per_class(monkeypatch):
+    drawn = []
+    real = hc.permutations
+
+    def counting(*args):
+        for perm in real(*args):
+            drawn.append(perm)
+            yield perm
+
+    monkeypatch.setattr(hc, "permutations", counting)
+    hc._scheme_classes.cache_clear()
+    try:
+        assert len(hc.k5_scheme_classes()) == 7
+        assert len(hc.enumerate_k5_schemes()) == 8
+    finally:
+        hc._scheme_classes.cache_clear()
+    assert len(drawn) == 7 * 120
+
+
+def test_sigma_sweep_matches_the_per_pair_keys():
+    keys = hc._sigma_orbit_keys()
+    pairs = list(itertools.product(itertools.product((1, 2, 3), repeat=3), repeat=2))
+    assert len(pairs) == len(keys) == 729
+    for pair in pairs:
+        assert keys[pair] == oracles.sigma_orbit_key(*pair)
+
+
+def test_sigma_sweep_relabels_one_member_per_orbit(monkeypatch):
+    calls = []
+    real = hc._act
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    orbits = {oracles.sigma_orbit_key(*pair) for pair in itertools.product(
+        itertools.product((1, 2, 3), repeat=3), repeat=2)}
+    monkeypatch.setattr(hc, "_act", counting)
+    hc.enumerate_6_11_matchings.cache_clear()
+    try:
+        assert len(hc.enumerate_6_11_matchings()) == 19
+    finally:
+        hc.enumerate_6_11_matchings.cache_clear()
+    assert len(calls) == 36 * len(orbits)
 
 
 def test_hypergraph_validation():

@@ -18,6 +18,7 @@ GRAMS = {
     "A2": [[2, 1], [1, 2]],
     "SHEARED": [[4, 1], [1, 4]],
     "SHEARED_REBASED": [[4, 5], [5, 10]],
+    "SKEWED_Z2": [[1000001, 1000], [1000, 1]],
     "Z3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
 }
 
@@ -87,6 +88,32 @@ def test_gradients_are_gram_images_of_shifts():
         for k1, k2 in product(range(-3, 4), repeat=2):
             lam = vec([k1, k2])
             assert lifting.gradient_of(g, lam) == mat_vec(GRAMS[name], lam)
+
+
+def test_gradients_in_unreduced_bases_are_gram_images_of_shifts():
+    # In a basis that is not reduced (u != I) the gradients of the given
+    # basis vectors come from those of the reduced ones through u^-1; the
+    # skewed square lattice's (1, 0) lies a thousand tiles out.  The
+    # canonical factors fix the gradients up to one positive multiple.
+    for name in ("SHEARED_REBASED", "SKEWED_Z2"):
+        c, _, _ = setup(name)
+        assert c.reduced[0] != ((1, 0), (0, 1))
+        g = lift(name)
+        scale = lifting.gradient_of(g, (0, 1))[1] / GRAMS[name][1][1]
+        assert scale > 0
+        for lam in ((1, 0), (0, 1), (3, -2), (-1, 1000)):
+            assert lifting.gradient_of(g, lam) == tuple(
+                scale * x for x in mat_vec(GRAMS[name], vec(lam)))
+        q = lifting.recover_qform(g, c)
+        assert lifting.verify_lifting(g, q, c) == lifting.LiftReport(
+            tangency=True, convexity=True)
+        for lam in ((1, 0), (2, -1999), (-3, 2998)):
+            assert lifting.center_value(g, lam) == lifting.qform_value(q, lam)
+
+
+def test_center_value_rejects_a_point_off_the_lattice():
+    with pytest.raises(ValueError):
+        lifting.center_value(lift("A2"), (Fraction(1, 2), 0))
 
 
 def test_window_closure_holds():

@@ -12,10 +12,10 @@ from tilekit.hypercomb import (
     DOCUMENTED_SIGMA_ITEMS,
     PloughingScheme,
     SCHEME_CASES,
-    canonical_scheme,
     enumerate_6_11_matchings,
     scheme_to_matching,
 )
+from tilekit import _lp, syssolve
 from tilekit.syssolve import (
     FIVE_TEN_LABELS,
     SIX_ELEVEN_LABELS,
@@ -145,9 +145,9 @@ def test_documented_second_case_matrix_from_equivalent_traversal():
     # A relabeled traversal of the same scheme class yields the documented
     # matrix for the surviving one-parameter case verbatim.
     rec = PloughingScheme(((1, 2, 4, 5, 2, 3, 5, 1, 3, 4),))
-    key = canonical_scheme(rec)
-    assert key == canonical_scheme(PloughingScheme(SCHEME_CASES[2]))
-    assert not any(key == canonical_scheme(PloughingScheme(SCHEME_CASES[c]))
+    key = oracles.canonical_scheme(rec.cycles)
+    assert key == oracles.canonical_scheme(SCHEME_CASES[2])
+    assert not any(key == oracles.canonical_scheme(SCHEME_CASES[c])
                    for c in SCHEME_CASES if c != 2)
     sf = solve(build_system(scheme_to_matching(rec)))
     assert sf.matrix() == _mat("""
@@ -355,6 +355,56 @@ def test_convex_position_failure_certificate():
     assert convex_witness(sf, "v11'") is None
 
 
+def test_parity_certificates_match_the_per_pair_reduction():
+    """One reduction of a family's point lattice decides every pair as a
+    fresh reduction per pair does: equal certificates, or None, on every
+    label pair of every family the case tables solve."""
+    families = [r.solution for r in run_all_cases().rows if r.solution is not None]
+    assert len(families) >= 20
+    hits = 0
+    for sf in families:
+        labels = sf.system.labels
+        names = labels + sf.params
+        vals = sf.as_map()
+        span = _lp.IntSpan(syssolve._parity_generators(sf)[1])
+        first = None
+        for j in range(len(labels)):
+            for i in range(j):
+                want = oracles.parity_certificate_reference(sf, labels[j], labels[i])
+                coeffs = span.coefficients(
+                    [(x - y) / 2 for x, y in zip(vals[labels[j]], vals[labels[i]])])
+                assert (None if coeffs is None else (tuple(coeffs), names)) == want
+                assert parity_certificate(sf, labels[j], labels[i]) == want
+                if want is not None:
+                    hits += 1
+                    if first is None:
+                        first = (labels[j], labels[i]) + want
+        rep = detect_contradiction(sf)
+        if rep.kind == "parity":
+            assert rep.certificate == first
+    assert hits > 0
+
+
+def test_detect_contradiction_reduces_one_lattice_per_family(monkeypatch):
+    reductions = []
+
+    class CountingSpan(_lp.IntSpan):
+        def __init__(self, gens):
+            reductions.append(len(gens))
+            super().__init__(gens)
+
+    families = [r.solution for r in run_all_cases().rows if r.solution is not None]
+    monkeypatch.setattr(syssolve, "IntSpan", CountingSpan)
+    kinds = set()
+    for sf in families:
+        reductions.clear()
+        kind = detect_contradiction(sf).kind
+        kinds.add(kind)
+        # Coincidences are found before any lattice is needed.
+        assert len(reductions) == (0 if kind == "coincidence" else 1)
+    assert {"coincidence", "parity", "residual"} <= kinds
+
+
 def test_detect_contradiction_prefers_earliest_pattern():
     sf = _solved(4)
     rep = detect_contradiction(sf)
@@ -460,10 +510,38 @@ def test_direction_pipeline_survivors():
         assert r[-1:] + r[:-1] in rays
 
 
+def _int_rows(made):
+    if made is None:
+        return None
+    assert all(x.denominator == 1 for rows in made for r in rows for x in r)
+    return tuple(tuple(tuple(int(x) for x in r) for r in rows) for rows in made)
+
+
+def test_direction_pipeline_matches_the_fraction_row_path():
+    assert cone_test_pipeline() == oracles.cone_pipeline_reference()
+
+
+def test_direction_pipeline_skips_lps_its_witnesses_answer(monkeypatch):
+    """A refined cell keeps its parent's witness when that point meets the
+    extra rows strictly, so fewer LPs run than refinements were made (496
+    when every refinement ran one; 419 with the witnesses reused)."""
+    calls = []
+    real = _lp.strictly_feasible
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_lp, "strictly_feasible", counting)
+    assert set(cone_test_pipeline()) == set(survivor_orbit())
+    assert len(calls) < 496
+
+
 def test_make_cell_matches_reference():
     """Refining a cell canonicalizes only the extra rows, with the result of
     canonicalizing every row: extras copied from the cell as they are,
-    rescaled, negated, zero or new."""
+    rescaled, negated, zero or new.  A cell holds integer rows, so the
+    reference's primitive Fraction rows are compared as integers."""
     rng = random.Random(5)
 
     def row():
@@ -479,7 +557,7 @@ def test_make_cell_matches_reference():
             [row() for _ in range(rng.randint(0, 3))])
         if base is None:
             continue
-        eqs, neg = base
+        eqs, neg = base = _int_rows(base)
         assert _make_cell(eqs, neg) == base
         held = list(eqs) + list(neg)
 
@@ -495,8 +573,8 @@ def test_make_cell_matches_reference():
 
         extra_eqs, extra_neg = extra(), extra()
         got = _make_cell(eqs, neg, extra_eqs, extra_neg)
-        assert got == oracles.make_cell_reference(
-            list(eqs) + extra_eqs, list(neg) + extra_neg)
+        assert got == _int_rows(oracles.make_cell_reference(
+            list(eqs) + extra_eqs, list(neg) + extra_neg))
         outcomes["empty" if got is None else "cell"] += 1
     assert min(outcomes.values()) >= 50
 
