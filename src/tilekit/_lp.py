@@ -1,7 +1,8 @@
 """Exact linear algebra and linear programming.
 
 Internal helpers shared by the geometry modules.  Vectors are Fraction
-tuples at the interface; the simplex pivots an integer tableau.
+tuples at the interface; the simplex also takes int rows, and pivots an
+integer tableau.
 Everything here is deterministic and sized for the package's caps
 (dimension <= ratpoly.MAX_DIM = 6, a few dozen rows); no floating point
 anywhere.
@@ -221,10 +222,9 @@ def maximize(
         AssertionError: phase 2 is unbounded, an internal fault.
     """
     n = len(c)
-    c = vec(c)
     n_ub = len(a_ub)
-    cons = [(vec(r), frac(b)) for r, b in zip(a_ub, b_ub, strict=True)]
-    cons += [(vec(r), frac(b)) for r, b in zip(a_eq, b_eq, strict=True)]
+    # Entries are Fractions or ints: both have numerator and denominator.
+    cons = list(zip(a_ub, b_ub, strict=True)) + list(zip(a_eq, b_eq, strict=True))
     m = len(cons)
     nvars = 2 * n + n_ub
     width = nvars + m
@@ -344,15 +344,14 @@ def strictly_feasible(
     vertices, and the cone pipeline a cell's negative rows.  Returns a
     witness x or None.
     """
-    strict_pos = [vec(r) for r in strict_pos]
-    eqs = [vec(r) for r in eqs]
-    # Variables (x, t): maximize t.
-    a_ub = [tuple(-x for x in r) + (Fraction(1),) for r in strict_pos]
-    a_ub.append(tuple(Fraction(0) for _ in range(dim)) + (Fraction(1),))
-    b_ub = [Fraction(0)] * len(strict_pos) + [Fraction(1)]
-    a_eq = [r + (Fraction(0),) for r in eqs]
-    b_eq = [Fraction(0)] * len(eqs)
-    c = tuple(Fraction(0) for _ in range(dim)) + (Fraction(1),)
+    # Variables (x, t): maximize t.  Rows keep their entries, Fraction or
+    # int; maximize reads only their numerators and denominators.
+    a_ub = [tuple(-x for x in r) + (1,) for r in strict_pos]
+    a_ub.append((0,) * dim + (1,))
+    b_ub = [0] * len(strict_pos) + [1]
+    a_eq = [tuple(r) + (0,) for r in eqs]
+    b_eq = [0] * len(eqs)
+    c = (0,) * dim + (1,)
     res = maximize(c, a_ub, b_ub, a_eq, b_eq)
     if res.status != "optimal" or res.value <= 0:
         return None

@@ -101,7 +101,8 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (frozenset, set)):
         return [_plain(x) for x in sorted(obj, key=repr)]
-    if isinstance(obj, (tuple, list)):
+    # Exact types: a record is a tuple subclass, and it has no report form.
+    if type(obj) in (tuple, list):
         return [_plain(x) for x in obj]
     raise TypeError(f"no JSON form for a value of type {type(obj).__name__}")
 

@@ -21,29 +21,33 @@ everywhere a canonical form is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 
 class SearchFailure(Exception):
     """The subgraph finder ran out of cases; indicates a bug, not an input."""
 
 
-@dataclass(frozen=True)
-class Hypergraph4:
-    """A 4-uniform hypergraph; vertices are whatever the edges mention."""
-
+class _Hypergraph4Fields(NamedTuple):
     edges: tuple[frozenset, ...]
 
-    def __post_init__(self):
+
+class Hypergraph4(_Hypergraph4Fields):
+    """A 4-uniform hypergraph; vertices are whatever the edges mention."""
+
+    __slots__ = ()
+
+    def __new__(cls, edges: tuple[frozenset, ...]):
         seen = set()
-        for e in self.edges:
+        for e in edges:
             if len(e) != 4:
                 raise ValueError("hyperedges must have exactly 4 vertices")
             if e in seen:
                 raise ValueError("hyperedges must be distinct")
             seen.add(e)
+        return super().__new__(cls, edges)
 
     @property
     def vertices(self) -> frozenset:
@@ -75,8 +79,7 @@ def six_eleven() -> Hypergraph4:
     return hypergraph(s_edges + sp_edges)
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     closed: bool
     empty: bool
     witness: tuple | None
@@ -106,8 +109,7 @@ def is_closed(h: Hypergraph4) -> ClosureReport:
     return ClosureReport(closed=True, empty=False, witness=None)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """The five exact degree-moment identities of a closed hypergraph."""
 
     r: int
@@ -184,8 +186,7 @@ def are_isomorphic(a: Hypergraph4, b: Hypergraph4) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FoundSubgraph:
+class FoundSubgraph(NamedTuple):
     """An embedded copy of one of the two reference configurations.
 
     The embedding maps reference-graph vertex labels (the labels used by
@@ -345,15 +346,18 @@ K5_EDGES = tuple(tuple(p) for p in combinations(K5_VERTICES, 2))
 _PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-@dataclass(frozen=True)
-class PloughingScheme:
-    """An edge-disjoint cover of K5 by closed vertex circuits."""
-
+class _PloughingSchemeFields(NamedTuple):
     cycles: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+
+class PloughingScheme(_PloughingSchemeFields):
+    """An edge-disjoint cover of K5 by closed vertex circuits."""
+
+    __slots__ = ()
+
+    def __new__(cls, cycles: tuple[tuple[int, ...], ...]):
         used = []
-        for cyc in self.cycles:
+        for cyc in cycles:
             if len(cyc) < 3:
                 raise ValueError("circuits on K5 have at least 3 vertices")
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -362,6 +366,7 @@ class PloughingScheme:
                 used.append(tuple(sorted((a, b))))
         if sorted(used) != sorted(K5_EDGES):
             raise ValueError("circuits must cover each K5 edge exactly once")
+        return super().__new__(cls, cycles)
 
 
 def _canon_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
@@ -485,8 +490,7 @@ def enumerate_k5_schemes() -> list[PloughingScheme]:
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class VertexMatching:
+class VertexMatching(NamedTuple):
     """Diagonal pairs per hyperedge of the 5-10 graph, keyed by K5 vertex."""
 
     pairs: tuple[tuple[int, tuple[tuple[Edge, Edge], tuple[Edge, Edge]]], ...]
@@ -526,8 +530,7 @@ def scheme_to_matching(p: PloughingScheme) -> VertexMatching:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaPair:
+class SigmaPair(NamedTuple):
     """A 6-11 matching: sigma maps each hyperedge at s to the hyperedge at
     s' whose shared vertex is s's diagonal partner; sigma_prime conversely.
 

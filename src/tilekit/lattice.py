@@ -11,11 +11,10 @@ to the given basis; no floating point is involved.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import ratpoly
 from ._lp import Vec, dot, frac, vec
@@ -362,8 +361,7 @@ def belts_of(cell: ratpoly.Polytope) -> list[list[int]]:
     return belts
 
 
-@dataclass(frozen=True)
-class VenkovReport:
+class VenkovReport(NamedTuple):
     """Outcome of the symmetry-and-belts audit of a Voronoi cell."""
 
     facet_count: int

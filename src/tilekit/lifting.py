@@ -15,9 +15,9 @@ which cancels from every verified identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from ._lp import Vec, dot, vadd, vec, vsub
 from .scaling import NormalFrame, ScalingAssignment, verify_canonical
@@ -37,7 +37,6 @@ class NotPositiveDefinite(Exception):
     """The recovered quadratic form fails the rational pivot test."""
 
 
-@dataclass
 class Generatrissa:
     """Piecewise-linear lift of a planar tiling, one gradient per tile.
 
@@ -49,27 +48,30 @@ class Generatrissa:
     records the propagated gradients on the ``WINDOW`` box around the base
     tile, a box in the coordinates of the lattice's reduced basis
     (``TilingComplex.reduced``), so its tiles stay few and near however
-    skewed the given basis is.
+    skewed the given basis is.  ``center_value`` fills the ``_values``
+    cache of tile-center values.
     """
 
-    complex: TilingComplex
-    base_tile: Vec
-    jumps: dict[Vec, tuple[Vec, Vec]]
-    gradient_map: dict[Vec, Vec]
-    basis_gradients: tuple[Vec, Vec]
-    _values: dict[Vec, Fraction] = field(default_factory=dict, repr=False)
+    def __init__(self, complex: TilingComplex, base_tile: Vec,
+                 jumps: dict[Vec, tuple[Vec, Vec]],
+                 gradient_map: dict[Vec, Vec],
+                 basis_gradients: tuple[Vec, Vec]):
+        self.complex = complex
+        self.base_tile = base_tile
+        self.jumps = jumps
+        self.gradient_map = gradient_map
+        self.basis_gradients = basis_gradients
+        self._values: dict[Vec, Fraction] = {}
 
 
-@dataclass(frozen=True)
-class QForm2:
+class QForm2(NamedTuple):
     """Rational quadratic form y -> y.A.y in facet-vector coordinates."""
 
     matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
     basis: tuple[Vec, Vec]
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(NamedTuple):
     tangency: bool
     convexity: bool
 

@@ -29,11 +29,10 @@ Fractions appear only in the results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _lp
 from ._lp import Vec, dot, frac, is_zero, primitive, primitive_ints, vec
@@ -53,8 +52,7 @@ class NotAVertex(GeometryError):
     """The given point is not a vertex of the polytope."""
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     """Convex polytope with both descriptions.
 
     vertices are lex-sorted; facets are (normal, offset) pairs meaning
@@ -91,8 +89,7 @@ class Polytope:
         )
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Polyhedral cone with apex translated to `apex`.
 
     Constraints apply to x - apex: halfspace normals n mean n.(x - apex) <= 0,

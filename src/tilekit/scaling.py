@@ -15,9 +15,9 @@ in this module is an exact kernel condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from . import tiling
 from ._lp import Vec, frac, nullspace, primitive
@@ -37,8 +37,7 @@ class HypothesisViolated(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalFrame:
+class NormalFrame(NamedTuple):
     """One primitive integer normal per facet orbit, with a fixed sign."""
 
     normals: dict[int, Vec]
@@ -66,8 +65,7 @@ def build_frame(c: TilingComplex) -> NormalFrame:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StarScaling:
+class StarScaling(NamedTuple):
     """A family of positive scalings of the facet orbits of one star.
 
     ``factors`` is a representative member; ``dof`` counts the independent
@@ -220,19 +218,22 @@ def star_scaling_d3(c: TilingComplex, f: FaceRef,
 GainFunction = dict[tuple[int, int], Fraction]
 
 
-@dataclass(frozen=True)
-class ScalingAssignment:
-    """A positive scale factor for every facet orbit."""
-
+class _ScalingAssignmentFields(NamedTuple):
     factors: dict[int, Fraction]
 
-    def __post_init__(self):
-        if any(v <= 0 for v in self.factors.values()):
+
+class ScalingAssignment(_ScalingAssignmentFields):
+    """A positive scale factor for every facet orbit."""
+
+    __slots__ = ()
+
+    def __new__(cls, factors: dict[int, Fraction]):
+        if any(v <= 0 for v in factors.values()):
             raise ValueError("scale factors must be positive")
+        return super().__new__(cls, factors)
 
 
-@dataclass(frozen=True)
-class InconsistencyWitness:
+class InconsistencyWitness(NamedTuple):
     """A closed orbit circuit whose gain product is not one."""
 
     circuit: tuple[int, ...]

@@ -10,11 +10,11 @@ battery of polyhedral direction tests plus a final prism argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from operator import mul
+from typing import NamedTuple
 
 from . import _lp
 from ._lp import (
@@ -75,8 +75,7 @@ SIX_ELEVEN_LABELS = ("s", "v11'", "v12'", "v13'", "v21'", "v22'", "v23'",
                      "v31'", "v32'", "v33'", "s'")
 
 
-@dataclass(frozen=True)
-class Parallelogram:
+class Parallelogram(NamedTuple):
     """One hyperedge seen as a parallelogram: four corners, two diagonals."""
 
     name: str
@@ -92,8 +91,7 @@ class Parallelogram:
         return coeffs
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """Point unknowns, one midpoint equation per hyperedge, and a gauge.
 
     The gauge pins the first two parallelograms to conv{0,e1,e2,e1+e2} and
@@ -194,8 +192,7 @@ def build_system(m: VertexMatching | SigmaPair) -> LinearSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(NamedTuple):
     """All solutions of a system: particular values plus free directions.
 
     Each labeled point is a vector of length 4 + #params: the first four
@@ -225,8 +222,7 @@ class SolutionFamily:
                      for r in range(self.dim))
 
 
-@dataclass(frozen=True)
-class NoSolution:
+class NoSolution(NamedTuple):
     """Certificate that a system is inconsistent.
 
     multipliers combine the midpoint equations (in system order) into
@@ -327,8 +323,7 @@ def verify_no_solution(ns: NoSolution) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContradictionReport:
+class ContradictionReport(NamedTuple):
     """Why a solution family cannot come from an actual dual cell."""
 
     kind: str
@@ -544,8 +539,7 @@ DOCUMENTED_6_11: dict[int, tuple] = {
 DOCUMENTED_EXTRA_6_11: tuple = ("parity", "s'", "s")
 
 
-@dataclass(frozen=True)
-class CaseRow:
+class CaseRow(NamedTuple):
     """One worked case: its system outcome and the documented verdict."""
 
     family: str
@@ -559,8 +553,7 @@ class CaseRow:
     reduces_to: int | None
 
 
-@dataclass(frozen=True)
-class CaseTable:
+class CaseTable(NamedTuple):
     five_ten: tuple[CaseRow, ...]
     six_eleven: tuple[CaseRow, ...]
 
@@ -584,10 +577,15 @@ def _verify_documented(doc: tuple, solution, failure, detected, resolution) -> b
         _, a, b = doc
         if solution is None:
             return False
-        cert = parity_certificate(solution, a, b)
-        if cert is None:
-            return False
-        return verify_parity_certificate(solution, a, b, cert[0])
+        if detected.kind == "parity" and detected.certificate[:2] == (a, b):
+            # detect_contradiction already reduced the lattice for this pair.
+            coeffs = detected.certificate[2]
+        else:
+            cert = parity_certificate(solution, a, b)
+            if cert is None:
+                return False
+            coeffs = cert[0]
+        return verify_parity_certificate(solution, a, b, coeffs)
     if tag == "nonconvex":
         return solution is not None and convex_witness(solution, doc[1]) is not None
     if tag == "residual":
@@ -708,8 +706,7 @@ def excluded_direction_cone(i: int, v: Vec) -> tuple[Vec, ...]:
     return cone.halfspaces
 
 
-@dataclass(frozen=True)
-class _Cell:
+class _Cell(NamedTuple):
     """The directions x with eqs.x == 0 and neg.x < 0.
 
     Rows are primitive integer tuples, sorted, equations lex-positive;

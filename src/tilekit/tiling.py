@@ -17,10 +17,10 @@ center of the tile ``P + lam`` is the lattice point ``lam`` itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor
+from typing import NamedTuple
 
 from . import ratpoly
 from . import lattice as lat
@@ -45,16 +45,14 @@ class UnclassifiableCell(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaceRef:
+class FaceRef(NamedTuple):
     """A face of the tiling: orbit index plus integer translation."""
 
     orbit: int
     shift: Vec
 
 
-@dataclass(frozen=True)
-class FaceOrbit:
+class FaceOrbit(NamedTuple):
     """A translation class of faces.
 
     ``vertices`` is the representative face (the lexicographically smallest
@@ -68,8 +66,7 @@ class FaceOrbit:
     tile_shifts: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class DualCell:
+class DualCell(NamedTuple):
     """Convex hull of the centers of all tiles sharing one face.
 
     ``combdim`` is the combinatorial dimension (codimension of the face in
@@ -91,8 +88,7 @@ class DualCell:
         return self.hull.dim
 
 
-@dataclass(frozen=True)
-class FanType:
+class FanType(NamedTuple):
     """Shape tag of a dual cell: A/B in codimension 2, I..V in codimension 3."""
 
     tag: str
@@ -449,8 +445,7 @@ def is_3_irreducible(c: TilingComplex) -> tuple[bool, tuple[int, FanType] | None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkinnyReport:
+class SkinnyReport(NamedTuple):
     """Outcome of auditing every dual cell orbit of a complex."""
 
     checked: int

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -271,15 +273,28 @@ def test_cases_run_all_rejects_bad_job_count(capsys, monkeypatch):
     assert rc == 2 and "at least 1" in err
 
 
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after importing
+    tilekit.cli."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = f"import sys, tilekit.cli; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip() == "True"
+
+
 def test_import_leaves_multiprocessing_unloaded():
     # The worker pool is needed only for TILEKIT_JOBS > 1, so a plain import
     # of the CLI must not load multiprocessing.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, tilekit.cli; print('multiprocessing' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert not _loaded_by_cli_import("multiprocessing")
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # Records are NamedTuples.  dataclasses would pull in inspect, ast and
+    # dis, and exec generated methods for every record class, in each
+    # process the CLI starts.
+    assert not _loaded_by_cli_import("dataclasses")
 
 
 @pytest.mark.parametrize("e", [1000, 10**40])
@@ -349,6 +364,42 @@ def test_lift_reports_match_the_stored_digests(tmp_path, capsys, name, gram):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"lift:{name}"]
 
 
+def _bench_grams() -> dict[str, list[list[int]]]:
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.GRAMS
+
+
+#: The benchmark's reduced Gram literals, read only.
+BENCH_GRAMS = _bench_grams()
+
+
+#: Subcommand of each Gram job in the stored digests, by digest prefix.
+GRAM_COMMANDS = {
+    "dv": ("dv",),
+    "tiling-audit": ("tiling", "audit"),
+    "dual-cells": ("dual-cells",),
+    "irreducible": ("irreducible",),
+    "scaling-verify": ("scaling", "verify"),
+    "scaling-coherence": ("scaling", "coherence"),
+}
+
+
+@pytest.mark.parametrize("digest", sorted(
+    k for k in DIGESTS if k.split(":")[0] in GRAM_COMMANDS))
+def test_gram_reports_match_the_stored_digests(tmp_path, capsys, digest):
+    """Every fixed-input Gram job of the benchmark, in-process: its report
+    must be byte for byte the one whose sha256 is stored."""
+    cmd, name = digest.split(":")
+    path = gram_file(tmp_path, {"gram": BENCH_GRAMS[name]})
+    rc, out, err = run(capsys, *GRAM_COMMANDS[cmd], "--gram", path)
+    # A triangular-prism dual cell makes HEXPRISM reducible.
+    assert rc == (1 if digest == "irreducible:HEXPRISM" else 0), err
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[digest]
+
+
 def test_lift_on_a_skewed_square_lattice(tmp_path, capsys):
     """Z^2 in the basis (1, 1000), (0, 1).  Its basis vector (1, 0) is about
     a thousand tiles from the base tile; the lift takes its gradient from
@@ -371,6 +422,8 @@ def test_plain_refuses_unknown_types():
         cli._plain(object())
     with pytest.raises(TypeError, match="complex"):
         cli._plain({"a": [1, (2, 1j)]})
+    with pytest.raises(TypeError, match="FaceRef"):
+        cli._plain([tiling.FaceRef(0, (Fraction(0),))])
 
 
 def test_cone_pipeline_report(tmp_path, capsys):

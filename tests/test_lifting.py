@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -226,7 +225,8 @@ def test_flipped_orbit_breaks_convexity():
     for d in (vec([-1, 0]), vec([1, 0])):
         w, p = bad[d]
         bad[d] = (tuple(-x for x in w), p)
-    g_bad = dataclasses.replace(g, jumps=bad)
+    g_bad = lifting.Generatrissa(g.complex, g.base_tile, bad, g.gradient_map,
+                                 g.basis_gradients)
     assert lifting.verify_lifting(g_bad, q, c).convexity is False
 
 
@@ -237,7 +237,8 @@ def test_recover_rejects_indefinite_increments():
     for d in (vec([-1, 0]), vec([1, 0])):
         w, p = bad[d]
         bad[d] = (tuple(-x for x in w), p)
-    g_bad = dataclasses.replace(g, jumps=bad)
+    g_bad = lifting.Generatrissa(g.complex, g.base_tile, bad, g.gradient_map,
+                                 g.basis_gradients)
     with pytest.raises(lifting.NotPositiveDefinite):
         lifting.recover_qform(g_bad, c)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -155,3 +156,47 @@ def test_strictly_feasible_matches_reference(monkeypatch, strict, eqs, dim, foun
         assert all(sum(a * x for a, x in zip(r, got)) == 0 for r in eqs)
     monkeypatch.setattr(_lp, "maximize", oracles.maximize_reference)
     assert strictly_feasible(strict, eqs, dim) == got
+
+
+def _integral(rows, rhs):
+    # Each row and its right-hand side times the lcm of their denominators.
+    out_rows, out_rhs = [], []
+    for r, b in zip(rows, rhs):
+        k = lcm(b.denominator, *(x.denominator for x in r))
+        out_rows.append([int(x * k) for x in r])
+        out_rhs.append(int(b * k))
+    return out_rows, out_rhs
+
+
+def _fractions(rows):
+    return [[F(x) for x in r] for r in rows]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_int_rows_give_the_fraction_rows_result(seed):
+    """The seeded LPs with integer entries, as int rows and as Fraction
+    rows: maximize reads only numerators and denominators, so both give
+    the reference's status, optimum and vertex."""
+    rng = random.Random(seed)
+    statuses = Counter()
+    for _ in range(150):
+        c, a_ub, b_ub, a_eq, b_eq = random_lp(rng)
+        (c,), _ = _integral([c], [F(0)])
+        a_ub, b_ub = _integral(a_ub, b_ub)
+        a_eq, b_eq = _integral(a_eq, b_eq)
+        got = same(c, a_ub, b_ub, a_eq, b_eq)
+        fr = same([F(x) for x in c], _fractions(a_ub), [F(x) for x in b_ub],
+                  _fractions(a_eq), [F(x) for x in b_eq])
+        assert (got.status, got.value, got.x) == (fr.status, fr.value, fr.x)
+        statuses[got.status] += 1
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}
+
+
+@pytest.mark.parametrize("strict, eqs, dim, found", STRICT_SYSTEMS)
+def test_strictly_feasible_int_rows_match_fraction_rows(strict, eqs, dim, found):
+    strict, _ = _integral(strict, [F(0)] * len(strict))
+    eqs, _ = _integral(eqs, [F(0)] * len(eqs))
+    got = strictly_feasible(strict, eqs, dim)
+    assert (got is not None) == found
+    assert got == strictly_feasible(_fractions(strict), _fractions(eqs), dim)
+    assert got is None or all(type(v) is Fraction for v in got)

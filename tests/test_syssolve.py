@@ -405,6 +405,50 @@ def test_detect_contradiction_reduces_one_lattice_per_family(monkeypatch):
     assert {"coincidence", "parity", "residual"} <= kinds
 
 
+def test_run_all_cases_reuses_the_detected_parity_certificate(monkeypatch):
+    reductions = []
+
+    class CountingSpan(_lp.IntSpan):
+        def __init__(self, gens):
+            reductions.append(len(gens))
+            super().__init__(gens)
+
+    monkeypatch.setattr(syssolve, "IntSpan", CountingSpan)
+    tab = run_all_cases()
+    assert tab.all_verified
+    # One reduction per family whose detection gets past the coincidences,
+    # and one more only for a parity row whose detected report is not the
+    # documented pair (items 5 and 17 are detected as coincidences).
+    detecting = [r for r in tab.rows
+                 if r.solution is not None and r.detected.kind != "coincidence"]
+    rechecked = [r for r in tab.rows if r.documented[0] == "parity"
+                 and (r.detected.kind != "parity"
+                      or r.detected.certificate[:2] != r.documented[1:])]
+    assert sorted(r.case for r in rechecked) == [5, 17]
+    assert len(reductions) == len(detecting) + len(rechecked) == 17
+
+
+def test_corrupted_detected_parity_certificate_does_not_verify(monkeypatch):
+    detect = syssolve.detect_contradiction
+
+    def corrupted(sf):
+        rep = detect(sf)
+        if rep.kind != "parity":
+            return rep
+        # The pair's points differ, so no combination of zeros doubles to
+        # their difference.
+        a, b, coeffs, names = rep.certificate
+        return rep._replace(certificate=(a, b, (0,) * len(coeffs), names))
+
+    monkeypatch.setattr(syssolve, "detect_contradiction", corrupted)
+    for r in run_all_cases().rows:
+        reused = (r.documented[0] == "parity" and r.detected.kind == "parity"
+                  and r.detected.certificate[:2] == r.documented[1:])
+        # Only the rows that take the detected coefficients lose their
+        # verification; the item-18 row is documented as nonconvex.
+        assert r.verified is not reused, (r.family, r.case)
+
+
 def test_detect_contradiction_prefers_earliest_pattern():
     sf = _solved(4)
     rep = detect_contradiction(sf)
