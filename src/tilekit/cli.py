@@ -17,14 +17,46 @@ violation is an internal error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import hypercomb, lattice, lifting, ratpoly, scaling, syssolve, tiling
-from .ratpoly import frac_to_json, polytope_to_json, vec_to_json
+
+def _lazy(name: str):
+    """Import the submodule ``name`` of tilekit without running it yet.
+
+    The module goes into ``sys.modules`` and onto the package, as a normal
+    import would put it, and its code runs on first attribute access.  So
+    each subcommand runs only the modules it uses.  LazyLoader is not
+    thread-safe before Python 3.12; tilekit imports from one thread, and
+    the TILEKIT_JOBS pool forks only after syssolve and hypercomb have run.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# No handler calls _lp itself; it is registered so that, after importing
+# this module, every tilekit module is in sys.modules (bench/tracer.py
+# patches them all from there).
+_lazy("_lp")
+ratpoly = _lazy("ratpoly")
+lattice = _lazy("lattice")
+tiling = _lazy("tiling")
+scaling = _lazy("scaling")
+lifting = _lazy("lifting")
+hypercomb = _lazy("hypercomb")
+syssolve = _lazy("syssolve")
 
 MAX_DIM = 5
 
@@ -37,19 +69,22 @@ GOLDEN_MISMATCH = 3
 #: Exit code of an internal fault (BSD EX_SOFTWARE).
 INTERNAL_ERROR = 70
 
-_VIOLATIONS = (
-    lattice.FacetNotCentrallySymmetric,
-    tiling.VenkovFailure,
-    tiling.UnexpectedStarSize,
-    tiling.UnclassifiableCell,
-    scaling.NoPositiveSolution,
-    scaling.HypothesisViolated,
-    lifting.InconsistentScaling,
-    lifting.NotPositiveDefinite,
-    ratpoly.GeometryError,
-    hypercomb.SearchFailure,
-    syssolve.VerificationError,
-)
+#: Exceptions reported as a found violation (exit 1), with their
+#: subclasses, by (module, qualified name): naming the classes themselves
+#: would run every module on import.
+_VIOLATIONS = frozenset({
+    ("tilekit.lattice", "FacetNotCentrallySymmetric"),
+    ("tilekit.tiling", "VenkovFailure"),
+    ("tilekit.tiling", "UnexpectedStarSize"),
+    ("tilekit.tiling", "UnclassifiableCell"),
+    ("tilekit.scaling", "NoPositiveSolution"),
+    ("tilekit.scaling", "HypothesisViolated"),
+    ("tilekit.lifting", "InconsistentScaling"),
+    ("tilekit.lifting", "NotPositiveDefinite"),
+    ("tilekit.ratpoly", "GeometryError"),
+    ("tilekit.hypercomb", "SearchFailure"),
+    ("tilekit.syssolve", "VerificationError"),
+})
 
 
 class InputError(Exception):
@@ -94,7 +129,7 @@ def _plain(obj):
         TypeError: a value of a type the report schema does not know.
     """
     if isinstance(obj, Fraction):
-        return frac_to_json(obj)
+        return ratpoly.frac_to_json(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, dict):
@@ -148,7 +183,7 @@ def _cmd_dv(args) -> int:
     rep = lattice.venkov_check_cell(cell)
     doc = {
         "lattice": lattice.gram_to_json(gram),
-        "cell": polytope_to_json(cell),
+        "cell": ratpoly.polytope_to_json(cell),
         "venkov": {
             "facet_count": rep.facet_count,
             "centrally_symmetric": rep.centrally_symmetric,
@@ -240,13 +275,13 @@ def _cmd_scaling_build(args) -> int:
         doc = {
             "status": "inconsistent",
             "circuit": list(out.circuit),
-            "gain_product": frac_to_json(out.gain_product),
+            "gain_product": ratpoly.frac_to_json(out.gain_product),
         }
         _emit(_render(doc), args.out)
         return 1
     doc = {
         "status": "ok",
-        "factors": {str(k): frac_to_json(v)
+        "factors": {str(k): ratpoly.frac_to_json(v)
                     for k, v in sorted(out.factors.items())},
     }
     _emit(_render(doc), args.out)
@@ -258,7 +293,7 @@ def _cmd_scaling_verify(args) -> int:
     frame, out = _scaling_pieces(c)
     if isinstance(out, scaling.InconsistencyWitness):
         doc = {"status": "inconsistent", "circuit": list(out.circuit),
-               "gain_product": frac_to_json(out.gain_product)}
+               "gain_product": ratpoly.frac_to_json(out.gain_product)}
         _emit(_render(doc), args.out)
         return 1
     ok, bad_orbit = scaling.verify_canonical(c, out, frame)
@@ -337,8 +372,8 @@ def _cmd_lift(args) -> int:
     rep = lifting.verify_lifting(g, q, c)
     doc = {
         "qform": {
-            "matrix": [vec_to_json(row) for row in q.matrix],
-            "basis": [vec_to_json(b) for b in q.basis],
+            "matrix": [ratpoly.vec_to_json(row) for row in q.matrix],
+            "basis": [ratpoly.vec_to_json(b) for b in q.basis],
         },
         "tangency": rep.tangency,
         "convexity": rep.convexity,
@@ -449,13 +484,13 @@ def _case_row_json(row: syssolve.CaseRow) -> dict:
         return out
     if row.failure is not None:
         out["no_solution"] = {
-            "multipliers": vec_to_json(row.failure.multipliers),
-            "residue": vec_to_json(row.failure.residue),
+            "multipliers": ratpoly.vec_to_json(row.failure.multipliers),
+            "residue": ratpoly.vec_to_json(row.failure.residue),
         }
     if row.solution is not None:
         out["labels"] = list(row.solution.system.labels)
         out["params"] = list(row.solution.params)
-        out["matrix"] = [vec_to_json(r) for r in row.solution.matrix()]
+        out["matrix"] = [ratpoly.vec_to_json(r) for r in row.solution.matrix()]
     if row.detected is not None:
         out["detected"] = _report_json(row.detected)
     if row.resolution is not None:
@@ -508,8 +543,8 @@ def _cmd_cases_run_all(args) -> int:
 def _cmd_cases_cone_pipeline(args) -> int:
     rays = syssolve.cone_test_pipeline()
     doc = {
-        "survivors": [vec_to_json(r) for r in rays],
-        "canonical": vec_to_json(syssolve.SURVIVOR_DIRECTION),
+        "survivors": [ratpoly.vec_to_json(r) for r in rays],
+        "canonical": ratpoly.vec_to_json(syssolve.SURVIVOR_DIRECTION),
         "orbit_closed": set(rays) == set(syssolve.survivor_orbit()),
     }
     text = _render(doc)
@@ -623,6 +658,11 @@ _HANDLERS = {
 }
 
 
+def _is_violation(e: Exception) -> bool:
+    return any((cls.__module__, cls.__qualname__) in _VIOLATIONS
+               for cls in type(e).__mro__)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -634,10 +674,10 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except _VIOLATIONS as e:
-        print(f"violation: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
     except Exception as e:
+        if _is_violation(e):
+            print(f"violation: {type(e).__name__}: {e}", file=sys.stderr)
+            return 1
         import traceback
 
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -280,12 +280,12 @@ def star(c: TilingComplex, f: FaceRef) -> tuple[FaceRef, ...]:
 def dual_cell(c: TilingComplex, f: FaceRef) -> DualCell:
     """Hull of the centers of the tiles containing ``f``.
 
-    The construction checks three facts about the center set: the points
+    The construction checks three facts about the center set.  The points
     are in convex position, they are the only lattice points inside their
-    hull, and no two of them differ by twice a lattice vector.  All three are invariant under lattice translation, so
-    the cell of each orbit's representative is built and checked once per
-    complex, and every other face of the orbit gets a translate of it, hull
-    included.
+    hull, and no two of them differ by twice a lattice vector.  All three
+    facts are invariant under lattice translation.  So the cell of each
+    orbit's representative is built and checked once per complex, and
+    every other face of the orbit gets a translate of it, hull included.
     """
     base = c._dual_cells[f.orbit]
     if base is None:

@@ -24,6 +24,10 @@ FCC = {"dim": 3, "gram": [[2, 0, 1], [0, 2, 1], [1, 1, 2]]}
 ELONG4 = {"dim": 4, "gram": [[4, 0, 0, 2], [0, 4, 0, 2],
                              [0, 0, 4, 2], [2, 2, 2, 7]]}
 
+#: Environment of a fresh interpreter that imports tilekit from these sources.
+SRC_ENV = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
 
 def run(capsys, *argv):
     rc = cli.main(list(argv))
@@ -276,10 +280,8 @@ def test_cases_run_all_rejects_bad_job_count(capsys, monkeypatch):
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether a fresh interpreter has ``module`` loaded after importing
     tilekit.cli."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     code = f"import sys, tilekit.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, check=True,
                          capture_output=True, text=True).stdout
     return out.strip() == "True"
 
@@ -297,6 +299,34 @@ def test_import_leaves_dataclasses_unloaded():
     assert not _loaded_by_cli_import("dataclasses")
 
 
+def _executed_by_job(tmp_path, *argv) -> list[str]:
+    """The tilekit modules whose code has run in a fresh interpreter after
+    ``import tilekit.cli`` and, given ``argv``, one job.  A lazily imported
+    module is in sys.modules before it runs, and it turns into a plain
+    module when it does, so membership alone does not tell."""
+    code = ("import sys, types, tilekit.cli\n"
+            "if sys.argv[1:]:\n"
+            "    tilekit.cli.main(sys.argv[1:])\n"
+            "print(*sorted(n for n, m in sys.modules.items()\n"
+            "              if n.split('.')[0] == 'tilekit'\n"
+            "              and type(m) is types.ModuleType))")
+    if argv:
+        argv = (*argv, "--out", str(tmp_path / "report.json"))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=SRC_ENV,
+                         check=True, capture_output=True, text=True).stdout
+    return out.split()
+
+
+def test_each_job_executes_only_the_modules_it_uses(tmp_path):
+    assert _executed_by_job(tmp_path) == ["tilekit", "tilekit.cli"]
+    gram = gram_file(tmp_path, A2)
+    assert _executed_by_job(tmp_path, "dv", "--gram", gram) \
+        == ["tilekit", "tilekit._lp", "tilekit.cli", "tilekit.lattice",
+            "tilekit.ratpoly"]
+    assert _executed_by_job(tmp_path, "hyper", "enumerate-k5") \
+        == ["tilekit", "tilekit.cli", "tilekit.hypercomb"]
+
+
 @pytest.mark.parametrize("e", [1000, 10**40])
 def test_skewed_square_lattice_finishes(tmp_path, e):
     """Z^2 in the basis (1, e), (0, 1): dv finds the facet vectors +/-(0, 1)
@@ -305,13 +335,11 @@ def test_skewed_square_lattice_finishes(tmp_path, e):
     timeout turns a hang into a failure."""
     gram = [[e * e + 1, e], [e, 1]]
     path = gram_file(tmp_path, {"gram": gram})
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
 
     def tilekit(*argv):
         done = subprocess.run([sys.executable, "-m", "tilekit.cli", *argv,
-                               "--gram", path], env=env, capture_output=True,
-                              text=True, timeout=10)
+                               "--gram", path], env=SRC_ENV,
+                              capture_output=True, text=True, timeout=10)
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout)
 
@@ -364,16 +392,17 @@ def test_lift_reports_match_the_stored_digests(tmp_path, capsys, name, gram):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"lift:{name}"]
 
 
-def _bench_grams() -> dict[str, list[list[int]]]:
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+def _bench_module(name: str):
+    """``bench/<name>.py``, loaded by path and read only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.GRAMS
+    return mod
 
 
 #: The benchmark's reduced Gram literals, read only.
-BENCH_GRAMS = _bench_grams()
+BENCH_GRAMS = _bench_module("inputs").GRAMS
 
 
 #: Subcommand of each Gram job in the stored digests, by digest prefix.
@@ -398,6 +427,57 @@ def test_gram_reports_match_the_stored_digests(tmp_path, capsys, digest):
     # A triangular-prism dual cell makes HEXPRISM reducible.
     assert rc == (1 if digest == "irreducible:HEXPRISM" else 0), err
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[digest]
+
+
+def test_cli_import_registers_every_traced_module(tmp_path):
+    """The benchmark's tracer imports tilekit.cli and then patches every
+    module of its TRACED table from sys.modules; lazily imported modules
+    must already be there, and a traced job must print what an untraced
+    one does."""
+    tracer = _bench_module("tracer")
+    names = [f"tilekit.{m}" for m in tracer.TRACED]
+    code = ("import sys, tilekit.cli\n"
+            f"print([n for n in {names!r} if n not in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+    argv = ("dv", "--gram", gram_file(tmp_path, A2))
+    spans = tmp_path / "spans.jsonl"
+    traced = subprocess.run([sys.executable, tracer.__file__, str(spans),
+                             "dv:A2", "--", *argv], env=SRC_ENV,
+                            capture_output=True)
+    plain = subprocess.run([sys.executable, "-m", "tilekit.cli", *argv],
+                           env=SRC_ENV, capture_output=True)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    spanned = {json.loads(line)[0]
+               for line in spans.read_text().splitlines() if line}
+    assert "lattice.relevant_vectors" in spanned
+
+
+def test_violation_names_are_exception_classes():
+    """main matches violations by (module, qualified name); a misspelt
+    entry would turn a found violation into an internal error."""
+    for module, qualname in cli._VIOLATIONS:
+        cls = importlib.import_module(module)
+        for part in qualname.split("."):
+            cls = getattr(cls, part)
+        assert isinstance(cls, type) and issubclass(cls, Exception)
+        assert (cls.__module__, cls.__qualname__) == (module, qualname)
+
+
+def test_subclass_of_a_violation_is_a_violation(tmp_path, capsys,
+                                                monkeypatch):
+    """EmptyInput subclasses GeometryError, so it exits 1 as well."""
+    def empty(args):
+        raise ratpoly.EmptyInput("no points")
+
+    monkeypatch.setitem(cli._HANDLERS, ("dv", None), empty)
+    rc, out, err = run(capsys, "dv", "--gram", gram_file(tmp_path, A2))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("violation: EmptyInput")
 
 
 def test_lift_on_a_skewed_square_lattice(tmp_path, capsys):
