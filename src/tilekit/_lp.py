@@ -2,7 +2,9 @@
 
 Internal helpers shared by the geometry modules.  Vectors are Fraction
 tuples at the interface; the simplex also takes int rows, and pivots an
-integer tableau.
+integer tableau.  One fraction-free row elimination (Elimination) serves
+rank, nullspace, the reduced row echelon form, greedy bases, inverses, the
+case engine's solver and the positive-definiteness test of a Gram matrix.
 Everything here is deterministic and sized for the package's caps
 (dimension <= ratpoly.MAX_DIM = 6, a few dozen rows); no floating point
 anywhere.
@@ -58,34 +60,58 @@ def primitive(a: Sequence[Fraction]) -> Vec:
     return tuple(map(Fraction, primitive_ints(a)))
 
 
+class Elimination:
+    """Fraction-free Gauss-Jordan elimination that takes rows one at a time.
+
+    Each row is scaled once to coprime integers and reduced against the
+    rows kept so far by cross-multiplication, each result divided by its
+    gcd (integer-preserving, as in Bareiss 1968).  It is kept when it is
+    nonzero in the first ncols columns: its first such column is its
+    pivot, and the kept rows are cleared on that column.
+    Columns past ncols ride along, so an appended right-hand side or
+    identity block records how each row was combined.
+
+    The integer row add returns is a positive multiple of the row that a
+    Fraction elimination in the same order would hold, so it has the same
+    zero pattern and signs.  A kept row is stored with a positive pivot
+    entry, in rows, with its pivot at the same index of pivots.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def add(self, row: Sequence[Fraction | int]) -> list[int]:
+        r = list(primitive_ints(row))
+        for c, e in zip(self.pivots, self.rows):
+            if r[c]:
+                r = _eliminate(r, e, e[c], c)
+        c = next((c for c in range(self.ncols) if r[c]), None)
+        if c is not None:
+            kept = r if r[c] > 0 else [-x for x in r]
+            for i, e in enumerate(self.rows):
+                if e[c]:
+                    self.rows[i] = _eliminate(e, kept, kept[c], c)
+            self.rows.append(kept)
+            self.pivots.append(c)
+        return r
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form.
 
     Returns:
         (reduced nonzero rows, pivot column indices).
     """
-    mat = [list(vec(r)) for r in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    e = Elimination(len(rows[0]))
+    for r in rows:
+        e.add(r)
+    kept = sorted(zip(e.pivots, e.rows))
+    return ([tuple(Fraction(x, r[c]) for x in r) for c, r in kept],
+            [c for c, _ in kept])
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -93,13 +119,40 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
-    """Basis of {x : row . x = 0 for all rows} in R^ncols (primitive integer
-    vectors)."""
+    """Basis of {x : row . x = 0 for all rows} in R^ncols, as Fraction
+    tuples with coprime integer entries."""
     rows = [vec(r) for r in rows if not is_zero(r)]
     if not rows:
         return [tuple(Fraction(1 if i == j else 0) for i in range(ncols)) for j in range(ncols)]
     red, pivots = rref(rows)
     return echelon_nullspace(red, pivots, ncols)
+
+
+def independent(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
+    """Indices of the rows independent of the rows kept before them, up to
+    `limit` of them: a greedy basis, taken in order."""
+    e = Elimination(len(rows[0]) if rows else 0)
+    picked: list[int] = []
+    for i, row in enumerate(rows):
+        if len(picked) == limit:
+            break
+        if any(e.add(row)):
+            picked.append(i)
+    return picked
+
+
+def int_inverse(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(N, den) with den > 0 and N / den the inverse of an invertible
+    integer matrix."""
+    n = len(mat)
+    e = Elimination(n)
+    for i, r in enumerate(mat):
+        e.add([*r, *(int(i == j) for j in range(n))])
+    # The row with pivot c is a positive multiple r[c] of (e_c | row c of
+    # the inverse).
+    rows = [r for _, r in sorted(zip(e.pivots, e.rows))]
+    den = lcm(*(r[c] for c, r in enumerate(rows)))
+    return [[x * (den // r[c]) for x in r[n:]] for c, r in enumerate(rows)], den
 
 
 def echelon_nullspace(red: Sequence[Vec], pivots: Sequence[int], n: int) -> list[Vec]:

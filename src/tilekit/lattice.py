@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
 from typing import NamedTuple, Sequence
 
-from . import ratpoly
+from . import _lp, ratpoly
 from ._lp import Vec, dot, frac, vec
 
 
@@ -41,35 +41,14 @@ def check_gram(gram) -> list[list[Fraction]]:
         for j in range(d):
             if g[i][j] != g[j][i]:
                 raise ValueError("gram matrix must be symmetric")
-    if _ldl(g) is None:
+    # While rows 0..k-1 have pivoted on columns 0..k-1, row k reduces to
+    # zero before column k, and its entry there has the sign of the k-th
+    # leading minor over the (k-1)-th.  So G is positive definite iff every
+    # row pivots on its own column with a positive entry (Sylvester).
+    e = _lp.Elimination(d)
+    if any(e.add(row)[k] <= 0 for k, row in enumerate(g)):
         raise ValueError("gram matrix must be positive definite")
     return g
-
-
-def _ldl(a) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Symmetric elimination a = L D L^T of a symmetric rational matrix, or
-    None when it is not positive definite.
-
-    Returns (diag, mu): the pivots D and, in row i, the multipliers
-    mu[i][j] = L[j][i] for j > i.  Elimination stops at the first pivot
-    that is not positive; by Sylvester's criterion that happens iff some
-    leading principal minor is not positive, since the k-th minor is the
-    product of the first k pivots.
-    """
-    a = [[frac(x) for x in row] for row in a]
-    d = len(a)
-    diag: list[Fraction] = []
-    mu: list[list[Fraction]] = []
-    for i in range(d):
-        p = a[i][i]
-        if p <= 0:
-            return None
-        diag.append(p)
-        mu.append([a[i][j] / p for j in range(d)])
-        for j in range(i + 1, d):
-            for k in range(i + 1, d):
-                a[j][k] -= a[j][i] * a[i][k] / p
-    return diag, mu
 
 
 def gram_norm(gram, v: Sequence) -> Fraction:
@@ -146,7 +125,7 @@ def reduced_basis(gram) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
     relevant_vectors of the same Gram this runs no second reduction.
     """
     u = _lll(_integral(gram))[0]
-    inv, den = ratpoly._int_inverse(u)
+    inv, den = _lp.int_inverse(u)
     return u, [[x // den for x in row] for row in inv]
 
 

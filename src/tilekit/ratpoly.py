@@ -136,55 +136,6 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _independent(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
-    """Indices of the integer rows independent of the rows kept before them,
-    up to `limit` of them: a greedy basis, taken in order.
-
-    Fraction-free: a kept row is reduced by cross-multiplication against the
-    earlier ones, so it is zero on their pivot (first nonzero) columns.
-    """
-    picked: list[int] = []
-    pivots: list[int] = []
-    reduced: list[list[int]] = []
-    for i, row in enumerate(rows):
-        r = list(row)
-        for c, e in zip(pivots, reduced):
-            if r[c]:
-                a, b = e[c], r[c]
-                r = [a * x - b * y for x, y in zip(r, e)]
-        c = next((c for c, x in enumerate(r) if x), None)
-        if c is None:
-            continue
-        g = gcd(*r)
-        picked.append(i)
-        pivots.append(c)
-        reduced.append([x // g for x in r])
-        if len(picked) == limit:
-            break
-    return picked
-
-
-def _int_inverse(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(N, den) with den > 0 and N / den the inverse of an invertible
-    integer matrix: fraction-free Gauss-Jordan elimination."""
-    n = len(mat)
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(mat)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if rows[i][c])
-        rows[c], rows[p] = rows[p], rows[c]
-        pr = rows[c]
-        a = pr[c]
-        for i in range(n):
-            f = rows[i][c]
-            if i != c and f:
-                r = [a * x - f * y for x, y in zip(rows[i], pr)]
-                g = gcd(*r)
-                rows[i] = [x // g for x in r] if g > 1 else r
-    # Row i is now a multiple rows[i][i] of (e_i | row i of the inverse).
-    den = lcm(*(r[i] for i, r in enumerate(rows)))
-    return [[x * (den // r[i]) for x in r[n:]] for i, r in enumerate(rows)], den
-
-
 def _span_map(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(Q, den) for independent integer vectors b_j: Q = den G^-1 B, with B
     the b_j as rows and G = B B^T their Gram matrix.
@@ -194,7 +145,7 @@ def _span_map(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     positive multiple of the one vector n in the span with n.b_j = y_j
     (n = B^T G^-1 y, and G^-1 is symmetric).
     """
-    ginv, den = _int_inverse([[sum(map(mul, a, b)) for b in basis] for a in basis])
+    ginv, den = _lp.int_inverse([[sum(map(mul, a, b)) for b in basis] for a in basis])
     return [[sum(map(mul, row, col)) for col in zip(*basis)] for row in ginv], den
 
 
@@ -236,11 +187,11 @@ def _extreme_rays(rows: list[Vec], dim: int) -> list[tuple[Vec, int]]:
             ints.append(p)
         where[r] = index[p]
     n = len(ints)
-    chosen = _independent(ints, dim)
+    chosen = _lp.independent(ints, dim)
     if len(chosen) < dim:
         raise _Lineality(f"rows span {len(chosen)} of {dim} dimensions")
     # Initial simplicial cone: ray j is zero on every chosen row but the j-th.
-    inv, _ = _int_inverse([ints[i] for i in chosen])
+    inv, _ = _lp.int_inverse([ints[i] for i in chosen])
     rays = [primitive_ints(col) for col in zip(*inv)]
     # vals[j][i] = ints[i].rays[j], kept for the rows that were not yet
     # processed when ray j was made; zero[j] is ray j's zero set.
@@ -371,7 +322,7 @@ def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
     # The points times one common denominator, and their differences.
     ipts, scale = _int_matrix(pts)
     diffs = [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts]
-    basis = [diffs[i] for i in _independent(diffs, d)]
+    basis = [diffs[i] for i in _lp.independent(diffs, d)]
     k = len(basis)
     equations = _affine_equations(pts[0], basis, d)
     if k == 0:
@@ -519,7 +470,7 @@ def face_lattice(p: Polytope) -> list[tuple[int, int]]:
     for f in found:
         idx = bit_indices(f)
         diffs = [[x - y for x, y in zip(ints[i], ints[idx[0]])] for i in idx[1:]]
-        faces.append((len(_independent(diffs, p.dim)), idx, f))
+        faces.append((len(_lp.independent(diffs, p.dim)), idx, f))
     faces.sort()
     return [(d, f) for d, _, f in faces]
 
@@ -643,10 +594,22 @@ def frac_to_json(x: Fraction):
 
 
 def frac_from_json(obj) -> Fraction:
+    """An integer, a decimal string or a [num, den] pair of them.
+
+    Raises:
+        TypeError: a component is neither an int nor a str; a float or a
+            bool would otherwise be truncated to an int.
+    """
     if isinstance(obj, (list, tuple)):
         n, d = obj
-        return Fraction(int(n), int(d))
-    return Fraction(int(obj))
+        return Fraction(_int_from_json(n), _int_from_json(d))
+    return Fraction(_int_from_json(obj))
+
+
+def _int_from_json(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"{x!r} is not an integer or a decimal string")
+    return int(x)
 
 
 def vec_to_json(v: Sequence[Fraction]):

@@ -245,7 +245,7 @@ def solve(ls: LinearSystem) -> SolutionFamily | NoSolution:
     unknowns = [lab for lab in ls.labels if lab not in gm]
     eqs = ls.equations()
     n, m = len(eqs), len(unknowns)
-    a = [[Fraction(eq.get(u, 0)) for u in unknowns] for eq in eqs]
+    a = [[eq.get(u, 0) for u in unknowns] for eq in eqs]
     rhs = []
     for eq in eqs:
         acc = _zeros(4)
@@ -253,34 +253,17 @@ def solve(ls: LinearSystem) -> SolutionFamily | NoSolution:
             if lab in gm:
                 acc = vadd(acc, vec(-c * x for x in gm[lab]))
         rhs.append(list(acc))
-    mult = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-    row = 0
-    pivots: dict[int, int] = {}
-    for col in range(m):
-        pr = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if pr is None:
-            continue
-        a[row], a[pr] = a[pr], a[row]
-        rhs[row], rhs[pr] = rhs[pr], rhs[row]
-        mult[row], mult[pr] = mult[pr], mult[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        rhs[row] = [x / pv for x in rhs[row]]
-        mult[row] = [x / pv for x in mult[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-                rhs[r] = [x - f * y for x, y in zip(rhs[r], rhs[row])]
-                mult[r] = [x - f * y for x, y in zip(mult[r], mult[row])]
-        pivots[col] = row
-        row += 1
-
-    for r in range(n):
-        if all(x == 0 for x in a[r]) and not is_zero(rhs[r]):
-            return NoSolution(ls, tuple(mult[r]), tuple(rhs[r]))
-
+    elim = _lp.Elimination(m)
+    for i in range(n):
+        r = elim.add(a[i] + rhs[i] + [int(i == j) for j in range(n)])
+        if not any(r[:m]) and any(r[m:m + 4]):
+            # r is a positive multiple, r[m + 4 + i], of the Fraction row,
+            # whose multiplier on its own equation is 1.
+            r = [Fraction(x, r[m + 4 + i]) for x in r]
+            return NoSolution(ls, tuple(r[m + 4:]), tuple(r[m:m + 4]))
+    # Each kept row divided by its pivot entry is a row of the reduced form.
+    pivots = {c: [Fraction(x, r[c]) for x in r[:m + 4]]
+              for c, r in zip(elim.pivots, elim.rows)}
     free_cols = [j for j in range(m) if j not in pivots]
     p = len(free_cols)
     params = ("a",) if p == 1 else tuple(f"a{k + 1}" for k in range(p))
@@ -288,7 +271,7 @@ def solve(ls: LinearSystem) -> SolutionFamily | NoSolution:
     for j, u in enumerate(unknowns):
         if j in pivots:
             r = pivots[j]
-            vals[u] = tuple(rhs[r]) + tuple(-a[r][fc] for fc in free_cols)
+            vals[u] = tuple(r[m:]) + tuple(-r[fc] for fc in free_cols)
         else:
             vals[u] = _zeros(4) + _unit(free_cols.index(j), p)
     sf = SolutionFamily(ls, params, tuple((lab, vals[lab]) for lab in ls.labels))

@@ -10,7 +10,11 @@ that lattice's symmetric elimination replaced.  So are the case-engine
 kernels before each ran once per orbit, lattice or cell row:
 canonical_scheme and sigma_orbit_key (every relabeling of every member),
 and in_int_span with parity_certificate_reference (one Hermite reduction
-per target).  Eight exceptions import tilekit, inside the function only:
+per target).  So are the eliminations that _lp.Elimination replaced:
+rref_reference (a Fraction Gauss-Jordan), independent_reference and
+int_inverse_reference (fraction-free, from ratpoly) and ldl_reference
+(lattice's symmetric elimination).  Nine exceptions import tilekit, inside
+the function only:
 
 - from_vertices_reference, the V-to-H conversion before it made one basis
   solve per hull: builds ratpoly.Polytope and uses ratpoly's equation and
@@ -36,6 +40,9 @@ per target).  Eight exceptions import tilekit, inside the function only:
 - cone_pipeline_reference, the direction-cone pipeline on Fraction rows
   with an LP for every refined cell: syssolve's excluded cones and
   _lp.strictly_feasible and _lp.nullspace.
+- solve_reference, the case engine's solver before it ran on
+  _lp.Elimination: a column-pivot Fraction Gauss-Jordan that returns
+  syssolve's SolutionFamily and NoSolution records.
 
 Closed 4-uniform hypergraphs come from two sources here, neither of them
 in the package: closed_hypergraph_classes enumerates every isomorphism
@@ -181,6 +188,166 @@ def _primitive(v):
     for k in ints:
         g = gcd(g, abs(k))
     return tuple(Fraction(k // g) for k in ints)
+
+
+# ---------------------------------------------------------------------------
+# The eliminations that _lp.Elimination replaced.
+# ---------------------------------------------------------------------------
+
+
+def rref_reference(rows):
+    """Reduced row echelon form by a Fraction Gauss-Jordan over the columns:
+    (reduced nonzero rows, pivot column indices), as _lp.rref was."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def independent_reference(rows, limit):
+    """Greedy basis of integer rows, as ratpoly._independent was: the
+    indices of the rows independent of the rows kept before them, up to
+    limit of them, by a fraction-free echelon."""
+    picked, pivots, reduced = [], [], []
+    for i, row in enumerate(rows):
+        r = list(row)
+        for c, e in zip(pivots, reduced):
+            if r[c]:
+                a, b = e[c], r[c]
+                r = [a * x - b * y for x, y in zip(r, e)]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is None:
+            continue
+        g = math.gcd(*r)
+        picked.append(i)
+        pivots.append(c)
+        reduced.append([x // g for x in r])
+        if len(picked) == limit:
+            break
+    return picked
+
+
+def int_inverse_reference(mat):
+    """(N, den) with den > 0 and N / den the inverse of an invertible
+    integer matrix, by a fraction-free column-pivot Gauss-Jordan, as
+    ratpoly._int_inverse was."""
+    n = len(mat)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(mat)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        pr = rows[c]
+        a = pr[c]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                r = [a * x - f * y for x, y in zip(rows[i], pr)]
+                g = math.gcd(*r)
+                rows[i] = [x // g for x in r] if g > 1 else r
+    # Row i is now a multiple rows[i][i] of (e_i | row i of the inverse).
+    den = math.lcm(*(r[i] for i, r in enumerate(rows)))
+    return [[x * (den // r[i]) for x in r[n:]] for i, r in enumerate(rows)], den
+
+
+def ldl_reference(a):
+    """Symmetric elimination a = L D L^T of a symmetric rational matrix, or
+    None when it is not positive definite, as lattice._ldl was.
+
+    Returns (diag, mu): the pivots D and, in row i, the multipliers
+    mu[i][j] = L[j][i] for j > i.  Elimination stops at the first pivot
+    that is not positive; by Sylvester's criterion that happens iff some
+    leading principal minor is not positive, since the k-th minor is the
+    product of the first k pivots.
+    """
+    a = [[Fraction(x) for x in row] for row in a]
+    d = len(a)
+    diag, mu = [], []
+    for i in range(d):
+        p = a[i][i]
+        if p <= 0:
+            return None
+        diag.append(p)
+        mu.append([a[i][j] / p for j in range(d)])
+        for j in range(i + 1, d):
+            for k in range(i + 1, d):
+                a[j][k] -= a[j][i] * a[i][k] / p
+    return diag, mu
+
+
+def solve_reference(ls):
+    """syssolve.solve as it was: a Fraction Gauss-Jordan over the unknowns'
+    columns, carrying right-hand sides and multiplier rows, that reports
+    the first reduced row with a zero left side and a nonzero right side."""
+    from tilekit.syssolve import NoSolution, SolutionFamily
+
+    zeros = lambda k: tuple(Fraction(0) for _ in range(k))
+    gm = ls.gauge_map()
+    unknowns = [lab for lab in ls.labels if lab not in gm]
+    eqs = ls.equations()
+    n, m = len(eqs), len(unknowns)
+    a = [[Fraction(eq.get(u, 0)) for u in unknowns] for eq in eqs]
+    rhs = []
+    for eq in eqs:
+        acc = [Fraction(0)] * 4
+        for lab, c in eq.items():
+            if lab in gm:
+                acc = [x - c * y for x, y in zip(acc, gm[lab])]
+        rhs.append(acc)
+    mult = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    row = 0
+    pivots = {}
+    for col in range(m):
+        pr = next((r for r in range(row, n) if a[r][col] != 0), None)
+        if pr is None:
+            continue
+        a[row], a[pr] = a[pr], a[row]
+        rhs[row], rhs[pr] = rhs[pr], rhs[row]
+        mult[row], mult[pr] = mult[pr], mult[row]
+        pv = a[row][col]
+        a[row] = [x / pv for x in a[row]]
+        rhs[row] = [x / pv for x in rhs[row]]
+        mult[row] = [x / pv for x in mult[row]]
+        for r in range(n):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+                rhs[r] = [x - f * y for x, y in zip(rhs[r], rhs[row])]
+                mult[r] = [x - f * y for x, y in zip(mult[r], mult[row])]
+        pivots[col] = row
+        row += 1
+    for r in range(n):
+        if not any(a[r]) and any(rhs[r]):
+            return NoSolution(ls, tuple(mult[r]), tuple(rhs[r]))
+    free_cols = [j for j in range(m) if j not in pivots]
+    p = len(free_cols)
+    params = ("a",) if p == 1 else tuple(f"a{k + 1}" for k in range(p))
+    vals = {lab: tuple(g) + zeros(p) for lab, g in gm.items()}
+    for j, u in enumerate(unknowns):
+        if j in pivots:
+            r = pivots[j]
+            vals[u] = tuple(rhs[r]) + tuple(-a[r][fc] for fc in free_cols)
+        else:
+            vals[u] = zeros(4) + tuple(Fraction(int(k == free_cols.index(j)))
+                                       for k in range(p))
+    return SolutionFamily(ls, params, tuple((lab, vals[lab]) for lab in ls.labels))
 
 
 # ---------------------------------------------------------------------------

@@ -613,6 +613,10 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
         "not square": {"gram": [[1, 0], [0]]},
         "empty": {"gram": []},
         "zero denominator": {"gram": [[[1, 0]]]},
+        # Refused, not truncated: 2.5 would read as A2's 2, true as 1.
+        "float": {"gram": [[2.5, 1], [1, 2]]},
+        "bool": {"gram": [[True, 0], [0, True]]},
+        "float in a pair": {"gram": [[[5, 2.0], 0], [0, 2]]},
     }
     for why, doc in grams.items():
         rc, _, err = run(capsys, "dv", "--gram", gram_file(tmp_path, doc))
@@ -624,6 +628,16 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     p.write_text(json.dumps({"edges": [[1, 2, 3, 4], [1, 2, 5, 6]]}))
     rc, _, err = run(capsys, "hyper", "find-subgraph", "--input", str(p))
     assert rc == 2 and "closed" in err
+
+
+def test_integer_string_and_big_gram_entries_load(tmp_path, capsys):
+    """Strings, pairs and integers beyond 64 bits load as their values."""
+    big = 10**30
+    want = run(capsys, "dv", "--gram", gram_file(tmp_path, A2))
+    assert want[0] == 0
+    for doc in ({"gram": [["2", [1, 1]], [[2, 2], "2"]]},
+                {"gram": [[[str(2 * big), str(big)], 1], [1, [2 * big, big]]]}):
+        assert run(capsys, "dv", "--gram", gram_file(tmp_path, doc)) == want
 
 
 def test_internal_fault_exits_seventy(tmp_path, capsys, monkeypatch):

