@@ -208,14 +208,22 @@ class IntSpan:
 
     def coefficients(self, target: Sequence[Fraction]) -> list[int] | None:
         """Integer coefficients of the generators that sum to target, or
-        None when target is not in the span."""
-        t = [frac(x) * self._scale for x in target]
+        None when target is not in the span.
+
+        Decided in integers: the scaled generators are integer, so a target
+        whose scaled entries are not all integers is not in their span.
+        """
+        t = []
+        for x in map(frac, target):
+            q, r = divmod(x.numerator * self._scale, x.denominator)
+            if r:
+                return None
+            t.append(q)
         out = [0] * self._ngens
         for row, col, co in self._pivots:
-            q = t[row] / col[row]
-            if q.denominator != 1:
+            q, r = divmod(t[row], col[row])
+            if r:
                 return None
-            q = q.numerator
             t = [x - q * y for x, y in zip(t, col)]
             out = [x + q * y for x, y in zip(out, co)]
         if any(t):

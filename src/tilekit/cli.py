@@ -509,20 +509,27 @@ def _jobs() -> int:
     return jobs
 
 
+def _case_row(task):
+    work, key = task
+    return work(key)
+
+
 def _run_case_table() -> syssolve.CaseTable:
     jobs = _jobs()
-    five_keys = sorted(syssolve.SCHEME_CASES)
-    # Fills the matchings cache before the pool forks; the workers inherit it.
-    six_keys = list(range(len(hypercomb.enumerate_6_11_matchings())))
     if jobs == 1:
         return syssolve.run_all_cases()
     import multiprocessing
 
-    # No more workers than rows in the longer list (19 six-eleven rows).
-    with multiprocessing.Pool(min(jobs, len(six_keys))) as pool:
-        five = pool.map(syssolve.five_ten_case, five_keys)
-        six = pool.map(syssolve.six_eleven_case, six_keys)
-    return syssolve.CaseTable(tuple(five), tuple(six))
+    # Reading the row functions runs syssolve, and counting the six-eleven
+    # rows fills the matchings cache, before the pool forks; the workers
+    # inherit both.
+    five = [(syssolve.five_ten_case, k) for k in sorted(hypercomb.SCHEME_CASES)]
+    six = [(syssolve.six_eleven_case, k)
+           for k in range(len(hypercomb.enumerate_6_11_matchings()))]
+    # One map over all 27 rows, with no more workers than rows.
+    with multiprocessing.Pool(min(jobs, len(five) + len(six))) as pool:
+        rows = pool.map(_case_row, five + six)
+    return syssolve.CaseTable(tuple(rows[:len(five)]), tuple(rows[len(five):]))
 
 
 def _cmd_cases_run_all(args) -> int:

@@ -187,12 +187,27 @@ def _extreme_rays(rows: list[Vec], dim: int) -> list[tuple[Vec, int]]:
             ints.append(p)
         where[r] = index[p]
     n = len(ints)
-    chosen = _lp.independent(ints, dim)
+    # One elimination picks a greedy basis of the rows, as _lp.independent
+    # does, and inverts it, as _lp.int_inverse does: the k-th row kept
+    # carries the k-th unit vector, and a row that adds nothing is dropped
+    # with its unit vector.
+    elim = _lp.Elimination(dim)
+    chosen: list[int] = []
+    for i, row in enumerate(ints):
+        if len(chosen) == dim:
+            break
+        if any(elim.add([*row, *(int(k == len(chosen)) for k in range(dim))])[:dim]):
+            chosen.append(i)
     if len(chosen) < dim:
         raise _Lineality(f"rows span {len(chosen)} of {dim} dimensions")
-    # Initial simplicial cone: ray j is zero on every chosen row but the j-th.
-    inv, _ = _lp.int_inverse([ints[i] for i in chosen])
-    rays = [primitive_ints(col) for col in zip(*inv)]
+    # Initial simplicial cone: ray j is zero on every chosen row but the
+    # j-th.  The kept row with pivot c is a positive multiple r[c] of
+    # (e_c | row c of the inverse), so column j of the inverse is a positive
+    # multiple of (r[dim + j] * (den // r[c]))_c.
+    inv = [r for _, r in sorted(zip(elim.pivots, elim.rows))]
+    den = lcm(*(r[c] for c, r in enumerate(inv)))
+    rays = [primitive_ints([r[dim + j] * (den // r[c]) for c, r in enumerate(inv)])
+            for j in range(dim)]
     # vals[j][i] = ints[i].rays[j], kept for the rows that were not yet
     # processed when ray j was made; zero[j] is ray j's zero set.
     vals = [[sum(map(mul, row, ray)) for row in ints] for ray in rays]

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 from typing import NamedTuple
 
-from . import _lp
+from . import _lp, hypercomb
 from ._lp import (
     IntSpan,
     Vec,
@@ -28,18 +28,6 @@ from ._lp import (
     vadd,
     vec,
     vsub,
-)
-from .hypercomb import (
-    DOCUMENTED_SIGMA_ITEMS,
-    K5_EDGES,
-    K5_VERTICES,
-    PloughingScheme,
-    SCHEME_CASES,
-    SigmaPair,
-    VertexMatching,
-    enumerate_6_11_matchings,
-    scheme_to_matching,
-    swap_sigma,
 )
 from .ratpoly import (Cone, Polytope, cone_at_vertex, cone_minus_linspace,
                       from_vertices)
@@ -70,7 +58,10 @@ def edge_label(e: tuple[int, int]) -> str:
     return f"v{e[0]}{e[1]}"
 
 
-FIVE_TEN_LABELS = tuple(edge_label(e) for e in K5_EDGES)
+# edge_label of each K5 edge in order, written out so that the direction
+# tests, which use no matching, do not import hypercomb.
+FIVE_TEN_LABELS = ("v12", "v13", "v14", "v15", "v23", "v24", "v25", "v34",
+                   "v35", "v45")
 SIX_ELEVEN_LABELS = ("s", "v11'", "v12'", "v13'", "v21'", "v22'", "v23'",
                      "v31'", "v32'", "v33'", "s'")
 
@@ -111,8 +102,8 @@ class LinearSystem(NamedTuple):
         return [p.equation() for p in self.parallelograms]
 
 
-def _gauge_square(m: VertexMatching, k: int, lo: Vec, hi: Vec, both: Vec,
-                  gauge: dict[str, Vec]) -> None:
+def _gauge_square(m: hypercomb.VertexMatching, k: int, lo: Vec, hi: Vec,
+                  both: Vec, gauge: dict[str, Vec]) -> None:
     # Pin the hyperedge at K5 vertex k: v12's partner -> lo+hi, the other
     # diagonal's corners -> lo, hi in increasing label order.
     d1, d2 = m.at(k)
@@ -129,11 +120,12 @@ def _gauge_square(m: VertexMatching, k: int, lo: Vec, hi: Vec, both: Vec,
     gauge[edge_label(other[1])] = hi
 
 
-def _five_ten_system(m: VertexMatching) -> LinearSystem:
+def _five_ten_system(m: hypercomb.VertexMatching) -> LinearSystem:
     paras = []
-    for k in K5_VERTICES:
+    for k in hypercomb.K5_VERTICES:
         d1, d2 = m.at(k)
-        corners = tuple(edge_label(e) for e in sorted(e for e in K5_EDGES if k in e))
+        corners = tuple(edge_label(e)
+                        for e in sorted(e for e in hypercomb.K5_EDGES if k in e))
         paras.append(Parallelogram(
             f"P{k}", corners,
             ((edge_label(d1[0]), edge_label(d1[1])),
@@ -146,7 +138,7 @@ def _five_ten_system(m: VertexMatching) -> LinearSystem:
                               if lab in gauge))
 
 
-def _six_eleven_system(sp: SigmaPair) -> LinearSystem:
+def _six_eleven_system(sp: hypercomb.SigmaPair) -> LinearSystem:
     sig, sig_p = sp.sigma, sp.sigma_prime
     paras = []
     for k in (1, 2, 3):
@@ -170,7 +162,7 @@ def _six_eleven_system(sp: SigmaPair) -> LinearSystem:
                               if lab in gauge))
 
 
-def build_system(m: VertexMatching | SigmaPair) -> LinearSystem:
+def build_system(m: hypercomb.VertexMatching | hypercomb.SigmaPair) -> LinearSystem:
     """Linear system induced by a diagonal matching, with the gauge applied.
 
     Args:
@@ -180,9 +172,9 @@ def build_system(m: VertexMatching | SigmaPair) -> LinearSystem:
         LinearSystem with one midpoint equation per hyperedge and seven
         labels pinned by the coordinate gauge.
     """
-    if isinstance(m, VertexMatching):
+    if isinstance(m, hypercomb.VertexMatching):
         return _five_ten_system(m)
-    if isinstance(m, SigmaPair):
+    if isinstance(m, hypercomb.SigmaPair):
         return _six_eleven_system(m)
     raise TypeError(f"cannot build a system from {type(m).__name__}")
 
@@ -421,8 +413,13 @@ def resolve_octahedron_case(sf: SolutionFamily) -> ContradictionReport | None:
     Such a subset spans a three-dimensional cross-polytope whose main
     diagonals must be diagonals of no parallelogram; a hit kills the case.
 
-    Every six-point subset is tried in label order and the first hit is
-    reported.
+    The points must be distinct, as they are in every family that
+    detect_contradiction leaves residual.  Then a centrally symmetric
+    six-point set is exactly three pairs of points with one common sum (its
+    center doubled), and two pairs with one sum share no point.  So the
+    candidates come from the 45 pair sums; they are tried in the order of
+    their label indices, as combinations lists six-point subsets, and the
+    first hit is reported.
 
     Returns:
         A "coincidence-with-diagonal" report, or None.
@@ -431,36 +428,22 @@ def resolve_octahedron_case(sf: SolutionFamily) -> ContradictionReport | None:
         raise ValueError("the six-point search applies to 5-10 systems")
     all_labels = sf.system.labels
     vals = sf.as_map()
+    pts = [vals[lab] for lab in all_labels]
+    if len(set(pts)) != len(pts):
+        raise ValueError("the six-point search needs distinct points")
+    by_sum: dict[Vec, list[tuple[int, int]]] = {}
+    for i, j in combinations(range(len(pts)), 2):
+        by_sum.setdefault(vadd(pts[i], pts[j]), []).append((i, j))
+    # Each pair list is in combinations order, so each triple of pairs is
+    # sorted by its first indices, the order the antipodal pairs are named.
+    candidates = sorted((tuple(sorted(a + b + c)), center2, (a, b, c))
+                        for center2, prs in by_sum.items()
+                        for a, b, c in combinations(prs, 3))
     diag_sets = {frozenset(d): p.name
                  for p in sf.system.parallelograms for d in p.diagonals}
-    for idx in combinations(range(len(all_labels)), 6):
-        pts = [vals[all_labels[i]] for i in idx]
-        # Central symmetry forces the center to be the centroid; pair every
-        # point with its reflection through it.
-        total = pts[0]
-        for p in pts[1:]:
-            total = vadd(total, p)
-        center2 = vec(x / 3 for x in total)
-        used = [False] * 6
-        pairs: list[tuple[int, int]] = []
-        ok = True
-        for i in range(6):
-            if used[i]:
-                continue
-            part = None
-            for j in range(i + 1, 6):
-                if not used[j] and vadd(pts[i], pts[j]) == center2:
-                    part = j
-                    break
-            if part is None:
-                ok = False
-                break
-            used[i] = used[part] = True
-            pairs.append((idx[i], idx[part]))
-        if not ok or len(pairs) != 3:
-            continue
+    for idx, center2, pairs in candidates:
         center = vec(x / 2 for x in center2)
-        rows = [vsub(p, center) for p in pts]
+        rows = [vsub(pts[i], center) for i in idx]
         if _lp.rank(rows) != 3:
             continue
         hits = []
@@ -582,7 +565,7 @@ def _verify_documented(doc: tuple, solution, failure, detected, resolution) -> b
 
 
 def _run_case(family: str, case: int | None, doc: tuple,
-              m: VertexMatching | SigmaPair) -> CaseRow:
+              m: hypercomb.VertexMatching | hypercomb.SigmaPair) -> CaseRow:
     ls = build_system(m)
     out = solve(ls)
     if isinstance(out, NoSolution):
@@ -603,9 +586,9 @@ def _run_case(family: str, case: int | None, doc: tuple,
 
 def five_ten_case(case: int) -> CaseRow:
     """Work one documented 5-10 case (keyed as in SCHEME_CASES)."""
-    scheme = PloughingScheme(SCHEME_CASES[case])
+    scheme = hypercomb.PloughingScheme(hypercomb.SCHEME_CASES[case])
     return _run_case("5-10", case, DOCUMENTED_5_10[case],
-                     scheme_to_matching(scheme))
+                     hypercomb.scheme_to_matching(scheme))
 
 
 def six_eleven_case(position: int) -> CaseRow:
@@ -614,9 +597,10 @@ def six_eleven_case(position: int) -> CaseRow:
     Matchings tagged as star-swaps of earlier rows are marked, not
     re-solved.
     """
-    sp = enumerate_6_11_matchings()[position]
+    sp = hypercomb.enumerate_6_11_matchings()[position]
     if sp.reduces_to is not None:
-        ok = swap_sigma(sp) == DOCUMENTED_SIGMA_ITEMS[sp.reduces_to]
+        ok = (hypercomb.swap_sigma(sp)
+              == hypercomb.DOCUMENTED_SIGMA_ITEMS[sp.reduces_to])
         return CaseRow("6-11", sp.item, DOCUMENTED_6_11[sp.item], ok,
                        None, None, None, None, sp.reduces_to)
     doc = DOCUMENTED_6_11[sp.item] if sp.item is not None else DOCUMENTED_EXTRA_6_11
@@ -631,8 +615,9 @@ def run_all_cases() -> CaseTable:
         certificate), the mechanically detected contradiction, the
         documented verdict, and whether that verdict rechecks.
     """
-    five = [five_ten_case(case) for case in sorted(SCHEME_CASES)]
-    six = [six_eleven_case(k) for k in range(len(enumerate_6_11_matchings()))]
+    five = [five_ten_case(case) for case in sorted(hypercomb.SCHEME_CASES)]
+    six = [six_eleven_case(k)
+           for k in range(len(hypercomb.enumerate_6_11_matchings()))]
     return CaseTable(tuple(five), tuple(six))
 
 
@@ -788,35 +773,88 @@ def _direction_passes(x: Vec, pairs) -> bool:
     return True
 
 
+def _shift(x: tuple) -> tuple:
+    """The cyclic index shift sigma(x) = (x5, x1, x2, x3, x4)."""
+    return x[-1:] + x[:-1]
+
+
+def _orbit(x: tuple) -> list[tuple]:
+    """The ten images of x under the group that negation and sigma
+    generate."""
+    out = []
+    for _ in range(5):
+        x = _shift(x)
+        out += [x, tuple(-c for c in x)]
+    return out
+
+
+def _check_shift_symmetry() -> None:
+    """sigma permutes Q's vertices and maps each parallelogram quadruple
+    and each direction plane to the next one.
+
+    sigma is a permutation matrix, so it then maps Q onto itself, the
+    tangent cone at v onto the one at sigma(v), and each excluded cone of
+    (i, v), normals included, onto the one of (i + 1, sigma(v)).
+
+    Raises:
+        VerificationError: any of the three maps fails.
+    """
+    q, paras, planes = lifted_configuration()
+    if {_shift(v) for v in q.vertices} != set(q.vertices):
+        raise VerificationError("the cyclic shift does not permute the hull "
+                                "vertices")
+    for i in range(5):
+        j = (i + 1) % 5
+        if {_shift(v) for v in paras[i]} != set(paras[j]):
+            raise VerificationError("the cyclic shift does not map "
+                                    f"parallelogram {i + 1} to {j + 1}")
+        # The reduced row echelon form of a basis determines its span.
+        if _lp.rref([_shift(b) for b in planes[i]])[0] != _lp.rref(planes[j])[0]:
+            raise VerificationError("the cyclic shift does not map direction "
+                                    f"plane {i + 1} to {j + 1}")
+
+
+def _excluded_pairs() -> list[tuple[int, Vec, tuple[Vec, ...]]]:
+    """(i, v, excluded_direction_cone(i, v)) for every parallelogram i and
+    hull vertex v outside it: the cones of parallelogram 1 are built, and
+    sigma^k, once _check_shift_symmetry has passed, maps them to those of
+    parallelogram k + 1."""
+    _check_shift_symmetry()
+    _q, paras, _planes = lifted_configuration()
+    orbit = [(v, excluded_direction_cone(1, v))
+             for v in Q_VERTEX_ORDER if v not in paras[0]]
+    pairs = []
+    for i in range(1, 6):
+        pairs += [(i, v, normals) for v, normals in orbit]
+        orbit = [(_shift(v), tuple(sorted(map(_shift, normals))))
+                 for v, normals in orbit]
+    return pairs
+
+
 def cone_test_pipeline() -> tuple[Vec, ...]:
     """Every direction that survives all the cone tests, as primitive rays.
 
     Excludes, for each parallelogram of the lifted configuration and each
     hull vertex outside it, both open cones of forbidden directions, plus
-    directions with any vanishing coordinate.  The returned rays are
-    checked one by one against the raw tests and for closure under the
-    cyclic index shift.
-    """
-    q, paras, _planes = lifted_configuration()
-    singles = [v for v in Q_VERTEX_ORDER if sum(1 for c in v if c != 0) == 1]
-    sums = [v for v in Q_VERTEX_ORDER if sum(1 for c in v if c != 0) == 2]
-    pairs = []
-    for i in range(1, 6):
-        for v in singles + sums:
-            if tuple(v) in paras[i - 1]:
-                continue
-            pairs.append((i, v, excluded_direction_cone(i, v)))
+    directions with any vanishing coordinate.
 
-    cells = [_Cell((), (), (1, 0, 0, 0, 0))]
-    for i in range(5):
-        axis = tuple(int(k == i) for k in range(5))
-        split: list[_Cell] = []
-        for cell in cells:
-            for side in (axis, tuple(-x for x in axis)):
-                ref = _refine(cell, extra_neg=(side,))
-                if ref is not None:
-                    split.append(ref)
-        cells = split
+    The work is done up to the order-10 group that negation and the cyclic
+    index shift sigma generate.  _check_shift_symmetry shows that sigma
+    maps the excluded cones onto one another, and each pair of open cones
+    is closed under negation, so the survivors are closed under the group.
+    Only the cones of parallelogram 1 are built (the others are their
+    images), and the cells start from one open orthant per orbit of the
+    32, with its sign vector as the witness.  The survivors found there,
+    with their images, are all of them.  The returned rays are checked one
+    by one against the raw tests of all 30 pairs and for closure under
+    sigma.
+    """
+    pairs = _excluded_pairs()
+    # The open orthant of sign vector s is {x : -s_k x_k < 0 for every k}.
+    signs = {max(_orbit(s)) for s in product((1, -1), repeat=5)}
+    cells = [_Cell((), tuple(sorted(tuple(-s[k] * (j == k) for j in range(5))
+                                    for k in range(5))), s)
+             for s in sorted(signs)]
     ordered = sorted(pairs, key=lambda t: (sum(1 for c in t[1] if c != 0), t[0], t[1]))
     for _i, _v, normals in ordered:
         normals = tuple(primitive_ints(n) for n in normals)
@@ -831,12 +869,11 @@ def cone_test_pipeline() -> tuple[Vec, ...]:
         d = primitive(ns[0])
         j = next(k for k in range(5) if d[k] != 0)
         ray = d if cell.witness[j] * d[j] > 0 else tuple(-x for x in d)
-        rays.add(ray)
+        rays.update(_orbit(ray))
     for ray in rays:
         if not _direction_passes(ray, pairs):
             raise VerificationError("a reported survivor fails a raw test")
-        shifted = ray[-1:] + ray[:-1]
-        if primitive(shifted) not in rays:
+        if _shift(ray) not in rays:
             raise VerificationError("survivors are not closed under the "
                                     "cyclic index shift")
     return tuple(sorted(rays))
@@ -844,13 +881,7 @@ def cone_test_pipeline() -> tuple[Vec, ...]:
 
 def survivor_orbit() -> tuple[Vec, ...]:
     """The cyclic-shift and sign orbit of the documented surviving direction."""
-    out = set()
-    x = SURVIVOR_DIRECTION
-    for _ in range(5):
-        x = x[-1:] + x[:-1]
-        out.add(vec(x))
-        out.add(vec(-c for c in x))
-    return tuple(sorted(out))
+    return tuple(sorted(set(_orbit(SURVIVOR_DIRECTION))))
 
 
 # ---------------------------------------------------------------------------

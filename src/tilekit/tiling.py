@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor
+from operator import mul
 from typing import NamedTuple
 
 from . import ratpoly
@@ -326,26 +327,45 @@ def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
 
 def _check_lattice_points(hull: Polytope, verts: tuple[Vec, ...],
                           basis: tuple[tuple, list]) -> None:
-    """The lattice points in ``hull`` are exactly the tile centers ``verts``.
+    """The lattice points in ``hull`` are exactly the tile centers ``verts``."""
+    # Every center lies in the hull, so any other point found is extra.
+    if len(_lattice_points(hull, verts, basis)) != len(verts):
+        raise GeometryError("hull of a star contains an extra tile center")
 
-    Every integer point of the centers' bounding box in the coordinates of
-    the reduced basis ``basis`` = (u, u^-1) is tested.  The centers are
-    close in the lattice metric, so that box is small whatever the given
-    basis; in a skewed basis the box in the given coordinates can hold
-    arbitrarily many points.
+
+def _lattice_points(hull: Polytope, verts: tuple[Vec, ...],
+                    basis: tuple[tuple, list]) -> list[tuple[int, ...]]:
+    """The integer points of ``hull`` in the bounding box of ``verts``,
+    integer points of the hull, taken in the coordinates of the reduced
+    basis ``basis`` = (u, u^-1).  They are given in the caller's
+    coordinates, in lexicographic order of their reduced coordinates.
+
+    Every integer point of that box is tested.  The centers are close in
+    the lattice metric, so that box is small whatever the given basis; in
+    a skewed basis the box in the given coordinates can hold arbitrarily
+    many points.  The test is in integers: a point x = u y of the hull meets each facet
+    n.x <= b as (n u).y <= floor(b), with n a primitive integer row, and
+    each equation n.x == b as (n u).y == b.
     """
     u, inv = basis
-    vset = set(verts)
-    coords = [[sum(r * x for r, x in zip(row, map(int, v))) for row in inv]
+    # Centers and normals are integral Fractions, and so are the equation
+    # offsets, since the hull's affine span passes through the centers.
+    coords = [[sum(map(mul, row, [x.numerator for x in v])) for row in inv]
               for v in verts]
-    # Reduced coordinate y_k adds y_k times column k of u to the point.
-    steps = [[tuple(y * x for x in col)
-              for y in range(min(w[k] for w in coords), max(w[k] for w in coords) + 1)]
-             for k, col in enumerate(zip(*u))]
-    for parts in product(*steps):
-        pt = tuple(map(sum, zip(*parts)))
-        if hull.contains(pt) and pt not in vset:
-            raise GeometryError("hull of a star contains an extra tile center")
+    cols = list(zip(*u))
+
+    def in_reduced(n: Vec) -> list[int]:
+        ints = [a.numerator for a in n]
+        return [sum(map(mul, ints, col)) for col in cols]
+
+    eqs = [(in_reduced(n), b.numerator) for n, b in hull.equations]
+    rows = [(in_reduced(n), floor(b)) for n, b in hull.facets]
+    boxes = [range(min(w[k] for w in coords), max(w[k] for w in coords) + 1)
+             for k in range(len(cols))]
+    found = [y for y in product(*boxes)
+             if all(sum(map(mul, a, y)) == b for a, b in eqs)
+             and all(sum(map(mul, a, y)) <= b for a, b in rows)]
+    return [tuple(sum(map(mul, row, y)) for row in u) for y in found]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ leading_minors_positive, the determinant test of positive definiteness
 that lattice's symmetric elimination replaced.  So are the case-engine
 kernels before each ran once per orbit, lattice or cell row:
 canonical_scheme and sigma_orbit_key (every relabeling of every member),
-and in_int_span with parity_certificate_reference (one Hermite reduction
-per target).  So are the eliminations that _lp.Elimination replaced:
-rref_reference (a Fraction Gauss-Jordan), independent_reference and
-int_inverse_reference (fraction-free, from ratpoly) and ldl_reference
-(lattice's symmetric elimination).  Nine exceptions import tilekit, inside
+in_int_span with parity_certificate_reference (one Hermite reduction per
+target), and octahedron_search_reference (all 210 six-point subsets).
+So is lattice_points_reference, the lattice-point scan on Fraction
+points, which reads only the hull's contains method.  So are the
+eliminations that _lp.Elimination replaced: rref_reference (a Fraction
+Gauss-Jordan), independent_reference and int_inverse_reference
+(fraction-free, from ratpoly) and ldl_reference (lattice's symmetric
+elimination).  Nine exceptions import tilekit, inside
 the function only:
 
 - from_vertices_reference, the V-to-H conversion before it made one basis
@@ -38,7 +41,8 @@ the function only:
   central reflection, with the ridges read off the face lattice rather
   than off facet pairs: ratpoly.face_lattice and _lp.rref.
 - cone_pipeline_reference, the direction-cone pipeline on Fraction rows
-  with an LP for every refined cell: syssolve's excluded cones and
+  with an LP for every refined cell, over all 32 orthants and 30 built
+  cones rather than up to symmetry: syssolve's excluded cones and
   _lp.strictly_feasible and _lp.nullspace.
 - solve_reference, the case engine's solver before it ran on
   _lp.Elimination: a column-pivot Fraction Gauss-Jordan that returns
@@ -1148,12 +1152,83 @@ def parity_certificate_reference(sf, a, b):
     return tuple(coeffs), tuple(sf.system.labels) + tuple(sf.params)
 
 
+def octahedron_search_reference(sf):
+    """syssolve.resolve_octahedron_case before it took its candidates from
+    the pair sums: every one of the 210 six-point subsets, in combinations
+    order, is tested for central symmetry about its centroid by pairing
+    each point with its reflection; a symmetric subset that spans three
+    dimensions and has a parallelogram diagonal among its antipodal pairs
+    is the hit.  Returns (kind, certificate, description), which equals
+    syssolve's ContradictionReport field by field, or None.  Reads the
+    fields of a syssolve.SolutionFamily only."""
+    labels = sf.system.labels
+    vals = dict(sf.values)
+    diagonals = {frozenset(d): p.name
+                 for p in sf.system.parallelograms for d in p.diagonals}
+    for idx in itertools.combinations(range(len(labels)), 6):
+        pts = [vals[labels[i]] for i in idx]
+        center2 = tuple(sum(xs) / 3 for xs in zip(*pts))
+        used = [False] * 6
+        pairs = []
+        for i in range(6):
+            if used[i]:
+                continue
+            part = next((j for j in range(i + 1, 6) if not used[j]
+                         and all(x + y == c for x, y, c
+                                 in zip(pts[i], pts[j], center2))), None)
+            if part is None:
+                break
+            used[i] = used[part] = True
+            pairs.append((idx[i], idx[part]))
+        if len(pairs) != 3:
+            continue
+        center = tuple(c / 2 for c in center2)
+        rows = [tuple(x - c for x, c in zip(p, center)) for p in pts]
+        if matrix_rank(rows, len(center)) != 3:
+            continue
+        hits = tuple((diagonals[frozenset((labels[i], labels[j]))],
+                      (labels[i], labels[j]))
+                     for i, j in pairs
+                     if frozenset((labels[i], labels[j])) in diagonals)
+        if hits:
+            return ("coincidence-with-diagonal",
+                    (tuple(labels[i] for i in idx), center,
+                     tuple((labels[i], labels[j]) for i, j in pairs), hits),
+                    "a centrally symmetric six-point set has a parallelogram "
+                    "diagonal among its main diagonals")
+    return None
+
+
+def lattice_points_reference(hull, verts, basis):
+    """The integer points of hull in the bounding box of the integer points
+    verts in the reduced coordinates of basis = (u, u^-1), listed in the
+    box's product order: tiling._lattice_points before it tested in
+    integers.  Each box point is built in the caller's coordinates and
+    tested with hull.contains, a Fraction dot product per facet and
+    equation."""
+    u, inv = basis
+    coords = [[sum(r * x for r, x in zip(row, map(int, v))) for row in inv]
+              for v in verts]
+    steps = [[tuple(y * x for x in col)
+              for y in range(min(w[k] for w in coords),
+                             max(w[k] for w in coords) + 1)]
+             for k, col in enumerate(zip(*u))]
+    out = []
+    for parts in itertools.product(*steps):
+        pt = tuple(map(sum, zip(*parts)))
+        if hull.contains(pt):
+            out.append(pt)
+    return out
+
+
 def cone_pipeline_reference():
     """The survivors of syssolve.cone_test_pipeline on the Fraction-row
     cell path: every refinement re-canonicalizes all its rows with
     make_cell_reference and runs an LP for its witness, and every
-    exclusion makes its normals primitive again for each cell.  Takes the
-    excluded cones and the LP from tilekit."""
+    exclusion makes its normals primitive again for each cell.  It splits
+    all 32 orthants and builds each of the 30 excluded cones, so it also
+    checks the pipeline's reduction by symmetry.  Takes the excluded cones
+    and the LP from tilekit."""
     from tilekit import _lp, syssolve
 
     def neg_of(n):

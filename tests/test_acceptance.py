@@ -89,7 +89,7 @@ def test_1_k5_scheme_enumeration():
 
 def test_2_five_ten_case_table():
     t0 = time.monotonic()
-    rows = {k: syssolve.five_ten_case(k) for k in sorted(syssolve.SCHEME_CASES)}
+    rows = {k: syssolve.five_ten_case(k) for k in sorted(hc.SCHEME_CASES)}
     elapsed = time.monotonic() - t0
 
     assert sorted(rows) == list(range(1, 9))

@@ -263,8 +263,9 @@ def test_cases_run_all_pool_is_capped_at_the_row_count(tmp_path, capsys,
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setenv(cli.JOBS_ENV, "1000")
     assert run(capsys, "cases", "run-all", "--out", str(capped))[0] == 1
-    # One worker per row at most: 19 six-eleven rows, 8 five-ten rows.
-    assert len(sizes) == 1 and sizes[0] <= 19
+    # One map over the 27 rows (8 five-ten, 19 six-eleven), with one
+    # worker per row at most.
+    assert sizes == [27]
     assert serial.read_bytes() == capped.read_bytes()
 
 
@@ -325,6 +326,14 @@ def test_each_job_executes_only_the_modules_it_uses(tmp_path):
             "tilekit.ratpoly"]
     assert _executed_by_job(tmp_path, "hyper", "enumerate-k5") \
         == ["tilekit", "tilekit.cli", "tilekit.hypercomb"]
+    # The direction tests use no matching, so they do not run hypercomb.
+    for cmd in ("cone-pipeline", "final-case"):
+        assert _executed_by_job(tmp_path, "cases", cmd) \
+            == ["tilekit", "tilekit._lp", "tilekit.cli", "tilekit.ratpoly",
+                "tilekit.syssolve"]
+    assert _executed_by_job(tmp_path, "cases", "run-all") \
+        == ["tilekit", "tilekit._lp", "tilekit.cli", "tilekit.hypercomb",
+            "tilekit.ratpoly", "tilekit.syssolve"]
 
 
 @pytest.mark.parametrize("e", [1000, 10**40])
@@ -442,18 +451,22 @@ def test_cli_import_registers_every_traced_module(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
-    argv = ("dv", "--gram", gram_file(tmp_path, A2))
-    spans = tmp_path / "spans.jsonl"
-    traced = subprocess.run([sys.executable, tracer.__file__, str(spans),
-                             "dv:A2", "--", *argv], env=SRC_ENV,
-                            capture_output=True)
-    plain = subprocess.run([sys.executable, "-m", "tilekit.cli", *argv],
-                           env=SRC_ENV, capture_output=True)
-    assert traced.returncode == plain.returncode == 0, traced.stderr
-    assert traced.stdout == plain.stdout
-    spanned = {json.loads(line)[0]
-               for line in spans.read_text().splitlines() if line}
-    assert "lattice.relevant_vectors" in spanned
+    for job, argv, code, names in (
+            ("dv:A2", ("dv", "--gram", gram_file(tmp_path, A2)), 0,
+             {"lattice.relevant_vectors"}),
+            ("cases:cone-pipeline", ("cases", "cone-pipeline"), 0,
+             {"syssolve.cone_test_pipeline", "_lp.strictly_feasible"})):
+        spans = tmp_path / f"spans-{job.split(':')[0]}.jsonl"
+        traced = subprocess.run([sys.executable, tracer.__file__, str(spans),
+                                 job, "--", *argv], env=SRC_ENV,
+                                capture_output=True)
+        plain = subprocess.run([sys.executable, "-m", "tilekit.cli", *argv],
+                               env=SRC_ENV, capture_output=True)
+        assert traced.returncode == plain.returncode == code, traced.stderr
+        assert traced.stdout == plain.stdout
+        spanned = {json.loads(line)[0]
+                   for line in spans.read_text().splitlines() if line}
+        assert names <= spanned, job
 
 
 def test_violation_names_are_exception_classes():

@@ -306,3 +306,39 @@ def test_int_inverse_matches_the_reference(seed):
             assert den > 0
             assert [[sum(F(a * b, den) for a, b in zip(row, col)) for col in zip(*got)]
                     for row in m] == [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_int_span_matches_the_per_target_reduction(seed):
+    """IntSpan decides in integers with the coefficients of the per-target
+    Hermite reduction (oracles.in_int_span, run on the target and the
+    generators scaled together to integers), on seeded integral and
+    rational generators and on integral and non-integral targets: integer
+    combinations of the generators, halves of them and random vectors."""
+    rng = random.Random(seed)
+    found = Counter()
+    for trial in range(60):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        den = 1 if trial % 2 == 0 else rng.randint(2, 4)
+        gens = [tuple(F(rng.randint(-4, 4), rng.choice((1, den))) for _ in range(n))
+                for _ in range(k)]
+        span = _lp.IntSpan(gens)
+        combo = [rng.randint(-3, 3) for _ in gens]
+        inside = tuple(sum((c * g[i] for c, g in zip(combo, gens)), F(0))
+                       for i in range(n))
+        for target in (inside, tuple(x / 2 for x in inside),
+                       tuple(F(rng.randint(-5, 5)) for _ in range(n)),
+                       tuple(F(rng.randint(-5, 5), rng.randint(1, 6))
+                             for _ in range(n))):
+            scale = lcm(*(x.denominator for v in (target, *gens) for x in v))
+            want = oracles.in_int_span([int(x * scale) for x in target],
+                                       [[int(y * scale) for y in g] for g in gens])
+            got = span.coefficients(target)
+            assert got == want, (gens, target)
+            if got is not None:
+                assert tuple(sum((c * g[i] for c, g in zip(got, gens)), F(0))
+                             for i in range(n)) == target
+            integral = all(x.denominator == 1 for x in target)
+            found[integral, got is None] += 1
+    # Targets in and out of the span, integral and not, are all drawn.
+    assert set(found) == {(True, True), (True, False), (False, True), (False, False)}

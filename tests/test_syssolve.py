@@ -10,6 +10,7 @@ import pytest
 
 from tilekit.hypercomb import (
     DOCUMENTED_SIGMA_ITEMS,
+    K5_EDGES,
     PloughingScheme,
     SCHEME_CASES,
     _all_raw_schemes,
@@ -65,6 +66,7 @@ def test_five_ten_system_shape():
     ls = build_system(scheme_to_matching(PloughingScheme(SCHEME_CASES[4])))
     assert ls.kind == "5-10"
     assert ls.labels == FIVE_TEN_LABELS
+    assert FIVE_TEN_LABELS == tuple(syssolve.edge_label(e) for e in K5_EDGES)
     assert len(ls.parallelograms) == 5
     assert len(ls.gauge) == 7
     gm = ls.gauge_map()
@@ -528,6 +530,51 @@ def test_octahedron_resolution_documented_subset_also_qualifies():
     assert hits == {("v14", "v24"): "P4", ("v34", "v45"): "P4"}
 
 
+def test_octahedron_search_matches_the_subset_scan_on_the_residual_families():
+    for case in (2, 7):
+        sf = _solved(case)
+        assert resolve_octahedron_case(sf) == oracles.octahedron_search_reference(sf)
+
+
+def _synthetic_families():
+    """Ten distinct points with two centrally symmetric six-point sets:
+    around 0, either a cross-polytope on e1, e2, e3 or a planar hexagon,
+    and around (e1 + e2) / 2 the pairs (e1, e2), (e1 + e4, e2 - e4) and
+    (e1 + e2 + e3, -e3)."""
+    def pt(*xs):
+        return _f(*xs, *[0] * (4 - len(xs)))
+
+    shared = [pt(1), pt(-1), pt(0, 1), pt(0, -1), pt(1, 0, 0, 1),
+              pt(0, 1, 0, -1), pt(1, 1, 1), pt(0, 0, -1)]
+    yield shared + [pt(0, 0, 1), _f(1, 2, 3, 4)]
+    yield shared + [pt(1, 1), pt(-1, -1)]
+
+
+def test_octahedron_search_matches_the_subset_scan_on_two_symmetric_sets():
+    """Seeded labelings of the synthetic families: the pair-sum search and
+    the 210-subset scan agree on every one, including labelings where the
+    hit is the later of the two six-point sets and where neither hits."""
+    system = _solved(7).system
+    rng = random.Random(3)
+    outcomes = set()
+    for points in _synthetic_families():
+        for _ in range(40):
+            rng.shuffle(points)
+            sf = SolutionFamily(system, (), tuple(zip(system.labels, points)))
+            rep = resolve_octahedron_case(sf)
+            assert rep == oracles.octahedron_search_reference(sf)
+            outcomes.add(None if rep is None else rep.certificate[1])
+    assert outcomes == {None, _f(0, 0, 0, 0),
+                        _f(Fraction(1, 2), Fraction(1, 2), 0, 0)}
+
+
+def test_octahedron_search_needs_distinct_points():
+    sf = _solved(4)
+    assert len(set(sf.as_map().values())) < len(sf.values)
+    with pytest.raises(ValueError, match="distinct"):
+        resolve_octahedron_case(sf)
+
+
 def test_octahedron_search_finds_nothing_in_residual_family():
     assert resolve_octahedron_case(_solved(2)) is None
     sp = next(iter(enumerate_6_11_matchings()))
@@ -595,7 +642,9 @@ def test_direction_pipeline_matches_the_fraction_row_path():
 def test_direction_pipeline_skips_lps_its_witnesses_answer(monkeypatch):
     """A refined cell keeps its parent's witness when that point meets the
     extra rows strictly, so fewer LPs run than refinements were made (496
-    when every refinement ran one; 419 with the witnesses reused)."""
+    when every refinement ran one; 419 with the witnesses reused).  Up to
+    symmetry the cells start from 4 orthants, with their sign vectors as
+    witnesses, instead of 32: 38 LPs."""
     calls = []
     real = _lp.strictly_feasible
 
@@ -605,7 +654,57 @@ def test_direction_pipeline_skips_lps_its_witnesses_answer(monkeypatch):
 
     monkeypatch.setattr(_lp, "strictly_feasible", counting)
     assert set(cone_test_pipeline()) == set(survivor_orbit())
-    assert len(calls) < 496
+    assert len(calls) <= 40
+
+
+def test_shifted_cones_equal_the_built_ones():
+    """The excluded cones the pipeline maps by the cyclic shift from those
+    of parallelogram 1 are the ones excluded_direction_cone builds, for
+    all 30 pairs."""
+    pairs = syssolve._excluded_pairs()
+    assert len({(i, v) for i, v, _ in pairs}) == len(pairs) == 30
+    for i, v, normals in pairs:
+        assert normals == excluded_direction_cone(i, v), (i, v)
+
+
+def test_direction_pipeline_builds_the_cones_of_one_parallelogram(monkeypatch):
+    built = []
+    real = syssolve.excluded_direction_cone
+
+    def counting(i, v):
+        built.append(i)
+        return real(i, v)
+
+    monkeypatch.setattr(syssolve, "excluded_direction_cone", counting)
+    cone_test_pipeline()
+    assert built == [1] * 6
+
+
+def _broken(paras=None, planes=None):
+    q, real_paras, real_planes = lifted_configuration()
+    return lambda: (q, paras or real_paras, planes or real_planes)
+
+
+def test_direction_pipeline_refuses_a_broken_symmetry(monkeypatch):
+    """The cyclic shift must map each parallelogram quadruple and each
+    direction plane to the next one; a configuration where it does not is
+    refused before any cone is built."""
+    _q, paras, planes = lifted_configuration()
+    # Plane 3 spanned by another basis is still plane 3.
+    rebased = list(planes)
+    u, w = rebased[2]
+    rebased[2] = (tuple(a + b for a, b in zip(u, w)), w)
+    monkeypatch.setattr(syssolve, "lifted_configuration",
+                        _broken(planes=tuple(rebased)))
+    syssolve._check_shift_symmetry()
+    # Plane 3 tilted, or quadruple 4 with one corner moved, is not.
+    rebased[2] = (u, tuple(b + (k == 0) for k, b in enumerate(w)))
+    moved = list(paras)
+    moved[3] = paras[3][:3] + (_f(1, 1, 1, 1, 1),)
+    for broken in (_broken(planes=tuple(rebased)), _broken(paras=tuple(moved))):
+        monkeypatch.setattr(syssolve, "lifted_configuration", broken)
+        with pytest.raises(syssolve.VerificationError, match="cyclic shift"):
+            cone_test_pipeline()
 
 
 def test_make_cell_matches_reference():

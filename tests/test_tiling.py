@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -321,6 +322,43 @@ def test_lattice_point_scan_finds_an_extra_center_in_the_reduced_box():
         with pytest.raises(ratpoly.GeometryError, match="extra tile center"):
             tiling._check_lattice_points(ratpoly.from_vertices(ends), ends,
                                          c.reduced)
+
+
+def test_lattice_points_match_the_fraction_scan():
+    """On the representative dual cell of every orbit of the suite, the
+    root lattices (A4* and A5 among them) and a rebased FCC, the integer
+    test finds the points the Fraction scan finds, and they are exactly
+    the centers.  A center left out of the list, with the hull kept, is
+    found as an extra point exactly when it lies in the reduced box of the
+    others, and then the check raises."""
+    grams = {**GRAMS, **ROOT_GRAMS,
+             "FCC rebased": _rebased(GRAMS["FCC"], random.Random(5))}
+    injected = 0
+    for name, gram in grams.items():
+        c = tiling.build_complex(gram)
+        inv = c.reduced[1]
+        for q in range(len(c.orbits)):
+            dc = tiling._representative_dual_cell(c, q)
+            centers = [tuple(map(int, v)) for v in dc.verts]
+            got = tiling._lattice_points(dc.hull, dc.verts, c.reduced)
+            assert got == oracles.lattice_points_reference(dc.hull, dc.verts,
+                                                           c.reduced), (name, q)
+            assert sorted(got) == sorted(centers)
+            ys = [[sum(map(mul, row, v)) for row in inv] for v in centers]
+            for k in range(len(centers) if len(centers) > 1 else 0):
+                rest = dc.verts[:k] + dc.verts[k + 1:]
+                others = ys[:k] + ys[k + 1:]
+                in_box = all(min(col) <= y <= max(col)
+                             for y, col in zip(ys[k], zip(*others)))
+                found = tiling._lattice_points(dc.hull, rest, c.reduced)
+                assert sorted(found) == sorted(centers if in_box
+                                               else centers[:k] + centers[k + 1:])
+                if in_box:
+                    injected += 1
+                    with pytest.raises(ratpoly.GeometryError,
+                                       match="extra tile center"):
+                        tiling._check_lattice_points(dc.hull, rest, c.reduced)
+    assert injected > 100
 
 
 def test_complex_scans_in_the_reduction_of_its_search():
