@@ -340,10 +340,10 @@ def _pyramid_flanked_parallelograms(c: tiling.TilingComplex):
 
 def _cmd_scaling_coherence(args) -> int:
     gram = _load_gram(args.gram)
-    c = tiling.build_complex(gram)
-    if c.dim < 4:
+    if len(gram) < 4:
         raise InputError("coherence scanning needs a lattice of dimension "
                          "at least 4")
+    c = tiling.build_complex(gram)
     frame = scaling.build_frame(c)
     rows = []
     all_ok = True
@@ -359,9 +359,10 @@ def _cmd_scaling_coherence(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    c = tiling.build_complex(_load_gram(args.gram))
-    if c.dim != 2:
+    gram = _load_gram(args.gram)
+    if len(gram) != 2:
         raise InputError("the lift is built for two-dimensional lattices")
+    c = tiling.build_complex(gram)
     frame, out = _scaling_pieces(c)
     if isinstance(out, scaling.InconsistencyWitness):
         _emit(_render({"status": "inconsistent",

@@ -20,10 +20,8 @@ from . import _lp, hypercomb
 from ._lp import (
     IntSpan,
     Vec,
-    dot,
     is_zero,
     nullspace,
-    primitive,
     primitive_ints,
     vadd,
     vec,
@@ -762,13 +760,14 @@ def _exclude_open(cells: list[_Cell], normals: tuple[tuple[int, ...], ...]
     return out
 
 
-def _direction_passes(x: Vec, pairs) -> bool:
+def _direction_passes(x: tuple[int, ...], pairs) -> bool:
+    # x and the normals are integer rows.
     if any(c == 0 for c in x):
         return False
     for _i, _v, normals in pairs:
-        if all(dot(n, x) < 0 for n in normals):
+        if all(sum(map(mul, n, x)) < 0 for n in normals):
             return False
-        if all(dot(n, x) > 0 for n in normals):
+        if all(sum(map(mul, n, x)) > 0 for n in normals):
             return False
     return True
 
@@ -849,7 +848,9 @@ def cone_test_pipeline() -> tuple[Vec, ...]:
     by one against the raw tests of all 30 pairs and for closure under
     sigma.
     """
-    pairs = _excluded_pairs()
+    # Primitive integer normals: a positive scale keeps every sign.
+    pairs = [(i, v, tuple(primitive_ints(n) for n in normals))
+             for i, v, normals in _excluded_pairs()]
     # The open orthant of sign vector s is {x : -s_k x_k < 0 for every k}.
     signs = {max(_orbit(s)) for s in product((1, -1), repeat=5)}
     cells = [_Cell((), tuple(sorted(tuple(-s[k] * (j == k) for j in range(5))
@@ -857,7 +858,6 @@ def cone_test_pipeline() -> tuple[Vec, ...]:
              for s in sorted(signs)]
     ordered = sorted(pairs, key=lambda t: (sum(1 for c in t[1] if c != 0), t[0], t[1]))
     for _i, _v, normals in ordered:
-        normals = tuple(primitive_ints(n) for n in normals)
         cells = _exclude_open(cells, normals)
         cells = _exclude_open(cells, tuple(tuple(-x for x in n) for n in normals))
 
@@ -866,7 +866,7 @@ def cone_test_pipeline() -> tuple[Vec, ...]:
         ns = nullspace(cell.eqs, 5)
         if len(ns) != 1:
             raise VerificationError("a surviving region is not a single ray")
-        d = primitive(ns[0])
+        d = primitive_ints(ns[0])
         j = next(k for k in range(5) if d[k] != 0)
         ray = d if cell.witness[j] * d[j] > 0 else tuple(-x for x in d)
         rays.update(_orbit(ray))
@@ -876,7 +876,7 @@ def cone_test_pipeline() -> tuple[Vec, ...]:
         if _shift(ray) not in rays:
             raise VerificationError("survivors are not closed under the "
                                     "cyclic index shift")
-    return tuple(sorted(rays))
+    return tuple(sorted(map(vec, rays)))
 
 
 def survivor_orbit() -> tuple[Vec, ...]:

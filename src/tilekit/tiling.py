@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import ratpoly
 from . import lattice as lat
-from ._lp import Vec, frac, vadd, vsub
+from ._lp import Vec, vadd, vsub
 from .ratpoly import GeometryError, Polytope
 
 
@@ -109,32 +109,32 @@ class TilingComplex:
     """Quotient of a face-to-face lattice tiling by its translation group.
 
     Attributes:
-        gram: Gram matrix of the lattice basis.
         tile: the base tile, the Voronoi cell of the lattice point at the
             origin.  Tile centers are the lattice points: ``P + lam`` is
             centered at ``lam``.
         orbits: face orbits of every dimension, in a fixed order.
-        adjacency: for each orbit, the star of its representative face --
-            references to every face of the tiling containing it, the
-            representative itself included.
+        reduced: the lattice's LLL-reduced basis (the columns of a
+            unimodular u) and u^-1, as lattice.reduced_basis gives them,
+            for the lattice-point scans of dual cells and the tile paths of
+            the lift.
 
-    The dual cell of each orbit's representative is kept in one slot per
-    orbit, filled by ``dual_cell`` the first time the orbit is asked for.
-    ``reduced`` keeps the lattice's LLL-reduced basis (the columns of a
-    unimodular u) and u^-1, as lattice.reduced_basis gives them, for the
-    lattice-point scans of dual cells and the tile paths of the lift.
+    ``faces`` lists each face of the tile as (vertex bitmask over
+    ``tile.vertices``, orbit index, shift taking it to its orbit's
+    representative).  The star and the dual cell of each orbit's
+    representative are kept in one slot per orbit each, filled by ``star``
+    and ``dual_cell`` the first time the orbit is asked for.
     """
 
-    def __init__(self, gram, tile: Polytope,
-                 orbits: tuple[FaceOrbit, ...],
-                 adjacency: tuple[tuple[FaceRef, ...], ...]):
-        self.gram = gram
+    def __init__(self, tile: Polytope, orbits: tuple[FaceOrbit, ...],
+                 reduced: tuple[tuple, list],
+                 faces: tuple[tuple[int, int, Vec], ...]):
         self.tile = tile
         self.orbits = orbits
-        self.adjacency = adjacency
+        self.reduced = reduced
         self.dim = tile.ambient_dim
+        self._faces = faces
+        self._stars: list[tuple[FaceRef, ...] | None] = [None] * len(orbits)
         self._dual_cells: list[DualCell | None] = [None] * len(orbits)
-        self.reduced = lat.reduced_basis(gram)
 
     def orbit_counts(self) -> dict[int, int]:
         """Number of face orbits in each dimension."""
@@ -216,42 +216,24 @@ def build_complex(gram) -> TilingComplex:
     # Representative: lexicographically smallest member.  Each member G
     # satisfies rep == G + lam_G, and the tile P + lam_G contains rep.
     orbits: list[FaceOrbit] = []
-    orbit_of = [0] * len(faces)
-    lam_of: list[Vec] = [()] * len(faces)
+    face_info: list[tuple[int, int, Vec]] = []
     reps = [min(faces[fi] for fi in grp) for grp in groups]
     order = sorted(range(len(groups)),
                    key=lambda gi: (dims[groups[gi][0]], reps[gi]))
     for q, gi in enumerate(order):
         rep = reps[gi]
-        for fi in groups[gi]:
-            orbit_of[fi] = q
-            lam_of[fi] = vsub(rep[0], faces[fi][0])
+        members = [(masks[fi], q, vsub(rep[0], faces[fi][0]))
+                   for fi in groups[gi]]
+        face_info += members
         orbits.append(FaceOrbit(
             index=q,
             dim=dims[groups[gi][0]],
             vertices=rep,
-            tile_shifts=tuple(sorted(lam_of[fi] for fi in groups[gi])),
+            tile_shifts=tuple(sorted(lam for _, _, lam in members)),
         ))
 
-    index = {v: i for i, v in enumerate(cell.vertices)}
-    face_info = list(zip(masks, orbit_of, lam_of))
-    adjacency: list[tuple[FaceRef, ...]] = []
-    for o in orbits:
-        star: set[FaceRef] = set()
-        for lam in o.tile_shifts:
-            # Faces of the tile P + lam containing rep are the faces G of P
-            # with G containing rep - lam, itself a member of the orbit and
-            # so a face of P: every index lookup hits.
-            base = 0
-            for v in o.vertices:
-                base |= 1 << index[vsub(v, lam)]
-            for mask, q, lam_g in face_info:
-                if base & ~mask == 0:
-                    star.add(FaceRef(q, vsub(lam, lam_g)))
-        adjacency.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
-
-    cpx = TilingComplex(gram=[[frac(x) for x in row] for row in gram],
-                        tile=cell, orbits=tuple(orbits), adjacency=tuple(adjacency))
+    cpx = TilingComplex(tile=cell, orbits=tuple(orbits),
+                        reduced=lat.reduced_basis(gram), faces=tuple(face_info))
     _validate_complex(cpx)
     return cpx
 
@@ -273,9 +255,30 @@ def _validate_complex(c: TilingComplex) -> None:
 
 
 def star(c: TilingComplex, f: FaceRef) -> tuple[FaceRef, ...]:
-    """All faces of the tiling containing ``f`` (including ``f`` itself)."""
-    return tuple(FaceRef(g.orbit, vadd(g.shift, f.shift))
-                 for g in c.adjacency[f.orbit])
+    """All faces of the tiling containing ``f`` (including ``f`` itself).
+
+    The star of each orbit's representative is found once per complex, and
+    every other face of the orbit gets its translate.
+    """
+    base = c._stars[f.orbit]
+    if base is None:
+        base = c._stars[f.orbit] = _representative_star(c, f.orbit)
+    return tuple(FaceRef(g.orbit, vadd(g.shift, f.shift)) for g in base)
+
+
+def _representative_star(c: TilingComplex, q: int) -> tuple[FaceRef, ...]:
+    """The star of orbit ``q``'s representative face, sorted."""
+    found: set[FaceRef] = set()
+    for member, p, lam in c._faces:
+        if p != q:
+            continue
+        # The member is rep - lam, so the faces of the tile P + lam
+        # containing rep are the translates by lam of the faces G of P
+        # containing the member.
+        for mask, p_g, lam_g in c._faces:
+            if member & ~mask == 0:
+                found.add(FaceRef(p_g, vsub(lam, lam_g)))
+    return tuple(sorted(found, key=lambda r: (r.orbit, r.shift)))
 
 
 def dual_cell(c: TilingComplex, f: FaceRef) -> DualCell:

@@ -29,8 +29,8 @@ the function only:
   pass: rebuilds the result with from_vertices_reference.
 - build_complex_reference, the quotient complex before it was keyed on
   translation invariants and vertex bitmasks: builds and audits the
-  Voronoi cell with lattice, and takes ratpoly.face_lattice and tiling's
-  complex checks.
+  Voronoi cell with lattice, takes ratpoly.face_lattice and tiling's
+  records, and repeats tiling's complex checks.
 - dual_cell_reference, the dual cell built and checked afresh for every
   face rather than translated from its orbit's cell: tiling's DualCell
   and lattice-point check.
@@ -44,6 +44,8 @@ the function only:
   with an LP for every refined cell, over all 32 orthants and 30 built
   cones rather than up to symmetry: syssolve's excluded cones and
   _lp.strictly_feasible and _lp.nullspace.
+- direction_passes_reference, the raw test of a direction against the
+  excluded cones on Fraction normals rather than integer rows.
 - solve_reference, the case engine's solver before it ran on
   _lp.Elimination: a column-pivot Fraction Gauss-Jordan that returns
   syssolve's SolutionFamily and NoSolution records.
@@ -881,7 +883,8 @@ def build_complex_reference(gram):
     """tiling.build_complex with its former orbit grouping and star loop:
     each face is compared with the first member of every group found so
     far, and each star is found by comparing Fraction vertex sets.  Same
-    arguments, result and exceptions."""
+    arguments and exceptions; returns (orbits, stars), stars[q] being the
+    sorted star of orbit q's representative face."""
     from tilekit import lattice, ratpoly, tiling
     from tilekit.tiling import FaceOrbit, FaceRef
 
@@ -932,7 +935,7 @@ def build_complex_reference(gram):
         ))
     orbits.sort(key=lambda o: o.index)
 
-    adjacency = []
+    stars = []
     for o in orbits:
         rep = o.vertices
         star = set()
@@ -942,13 +945,16 @@ def build_complex_reference(gram):
                 if base <= set(g):
                     q = renumber[orbit_of[g]]
                     star.add(FaceRef(q, tuple(a - b for a, b in zip(lam, lam_of[g]))))
-        adjacency.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
+        stars.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
 
-    cpx = tiling.TilingComplex(gram=[[frac(x) for x in row] for row in gram],
-                               tile=cell,
-                               orbits=tuple(orbits), adjacency=tuple(adjacency))
-    tiling._validate_complex(cpx)
-    return cpx
+    # The checks of tiling._validate_complex.
+    if sum(1 for o in orbits if o.dim == d) != 1:
+        raise ratpoly.GeometryError(
+            "tiling quotient must have exactly one tile orbit")
+    if any(o.dim == d - 1 and len(o.tile_shifts) != 2 for o in orbits):
+        raise ratpoly.GeometryError(
+            "a facet of a face-to-face tiling must lie in exactly 2 tiles")
+    return tuple(orbits), tuple(stars)
 
 
 def dual_cell_reference(c, f):
@@ -1291,6 +1297,19 @@ def cone_pipeline_reference():
         j = next(k for k in range(5) if d[k] != 0)
         rays.add(d if wit[j] / d[j] > 0 else neg_of(d))
     return tuple(sorted(rays))
+
+
+def direction_passes_reference(x, pairs):
+    """syssolve._direction_passes before it ran on integer rows: a Fraction
+    dot product of each given normal with x.  Same arguments and result."""
+    if any(c == 0 for c in x):
+        return False
+    for _i, _v, normals in pairs:
+        if all(dot(n, x) < 0 for n in normals):
+            return False
+        if all(dot(n, x) > 0 for n in normals):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

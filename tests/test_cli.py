@@ -17,6 +17,8 @@ import pytest
 
 from tilekit import cli, hypercomb, lattice, ratpoly, tiling
 
+from test_ratpoly import ROOT_GRAMS
+
 A2 = {"dim": 2, "gram": [[2, 1], [1, 2]]}
 Z2 = {"dim": 2, "gram": [[1, 0], [0, 1]]}
 Z3 = {"dim": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -132,7 +134,16 @@ def test_scaling_coherence_elongated(tmp_path, capsys):
     assert pairs == {(0, 47), (1, 41), (2, 44), (5, 44), (6, 41), (7, 47)}
 
 
-def test_scaling_coherence_rejects_low_dimension(tmp_path, capsys):
+def _no_complex(monkeypatch):
+    def refuse(gram):
+        raise AssertionError("the complex was built before the refusal")
+
+    monkeypatch.setattr(tiling, "build_complex", refuse)
+
+
+def test_scaling_coherence_rejects_low_dimension(tmp_path, capsys,
+                                                 monkeypatch):
+    _no_complex(monkeypatch)
     rc, _, err = run(capsys, "scaling", "coherence",
                      "--gram", gram_file(tmp_path, Z3))
     assert rc == 2
@@ -148,10 +159,45 @@ def test_lift_a2(tmp_path, capsys):
     assert len(doc["qform"]["matrix"]) == 2
 
 
-def test_lift_rejects_3d(tmp_path, capsys):
+def test_lift_rejects_3d(tmp_path, capsys, monkeypatch):
+    _no_complex(monkeypatch)
     rc, _, err = run(capsys, "lift", "--gram", gram_file(tmp_path, Z3))
     assert rc == 2
     assert "two-dimensional" in err
+
+
+def test_stars_are_computed_on_demand_and_once(tmp_path, capsys, monkeypatch):
+    """No star is computed by build_complex or by the commands that read
+    none, and each representative star at most once per complex however
+    often the scaling commands ask for it."""
+    computed, asked = [], []
+    real_star, real_rep = tiling.star, tiling._representative_star
+
+    def counted_star(c, f):
+        asked.append(f)
+        return real_star(c, f)
+
+    def counted_rep(c, q):
+        computed.append((id(c), q))
+        return real_rep(c, q)
+
+    monkeypatch.setattr(tiling, "star", counted_star)
+    monkeypatch.setattr(tiling, "_representative_star", counted_rep)
+    tiling.build_complex(ROOT_GRAMS["D4"])
+    d4 = gram_file(tmp_path, {"gram": ROOT_GRAMS["D4"]})
+    for argv in (("tiling", "audit"), ("dual-cells",), ("irreducible",)):
+        rc, _, _ = run(capsys, *argv, "--gram", d4)
+        assert rc == 0, argv
+    assert computed == [] and asked == []
+    a4 = {"gram": ROOT_GRAMS["A4"]}
+    for argv, doc in ((("scaling", "verify"), a4),
+                      (("scaling", "coherence"), ELONG4)):
+        computed.clear()
+        asked.clear()
+        rc, _, _ = run(capsys, *argv, "--gram", gram_file(tmp_path, doc))
+        assert rc == 0, argv
+        assert computed and len(set(computed)) == len(computed), argv
+        assert len(asked) > len(computed), argv
 
 
 # ---------------------------------------------------------------------------

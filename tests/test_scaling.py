@@ -202,7 +202,7 @@ def test_scaled_normals_follow_center_differences():
                     continue
                 ta, tb = (vadd(t, r.shift)
                           for t in c.orbits[r.orbit].tile_shifts)
-                w = mat_vec(c.gram, vsub(ta, tb))
+                w = mat_vec(GRAMS[name], vsub(ta, tb))
                 sn = tuple(s.factors[r.orbit] * x
                            for x in fr.normals[r.orbit])
                 j = next(i for i, x in enumerate(w) if x != 0)

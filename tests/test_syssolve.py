@@ -639,6 +639,28 @@ def test_direction_pipeline_matches_the_fraction_row_path():
     assert cone_test_pipeline() == oracles.cone_pipeline_reference()
 
 
+def test_integer_raw_test_matches_the_fraction_one():
+    """The raw test on primitive integer normals and integer rays gives the
+    verdict of the Fraction dot products, on the survivors and on seeded
+    random integer rays."""
+    pairs = syssolve._excluded_pairs()
+    int_pairs = [(i, v, tuple(_lp.primitive_ints(n) for n in normals))
+                 for i, v, normals in pairs]
+    rng = random.Random(7)
+    survivors = [tuple(map(int, r)) for r in cone_test_pipeline()]
+    rays = survivors + [tuple(rng.randint(-4, 4) for _ in range(5))
+                        for _ in range(400)]
+    verdicts = {}
+    for x in rays:
+        got = syssolve._direction_passes(x, int_pairs)
+        assert got == oracles.direction_passes_reference(
+            tuple(map(Fraction, x)), pairs), x
+        verdicts[x] = got
+    assert all(verdicts[x] for x in survivors)
+    # Some ray with no zero coordinate fails a cone, not the zero test.
+    assert any(all(x) and not ok for x, ok in verdicts.items())
+
+
 def test_direction_pipeline_skips_lps_its_witnesses_answer(monkeypatch):
     """A refined cell keeps its parent's witness when that point meets the
     extra rows strictly, so fewer LPs run than refinements were made (496
