@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,8 +30,7 @@ def _lazy(name: str):
     The module goes into ``sys.modules`` and onto the package, as a normal
     import would put it, and its code runs on first attribute access.  So
     each subcommand runs only the modules it uses.  LazyLoader is not
-    thread-safe before Python 3.12; tilekit imports from one thread, and
-    the TILEKIT_JOBS pool forks only after syssolve and hypercomb have run.
+    thread-safe before Python 3.12; tilekit runs in one thread.
     """
     full = f"{__package__}.{name}"
     if full in sys.modules:
@@ -59,9 +57,6 @@ hypercomb = _lazy("hypercomb")
 syssolve = _lazy("syssolve")
 
 MAX_DIM = 5
-
-#: Environment variable holding the worker count for independent case runs.
-JOBS_ENV = "TILEKIT_JOBS"
 
 #: Exit code of a --golden command whose report differs from the stored copy.
 GOLDEN_MISMATCH = 3
@@ -304,40 +299,6 @@ def _cmd_scaling_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _pyramid_flanked_parallelograms(c: tiling.TilingComplex):
-    """(base orbit, parallelogram ref, base dual cell) triples to test."""
-    found = []
-    seen = set()
-    for o in c.orbits:
-        if o.dim != c.dim - 4:
-            continue
-        vref = _zero_ref(c, o.index)
-        vverts = set(c.face_vertices(vref))
-        st = tiling.star(c, vref)
-        d4 = tiling.dual_cell(c, vref)
-        for r in st:
-            if c.orbits[r.orbit].dim != c.dim - 2:
-                continue
-            if tiling.classify_d2(c, r).tag != "B":
-                continue
-            rverts = set(c.face_vertices(r))
-            flanks = [q for q in st
-                      if c.orbits[q.orbit].dim == c.dim - 3
-                      and vverts <= set(c.face_vertices(q)) <= rverts]
-            if len(flanks) != 2:
-                continue
-            tags = {tiling.classify_dual3(tiling.dual_cell(c, q)).tag
-                    for q in flanks}
-            if tags != {"IV"}:
-                continue
-            key = (o.index, r.orbit)
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append((o.index, r, d4))
-    return found
-
-
 def _cmd_scaling_coherence(args) -> int:
     gram = _load_gram(args.gram)
     if len(gram) < 4:
@@ -347,7 +308,7 @@ def _cmd_scaling_coherence(args) -> int:
     frame = scaling.build_frame(c)
     rows = []
     all_ok = True
-    for base_orbit, pref, d4 in _pyramid_flanked_parallelograms(c):
+    for base_orbit, pref, d4 in scaling.pyramid_flanked_parallelograms(c):
         pi = tiling.dual_cell(c, pref)
         ok = scaling.test_coherence(c, pi, d4, frame)
         all_ok = all_ok and ok
@@ -499,42 +460,8 @@ def _case_row_json(row: syssolve.CaseRow) -> dict:
     return out
 
 
-def _jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "1")
-    try:
-        jobs = int(raw)
-    except ValueError as e:
-        raise InputError(f"{JOBS_ENV}={raw!r} is not an integer") from e
-    if jobs < 1:
-        raise InputError(f"{JOBS_ENV} must be at least 1")
-    return jobs
-
-
-def _case_row(task):
-    work, key = task
-    return work(key)
-
-
-def _run_case_table() -> syssolve.CaseTable:
-    jobs = _jobs()
-    if jobs == 1:
-        return syssolve.run_all_cases()
-    import multiprocessing
-
-    # Reading the row functions runs syssolve, and counting the six-eleven
-    # rows fills the matchings cache, before the pool forks; the workers
-    # inherit both.
-    five = [(syssolve.five_ten_case, k) for k in sorted(hypercomb.SCHEME_CASES)]
-    six = [(syssolve.six_eleven_case, k)
-           for k in range(len(hypercomb.enumerate_6_11_matchings()))]
-    # One map over all 27 rows, with no more workers than rows.
-    with multiprocessing.Pool(min(jobs, len(five) + len(six))) as pool:
-        rows = pool.map(_case_row, five + six)
-    return syssolve.CaseTable(tuple(rows[:len(five)]), tuple(rows[len(five):]))
-
-
 def _cmd_cases_run_all(args) -> int:
-    table = _run_case_table()
+    table = syssolve.run_all_cases()
     doc = {
         "five_ten": [_case_row_json(r) for r in table.five_ten],
         "six_eleven": [_case_row_json(r) for r in table.six_eleven],

@@ -7,6 +7,9 @@ the factors up to one common multiplier, four-facet ("quadruple") stars
 only tie parallel facets together.  These local conditions generate ratio
 constraints whose consistent global solutions are found by propagation
 along a spanning tree with exact closure checks on every remaining edge.
+Coherence compares the scalings of the two pyramid dual 3-cells flanking
+a parallelogram dual 2-cell; the flanks are read off the face bitmasks of
+one tile.
 
 All normals are rational: the frame fixes one primitive integer normal per
 facet orbit and the scale factors absorb vector lengths, so every equation
@@ -20,7 +23,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import tiling
-from ._lp import Vec, frac, nullspace, primitive
+from ._lp import Vec, frac, nullspace, primitive, vadd, vsub
 from .tiling import DualCell, FaceRef, TilingComplex
 
 
@@ -183,11 +186,12 @@ def star_scaling_d3(c: TilingComplex, f: FaceRef,
     st = tiling.star(c, f)
     orbs = sorted({r.orbit for r in _facet_refs(c, st)})
     forest = _RatioForest(orbs)
+    # A codimension-2 star's scaling depends only on the face's orbit.
     seen = set()
     for r in st:
-        if c.orbits[r.orbit].dim != c.dim - 2 or r in seen:
+        if c.orbits[r.orbit].dim != c.dim - 2 or r.orbit in seen:
             continue
-        seen.add(r)
+        seen.add(r.orbit)
         if tiling.classify_d2(c, r).tag != "A":
             continue
         sub = star_scaling_d2(c, r, frame)
@@ -408,9 +412,29 @@ def verify_canonical(c: TilingComplex, s: ScalingAssignment,
 # ---------------------------------------------------------------------------
 
 
+def _flank_faces(c: TilingComplex, low: int, high: int,
+                 faces) -> list[tuple[int, Vec]]:
+    """(orbit, shift to its representative) of each codimension-3 face among
+    ``faces``, entries of ``c._faces``, between the base tile's faces with
+    vertex masks ``low`` (codimension 4) and ``high`` (codimension 2): by
+    the diamond property of a face lattice (Ziegler, *Lectures on
+    Polytopes*, Thm 2.7), exactly two.
+
+    Raises:
+        ValueError: the interval is not a rhombus.
+    """
+    flanks = [(p, lam) for mask, p, lam in faces
+              if c.orbits[p].dim == c.dim - 3
+              and low & ~mask == 0 and mask & ~high == 0]
+    if len(flanks) != 2:
+        raise ValueError("face interval is not a rhombus")
+    return flanks
+
+
 def pyramid_flanks(c: TilingComplex, pi: DualCell,
                    d4: DualCell) -> tuple[FaceRef, FaceRef]:
-    """The two codimension-3 faces between the faces of ``d4`` and ``pi``.
+    """The two codimension-3 faces between the faces of ``d4`` and ``pi``,
+    read off a tile containing both.
 
     Raises:
         ValueError: the inputs are not a parallelogram dual 2-cell and a
@@ -420,18 +444,24 @@ def pyramid_flanks(c: TilingComplex, pi: DualCell,
     if pi.combdim != 2 or d4.combdim != 4:
         raise ValueError("need a dual 2-cell and a dual 4-cell")
     f2, f4 = pi.face, d4.face
-    v4 = set(c.face_vertices(f4))
-    v2 = set(c.face_vertices(f2))
-    if not v4 <= v2:
+    # The tile P + mu contains f2; f - mu is the face of P with shift lam.
+    mu = vadd(c.orbits[f2.orbit].tile_shifts[0], f2.shift)
+
+    def mask(f: FaceRef) -> int | None:
+        lam = vsub(mu, f.shift)
+        return next((m for m, p, lam_p in c._faces
+                     if p == f.orbit and lam_p == lam), None)
+
+    high, low = mask(f2), mask(f4)
+    if low is None or low & ~high:
         raise ValueError("the 4-cell's face must lie in the 2-cell's face")
-    flanks = [r for r in tiling.star(c, f4)
-              if c.orbits[r.orbit].dim == c.dim - 3
-              and v4 <= set(c.face_vertices(r)) <= v2]
-    if len(flanks) != 2:
-        raise ValueError("face interval is not a rhombus")
+    flanks = sorted(FaceRef(p, vsub(mu, lam))
+                    for p, lam in _flank_faces(c, low, high, c._faces))
+    zero = (Fraction(0),) * c.dim
     for r in flanks:
         try:
-            tag = tiling.classify_dual3(tiling.dual_cell(c, r)).tag
+            tag = tiling.classify_dual3(
+                tiling.dual_cell(c, FaceRef(r.orbit, zero))).tag
         except tiling.UnclassifiableCell:
             tag = "?"
         if tag != "IV":
@@ -439,6 +469,44 @@ def pyramid_flanks(c: TilingComplex, pi: DualCell,
                 "a dual 3-cell flanking the parallelogram is not a pyramid "
                 "over a parallelogram")
     return flanks[0], flanks[1]
+
+
+def pyramid_flanked_parallelograms(
+        c: TilingComplex) -> list[tuple[int, FaceRef, DualCell]]:
+    """(orbit v, face of orbit r, dual cell of v) for each codimension-4
+    orbit v and fan-B codimension-2 orbit r with a face containing v's
+    representative between two pyramid (fan IV) flanks: the least such
+    shift of r, sorted by (v, r).
+
+    The scan walks the fan-B codimension-2 faces of the base tile and the
+    codimension-4 faces inside each, so it computes no star, and it finds
+    each fan type once per orbit.
+    """
+    zero = (Fraction(0),) * c.dim
+    fan_b = {o.index for o in c.orbits if o.dim == c.dim - 2
+             and tiling.classify_d2(c, FaceRef(o.index, zero)).tag == "B"}
+    tags: dict[int, str] = {}
+    least: dict[tuple[int, int], Vec] = {}
+    for high, r, lam_r in c._faces:
+        if r not in fan_b:
+            continue
+        inside = [f for f in c._faces if f[0] & ~high == 0]
+        for low, v, lam_v in inside:
+            if c.orbits[v].dim != c.dim - 4:
+                continue
+            flanks = _flank_faces(c, low, high, inside)
+            for q, _ in flanks:
+                if q not in tags:
+                    tags[q] = tiling.classify_dual3(
+                        tiling.dual_cell(c, FaceRef(q, zero))).tag
+            if any(tags[q] != "IV" for q, _ in flanks):
+                continue
+            # The tile P + lam_v holds v's representative and this face of r.
+            shift = vsub(lam_v, lam_r)
+            if (v, r) not in least or shift < least[(v, r)]:
+                least[(v, r)] = shift
+    return [(v, FaceRef(r, shift), tiling.dual_cell(c, FaceRef(v, zero)))
+            for (v, r), shift in sorted(least.items())]
 
 
 def test_coherence(c: TilingComplex, pi: DualCell, d4: DualCell,

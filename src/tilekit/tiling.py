@@ -379,6 +379,9 @@ def _lattice_points(hull: Polytope, verts: tuple[Vec, ...],
 def classify_d2(c: TilingComplex, f: FaceRef) -> FanType:
     """Fan type of a codimension-2 face: A for 3 tiles, B for 4.
 
+    Every check is invariant under lattice translation, so the type is read
+    off the cell of the orbit's representative, whatever ``f.shift`` is.
+
     Raises:
         ValueError: the face does not have dimension d-2.
         UnexpectedStarSize: the face lies in a number of tiles other than 3
@@ -391,7 +394,7 @@ def classify_d2(c: TilingComplex, f: FaceRef) -> FanType:
     n = len(orbit.tile_shifts)
     if n not in (3, 4):
         raise UnexpectedStarSize(f"codimension-2 face lies in {n} tiles")
-    dc = dual_cell(c, f)
+    dc = dual_cell(c, FaceRef(f.orbit, (Fraction(0),) * c.dim))
     if n == 3:
         if len(dc.verts) != 3 or dc.dim != 2:
             raise GeometryError("3-tile star must have a triangle dual cell")

@@ -16,7 +16,7 @@ points, which reads only the hull's contains method.  So are the
 eliminations that _lp.Elimination replaced: rref_reference (a Fraction
 Gauss-Jordan), independent_reference and int_inverse_reference
 (fraction-free, from ratpoly) and ldl_reference (lattice's symmetric
-elimination).  Nine exceptions import tilekit, inside
+elimination).  Ten exceptions import tilekit, inside
 the function only:
 
 - from_vertices_reference, the V-to-H conversion before it made one basis
@@ -34,6 +34,10 @@ the function only:
 - dual_cell_reference, the dual cell built and checked afresh for every
   face rather than translated from its orbit's cell: tiling's DualCell
   and lattice-point check.
+- pyramid_pairs_reference, the scan for parallelograms between two
+  pyramid cells before it read flanks off one tile's face bitmasks: the
+  star of every codimension-4 face, filtered by Fraction vertex sets, with
+  tiling's stars, dual cells and fan types.
 - dv_cell_with_vectors, the Voronoi cell with the lattice vector of each
   facet: lattice's halfspaces and ratpoly.from_halfspaces.
 - belts_of_reference, the belt walk that found each opposite ridge by an
@@ -982,6 +986,44 @@ def dual_cell_reference(c, f):
         face_vertices=c.face_vertices(f),
         hull=hull,
     )
+
+
+def pyramid_pairs_reference(c):
+    """scaling.pyramid_flanked_parallelograms as the command line ran it:
+    for each codimension-4 orbit, the first face of each fan-B
+    codimension-2 orbit in the sorted star of its representative whose two
+    flanks, the codimension-3 faces of that star between the two, are
+    pyramids.  Same argument and result, in every dimension."""
+    from tilekit import tiling
+
+    found = []
+    seen = set()
+    zero = tuple(Fraction(0) for _ in range(c.dim))
+    for o in c.orbits:
+        if o.dim != c.dim - 4:
+            continue
+        vref = tiling.FaceRef(o.index, zero)
+        vverts = set(c.face_vertices(vref))
+        st = tiling.star(c, vref)
+        d4 = tiling.dual_cell(c, vref)
+        for r in st:
+            if c.orbits[r.orbit].dim != c.dim - 2:
+                continue
+            if tiling.classify_d2(c, r).tag != "B":
+                continue
+            rverts = set(c.face_vertices(r))
+            flanks = [q for q in st
+                      if c.orbits[q.orbit].dim == c.dim - 3
+                      and vverts <= set(c.face_vertices(q)) <= rverts]
+            if len(flanks) != 2:
+                continue
+            tags = {tiling.classify_dual3(tiling.dual_cell(c, q)).tag
+                    for q in flanks}
+            if tags != {"IV"} or (o.index, r.orbit) in seen:
+                continue
+            seen.add((o.index, r.orbit))
+            found.append((o.index, r, d4))
+    return found
 
 
 def dv_cell_with_vectors(gram):

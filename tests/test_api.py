@@ -10,6 +10,9 @@ The same holds for parameters: every optional parameter of a function or
 method under ``src/tilekit`` must be passed, by keyword or by position, by
 some call under ``src/tilekit``.  An option that only tests set, or that
 nobody sets, is a branch no command runs.
+
+tilekit is a single-process tool with no knobs: no module under
+``src/tilekit`` reads the environment or imports a process or thread pool.
 """
 
 from __future__ import annotations
@@ -126,3 +129,16 @@ def test_every_optional_parameter_is_passed_by_the_package():
     unpassed = [u for u in unpassed if u not in PARAMETER_EXEMPTIONS]
     assert not unpassed, "optional parameters no call under src/tilekit " \
         "passes: " + ", ".join(unpassed)
+
+
+def test_the_package_reads_no_environment_and_starts_no_pool():
+    for module, tree in _trees().items():
+        env = _references(tree) & {"environ", "environb", "getenv", "getenvb"}
+        assert not env, f"{module} reads the environment: {sorted(env)}"
+        imported = {a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for a in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        pools = sorted(m for m in imported
+                       if m.split(".")[0] in ("multiprocessing", "concurrent"))
+        assert not pools, f"{module} imports {pools}"

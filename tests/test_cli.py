@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -275,55 +274,6 @@ def test_cases_run_all_report(tmp_path, capsys):
     assert doc["six_eleven"][18]["case"] is None
 
 
-def test_cases_run_all_parallel_matches_serial(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.json"
-    par = tmp_path / "par.json"
-    assert run(capsys, "cases", "run-all", "--out", str(serial))[0] == 1
-    monkeypatch.setenv(cli.JOBS_ENV, "3")
-    assert run(capsys, "cases", "run-all", "--out", str(par))[0] == 1
-    assert serial.read_bytes() == par.read_bytes()
-
-
-def test_cases_run_all_pool_is_capped_at_the_row_count(tmp_path, capsys,
-                                                       monkeypatch):
-    # The fake pool maps in this process and records the size asked for,
-    # so the large job count starts no process.
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def map(self, fn, items):
-            return [fn(x) for x in items]
-
-    serial = tmp_path / "serial.json"
-    capped = tmp_path / "capped.json"
-    assert run(capsys, "cases", "run-all", "--out", str(serial))[0] == 1
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    monkeypatch.setenv(cli.JOBS_ENV, "1000")
-    assert run(capsys, "cases", "run-all", "--out", str(capped))[0] == 1
-    # One map over the 27 rows (8 five-ten, 19 six-eleven), with one
-    # worker per row at most.
-    assert sizes == [27]
-    assert serial.read_bytes() == capped.read_bytes()
-
-
-def test_cases_run_all_rejects_bad_job_count(capsys, monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV, "zero")
-    rc, _, err = run(capsys, "cases", "run-all")
-    assert rc == 2 and cli.JOBS_ENV in err
-    monkeypatch.setenv(cli.JOBS_ENV, "0")
-    rc, _, err = run(capsys, "cases", "run-all")
-    assert rc == 2 and "at least 1" in err
-
-
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether a fresh interpreter has ``module`` loaded after importing
     tilekit.cli."""
@@ -331,12 +281,6 @@ def _loaded_by_cli_import(module: str) -> bool:
     out = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, check=True,
                          capture_output=True, text=True).stdout
     return out.strip() == "True"
-
-
-def test_import_leaves_multiprocessing_unloaded():
-    # The worker pool is needed only for TILEKIT_JOBS > 1, so a plain import
-    # of the CLI must not load multiprocessing.
-    assert not _loaded_by_cli_import("multiprocessing")
 
 
 def test_import_leaves_dataclasses_unloaded():
@@ -421,19 +365,29 @@ DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench"
                       / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("digest, argv, jobs", [
-    ("hyper:enumerate-k5", ("hyper", "enumerate-k5"), None),
-    ("cases:run-all", ("cases", "run-all"), None),
-    ("cases:run-all", ("cases", "run-all"), "2"),
-    ("cases:cone-pipeline", ("cases", "cone-pipeline"), None),
-    ("cases:final-case", ("cases", "final-case"), None),
-])
-def test_case_engine_reports_match_the_stored_digests(capsys, monkeypatch,
-                                                      digest, argv, jobs):
-    if jobs is not None:
-        monkeypatch.setenv(cli.JOBS_ENV, jobs)
-    _, out, _ = run(capsys, *argv)
+@pytest.mark.parametrize("digest", ["hyper:enumerate-k5", "cases:run-all",
+                                    "cases:cone-pipeline", "cases:final-case"])
+def test_case_engine_reports_match_the_stored_digests(capsys, digest):
+    _, out, _ = run(capsys, *digest.split(":"))
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[digest]
+
+
+@pytest.mark.parametrize("jobs", ["2", "0"])
+def test_cases_run_all_ignores_tilekit_jobs(jobs):
+    # The case table runs in one process: the variable that once sized a
+    # worker pool changes neither the report nor the exit code, and no
+    # process is started.
+    code = ("import sys, tilekit.cli\n"
+            "rc = tilekit.cli.main(['cases', 'run-all'])\n"
+            "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(rc)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**SRC_ENV, "TILEKIT_JOBS": jobs},
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert (hashlib.sha256(done.stdout.encode()).hexdigest()
+            == DIGESTS["cases:run-all"])
+    assert done.stderr.strip() == "False"
 
 
 @pytest.mark.parametrize("name, gram", [

@@ -8,8 +8,11 @@ from functools import lru_cache
 
 import pytest
 
-from tilekit import cli, ratpoly, scaling, tiling
+from tilekit import ratpoly, scaling, tiling
 from tilekit._lp import primitive, vadd, vec, vsub
+
+import oracles
+from test_lattice import GEN5, _skew
 
 GRAMS = {
     "Z2": [[1, 0], [0, 1]],
@@ -23,7 +26,12 @@ GRAMS = {
     "ELONG4": [[4, 0, 0, 2], [0, 4, 0, 2], [0, 0, 4, 2], [2, 2, 2, 7]],
     "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
     "Z4": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "A5": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+           [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]],
+    "GEN5": GEN5,
 }
+GRAMS["ELONG4_REBASED"] = _skew(
+    GRAMS["ELONG4"], oracles.random_unimodular(random.Random(5), 4, 6)[0])
 
 
 @lru_cache(maxsize=None)
@@ -369,29 +377,12 @@ ELONG4_HITS = {
 
 
 def _pyramid_pairs(c):
-    """Scan (vertex, quadruple 2-face) pairs whose two flanks are pyramids."""
+    """(vertex, quadruple 2-face) orbit pairs of the reference scan, each
+    with the orbits of its two pyramid flanks."""
     hits = {}
-    for vo in orbits_of_dim(c, 0):
-        vref = ref(c, vo)
-        vverts = set(c.face_vertices(vref))
-        st = tiling.star(c, vref)
-        for r in st:
-            if c.orbits[r.orbit].dim != 2:
-                continue
-            if tiling.classify_d2(c, r).tag != "B":
-                continue
-            rverts = set(c.face_vertices(r))
-            flanks = [q for q in st
-                      if c.orbits[q.orbit].dim == 1
-                      and vverts <= set(c.face_vertices(q)) <= rverts]
-            if len(flanks) != 2:
-                continue
-            tags = {tiling.classify_dual3(tiling.dual_cell(c, q)).tag
-                    for q in flanks}
-            if tags == {"IV"}:
-                key = (vo, r.orbit)
-                hits.setdefault(key, set()).add(
-                    tuple(sorted(q.orbit for q in flanks)))
+    for vo, r, d4 in oracles.pyramid_pairs_reference(c):
+        flanks = scaling.pyramid_flanks(c, tiling.dual_cell(c, r), d4)
+        hits[(vo, r.orbit)] = {tuple(sorted(q.orbit for q in flanks))}
     return hits
 
 
@@ -424,8 +415,8 @@ def test_coherence_on_elongated_lattice():
 
 
 def test_coherence_scan_builds_one_hull_per_orbit(monkeypatch):
-    # The `scaling coherence` path asks for many faces of each orbit; only
-    # the first ask of an orbit may build a hull.
+    # The `scaling coherence` path asks for the cells of some orbits more
+    # than once; only the first ask of an orbit may build a hull.
     c = tiling.build_complex(GRAMS["ELONG4"])
     fr = scaling.build_frame(c)
     real_hull, real_cell = ratpoly.from_vertices, tiling.dual_cell
@@ -442,12 +433,58 @@ def test_coherence_scan_builds_one_hull_per_orbit(monkeypatch):
 
     monkeypatch.setattr(ratpoly, "from_vertices", counted_hull)
     monkeypatch.setattr(tiling, "dual_cell", recorded_cell)
-    pairs = cli._pyramid_flanked_parallelograms(c)
+    pairs = scaling.pyramid_flanked_parallelograms(c)
     for _base, pref, d4 in pairs:
         assert scaling.test_coherence(c, tiling.dual_cell(c, pref), d4, fr)
     assert len(pairs) == len(ELONG4_HITS)
     assert len(asked) > len(touched)
     assert 0 < len(built) <= len(touched)
+
+
+@pytest.mark.parametrize("name", ["ELONG4", "Z4", "GEN5", "ELONG4_REBASED"])
+def test_pyramid_scan_matches_reference(name):
+    c = cpx(name)
+    got = scaling.pyramid_flanked_parallelograms(c)
+    assert got == oracles.pyramid_pairs_reference(c)
+    assert bool(got) == (name != "Z4")
+
+
+def test_pyramid_scan_takes_the_least_qualifying_shift(monkeypatch):
+    # With every flank taken for a pyramid, several faces of one orbit
+    # qualify around the same vertex of Z4 and ELONG4; both scans must pick
+    # the same one.
+    monkeypatch.setattr(tiling, "classify_dual3", lambda dc: tiling.FAN_IV)
+    for name in ("Z4", "ELONG4"):
+        c = cpx(name)
+        got = scaling.pyramid_flanked_parallelograms(c)
+        assert got and got == oracles.pyramid_pairs_reference(c), name
+
+
+def test_pyramid_scan_computes_no_star(monkeypatch):
+    def no_star(cc, q):
+        raise AssertionError("the scan computed a star")
+
+    monkeypatch.setattr(tiling, "_representative_star", no_star)
+    a5 = tiling.build_complex(GRAMS["A5"])
+    assert all(len(o.tile_shifts) == 3 for o in a5.orbits if o.dim == 3)
+    assert scaling.pyramid_flanked_parallelograms(a5) == []
+    elong = tiling.build_complex(GRAMS["ELONG4"])
+    assert len(scaling.pyramid_flanked_parallelograms(elong)) == len(ELONG4_HITS)
+
+
+def test_pyramid_scan_classifies_each_flank_orbit_once(monkeypatch):
+    c = tiling.build_complex(GRAMS["ELONG4"])
+    real = tiling.classify_dual3
+    classified = []
+
+    def counted(dc):
+        classified.append(dc.face.orbit)
+        return real(dc)
+
+    monkeypatch.setattr(tiling, "classify_dual3", counted)
+    scaling.pyramid_flanked_parallelograms(c)
+    assert len(classified) == len(set(classified))
+    assert {q for pair in ELONG4_HITS.values() for q in pair} <= set(classified)
 
 
 def test_coherence_invariant_under_frame_rescaling():
