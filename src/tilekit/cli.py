@@ -5,13 +5,20 @@ canonical scaling, the planar lift, hypergraph classification, and the
 matching case engine.  All pipelines are deterministic: identical inputs
 produce byte-identical output.
 
+Each subcommand is one row of ``COMMANDS``: its words, help text, input
+option, golden file name and handler.  ``build_parser`` builds the
+argument parser from the rows.  A handler returns its report and exit
+code; ``main`` alone renders the report, compares it with ``--golden``,
+writes it to stdout or ``--out`` and maps exceptions to exit codes.
+
 Exit codes: 0 on success, 1 when a contradiction or violation is found
-(the expected outcome for the case engine), 2 on input errors, 3 when a
-report differs from its --golden copy, 70 on an internal error (a fault
-in tilekit itself, reported as "internal error:" on stderr).  Input errors
-are raised as InputError by the loading and parsing layer and by each
-command's own checks of its arguments; any other exception that is not a
-violation is an internal error.
+(a report that says so, or a raised ``tilekit.Violation``; the expected
+outcome for the case engine), 2 on input errors, 3 when a report differs
+from its --golden copy, 70 on an internal error (a fault in tilekit
+itself, reported as "internal error:" on stderr).  Input errors are raised
+as InputError by the loading and parsing layer, by each command's own
+checks of its arguments and by an unwritable --out; any other exception
+that is not a violation is an internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
+
+from . import Violation
 
 
 def _lazy(name: str):
@@ -64,23 +74,6 @@ GOLDEN_MISMATCH = 3
 #: Exit code of an internal fault (BSD EX_SOFTWARE).
 INTERNAL_ERROR = 70
 
-#: Exceptions reported as a found violation (exit 1), with their
-#: subclasses, by (module, qualified name): naming the classes themselves
-#: would run every module on import.
-_VIOLATIONS = frozenset({
-    ("tilekit.lattice", "FacetNotCentrallySymmetric"),
-    ("tilekit.tiling", "VenkovFailure"),
-    ("tilekit.tiling", "UnexpectedStarSize"),
-    ("tilekit.tiling", "UnclassifiableCell"),
-    ("tilekit.scaling", "NoPositiveSolution"),
-    ("tilekit.scaling", "HypothesisViolated"),
-    ("tilekit.lifting", "InconsistentScaling"),
-    ("tilekit.lifting", "NotPositiveDefinite"),
-    ("tilekit.ratpoly", "GeometryError"),
-    ("tilekit.hypercomb", "SearchFailure"),
-    ("tilekit.syssolve", "VerificationError"),
-})
-
 
 class InputError(Exception):
     """Unusable input: missing file, malformed JSON, bad values."""
@@ -91,11 +84,19 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str):
+def _file_error(path, e: OSError) -> InputError:
+    return InputError(f"{path}: {e.strerror or e}")
+
+
+def _read(path) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
-        raise InputError(f"{path}: {e.strerror or e}") from e
+        raise _file_error(path, e) from e
+
+
+def _load_json(path: str):
+    text = _read(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -137,43 +138,13 @@ def _plain(obj):
     raise TypeError(f"no JSON form for a value of type {type(obj).__name__}")
 
 
-def _render(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text)
-
-
-def _golden_check(text: str, golden_dir: str | None, name: str) -> bool:
-    """Compare rendered output to the stored golden copy; True on match."""
-    if golden_dir is None:
-        return True
-    path = Path(golden_dir) / name
-    try:
-        stored = path.read_text()
-    except OSError as e:
-        raise InputError(f"{path}: {e.strerror or e}") from e
-    if stored != text:
-        print(f"golden mismatch: {path}", file=sys.stderr)
-        return False
-    return True
-
-
-def _zero_ref(c: tiling.TilingComplex, orbit: int) -> tiling.FaceRef:
-    return tiling.FaceRef(orbit, (Fraction(0),) * c.dim)
-
-
 # ---------------------------------------------------------------------------
 # Lattice / tiling commands.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_dv(args) -> int:
-    gram = _load_gram(args.gram)
+def _cmd_dv(path: str):
+    gram = _load_gram(path)
     cell = lattice.dv_cell(gram)
     rep = lattice.venkov_check_cell(cell)
     doc = {
@@ -187,13 +158,11 @@ def _cmd_dv(args) -> int:
             "passed": rep.passed,
         },
     }
-    _emit(_render(doc), args.out)
-    return 0 if rep.passed else 1
+    return doc, 0 if rep.passed else 1
 
 
-def _cmd_tiling_audit(args) -> int:
-    gram = _load_gram(args.gram)
-    c = tiling.build_complex(gram)
+def _cmd_tiling_audit(path: str):
+    c = tiling.build_complex(_load_gram(path))
     sk = tiling.skinny_audit(c)
     doc = {
         "dim": c.dim,
@@ -205,16 +174,14 @@ def _cmd_tiling_audit(args) -> int:
             "passed": sk.passed,
         },
     }
-    _emit(_render(doc), args.out)
-    return 0 if sk.passed else 1
+    return doc, 0 if sk.passed else 1
 
 
-def _cmd_dual_cells(args) -> int:
-    gram = _load_gram(args.gram)
-    c = tiling.build_complex(gram)
+def _cmd_dual_cells(path: str):
+    c = tiling.build_complex(_load_gram(path))
     rows = []
     for o in c.orbits:
-        ref = _zero_ref(c, o.index)
+        ref = tiling.representative(c, o.index)
         dc = tiling.dual_cell(c, ref)
         row = {
             "orbit": o.index,
@@ -232,12 +199,11 @@ def _cmd_dual_cells(args) -> int:
             row["fan"] = fan.tag
             row["class"] = fan.name
         rows.append(row)
-    _emit(_render({"dim": c.dim, "cells": rows}), args.out)
-    return 0
+    return {"dim": c.dim, "cells": rows}, 0
 
 
-def _cmd_irreducible(args) -> int:
-    gram = _load_gram(args.gram)
+def _cmd_irreducible(path: str):
+    gram = _load_gram(path)
     if len(gram) < 3:
         raise InputError("3-irreducibility needs a lattice of dimension at "
                          "least 3")
@@ -247,8 +213,7 @@ def _cmd_irreducible(args) -> int:
     if witness is not None:
         orbit, fan = witness
         doc["witness"] = {"orbit": orbit, "fan": fan.tag, "class": fan.name}
-    _emit(_render(doc), args.out)
-    return 0 if ok else 1
+    return doc, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -264,43 +229,37 @@ def _scaling_pieces(c: tiling.TilingComplex):
     return frame, scaling.propagate(c, gain, seed)
 
 
-def _cmd_scaling_build(args) -> int:
-    _frame, out = _scaling_pieces(tiling.build_complex(_load_gram(args.gram)))
+def _inconsistent(out: scaling.InconsistencyWitness) -> dict:
+    return {"status": "inconsistent", "circuit": list(out.circuit),
+            "gain_product": ratpoly.frac_to_json(out.gain_product)}
+
+
+def _cmd_scaling_build(path: str):
+    _frame, out = _scaling_pieces(tiling.build_complex(_load_gram(path)))
     if isinstance(out, scaling.InconsistencyWitness):
-        doc = {
-            "status": "inconsistent",
-            "circuit": list(out.circuit),
-            "gain_product": ratpoly.frac_to_json(out.gain_product),
-        }
-        _emit(_render(doc), args.out)
-        return 1
+        return _inconsistent(out), 1
     doc = {
         "status": "ok",
         "factors": {str(k): ratpoly.frac_to_json(v)
                     for k, v in sorted(out.factors.items())},
     }
-    _emit(_render(doc), args.out)
-    return 0
+    return doc, 0
 
 
-def _cmd_scaling_verify(args) -> int:
-    c = tiling.build_complex(_load_gram(args.gram))
+def _cmd_scaling_verify(path: str):
+    c = tiling.build_complex(_load_gram(path))
     frame, out = _scaling_pieces(c)
     if isinstance(out, scaling.InconsistencyWitness):
-        doc = {"status": "inconsistent", "circuit": list(out.circuit),
-               "gain_product": ratpoly.frac_to_json(out.gain_product)}
-        _emit(_render(doc), args.out)
-        return 1
+        return _inconsistent(out), 1
     ok, bad_orbit = scaling.verify_canonical(c, out, frame)
     doc = {"status": "canonical" if ok else "violation"}
     if not ok:
         doc["orbit"] = bad_orbit
-    _emit(_render(doc), args.out)
-    return 0 if ok else 1
+    return doc, 0 if ok else 1
 
 
-def _cmd_scaling_coherence(args) -> int:
-    gram = _load_gram(args.gram)
+def _cmd_scaling_coherence(path: str):
+    gram = _load_gram(path)
     if len(gram) < 4:
         raise InputError("coherence scanning needs a lattice of dimension "
                          "at least 4")
@@ -315,20 +274,17 @@ def _cmd_scaling_coherence(args) -> int:
         rows.append({"base_orbit": base_orbit,
                      "parallelogram_orbit": pref.orbit,
                      "coherent": ok})
-    _emit(_render({"pairs": rows, "all_coherent": all_ok}), args.out)
-    return 0 if all_ok else 1
+    return {"pairs": rows, "all_coherent": all_ok}, 0 if all_ok else 1
 
 
-def _cmd_lift(args) -> int:
-    gram = _load_gram(args.gram)
+def _cmd_lift(path: str):
+    gram = _load_gram(path)
     if len(gram) != 2:
         raise InputError("the lift is built for two-dimensional lattices")
     c = tiling.build_complex(gram)
     frame, out = _scaling_pieces(c)
     if isinstance(out, scaling.InconsistencyWitness):
-        _emit(_render({"status": "inconsistent",
-                       "circuit": list(out.circuit)}), args.out)
-        return 1
+        return {"status": "inconsistent", "circuit": list(out.circuit)}, 1
     g = lifting.build_generatrissa(c, out, frame)
     q = lifting.recover_qform(g, c)
     rep = lifting.verify_lifting(g, q, c)
@@ -340,8 +296,7 @@ def _cmd_lift(args) -> int:
         "tangency": rep.tangency,
         "convexity": rep.convexity,
     }
-    _emit(_render(doc), args.out)
-    return 0 if rep.tangency and rep.convexity else 1
+    return doc, 0 if rep.tangency and rep.convexity else 1
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +304,14 @@ def _cmd_lift(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_hyper_enumerate_k5(args) -> int:
+def _cmd_hyper_enumerate_k5():
     schemes = hypercomb.enumerate_k5_schemes()
     doc = {
         "cases": [{"case": k + 1, "cycles": [list(cy) for cy in p.cycles]}
                   for k, p in enumerate(schemes)],
         "distinct_classes": len(hypercomb.k5_scheme_classes()),
     }
-    text = _render(doc)
-    ok = _golden_check(text, args.golden, "enumerate-k5.json")
-    _emit(text, args.out)
-    return 0 if ok else GOLDEN_MISMATCH
+    return doc, 0
 
 
 def _freeze(v):
@@ -375,8 +327,8 @@ def _hypergraph_from_json(path: str) -> hypercomb.Hypergraph4:
         raise InputError(f"{path}: not a hypergraph document ({e})") from e
 
 
-def _cmd_hyper_audit(args) -> int:
-    h = _hypergraph_from_json(args.input)
+def _cmd_hyper_audit(path: str):
+    h = _hypergraph_from_json(path)
     closure = hypercomb.is_closed(h)
     doc: dict = {
         "edges": len(h.edges),
@@ -396,30 +348,26 @@ def _cmd_hyper_audit(args) -> int:
             "ok": mom.ok,
         }
         ok = ok and mom.ok
-    _emit(_render(doc), args.out)
-    return 0 if ok else 1
+    return doc, 0 if ok else 1
 
 
-def _cmd_hyper_find_subgraph(args) -> int:
-    h = _hypergraph_from_json(args.input)
+def _cmd_hyper_find_subgraph(path: str):
+    h = _hypergraph_from_json(path)
     closure = hypercomb.is_closed(h)
     if closure.empty or not closure.closed:
-        raise InputError(f"{args.input}: the search needs a nonempty closed "
+        raise InputError(f"{path}: the search needs a nonempty closed "
                          "hypergraph")
     try:
         found = hypercomb.find_5_10_or_6_11(h)
     except hypercomb.SearchFailure as e:
-        _emit(_render({"status": "not_found", "reason": str(e)}),
-              args.out)
-        return 1
+        return {"status": "not_found", "reason": str(e)}, 1
     doc = {
         "status": "found",
         "tag": found.tag,
         "edges": [_plain(e) for e in found.edges],
         "embedding": _plain(found.embedding),
     }
-    _emit(_render(doc), args.out)
-    return 0
+    return doc, 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,61 +408,99 @@ def _case_row_json(row: syssolve.CaseRow) -> dict:
     return out
 
 
-def _cmd_cases_run_all(args) -> int:
+def _cmd_cases_run_all():
     table = syssolve.run_all_cases()
     doc = {
         "five_ten": [_case_row_json(r) for r in table.five_ten],
         "six_eleven": [_case_row_json(r) for r in table.six_eleven],
         "all_verified": table.all_verified,
     }
-    text = _render(doc)
-    ok = _golden_check(text, args.golden, "cases-run-all.json")
-    _emit(text, args.out)
     # Every case ends in a contradiction or an inconsistency certificate;
     # finding them is the point, and is flagged on exit.
-    return 1 if ok else GOLDEN_MISMATCH
+    return doc, 1
 
 
-def _cmd_cases_cone_pipeline(args) -> int:
+def _cmd_cases_cone_pipeline():
     rays = syssolve.cone_test_pipeline()
     doc = {
         "survivors": [ratpoly.vec_to_json(r) for r in rays],
         "canonical": ratpoly.vec_to_json(syssolve.SURVIVOR_DIRECTION),
         "orbit_closed": set(rays) == set(syssolve.survivor_orbit()),
     }
-    text = _render(doc)
-    ok = _golden_check(text, args.golden, "cone-pipeline.json")
-    _emit(text, args.out)
-    return 0 if ok else GOLDEN_MISMATCH
+    return doc, 0
 
 
-def _cmd_cases_final_case(args) -> int:
-    rep = syssolve.final_case_check()
-    text = _render({"contradiction": _report_json(rep)})
-    ok = _golden_check(text, args.golden, "final-case.json")
-    _emit(text, args.out)
-    return 1 if ok else GOLDEN_MISMATCH
+def _cmd_cases_final_case():
+    return {"contradiction": _report_json(syssolve.final_case_check())}, 1
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing.
+# The command table and argument parsing.
 # ---------------------------------------------------------------------------
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write the JSON report here instead of stdout")
+class Command(NamedTuple):
+    """One subcommand.
+
+    ``input`` is the required option naming the input file, or None; the
+    handler takes that file's path (nothing when there is no input) and
+    returns the report and the exit code.  ``golden`` is the report's file
+    name under ``--golden DIR``, or None when the command has no such
+    option.
+    """
+
+    words: tuple[str, ...]
+    help: str
+    input: str | None
+    golden: str | None
+    handler: Callable
 
 
-def _add_gram(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gram", metavar="FILE", required=True,
-                   help="lattice document: {\"dim\": d, \"gram\": [[...]]}")
-    _add_out(p)
+#: Every subcommand, in the order the parser and README.md list them.
+COMMANDS = (
+    Command(("dv",), "Voronoi cell, symmetry and belt audit",
+            "--gram", None, _cmd_dv),
+    Command(("tiling", "audit"), "face-to-face build plus dual-cell "
+            "sliding-segment audit", "--gram", None, _cmd_tiling_audit),
+    Command(("dual-cells",), "classify every dual cell orbit",
+            "--gram", None, _cmd_dual_cells),
+    Command(("irreducible",), "test all dual 3-cells for the two reducible "
+            "shapes", "--gram", None, _cmd_irreducible),
+    Command(("scaling", "build"), "propagate a scaling through the facet "
+            "gain graph", "--gram", None, _cmd_scaling_build),
+    Command(("scaling", "verify"), "check the zero-sum star condition",
+            "--gram", None, _cmd_scaling_verify),
+    Command(("scaling", "coherence"), "compare flanking pyramid scalings on "
+            "parallelograms", "--gram", None, _cmd_scaling_coherence),
+    Command(("lift",), "planar lift and its inscribed quadratic form",
+            "--gram", None, _cmd_lift),
+    Command(("hyper", "enumerate-k5"), "list the cycle-cover classes",
+            None, "enumerate-k5.json", _cmd_hyper_enumerate_k5),
+    Command(("hyper", "audit"), "closure and moment identities",
+            "--input", None, _cmd_hyper_audit),
+    Command(("hyper", "find-subgraph"), "locate a minimal closed "
+            "configuration", "--input", None, _cmd_hyper_find_subgraph),
+    Command(("cases", "run-all"), "work both case tables",
+            None, "cases-run-all.json", _cmd_cases_run_all),
+    Command(("cases", "cone-pipeline"), "direction tests for the residual "
+            "family", None, "cone-pipeline.json", _cmd_cases_cone_pipeline),
+    Command(("cases", "final-case"), "prism argument for the surviving "
+            "direction", None, "final-case.json", _cmd_cases_final_case),
+)
 
+#: Help text of each command group, by its first word.
+_GROUPS = {
+    "tiling": "tiling-level audits",
+    "scaling": "canonical facet scaling",
+    "hyper": "4-uniform hypergraph tools",
+    "cases": "matching case engine",
+}
 
-def _add_golden(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--golden", metavar="DIR", default=None,
-                   help="compare the rendered report against DIR/<name>.json")
+#: Help text of each input option.
+_INPUTS = {
+    "--gram": "lattice document: {\"dim\": d, \"gram\": [[...]]}",
+    "--input": "hypergraph document: {\"edges\": [[a,b,c,d], ...]}",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,80 +508,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tilekit",
         description="Exact-arithmetic audits for lattice tilings and the "
                     "matching case engine.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    _add_gram(sub.add_parser("dv", help="Voronoi cell, symmetry and belt audit"))
-    t = sub.add_parser("tiling", help="tiling-level audits").add_subparsers(
-        dest="sub", required=True)
-    _add_gram(t.add_parser("audit", help="face-to-face build plus dual-cell "
-                                         "sliding-segment audit"))
-    _add_gram(sub.add_parser("dual-cells", help="classify every dual cell orbit"))
-    _add_gram(sub.add_parser("irreducible",
-                             help="test all dual 3-cells for the two "
-                                  "reducible shapes"))
-
-    s = sub.add_parser("scaling", help="canonical facet scaling").add_subparsers(
-        dest="sub", required=True)
-    _add_gram(s.add_parser("build", help="propagate a scaling through the "
-                                         "facet gain graph"))
-    _add_gram(s.add_parser("verify", help="check the zero-sum star condition"))
-    _add_gram(s.add_parser("coherence", help="compare flanking pyramid "
-                                             "scalings on parallelograms"))
-
-    _add_gram(sub.add_parser("lift", help="planar lift and its inscribed "
-                                          "quadratic form"))
-
-    h = sub.add_parser("hyper", help="4-uniform hypergraph tools").add_subparsers(
-        dest="sub", required=True)
-    ek = h.add_parser("enumerate-k5", help="list the cycle-cover classes")
-    _add_out(ek)
-    _add_golden(ek)
-    ha = h.add_parser("audit", help="closure and moment identities")
-    ha.add_argument("--input", metavar="FILE", required=True,
-                    help="hypergraph document: {\"edges\": [[a,b,c,d], ...]}")
-    _add_out(ha)
-    hf = h.add_parser("find-subgraph", help="locate a minimal closed "
-                                            "configuration")
-    hf.add_argument("--input", metavar="FILE", required=True)
-    _add_out(hf)
-
-    cs = sub.add_parser("cases", help="matching case engine").add_subparsers(
-        dest="sub", required=True)
-    ra = cs.add_parser("run-all", help="work both case tables")
-    _add_out(ra)
-    _add_golden(ra)
-    cp = cs.add_parser("cone-pipeline", help="direction tests for the "
-                                             "residual family")
-    _add_out(cp)
-    _add_golden(cp)
-    fc = cs.add_parser("final-case", help="prism argument for the surviving "
-                                          "direction")
-    _add_out(fc)
-    _add_golden(fc)
+    top = ap.add_subparsers(dest="command", required=True)
+    groups = {}
+    for cmd in COMMANDS:
+        *group, name = cmd.words
+        sub = top
+        if group:
+            (g,) = group
+            if g not in groups:
+                groups[g] = top.add_parser(g, help=_GROUPS[g]).add_subparsers(
+                    dest="sub", required=True)
+            sub = groups[g]
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.input is not None:
+            p.add_argument(cmd.input, dest="path", metavar="FILE",
+                           required=True, help=_INPUTS[cmd.input])
+        p.add_argument("--out", metavar="FILE", default=None,
+                       help="write the JSON report here instead of stdout")
+        if cmd.golden is not None:
+            p.add_argument("--golden", metavar="DIR", default=None,
+                           help="compare the rendered report against "
+                                "DIR/<name>.json")
+        p.set_defaults(cmd=cmd)
     return ap
-
-
-_HANDLERS = {
-    ("dv", None): _cmd_dv,
-    ("tiling", "audit"): _cmd_tiling_audit,
-    ("dual-cells", None): _cmd_dual_cells,
-    ("irreducible", None): _cmd_irreducible,
-    ("scaling", "build"): _cmd_scaling_build,
-    ("scaling", "verify"): _cmd_scaling_verify,
-    ("scaling", "coherence"): _cmd_scaling_coherence,
-    ("lift", None): _cmd_lift,
-    ("hyper", "enumerate-k5"): _cmd_hyper_enumerate_k5,
-    ("hyper", "audit"): _cmd_hyper_audit,
-    ("hyper", "find-subgraph"): _cmd_hyper_find_subgraph,
-    ("cases", "run-all"): _cmd_cases_run_all,
-    ("cases", "cone-pipeline"): _cmd_cases_cone_pipeline,
-    ("cases", "final-case"): _cmd_cases_final_case,
-}
-
-
-def _is_violation(e: Exception) -> bool:
-    return any((cls.__module__, cls.__qualname__) in _VIOLATIONS
-               for cls in type(e).__mro__)
 
 
 def main(argv=None) -> int:
@@ -603,16 +538,31 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    handler = _HANDLERS[(args.command, getattr(args, "sub", None))]
+    cmd = args.cmd
     try:
-        return handler(args)
+        inputs = () if cmd.input is None else (args.path,)
+        report, code = cmd.handler(*inputs)
+        text = json.dumps(report, indent=2) + "\n"
+        if cmd.golden is not None and args.golden is not None:
+            stored = Path(args.golden) / cmd.golden
+            if _read(stored) != text:
+                print(f"golden mismatch: {stored}", file=sys.stderr)
+                code = GOLDEN_MISMATCH
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                Path(args.out).write_text(text)
+            except OSError as e:
+                raise _file_error(args.out, e) from e
+        return code
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Violation as e:
+        print(f"violation: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     except Exception as e:
-        if _is_violation(e):
-            print(f"violation: {type(e).__name__}: {e}", file=sys.stderr)
-            return 1
         import traceback
 
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

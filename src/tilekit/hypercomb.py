@@ -25,8 +25,10 @@ from functools import cache
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
+from . import Violation
 
-class SearchFailure(Exception):
+
+class SearchFailure(Violation):
     """The subgraph finder ran out of cases; indicates a bug, not an input."""
 
 

@@ -16,11 +16,11 @@ from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
 from typing import NamedTuple, Sequence
 
-from . import _lp, ratpoly
+from . import Violation, _lp, ratpoly
 from ._lp import Vec, dot, frac, vec
 
 
-class FacetNotCentrallySymmetric(Exception):
+class FacetNotCentrallySymmetric(Violation):
     """A facet of the cell is not symmetric about its own center."""
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
+from . import Violation
 from ._lp import Vec, dot, vadd, vec, vsub
 from .scaling import NormalFrame, ScalingAssignment, verify_canonical
 from .tiling import TilingComplex
@@ -29,11 +30,11 @@ from .tiling import TilingComplex
 WINDOW = 2
 
 
-class InconsistentScaling(Exception):
+class InconsistentScaling(Violation):
     """The scaling does not close up around some circuit of tiles."""
 
 
-class NotPositiveDefinite(Exception):
+class NotPositiveDefinite(Violation):
     """The recovered quadratic form fails the rational pivot test."""
 
 

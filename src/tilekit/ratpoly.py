@@ -34,13 +34,13 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from . import _lp
+from . import Violation, _lp
 from ._lp import Vec, dot, frac, is_zero, primitive, primitive_ints, vec
 
 MAX_DIM = 6
 
 
-class GeometryError(Exception):
+class GeometryError(Violation):
     """Base class for the geometry-kernel errors."""
 
 

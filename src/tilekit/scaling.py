@@ -22,16 +22,16 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from . import tiling
+from . import Violation, tiling
 from ._lp import Vec, frac, nullspace, primitive, vadd, vsub
 from .tiling import DualCell, FaceRef, TilingComplex
 
 
-class NoPositiveSolution(Exception):
+class NoPositiveSolution(Violation):
     """A facet star admits no positive scaling; the input cannot tile."""
 
 
-class HypothesisViolated(Exception):
+class HypothesisViolated(Violation):
     """The two dual 3-cells flanking the parallelogram are not pyramids."""
 
 
@@ -247,12 +247,11 @@ class InconsistencyWitness(NamedTuple):
 def adjacent_facet_pairs(c: TilingComplex) -> set[tuple[int, int]]:
     """Unordered facet-orbit pairs sharing some codimension-2 face."""
     pairs: set[tuple[int, int]] = set()
-    zero = (Fraction(0),) * c.dim
     for o in c.orbits:
         if o.dim != c.dim - 2:
             continue
-        orbs = sorted({r.orbit
-                       for r in _facet_refs(c, tiling.star(c, FaceRef(o.index, zero)))})
+        orbs = sorted({r.orbit for r in _facet_refs(
+            c, tiling.star(c, tiling.representative(c, o.index)))})
         for i, a in enumerate(orbs):
             for b in orbs[i + 1:]:
                 pairs.add((a, b))
@@ -262,11 +261,10 @@ def adjacent_facet_pairs(c: TilingComplex) -> set[tuple[int, int]]:
 def gain_from_d2(c: TilingComplex, frame: NormalFrame) -> GainFunction:
     """Gains induced by the unique rays of all three-facet stars."""
     gain: GainFunction = {}
-    zero = (Fraction(0),) * c.dim
     for o in c.orbits:
         if o.dim != c.dim - 2:
             continue
-        ref = FaceRef(o.index, zero)
+        ref = tiling.representative(c, o.index)
         if tiling.classify_d2(c, ref).tag != "A":
             continue
         sub = star_scaling_d2(c, ref, frame)
@@ -386,11 +384,10 @@ def verify_canonical(c: TilingComplex, s: ScalingAssignment,
         ``(True, None)`` or ``(False, orbit_index)`` with the first star
         where no sign choice works.
     """
-    zero = (Fraction(0),) * c.dim
     for o in c.orbits:
         if o.dim != c.dim - 2:
             continue
-        refs = _facet_refs(c, tiling.star(c, FaceRef(o.index, zero)))
+        refs = _facet_refs(c, tiling.star(c, tiling.representative(c, o.index)))
         vals = [s.factors[r.orbit] for r in refs]
         normals = [frame.normals[r.orbit] for r in refs]
         d = c.dim
@@ -457,11 +454,10 @@ def pyramid_flanks(c: TilingComplex, pi: DualCell,
         raise ValueError("the 4-cell's face must lie in the 2-cell's face")
     flanks = sorted(FaceRef(p, vsub(mu, lam))
                     for p, lam in _flank_faces(c, low, high, c._faces))
-    zero = (Fraction(0),) * c.dim
     for r in flanks:
         try:
             tag = tiling.classify_dual3(
-                tiling.dual_cell(c, FaceRef(r.orbit, zero))).tag
+                tiling.dual_cell(c, tiling.representative(c, r.orbit))).tag
         except tiling.UnclassifiableCell:
             tag = "?"
         if tag != "IV":
@@ -482,9 +478,8 @@ def pyramid_flanked_parallelograms(
     codimension-4 faces inside each, so it computes no star, and it finds
     each fan type once per orbit.
     """
-    zero = (Fraction(0),) * c.dim
     fan_b = {o.index for o in c.orbits if o.dim == c.dim - 2
-             and tiling.classify_d2(c, FaceRef(o.index, zero)).tag == "B"}
+             and tiling.classify_d2(c, tiling.representative(c, o.index)).tag == "B"}
     tags: dict[int, str] = {}
     least: dict[tuple[int, int], Vec] = {}
     for high, r, lam_r in c._faces:
@@ -498,14 +493,14 @@ def pyramid_flanked_parallelograms(
             for q, _ in flanks:
                 if q not in tags:
                     tags[q] = tiling.classify_dual3(
-                        tiling.dual_cell(c, FaceRef(q, zero))).tag
+                        tiling.dual_cell(c, tiling.representative(c, q))).tag
             if any(tags[q] != "IV" for q, _ in flanks):
                 continue
             # The tile P + lam_v holds v's representative and this face of r.
             shift = vsub(lam_v, lam_r)
             if (v, r) not in least or shift < least[(v, r)]:
                 least[(v, r)] = shift
-    return [(v, FaceRef(r, shift), tiling.dual_cell(c, FaceRef(v, zero)))
+    return [(v, FaceRef(r, shift), tiling.dual_cell(c, tiling.representative(c, v)))
             for (v, r), shift in sorted(least.items())]
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from operator import mul
 from typing import NamedTuple
 
-from . import _lp, hypercomb
+from . import Violation, _lp, hypercomb
 from ._lp import (
     IntSpan,
     Vec,
@@ -31,7 +31,7 @@ from .ratpoly import (Cone, Polytope, cone_at_vertex, cone_minus_linspace,
                       from_vertices)
 
 
-class VerificationError(Exception):
+class VerificationError(Violation):
     """A reproduction sub-check failed; the computation cannot be trusted."""
 
 

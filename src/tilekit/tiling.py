@@ -23,21 +23,21 @@ from math import floor
 from operator import mul
 from typing import NamedTuple
 
-from . import ratpoly
+from . import Violation, ratpoly
 from . import lattice as lat
 from ._lp import Vec, vadd, vsub
 from .ratpoly import GeometryError, Polytope
 
 
-class VenkovFailure(Exception):
+class VenkovFailure(Violation):
     """The candidate tile cannot tile space face-to-face by translations."""
 
 
-class UnexpectedStarSize(Exception):
+class UnexpectedStarSize(Violation):
     """A codimension-2 face is shared by a number of tiles other than 3 or 4."""
 
 
-class UnclassifiableCell(Exception):
+class UnclassifiableCell(Violation):
     """A three-dimensional dual cell matches none of the five known shapes."""
 
 
@@ -254,6 +254,12 @@ def _validate_complex(c: TilingComplex) -> None:
 # ---------------------------------------------------------------------------
 
 
+def representative(c: TilingComplex, q: int) -> FaceRef:
+    """The representative face of orbit ``q``: its shift is zero, in
+    Fractions like every shift of the complex."""
+    return FaceRef(q, (Fraction(0),) * c.dim)
+
+
 def star(c: TilingComplex, f: FaceRef) -> tuple[FaceRef, ...]:
     """All faces of the tiling containing ``f`` (including ``f`` itself).
 
@@ -318,7 +324,7 @@ def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
         if all((x - y) % 2 == 0 for x, y in zip(a, b)):
             raise GeometryError(
                 "two tile centers of a star are congruent mod 2")
-    face = FaceRef(q, (Fraction(0),) * c.dim)
+    face = representative(c, q)
     return DualCell(
         verts=verts,
         combdim=c.dim - orbit.dim,
@@ -394,7 +400,7 @@ def classify_d2(c: TilingComplex, f: FaceRef) -> FanType:
     n = len(orbit.tile_shifts)
     if n not in (3, 4):
         raise UnexpectedStarSize(f"codimension-2 face lies in {n} tiles")
-    dc = dual_cell(c, FaceRef(f.orbit, (Fraction(0),) * c.dim))
+    dc = dual_cell(c, representative(c, f.orbit))
     if n == 3:
         if len(dc.verts) != 3 or dc.dim != 2:
             raise GeometryError("3-tile star must have a triangle dual cell")
@@ -460,7 +466,7 @@ def is_3_irreducible(c: TilingComplex) -> tuple[bool, tuple[int, FanType] | None
     for o in c.orbits:
         if o.dim != c.dim - 3:
             continue
-        ft = classify_dual3(dual_cell(c, FaceRef(o.index, (Fraction(0),) * c.dim)))
+        ft = classify_dual3(dual_cell(c, representative(c, o.index)))
         if ft.tag in ("I", "II"):
             return (False, (o.index, ft))
     return (True, None)
@@ -488,9 +494,8 @@ def skinny_audit(c: TilingComplex) -> SkinnyReport:
     """
     failures: list[str] = []
     checked = 0
-    zero = (Fraction(0),) * c.dim
     for o in c.orbits:
-        dc = dual_cell(c, FaceRef(o.index, zero))
+        dc = dual_cell(c, representative(c, o.index))
         checked += 1
         hull = dc.hull
         if not ratpoly.is_skinny(hull):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from tilekit import cli, hypercomb, lattice, ratpoly, tiling
+from tilekit import Violation, cli, hypercomb, lattice, ratpoly, tiling
 
 from test_ratpoly import ROOT_GRAMS
 
@@ -469,28 +470,72 @@ def test_cli_import_registers_every_traced_module(tmp_path):
         assert names <= spanned, job
 
 
-def test_violation_names_are_exception_classes():
-    """main matches violations by (module, qualified name); a misspelt
-    entry would turn a found violation into an internal error."""
-    for module, qualname in cli._VIOLATIONS:
-        cls = importlib.import_module(module)
-        for part in qualname.split("."):
-            cls = getattr(cls, part)
-        assert isinstance(cls, type) and issubclass(cls, Exception)
-        assert (cls.__module__, cls.__qualname__) == (module, qualname)
+#: Exception classes that are not found violations: a refused input (exit 2)
+#: and a fault in tilekit (exit 70).
+NOT_VIOLATIONS = {"tilekit.cli.InputError", "tilekit.ratpoly._Lineality"}
+
+
+def _classes(body, prefix, owner):
+    """(qualified name, class) of every class defined in ``body`` or in a
+    class body nested in it."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            cls = getattr(owner, node.name)
+            yield f"{prefix}.{node.name}", cls
+            yield from _classes(node.body, f"{prefix}.{node.name}", cls)
+
+
+def test_every_exception_class_is_a_violation():
+    """main reports a raised tilekit.Violation as a found violation (1), by
+    type; an exception class outside that hierarchy would turn a found
+    violation into an internal error (70)."""
+    exceptions = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        name = "tilekit" if path.stem == "__init__" else f"tilekit.{path.stem}"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = importlib.import_module(name)
+        exceptions.update((qual, cls) for qual, cls
+                          in _classes(tree.body, name, module)
+                          if issubclass(cls, BaseException))
+    assert NOT_VIOLATIONS <= exceptions.keys()
+    for qual, cls in exceptions.items():
+        assert issubclass(cls, Violation) == (qual not in NOT_VIOLATIONS), qual
 
 
 def test_subclass_of_a_violation_is_a_violation(tmp_path, capsys,
                                                 monkeypatch):
     """EmptyInput subclasses GeometryError, so it exits 1 as well."""
-    def empty(args):
+    def empty(path):
         raise ratpoly.EmptyInput("no points")
 
-    monkeypatch.setitem(cli._HANDLERS, ("dv", None), empty)
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        c._replace(handler=empty) if c.words == ("dv",) else c
+        for c in cli.COMMANDS))
     rc, out, err = run(capsys, "dv", "--gram", gram_file(tmp_path, A2))
     assert rc == 1
     assert out == ""
     assert err.startswith("violation: EmptyInput")
+
+
+def test_readme_usage_lists_the_command_table():
+    """README.md's usage block names every command of the table with its
+    options, in table order; one line may join sibling commands with |."""
+    readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    listed = []
+    for line in block.split("\n"):
+        if not line:
+            continue
+        first, *tokens = line.split()
+        assert first == "tilekit", line
+        n = next(i for i, t in enumerate(tokens) if t.startswith(("--", "[")))
+        *group, last = tokens[:n]
+        options = [t.lstrip("[") for t in tokens[n:]
+                   if t.lstrip("[").startswith("--")]
+        listed += [((*group, name), options) for name in last.split("|")]
+    table = [(c.words, [o for o in (c.input, "--out", c.golden and "--golden")
+                        if o]) for c in cli.COMMANDS]
+    assert listed == table
 
 
 def test_lift_on_a_skewed_square_lattice(tmp_path, capsys):
@@ -578,6 +623,18 @@ def test_golden_missing_file_is_input_error(tmp_path, capsys):
                      "--golden", str(tmp_path))
     assert rc == 2
     assert "enumerate-k5.json" in err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, where):
+    """The fault is in the argument, so the command exits 2, not 70."""
+    out = tmp_path / "nonexistent" / "x.json" if where == "missing-directory" \
+        else tmp_path
+    rc, stdout, err = run(capsys, "dv", "--gram", gram_file(tmp_path, A2),
+                          "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
 
 
 def test_output_is_deterministic(tmp_path, capsys):
