@@ -181,8 +181,7 @@ def _cmd_dual_cells(path: str):
     c = tiling.build_complex(_load_gram(path))
     rows = []
     for o in c.orbits:
-        ref = tiling.representative(c, o.index)
-        dc = tiling.dual_cell(c, ref)
+        dc = tiling.dual_cell(c, o.index)
         row = {
             "orbit": o.index,
             "face_dim": o.dim,
@@ -195,7 +194,7 @@ def _cmd_dual_cells(path: str):
             row["fan"] = fan.tag
             row["class"] = fan.name
         elif dc.combdim == 2:
-            fan = tiling.classify_d2(c, ref)
+            fan = tiling.classify_d2(c, o.index)
             row["fan"] = fan.tag
             row["class"] = fan.name
         rows.append(row)
@@ -267,12 +266,11 @@ def _cmd_scaling_coherence(path: str):
     frame = scaling.build_frame(c)
     rows = []
     all_ok = True
-    for base_orbit, pref, d4 in scaling.pyramid_flanked_parallelograms(c):
-        pi = tiling.dual_cell(c, pref)
-        ok = scaling.test_coherence(c, pi, d4, frame)
+    for base_orbit, r, flanks in scaling.pyramid_flanked_parallelograms(c):
+        ok = scaling.test_coherence(c, r, flanks, frame)
         all_ok = all_ok and ok
         rows.append({"base_orbit": base_orbit,
-                     "parallelogram_orbit": pref.orbit,
+                     "parallelogram_orbit": r,
                      "coherent": ok})
     return {"pairs": rows, "all_coherent": all_ok}, 0 if all_ok else 1
 

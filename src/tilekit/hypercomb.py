@@ -9,14 +9,8 @@ hyperedges through two apex vertices).  This module provides the closure
 audit, the degree-moment identities, the subgraph finder, the enumeration
 of edge-disjoint cycle covers of K5 together with the diagonal matchings
 they induce, and the classification of diagonal matchings of the 6-11
-graph.
-
-Canonical forms: certificates are computed by enumerating hyperedge
-orders and reading off the sorted vertex membership codes.  For 4-uniform
-graphs this separates isomorphism classes exactly and stays cheap at the
-sizes handled here (R <= 8); vertex-permutation enumeration would visit
-up to 16! orders and is not viable, so the edge-order certificate is used
-everywhere a canonical form is needed.
+graph.  The subgraph finder certifies what it reports: the embedding it
+returns maps every reference hyperedge onto a found one.
 """
 
 from __future__ import annotations
@@ -152,38 +146,6 @@ def moment_audit(h: Hypergraph4) -> MomentReport:
 
 
 # ---------------------------------------------------------------------------
-# Canonical certificates.
-# ---------------------------------------------------------------------------
-
-
-def canonical_form(h: Hypergraph4) -> tuple[int, ...]:
-    """Exact isomorphism certificate (see the module docstring).
-
-    Feasible for R <= 8; larger graphs raise ValueError.
-    """
-    r = len(h.edges)
-    if r > 8:
-        raise ValueError("canonical_form supports at most 8 hyperedges")
-    verts = sorted(h.vertices, key=repr)
-    masks = [tuple(1 if v in e else 0 for e in h.edges) for v in verts]
-    best = None
-    for perm in permutations(range(r)):
-        codes = sorted(
-            (sum(m[j] << (r - 1 - i) for i, j in enumerate(perm)) for m in masks),
-            reverse=True)
-        key = tuple(codes)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def are_isomorphic(a: Hypergraph4, b: Hypergraph4) -> bool:
-    if len(a.edges) != len(b.edges) or len(a.vertices) != len(b.vertices):
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
-# ---------------------------------------------------------------------------
 # Finding a 5-10 or 6-11 subgraph.
 # ---------------------------------------------------------------------------
 
@@ -249,10 +211,7 @@ def _five_ten_from(edges: list[frozenset]) -> FoundSubgraph:
         points[(i + 1, j + 1)] = w
     if len(set(points.values())) != 10:
         raise SearchFailure("pairwise intersections are not distinct")
-    sub = Hypergraph4(tuple(edges))
-    if not are_isomorphic(sub, five_ten()):
-        raise SearchFailure("candidate is not a 5-10 graph")
-    return FoundSubgraph("five_ten", sub.edges, dict(points))
+    return _embedded("five_ten", five_ten(), edges, points)
 
 
 def _six_eleven_from(s, sp, s_edges, sp_edges) -> FoundSubgraph:
@@ -262,10 +221,18 @@ def _six_eleven_from(s, sp, s_edges, sp_edges) -> FoundSubgraph:
             embedding[f"v{k}{l}"] = _meet(e, f)
     if len(set(embedding.values())) != 11:
         raise SearchFailure("6-11 candidate vertices are not distinct")
-    sub = Hypergraph4(tuple(s_edges + sp_edges))
-    if not are_isomorphic(sub, six_eleven()):
-        raise SearchFailure("candidate is not a 6-11 graph")
-    return FoundSubgraph("six_eleven", sub.edges, embedding)
+    return _embedded("six_eleven", six_eleven(), s_edges + sp_edges, embedding)
+
+
+def _embedded(tag: str, ref: Hypergraph4, edges: list[frozenset],
+              embedding: dict) -> FoundSubgraph:
+    """The found subgraph, once ``embedding`` is checked to map the
+    hyperedges of ``ref`` onto ``edges``."""
+    image = {frozenset(embedding[v] for v in e) for e in ref.edges}
+    if image != set(edges):
+        raise SearchFailure("the embedding does not map the reference "
+                            "hyperedges onto the candidate")
+    return FoundSubgraph(tag, tuple(edges), embedding)
 
 
 def find_5_10_or_6_11(h: Hypergraph4) -> FoundSubgraph:

@@ -49,8 +49,7 @@ class Generatrissa:
     records the propagated gradients on the ``WINDOW`` box around the base
     tile, a box in the coordinates of the lattice's reduced basis
     (``TilingComplex.reduced``), so its tiles stay few and near however
-    skewed the given basis is.  ``center_value`` fills the ``_values``
-    cache of tile-center values.
+    skewed the given basis is.
     """
 
     def __init__(self, complex: TilingComplex, base_tile: Vec,
@@ -62,7 +61,6 @@ class Generatrissa:
         self.jumps = jumps
         self.gradient_map = gradient_map
         self.basis_gradients = basis_gradients
-        self._values: dict[Vec, Fraction] = {}
 
 
 class QForm2(NamedTuple):
@@ -251,10 +249,7 @@ def _reduced_path(g: Generatrissa, shift: Vec) -> list[Vec]:
 
 def center_value(g: Generatrissa, shift) -> Fraction:
     """Lift value at the center of the tile at a lattice shift."""
-    shift = vec(shift)
-    if shift not in g._values:
-        g._values[shift] = value_along_path(g, _reduced_path(g, shift))
-    return g._values[shift]
+    return value_along_path(g, _reduced_path(g, vec(shift)))
 
 
 # ---------------------------------------------------------------------------

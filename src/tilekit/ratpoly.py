@@ -78,16 +78,6 @@ class Polytope(NamedTuple):
             dot(n, x) <= b for n, b in self.facets
         )
 
-    def translate(self, t: Sequence[Fraction]) -> Polytope:
-        t = vec(t)
-        return Polytope(
-            vertices=tuple(_lp.vadd(v, t) for v in self.vertices),
-            facets=tuple((n, b + dot(n, t)) for n, b in self.facets),
-            equations=tuple((n, b + dot(n, t)) for n, b in self.equations),
-            incidence=self.incidence,
-            dim=self.dim,
-        )
-
 
 class Cone(NamedTuple):
     """Polyhedral cone with apex translated to `apex`.

@@ -8,8 +8,12 @@ only tie parallel facets together.  These local conditions generate ratio
 constraints whose consistent global solutions are found by propagation
 along a spanning tree with exact closure checks on every remaining edge.
 Coherence compares the scalings of the two pyramid dual 3-cells flanking
-a parallelogram dual 2-cell; the flanks are read off the face bitmasks of
-one tile.
+a parallelogram dual 2-cell.  The scan that finds each parallelogram
+reads the orbits of its two flanks off the face bitmasks of one tile, and
+the coherence test takes those orbits.
+
+Faces are named by their orbit index throughout: every star, dual cell
+and scaling here is invariant under lattice translation.
 
 All normals are rational: the frame fixes one primitive integer normal per
 facet orbit and the scale factors absorb vector lengths, so every equation
@@ -23,8 +27,8 @@ from itertools import product
 from typing import NamedTuple
 
 from . import Violation, tiling
-from ._lp import Vec, frac, nullspace, primitive, vadd, vsub
-from .tiling import DualCell, FaceRef, TilingComplex
+from ._lp import Vec, frac, nullspace, primitive, vsub
+from .tiling import TilingComplex
 
 
 class NoPositiveSolution(Violation):
@@ -82,8 +86,9 @@ class StarScaling(NamedTuple):
     unique: bool
 
 
-def _facet_refs(c: TilingComplex, st) -> list[FaceRef]:
-    return [r for r in st if c.orbits[r.orbit].dim == c.dim - 1]
+def _facet_orbits(c: TilingComplex, st: tuple[int, ...]) -> list[int]:
+    """The facet orbits of a star, one entry per facet."""
+    return [p for p in st if c.orbits[p].dim == c.dim - 1]
 
 
 def _normalize_ray(factors: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -91,9 +96,9 @@ def _normalize_ray(factors: dict[int, Fraction]) -> dict[int, Fraction]:
     return dict(zip(sorted(factors), vals))
 
 
-def star_scaling_d2(c: TilingComplex, f: FaceRef,
+def star_scaling_d2(c: TilingComplex, q: int,
                     frame: NormalFrame) -> StarScaling:
-    """Scaling family of the facets around a codimension-2 face.
+    """Scaling family of the facets around a codimension-2 orbit's face.
 
     A three-facet star pins the three factors to the kernel ray of the
     stacked normals (signs are free, magnitudes are not); a four-facet
@@ -103,9 +108,8 @@ def star_scaling_d2(c: TilingComplex, f: FaceRef,
         NoPositiveSolution: the kernel of a three-facet star is degenerate,
             which cannot happen for a genuine face-to-face tiling.
     """
-    ft = tiling.classify_d2(c, f)
-    refs = _facet_refs(c, tiling.star(c, f))
-    orbs = sorted({r.orbit for r in refs})
+    ft = tiling.classify_d2(c, q)
+    orbs = sorted(set(_facet_orbits(c, tiling.star(c, q))))
     if ft.tag == "A":
         if len(orbs) != 3:
             raise NoPositiveSolution(
@@ -169,29 +173,24 @@ class _RatioForest:
         return groups
 
 
-def star_scaling_d3(c: TilingComplex, f: FaceRef,
+def star_scaling_d3(c: TilingComplex, q: int,
                     frame: NormalFrame) -> StarScaling:
-    """Joint scaling family of all facets around a codimension-3 face.
+    """Joint scaling family of all facets around a codimension-3 orbit's
+    face.
 
     Solves every three-facet condition inside the star simultaneously.
     The family is a single ray exactly when the dual 3-cell is an
     octahedron, a pyramid over a parallelogram, or a simplex.
 
     Raises:
-        ValueError: the face does not have dimension d-3.
+        ValueError: the orbit's faces do not have dimension d-3.
         NoPositiveSolution: the ratio constraints conflict.
     """
-    if c.orbits[f.orbit].dim != c.dim - 3:
+    if c.orbits[q].dim != c.dim - 3:
         raise ValueError("joint star scaling needs a face of dimension d-3")
-    st = tiling.star(c, f)
-    orbs = sorted({r.orbit for r in _facet_refs(c, st)})
-    forest = _RatioForest(orbs)
-    # A codimension-2 star's scaling depends only on the face's orbit.
-    seen = set()
-    for r in st:
-        if c.orbits[r.orbit].dim != c.dim - 2 or r.orbit in seen:
-            continue
-        seen.add(r.orbit)
+    st = tiling.star(c, q)
+    forest = _RatioForest(sorted(set(_facet_orbits(c, st))))
+    for r in sorted({p for p in st if c.orbits[p].dim == c.dim - 2}):
         if tiling.classify_d2(c, r).tag != "A":
             continue
         sub = star_scaling_d2(c, r, frame)
@@ -250,8 +249,7 @@ def adjacent_facet_pairs(c: TilingComplex) -> set[tuple[int, int]]:
     for o in c.orbits:
         if o.dim != c.dim - 2:
             continue
-        orbs = sorted({r.orbit for r in _facet_refs(
-            c, tiling.star(c, tiling.representative(c, o.index)))})
+        orbs = sorted(set(_facet_orbits(c, tiling.star(c, o.index))))
         for i, a in enumerate(orbs):
             for b in orbs[i + 1:]:
                 pairs.add((a, b))
@@ -264,10 +262,9 @@ def gain_from_d2(c: TilingComplex, frame: NormalFrame) -> GainFunction:
     for o in c.orbits:
         if o.dim != c.dim - 2:
             continue
-        ref = tiling.representative(c, o.index)
-        if tiling.classify_d2(c, ref).tag != "A":
+        if tiling.classify_d2(c, o.index).tag != "A":
             continue
-        sub = star_scaling_d2(c, ref, frame)
+        sub = star_scaling_d2(c, o.index, frame)
         for a in sub.factors:
             for b in sub.factors:
                 if a != b:
@@ -387,12 +384,12 @@ def verify_canonical(c: TilingComplex, s: ScalingAssignment,
     for o in c.orbits:
         if o.dim != c.dim - 2:
             continue
-        refs = _facet_refs(c, tiling.star(c, tiling.representative(c, o.index)))
-        vals = [s.factors[r.orbit] for r in refs]
-        normals = [frame.normals[r.orbit] for r in refs]
+        facets = _facet_orbits(c, tiling.star(c, o.index))
+        vals = [s.factors[p] for p in facets]
+        normals = [frame.normals[p] for p in facets]
         d = c.dim
         found = False
-        for signs in product((1, -1), repeat=len(refs)):
+        for signs in product((1, -1), repeat=len(facets)):
             total = tuple(
                 sum(e * v * n[j] for e, v, n in zip(signs, vals, normals))
                 for j in range(d))
@@ -409,18 +406,16 @@ def verify_canonical(c: TilingComplex, s: ScalingAssignment,
 # ---------------------------------------------------------------------------
 
 
-def _flank_faces(c: TilingComplex, low: int, high: int,
-                 faces) -> list[tuple[int, Vec]]:
-    """(orbit, shift to its representative) of each codimension-3 face among
-    ``faces``, entries of ``c._faces``, between the base tile's faces with
-    vertex masks ``low`` (codimension 4) and ``high`` (codimension 2): by
-    the diamond property of a face lattice (Ziegler, *Lectures on
-    Polytopes*, Thm 2.7), exactly two.
+def _flank_faces(c: TilingComplex, low: int, high: int, faces) -> list[int]:
+    """The orbit of each codimension-3 face among ``faces``, entries of
+    ``c._faces``, between the base tile's faces with vertex masks ``low``
+    (codimension 4) and ``high`` (codimension 2): by the diamond property of
+    a face lattice (Ziegler, *Lectures on Polytopes*, Thm 2.7), exactly two.
 
     Raises:
         ValueError: the interval is not a rhombus.
     """
-    flanks = [(p, lam) for mask, p, lam in faces
+    flanks = [p for mask, p, _ in faces
               if c.orbits[p].dim == c.dim - 3
               and low & ~mask == 0 and mask & ~high == 0]
     if len(flanks) != 2:
@@ -428,60 +423,21 @@ def _flank_faces(c: TilingComplex, low: int, high: int,
     return flanks
 
 
-def pyramid_flanks(c: TilingComplex, pi: DualCell,
-                   d4: DualCell) -> tuple[FaceRef, FaceRef]:
-    """The two codimension-3 faces between the faces of ``d4`` and ``pi``,
-    read off a tile containing both.
-
-    Raises:
-        ValueError: the inputs are not a parallelogram dual 2-cell and a
-            dual 4-cell with nested defining faces.
-        HypothesisViolated: a flank's dual 3-cell is not a pyramid.
-    """
-    if pi.combdim != 2 or d4.combdim != 4:
-        raise ValueError("need a dual 2-cell and a dual 4-cell")
-    f2, f4 = pi.face, d4.face
-    # The tile P + mu contains f2; f - mu is the face of P with shift lam.
-    mu = vadd(c.orbits[f2.orbit].tile_shifts[0], f2.shift)
-
-    def mask(f: FaceRef) -> int | None:
-        lam = vsub(mu, f.shift)
-        return next((m for m, p, lam_p in c._faces
-                     if p == f.orbit and lam_p == lam), None)
-
-    high, low = mask(f2), mask(f4)
-    if low is None or low & ~high:
-        raise ValueError("the 4-cell's face must lie in the 2-cell's face")
-    flanks = sorted(FaceRef(p, vsub(mu, lam))
-                    for p, lam in _flank_faces(c, low, high, c._faces))
-    for r in flanks:
-        try:
-            tag = tiling.classify_dual3(
-                tiling.dual_cell(c, tiling.representative(c, r.orbit))).tag
-        except tiling.UnclassifiableCell:
-            tag = "?"
-        if tag != "IV":
-            raise HypothesisViolated(
-                "a dual 3-cell flanking the parallelogram is not a pyramid "
-                "over a parallelogram")
-    return flanks[0], flanks[1]
-
-
 def pyramid_flanked_parallelograms(
-        c: TilingComplex) -> list[tuple[int, FaceRef, DualCell]]:
-    """(orbit v, face of orbit r, dual cell of v) for each codimension-4
-    orbit v and fan-B codimension-2 orbit r with a face containing v's
-    representative between two pyramid (fan IV) flanks: the least such
-    shift of r, sorted by (v, r).
+        c: TilingComplex) -> list[tuple[int, int, tuple[int, int]]]:
+    """(orbit v, orbit r, flank orbits) for each codimension-4 orbit v and
+    fan-B codimension-2 orbit r with a face containing v's representative
+    between two pyramid (fan IV) flanks, sorted by (v, r).  The flanks are
+    those of the least such face of r, as a sorted pair of orbits.
 
     The scan walks the fan-B codimension-2 faces of the base tile and the
     codimension-4 faces inside each, so it computes no star, and it finds
     each fan type once per orbit.
     """
     fan_b = {o.index for o in c.orbits if o.dim == c.dim - 2
-             and tiling.classify_d2(c, tiling.representative(c, o.index)).tag == "B"}
+             and tiling.classify_d2(c, o.index).tag == "B"}
     tags: dict[int, str] = {}
-    least: dict[tuple[int, int], Vec] = {}
+    least: dict[tuple[int, int], tuple[Vec, tuple[int, int]]] = {}
     for high, r, lam_r in c._faces:
         if r not in fan_b:
             continue
@@ -490,37 +446,48 @@ def pyramid_flanked_parallelograms(
             if c.orbits[v].dim != c.dim - 4:
                 continue
             flanks = _flank_faces(c, low, high, inside)
-            for q, _ in flanks:
+            for q in flanks:
                 if q not in tags:
-                    tags[q] = tiling.classify_dual3(
-                        tiling.dual_cell(c, tiling.representative(c, q))).tag
-            if any(tags[q] != "IV" for q, _ in flanks):
+                    tags[q] = tiling.classify_dual3(tiling.dual_cell(c, q)).tag
+            if any(tags[q] != "IV" for q in flanks):
                 continue
             # The tile P + lam_v holds v's representative and this face of r.
             shift = vsub(lam_v, lam_r)
-            if (v, r) not in least or shift < least[(v, r)]:
-                least[(v, r)] = shift
-    return [(v, FaceRef(r, shift), tiling.dual_cell(c, tiling.representative(c, v)))
-            for (v, r), shift in sorted(least.items())]
+            if (v, r) not in least or shift < least[(v, r)][0]:
+                least[(v, r)] = (shift, tuple(sorted(flanks)))
+    return [(v, r, flanks) for (v, r), (_, flanks) in sorted(least.items())]
 
 
-def test_coherence(c: TilingComplex, pi: DualCell, d4: DualCell,
+def test_coherence(c: TilingComplex, r: int, flanks: tuple[int, int],
                    frame: NormalFrame) -> bool:
     """Whether the two pyramid star scalings agree on the parallelogram.
 
-    Each flank's star scaling is a single ray; both assign factors to the
-    two facet orbits of the parallelogram's quadruple star, and coherence
-    means the two factor ratios are equal.
+    ``r`` is the orbit of the parallelogram's codimension-2 face and
+    ``flanks`` the orbits of the two codimension-3 faces flanking it, as
+    pyramid_flanked_parallelograms gives them.  Each flank's star scaling
+    is a single ray; both assign factors to the two facet orbits of the
+    parallelogram's quadruple star, and coherence means the two factor
+    ratios are equal.
 
     Raises:
         HypothesisViolated: a flanking dual 3-cell is not a pyramid.
-        ValueError: malformed inputs.
+        ValueError: a flank is not of codimension 3, or ``r`` is not a
+            codimension-2 orbit with a parallelogram dual cell.
     """
-    fa, fb = pyramid_flanks(c, pi, d4)
-    sa = star_scaling_d3(c, fa, frame)
-    sb = star_scaling_d3(c, fb, frame)
+    for q in flanks:
+        try:
+            tag = tiling.classify_dual3(tiling.dual_cell(c, q)).tag
+        except tiling.UnclassifiableCell:
+            tag = "?"
+        if tag != "IV":
+            raise HypothesisViolated(
+                "a dual 3-cell flanking the parallelogram is not a pyramid "
+                "over a parallelogram")
+    sa, sb = (star_scaling_d3(c, q, frame) for q in flanks)
     if not (sa.unique and sb.unique):
         raise NoPositiveSolution("pyramid star scaling is not a single ray")
-    quad = star_scaling_d2(c, pi.face, frame)
+    quad = star_scaling_d2(c, r, frame)
+    if quad.kind != "two_parameter":
+        raise ValueError("coherence needs a parallelogram dual 2-cell")
     oa, ob = sorted(quad.factors)
     return sa.factors[oa] * sb.factors[ob] == sa.factors[ob] * sb.factors[oa]

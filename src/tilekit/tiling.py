@@ -3,10 +3,10 @@
 A centrally symmetric tile ``P`` translated by every vector of the integer
 lattice gives a face-to-face tiling of space.  This module stores the tiling
 as a finite quotient: faces of the tiling are grouped into translation
-orbits, and a concrete face is an orbit representative plus an integer
-shift.  On top of that quotient it computes stars, dual cells (convex hulls
-of the centers of the tiles sharing a face) and the fan type of
-low-dimensional dual cells.
+orbits, and every question is asked of an orbit, by its index.  Stars,
+dual cells (convex hulls of the centers of the tiles sharing a face) and
+the fan types of low-dimensional dual cells are invariant under lattice
+translation, so each is computed once, on the orbit's representative face.
 
 The tile is the Dirichlet-Voronoi cell of a lattice.  Coordinates are
 taken in the lattice basis, so the lattice is always ``Z^d`` and the
@@ -17,7 +17,6 @@ center of the tile ``P + lam`` is the lattice point ``lam`` itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import floor
 from operator import mul
@@ -25,7 +24,7 @@ from typing import NamedTuple
 
 from . import Violation, ratpoly
 from . import lattice as lat
-from ._lp import Vec, vadd, vsub
+from ._lp import Vec, vsub
 from .ratpoly import GeometryError, Polytope
 
 
@@ -44,13 +43,6 @@ class UnclassifiableCell(Violation):
 # ---------------------------------------------------------------------------
 # Data model.
 # ---------------------------------------------------------------------------
-
-
-class FaceRef(NamedTuple):
-    """A face of the tiling: orbit index plus integer translation."""
-
-    orbit: int
-    shift: Vec
 
 
 class FaceOrbit(NamedTuple):
@@ -72,16 +64,12 @@ class DualCell(NamedTuple):
 
     ``combdim`` is the combinatorial dimension (codimension of the face in
     the tiling); ``dim`` is the measured affine dimension of the hull, which
-    may be smaller.  ``face_vertices`` keeps the vertices of the defining
-    face so direction-space checks need no back-reference to the complex.
-    ``hull`` is the polytope on ``verts``, built with the cell, so readers
-    of the cell never rebuild it.
+    may be smaller.  ``hull`` is the polytope on ``verts``, built with the
+    cell, so readers of the cell never rebuild it.
     """
 
     verts: tuple[Vec, ...]
     combdim: int
-    face: FaceRef
-    face_vertices: tuple[Vec, ...]
     hull: Polytope
 
     @property
@@ -120,9 +108,9 @@ class TilingComplex:
 
     ``faces`` lists each face of the tile as (vertex bitmask over
     ``tile.vertices``, orbit index, shift taking it to its orbit's
-    representative).  The star and the dual cell of each orbit's
-    representative are kept in one slot per orbit each, filled by ``star``
-    and ``dual_cell`` the first time the orbit is asked for.
+    representative); these shifts stay inside this module.  The star and
+    the dual cell of each orbit are kept in one slot per orbit each, filled
+    by ``star`` and ``dual_cell`` the first time the orbit is asked for.
     """
 
     def __init__(self, tile: Polytope, orbits: tuple[FaceOrbit, ...],
@@ -133,7 +121,7 @@ class TilingComplex:
         self.reduced = reduced
         self.dim = tile.ambient_dim
         self._faces = faces
-        self._stars: list[tuple[FaceRef, ...] | None] = [None] * len(orbits)
+        self._stars: list[tuple[int, ...] | None] = [None] * len(orbits)
         self._dual_cells: list[DualCell | None] = [None] * len(orbits)
 
     def orbit_counts(self) -> dict[int, int]:
@@ -142,11 +130,6 @@ class TilingComplex:
         for o in self.orbits:
             out[o.dim] = out.get(o.dim, 0) + 1
         return out
-
-    def face_vertices(self, f: FaceRef) -> tuple[Vec, ...]:
-        """Vertices of a concrete face of the tiling."""
-        rep = self.orbits[f.orbit].vertices
-        return tuple(vadd(v, f.shift) for v in rep)
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +237,22 @@ def _validate_complex(c: TilingComplex) -> None:
 # ---------------------------------------------------------------------------
 
 
-def representative(c: TilingComplex, q: int) -> FaceRef:
-    """The representative face of orbit ``q``: its shift is zero, in
-    Fractions like every shift of the complex."""
-    return FaceRef(q, (Fraction(0),) * c.dim)
+def star(c: TilingComplex, q: int) -> tuple[int, ...]:
+    """The orbit of each face of the tiling containing orbit ``q``'s
+    representative (that face included), one entry per face, sorted.
 
-
-def star(c: TilingComplex, f: FaceRef) -> tuple[FaceRef, ...]:
-    """All faces of the tiling containing ``f`` (including ``f`` itself).
-
-    The star of each orbit's representative is found once per complex, and
-    every other face of the orbit gets its translate.
+    A face and its translates have translated stars, so the star of an
+    orbit is found once per complex.
     """
-    base = c._stars[f.orbit]
-    if base is None:
-        base = c._stars[f.orbit] = _representative_star(c, f.orbit)
-    return tuple(FaceRef(g.orbit, vadd(g.shift, f.shift)) for g in base)
+    if c._stars[q] is None:
+        c._stars[q] = _representative_star(c, q)
+    return c._stars[q]
 
 
-def _representative_star(c: TilingComplex, q: int) -> tuple[FaceRef, ...]:
-    """The star of orbit ``q``'s representative face, sorted."""
-    found: set[FaceRef] = set()
+def _representative_star(c: TilingComplex, q: int) -> tuple[int, ...]:
+    """The star of orbit ``q``; a face is told from its translates by the
+    shift that takes it to its orbit's representative."""
+    found: set[tuple[int, Vec]] = set()
     for member, p, lam in c._faces:
         if p != q:
             continue
@@ -283,36 +261,27 @@ def _representative_star(c: TilingComplex, q: int) -> tuple[FaceRef, ...]:
         # containing the member.
         for mask, p_g, lam_g in c._faces:
             if member & ~mask == 0:
-                found.add(FaceRef(p_g, vsub(lam, lam_g)))
-    return tuple(sorted(found, key=lambda r: (r.orbit, r.shift)))
+                found.add((p_g, vsub(lam, lam_g)))
+    return tuple(sorted(p for p, _ in found))
 
 
-def dual_cell(c: TilingComplex, f: FaceRef) -> DualCell:
-    """Hull of the centers of the tiles containing ``f``.
+def dual_cell(c: TilingComplex, q: int) -> DualCell:
+    """Hull of the centers of the tiles containing orbit ``q``'s
+    representative.
 
     The construction checks three facts about the center set.  The points
     are in convex position, they are the only lattice points inside their
     hull, and no two of them differ by twice a lattice vector.  All three
-    facts are invariant under lattice translation.  So the cell of each
-    orbit's representative is built and checked once per complex, and
-    every other face of the orbit gets a translate of it, hull included.
+    facts are invariant under lattice translation, so the cell of each
+    orbit is built and checked once per complex.
     """
-    base = c._dual_cells[f.orbit]
-    if base is None:
-        base = c._dual_cells[f.orbit] = _representative_dual_cell(c, f.orbit)
-    if all(x == 0 for x in f.shift):
-        return base
-    return DualCell(
-        verts=tuple(vadd(v, f.shift) for v in base.verts),
-        combdim=base.combdim,
-        face=f,
-        face_vertices=c.face_vertices(f),
-        hull=base.hull.translate(f.shift),
-    )
+    if c._dual_cells[q] is None:
+        c._dual_cells[q] = _representative_dual_cell(c, q)
+    return c._dual_cells[q]
 
 
 def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
-    """The dual cell of orbit ``q``'s representative face, with its checks."""
+    """The dual cell of orbit ``q``, with its checks."""
     orbit = c.orbits[q]
     # The tile P + lam is centered at lam, so the centers are the shifts.
     verts = orbit.tile_shifts
@@ -324,14 +293,7 @@ def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
         if all((x - y) % 2 == 0 for x, y in zip(a, b)):
             raise GeometryError(
                 "two tile centers of a star are congruent mod 2")
-    face = representative(c, q)
-    return DualCell(
-        verts=verts,
-        combdim=c.dim - orbit.dim,
-        face=face,
-        face_vertices=c.face_vertices(face),
-        hull=hull,
-    )
+    return DualCell(verts=verts, combdim=c.dim - orbit.dim, hull=hull)
 
 
 def _check_lattice_points(hull: Polytope, verts: tuple[Vec, ...],
@@ -382,25 +344,22 @@ def _lattice_points(hull: Polytope, verts: tuple[Vec, ...],
 # ---------------------------------------------------------------------------
 
 
-def classify_d2(c: TilingComplex, f: FaceRef) -> FanType:
-    """Fan type of a codimension-2 face: A for 3 tiles, B for 4.
-
-    Every check is invariant under lattice translation, so the type is read
-    off the cell of the orbit's representative, whatever ``f.shift`` is.
+def classify_d2(c: TilingComplex, q: int) -> FanType:
+    """Fan type of a codimension-2 orbit: A for 3 tiles, B for 4.
 
     Raises:
-        ValueError: the face does not have dimension d-2.
+        ValueError: the orbit's faces do not have dimension d-2.
         UnexpectedStarSize: the face lies in a number of tiles other than 3
             or 4, which cannot happen in a face-to-face tiling by centrally
             symmetric tiles.
     """
-    orbit = c.orbits[f.orbit]
+    orbit = c.orbits[q]
     if orbit.dim != c.dim - 2:
         raise ValueError("fan classification needs a face of dimension d-2")
     n = len(orbit.tile_shifts)
     if n not in (3, 4):
         raise UnexpectedStarSize(f"codimension-2 face lies in {n} tiles")
-    dc = dual_cell(c, representative(c, f.orbit))
+    dc = dual_cell(c, q)
     if n == 3:
         if len(dc.verts) != 3 or dc.dim != 2:
             raise GeometryError("3-tile star must have a triangle dual cell")
@@ -466,7 +425,7 @@ def is_3_irreducible(c: TilingComplex) -> tuple[bool, tuple[int, FanType] | None
     for o in c.orbits:
         if o.dim != c.dim - 3:
             continue
-        ft = classify_dual3(dual_cell(c, representative(c, o.index)))
+        ft = classify_dual3(dual_cell(c, o.index))
         if ft.tag in ("I", "II"):
             return (False, (o.index, ft))
     return (True, None)
@@ -495,7 +454,7 @@ def skinny_audit(c: TilingComplex) -> SkinnyReport:
     failures: list[str] = []
     checked = 0
     for o in c.orbits:
-        dc = dual_cell(c, representative(c, o.index))
+        dc = dual_cell(c, o.index)
         checked += 1
         hull = dc.hull
         if not ratpoly.is_skinny(hull):

@@ -16,7 +16,7 @@ points, which reads only the hull's contains method.  So are the
 eliminations that _lp.Elimination replaced: rref_reference (a Fraction
 Gauss-Jordan), independent_reference and int_inverse_reference
 (fraction-free, from ratpoly) and ldl_reference (lattice's symmetric
-elimination).  Ten exceptions import tilekit, inside
+elimination).  Eleven exceptions import tilekit, inside
 the function only:
 
 - from_vertices_reference, the V-to-H conversion before it made one basis
@@ -31,13 +31,17 @@ the function only:
   translation invariants and vertex bitmasks: builds and audits the
   Voronoi cell with lattice, takes ratpoly.face_lattice and tiling's
   records, and repeats tiling's complex checks.
-- dual_cell_reference, the dual cell built and checked afresh for every
-  face rather than translated from its orbit's cell: tiling's DualCell
-  and lattice-point check.
+- dual_cell_reference, the dual cell of an orbit built with
+  from_vertices_reference and checked afresh: tiling's DualCell and
+  lattice-point check.
 - pyramid_pairs_reference, the scan for parallelograms between two
   pyramid cells before it read flanks off one tile's face bitmasks: the
-  star of every codimension-4 face, filtered by Fraction vertex sets, with
-  tiling's stars, dual cells and fan types.
+  star of every codimension-4 face, with shifts, filtered by Fraction
+  vertex sets, with tiling's dual cells and fan types.
+- pyramid_flanks, the second flank search that the coherence test made
+  before the scan handed it the flank orbits: the two codimension-3
+  faces between two nested faces, read off the vertex bitmasks of a tile
+  containing both, with tiling's dual cells and fan types.
 - dv_cell_with_vectors, the Voronoi cell with the lattice vector of each
   facet: lattice's halfspaces and ratpoly.from_halfspaces.
 - belts_of_reference, the belt walk that found each opposite ridge by an
@@ -53,6 +57,15 @@ the function only:
 - solve_reference, the case engine's solver before it ran on
   _lp.Elimination: a column-pivot Fraction Gauss-Jordan that returns
   syssolve's SolutionFamily and NoSolution records.
+
+The concrete faces of a tiling that these references walk are FaceRef
+records: an orbit index plus an integer shift.  tilekit itself names
+faces by orbit only.
+
+canonical_form and are_isomorphic, the hypergraph isomorphism test by
+hyperedge-order enumeration that hypercomb's subgraph finder ran before
+it checked its own embedding, read only a hypergraph's edges and
+vertices.
 
 Closed 4-uniform hypergraphs come from two sources here, neither of them
 in the package: closed_hypergraph_classes enumerates every isomorphism
@@ -871,6 +884,42 @@ def from_halfspaces_two_pass(halfspaces):
     return from_vertices_reference([tuple(x / r[d] for x in r[:d]) for r in rays])
 
 
+class FaceRef(NamedTuple):
+    """A face of the tiling: the representative of orbit ``orbit``
+    translated by the integer vector ``shift``."""
+
+    orbit: int
+    shift: tuple
+
+
+def face_vertices(c, f):
+    """Vertices of the concrete face ``f`` of the complex ``c``."""
+    return tuple(tuple(x + t for x, t in zip(v, f.shift))
+                 for v in c.orbits[f.orbit].vertices)
+
+
+def shifted_stars(c, qs):
+    """{q: the faces of the tiling containing orbit q's representative} for
+    each q in ``qs``, sorted FaceRefs, found from the orbits of ``c`` alone
+    by comparing Fraction vertex sets: each orbit p has the members
+    rep_p - lam of the base tile, lam in its tile_shifts."""
+    members = [(p.index, lam, frozenset(tuple(x - m for x, m in zip(v, lam))
+                                         for v in p.vertices))
+               for p in c.orbits for lam in p.tile_shifts]
+    through = {}
+    for m in members:
+        for v in m[2]:
+            through.setdefault(v, []).append(m)
+    stars = {q: set() for q in qs}
+    for q, lam, base in members:
+        if q not in stars:
+            continue
+        for p, mu, verts in through[min(base)]:
+            if base <= verts:
+                stars[q].add(FaceRef(p, tuple(a - b for a, b in zip(lam, mu))))
+    return {q: tuple(sorted(st)) for q, st in stars.items()}
+
+
 def _lattice_shift(f, g):
     """Integer vector mu with f + mu == g, or None."""
     if len(f) != len(g):
@@ -890,7 +939,7 @@ def build_complex_reference(gram):
     arguments and exceptions; returns (orbits, stars), stars[q] being the
     sorted star of orbit q's representative face."""
     from tilekit import lattice, ratpoly, tiling
-    from tilekit.tiling import FaceOrbit, FaceRef
+    from tilekit.tiling import FaceOrbit
 
     d = len(gram)
     if d > 5:
@@ -940,13 +989,14 @@ def build_complex_reference(gram):
     orbits.sort(key=lambda o: o.index)
 
     stars = []
+    face_sets = [frozenset(g) for g in faces]
     for o in orbits:
         rep = o.vertices
         star = set()
         for lam in o.tile_shifts:
             base = set(tuple(x - m for x, m in zip(v, lam)) for v in rep)
-            for g in faces:
-                if base <= set(g):
+            for g, g_set in zip(faces, face_sets):
+                if base <= g_set:
                     q = renumber[orbit_of[g]]
                     star.add(FaceRef(q, tuple(a - b for a, b in zip(lam, lam_of[g]))))
         stars.append(tuple(sorted(star, key=lambda r: (r.orbit, r.shift))))
@@ -961,69 +1011,106 @@ def build_complex_reference(gram):
     return tuple(orbits), tuple(stars)
 
 
-def dual_cell_reference(c, f):
-    """tiling.dual_cell as it was before the per-orbit cells: the hull of
-    the face's tile centers built by from_vertices_reference and checked
-    for this face alone.  Same arguments, result and exceptions."""
+def dual_cell_reference(c, q):
+    """tiling.dual_cell built afresh: the hull of orbit ``q``'s tile
+    centers by from_vertices_reference, with the same checks.  Same
+    arguments, result and exceptions."""
     from tilekit import ratpoly, tiling
 
-    orbit = c.orbits[f.orbit]
-    shifts = [tuple(s + t for s, t in zip(sh, f.shift)) for sh in orbit.tile_shifts]
-    verts = tuple(sorted(shifts))
+    orbit = c.orbits[q]
+    verts = tuple(sorted(orbit.tile_shifts))
     hull = from_vertices_reference(verts)
     if set(hull.vertices) != set(verts):
         raise ratpoly.GeometryError(
             "tile centers of a star must be in convex position")
     tiling._check_lattice_points(hull, verts, c.reduced)
-    for a, b in itertools.combinations(shifts, 2):
+    for a, b in itertools.combinations(verts, 2):
         if all((x - y) % 2 == 0 for x, y in zip(a, b)):
             raise ratpoly.GeometryError(
                 "two tile centers of a star are congruent mod 2")
-    return tiling.DualCell(
-        verts=verts,
-        combdim=c.dim - orbit.dim,
-        face=f,
-        face_vertices=c.face_vertices(f),
-        hull=hull,
-    )
+    return tiling.DualCell(verts=verts, combdim=c.dim - orbit.dim, hull=hull)
 
 
 def pyramid_pairs_reference(c):
-    """scaling.pyramid_flanked_parallelograms as the command line ran it:
-    for each codimension-4 orbit, the first face of each fan-B
-    codimension-2 orbit in the sorted star of its representative whose two
-    flanks, the codimension-3 faces of that star between the two, are
-    pyramids.  Same argument and result, in every dimension."""
+    """The pairs that scaling.pyramid_flanked_parallelograms finds, as the
+    command line once found them: for each codimension-4 orbit v, the
+    first face r of each fan-B codimension-2 orbit in the sorted star of
+    v's representative whose two flanks, the codimension-3 faces of that
+    star between the two, are pyramids.  Returns the (v, r) pairs, r a
+    FaceRef, sorted by v and r's orbit, in every dimension."""
     from tilekit import tiling
 
     found = []
     seen = set()
-    zero = tuple(Fraction(0) for _ in range(c.dim))
+    stars = shifted_stars(c, [o.index for o in c.orbits if o.dim == c.dim - 4])
     for o in c.orbits:
         if o.dim != c.dim - 4:
             continue
-        vref = tiling.FaceRef(o.index, zero)
-        vverts = set(c.face_vertices(vref))
-        st = tiling.star(c, vref)
-        d4 = tiling.dual_cell(c, vref)
+        vverts = set(o.vertices)
+        st = stars[o.index]
         for r in st:
             if c.orbits[r.orbit].dim != c.dim - 2:
                 continue
-            if tiling.classify_d2(c, r).tag != "B":
+            if tiling.classify_d2(c, r.orbit).tag != "B":
                 continue
-            rverts = set(c.face_vertices(r))
+            rverts = set(face_vertices(c, r))
             flanks = [q for q in st
                       if c.orbits[q.orbit].dim == c.dim - 3
-                      and vverts <= set(c.face_vertices(q)) <= rverts]
+                      and vverts <= set(face_vertices(c, q)) <= rverts]
             if len(flanks) != 2:
                 continue
-            tags = {tiling.classify_dual3(tiling.dual_cell(c, q)).tag
+            tags = {tiling.classify_dual3(tiling.dual_cell(c, q.orbit)).tag
                     for q in flanks}
             if tags != {"IV"} or (o.index, r.orbit) in seen:
                 continue
             seen.add((o.index, r.orbit))
-            found.append((o.index, r, d4))
+            found.append((o.index, r))
     return found
+
+
+def pyramid_flanks(c, f2, f4):
+    """The two codimension-3 faces between the faces ``f4`` (codimension
+    4) and ``f2`` (codimension 2), FaceRefs with ``f4`` inside ``f2``, read
+    off the vertex bitmasks (``c._faces``) of a tile containing both:
+    scaling.test_coherence's own flank search before the scan handed it
+    the flank orbits.  Sorted.
+
+    Raises:
+        ValueError: the faces have the wrong dimensions or are not nested,
+            or the interval between them is not a rhombus.
+        scaling.HypothesisViolated: a flank's dual 3-cell is not a pyramid.
+    """
+    from tilekit import scaling, tiling
+
+    if (c.dim - c.orbits[f2.orbit].dim, c.dim - c.orbits[f4.orbit].dim) != (2, 4):
+        raise ValueError("need a codimension-2 and a codimension-4 face")
+    # The tile P + mu contains f2; f - mu is the face of P with shift lam.
+    mu = tuple(a + b for a, b in zip(c.orbits[f2.orbit].tile_shifts[0], f2.shift))
+
+    def mask(f):
+        lam = tuple(a - b for a, b in zip(mu, f.shift))
+        return next((m for m, p, lam_p in c._faces
+                     if p == f.orbit and lam_p == lam), None)
+
+    high, low = mask(f2), mask(f4)
+    if low is None or low & ~high:
+        raise ValueError("the 4-cell's face must lie in the 2-cell's face")
+    flanks = sorted(FaceRef(p, tuple(a - b for a, b in zip(mu, lam)))
+                    for m, p, lam in c._faces
+                    if c.orbits[p].dim == c.dim - 3
+                    and low & ~m == 0 and m & ~high == 0)
+    if len(flanks) != 2:
+        raise ValueError("face interval is not a rhombus")
+    for r in flanks:
+        try:
+            tag = tiling.classify_dual3(tiling.dual_cell(c, r.orbit)).tag
+        except tiling.UnclassifiableCell:
+            tag = "?"
+        if tag != "IV":
+            raise scaling.HypothesisViolated(
+                "a dual 3-cell flanking the parallelogram is not a pyramid "
+                "over a parallelogram")
+    return flanks[0], flanks[1]
 
 
 def dv_cell_with_vectors(gram):
@@ -1430,6 +1517,31 @@ def clique_partitions(r):
 def partition_to_hypergraph(r, cliques):
     """Hyperedges of the closed hypergraph: edge i = cliques containing i."""
     return [frozenset(ci for ci, cl in enumerate(cliques) if i in cl) for i in range(r)]
+
+
+def canonical_form(h):
+    """Exact isomorphism certificate of a 4-uniform hypergraph: over every
+    order of its hyperedges, the least sorted tuple of vertex membership
+    codes.  Feasible for R <= 8; larger graphs raise ValueError."""
+    r = len(h.edges)
+    if r > 8:
+        raise ValueError("canonical_form supports at most 8 hyperedges")
+    verts = sorted(h.vertices, key=repr)
+    masks = [tuple(1 if v in e else 0 for e in h.edges) for v in verts]
+    best = None
+    for perm in itertools.permutations(range(r)):
+        key = tuple(sorted(
+            (sum(m[j] << (r - 1 - i) for i, j in enumerate(perm)) for m in masks),
+            reverse=True))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def are_isomorphic(a, b):
+    if len(a.edges) != len(b.edges) or len(a.vertices) != len(b.vertices):
+        return False
+    return canonical_form(a) == canonical_form(b)
 
 
 def canonical_hypergraph(hyperedges):

@@ -52,16 +52,12 @@ def case_table() -> syssolve.CaseTable:
     return syssolve.run_all_cases()
 
 
-def zero_ref(c: tiling.TilingComplex, orbit: int) -> tiling.FaceRef:
-    return tiling.FaceRef(orbit, (F(0),) * c.dim)
-
-
 def dual3_tags(name: str) -> set[str]:
     c = cpx(name)
     tags = set()
     for o in c.orbits:
         if o.dim == c.dim - 3:
-            dc = tiling.dual_cell(c, zero_ref(c, o.index))
+            dc = tiling.dual_cell(c, o.index)
             tags.add(tiling.classify_dual3(dc).tag)
     return tags
 
@@ -248,7 +244,7 @@ def test_7_dual_cell_classification():
 
     assert "II" in dual3_tags("HEXPRISM")  # triangular prisms over the caps
     names = {tiling.classify_dual3(
-        tiling.dual_cell(cpx("HEXPRISM"), zero_ref(cpx("HEXPRISM"), o.index))).name
+        tiling.dual_cell(cpx("HEXPRISM"), o.index)).name
         for o in cpx("HEXPRISM").orbits if o.dim == 0}
     assert "triangular_prism" in names
 
@@ -267,7 +263,7 @@ def test_8_canonical_scaling_suite():
         # with the full spanning-tree circuit check above.
         for o in c.orbits:
             if c.dim >= 3 and o.dim == c.dim - 3:
-                scaling.star_scaling_d3(c, zero_ref(c, o.index), fr)
+                scaling.star_scaling_d3(c, o.index, fr)
 
     c = cpx("FCC")
     gain = dict(scaling.bridge_gain(c, scaling.gain_from_d2(c, frame("FCC"))))
@@ -307,7 +303,7 @@ def test_10_skinny_polytopes():
         c = cpx(name)
         assert tiling.skinny_audit(c).passed, name
         for o in c.orbits:
-            dc = tiling.dual_cell(c, zero_ref(c, o.index))
+            dc = tiling.dual_cell(c, o.index)
             if len(dc.verts) >= 3:
                 pool.append(tuple(dc.verts))
 

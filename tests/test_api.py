@@ -13,6 +13,10 @@ nobody sets, is a branch no command runs.
 
 tilekit is a single-process tool with no knobs: no module under
 ``src/tilekit`` reads the environment or imports a process or thread pool.
+
+The benchmark's tracer (``bench/tracer.py``) wraps tilekit functions by
+name, so every name it lists must be defined in its module: a rename
+fails here rather than in a traced benchmark run.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tilekit"
+TRACER = SRC.parent.parent / "bench" / "tracer.py"
 
 #: Optional parameters that no package call passes, on purpose.  The console
 #: script calls ``main()`` and reads ``sys.argv``; tests and the benchmark
@@ -142,3 +147,19 @@ def test_the_package_reads_no_environment_and_starts_no_pool():
         pools = sorted(m for m in imported
                        if m.split(".")[0] in ("multiprocessing", "concurrent"))
         assert not pools, f"{module} imports {pools}"
+
+
+def test_every_traced_name_is_defined():
+    """TRACED in the tracer, read with ast rather than imported, names only
+    top-level definitions of tilekit modules."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED"
+                          for t in node.targets))
+    defined = {module: {node.name for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+               for module, tree in _trees().items()}
+    missing = [f"{module}.{name}" for module, names in traced.items()
+               for name in names if name not in defined.get(module, ())]
+    assert traced and not missing, "traced but not defined: " + ", ".join(missing)

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -560,8 +559,8 @@ def test_plain_refuses_unknown_types():
         cli._plain(object())
     with pytest.raises(TypeError, match="complex"):
         cli._plain({"a": [1, (2, 1j)]})
-    with pytest.raises(TypeError, match="FaceRef"):
-        cli._plain([tiling.FaceRef(0, (Fraction(0),))])
+    with pytest.raises(TypeError, match="FanType"):
+        cli._plain([tiling.FAN_A])
 
 
 def test_cone_pipeline_report(tmp_path, capsys):

@@ -89,8 +89,8 @@ def test_exhaustive_enumeration_small():
     got = {r: [hc.hypergraph(e) for e in oracles.closed_hypergraph_classes(r)]
            for r in range(1, 7)}
     assert {r: len(v) for r, v in got.items()} == {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 1}
-    assert hc.are_isomorphic(got[5][0], hc.five_ten())
-    assert hc.are_isomorphic(got[6][0], hc.six_eleven())
+    assert oracles.are_isomorphic(got[5][0], hc.five_ten())
+    assert oracles.are_isomorphic(got[6][0], hc.six_eleven())
     for graphs in got.values():
         for g in graphs:
             assert hc.moment_audit(g).ok
@@ -133,6 +133,19 @@ def test_find_on_references():
     _check_embedding(f, hc.six_eleven())
 
 
+def test_find_checks_its_embedding():
+    """The finder reports only a subgraph that its embedding certifies:
+    the found subgraphs are isomorphic to the references, and an embedding
+    that swaps two vertex labels is refused."""
+    for ref in (hc.five_ten(), hc.six_eleven()):
+        f = hc.find_5_10_or_6_11(ref)
+        assert oracles.are_isomorphic(hc.Hypergraph4(f.edges), ref)
+        a, b = sorted((v for v in ref.vertices if v not in ("s", "s'")), key=repr)[:2]
+        swapped = {**f.embedding, a: f.embedding[b], b: f.embedding[a]}
+        with pytest.raises(hc.SearchFailure, match="embedding"):
+            hc._embedded(f.tag, ref, list(f.edges), swapped)
+
+
 def _six_eleven_plus(perms):
     # Closed extensions of the 6-11 graph: one extra hyperedge per
     # permutation, each picking one crossing vertex per apex-star edge,
@@ -163,7 +176,7 @@ def test_strip_to_minimal():
     m = hc.strip_to_minimal(big8)
     assert len(m.edges) < 8
     assert hc.is_closed(m).closed
-    assert hc.are_isomorphic(m, hc.six_eleven())
+    assert oracles.are_isomorphic(m, hc.six_eleven())
     # References are already minimal.
     assert set(hc.strip_to_minimal(hc.five_ten()).edges) == set(hc.five_ten().edges)
     assert set(hc.strip_to_minimal(hc.six_eleven()).edges) == set(hc.six_eleven().edges)
@@ -179,13 +192,13 @@ def test_find_rejects_degenerate_input():
 def test_canonical_form():
     chain = hc.hypergraph([[0, 1, 2, 3], [0, 4, 5, 6], [1, 4, 7, 8]])
     fan = hc.hypergraph([[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9]])
-    assert hc.canonical_form(chain) != hc.canonical_form(fan)
+    assert oracles.canonical_form(chain) != oracles.canonical_form(fan)
     relabeled = hc.hypergraph([["a", "b", "c", "d"], ["a", "x", "y", "z"],
                                ["b", "x", "p", "q"]])
-    assert hc.canonical_form(chain) == hc.canonical_form(relabeled)
-    assert hc.are_isomorphic(chain, relabeled)
+    assert oracles.canonical_form(chain) == oracles.canonical_form(relabeled)
+    assert oracles.are_isomorphic(chain, relabeled)
     with pytest.raises(ValueError):
-        hc.canonical_form(hc.Hypergraph4(tuple(
+        oracles.canonical_form(hc.Hypergraph4(tuple(
             frozenset({(i, j) for j in range(4)}) for i in range(9))))
 
 

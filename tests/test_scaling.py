@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from tilekit import ratpoly, scaling, tiling
-from tilekit._lp import primitive, vadd, vec, vsub
+from tilekit import cli, ratpoly, scaling, tiling
+from tilekit._lp import primitive, vec, vsub
 
 import oracles
 from test_lattice import GEN5, _skew
@@ -44,10 +45,6 @@ def frame(name: str) -> scaling.NormalFrame:
     return scaling.build_frame(cpx(name))
 
 
-def ref(c, oi):
-    return tiling.FaceRef(oi, vec([0] * c.dim))
-
-
 def orbits_of_dim(c, k):
     return [o.index for o in c.orbits if o.dim == k]
 
@@ -80,7 +77,7 @@ def test_build_frame_matches_facet_orbits():
 def test_three_tile_star_hexagonal_ray():
     c = cpx("A2")
     for vo in orbits_of_dim(c, 0):
-        s = scaling.star_scaling_d2(c, ref(c, vo), frame("A2"))
+        s = scaling.star_scaling_d2(c, vo, frame("A2"))
         assert s.kind == "unique_ray" and s.unique and s.dof == 1
         assert sorted(s.factors.values()) == [1, 1, 1]
 
@@ -88,14 +85,14 @@ def test_three_tile_star_hexagonal_ray():
 def test_three_tile_star_sheared_ray_is_unequal():
     c = cpx("SHEARED")
     for vo in orbits_of_dim(c, 0):
-        s = scaling.star_scaling_d2(c, ref(c, vo), frame("SHEARED"))
+        s = scaling.star_scaling_d2(c, vo, frame("SHEARED"))
         assert s.unique
         assert sorted(s.factors.values()) == [1, 1, 3]
 
 
 def test_four_tile_star_two_parameter():
     c = cpx("Z2")
-    s = scaling.star_scaling_d2(c, ref(c, 0), frame("Z2"))
+    s = scaling.star_scaling_d2(c, 0, frame("Z2"))
     assert s.kind == "two_parameter" and not s.unique and s.dof == 2
     assert s.factors == {1: Fraction(1), 2: Fraction(1)}
 
@@ -103,7 +100,7 @@ def test_four_tile_star_two_parameter():
 def test_star_scaling_d2_needs_codim2_face():
     c = cpx("Z2")
     with pytest.raises(ValueError):
-        scaling.star_scaling_d2(c, ref(c, 1), frame("Z2"))
+        scaling.star_scaling_d2(c, 1, frame("Z2"))
 
 
 def test_ray_ratios_invariant_under_frame_rescaling():
@@ -116,8 +113,8 @@ def test_ray_ratios_invariant_under_frame_rescaling():
         fr2 = scaling.NormalFrame(
             {o: tuple(lam[o] * x for x in n) for o, n in fr.normals.items()})
         for vo in orbits_of_dim(c, 0):
-            s1 = scaling.star_scaling_d2(c, ref(c, vo), fr)
-            s2 = scaling.star_scaling_d2(c, ref(c, vo), fr2)
+            s1 = scaling.star_scaling_d2(c, vo, fr)
+            s2 = scaling.star_scaling_d2(c, vo, fr2)
             # Factors absorb the rescaling: s2[o] * lam[o] is proportional
             # to s1[o] with one common positive multiplier.
             base, *rest = sorted(s1.factors)
@@ -133,7 +130,7 @@ def test_ray_ratios_invariant_under_frame_rescaling():
 
 def test_cubical_vertex_star_has_three_free_parameters():
     c = cpx("Z3")
-    s = scaling.star_scaling_d3(c, ref(c, 0), frame("Z3"))
+    s = scaling.star_scaling_d3(c, 0, frame("Z3"))
     assert s.dof == 3 and not s.unique
     assert s.factors == {4: Fraction(1), 5: Fraction(1), 6: Fraction(1)}
 
@@ -141,14 +138,14 @@ def test_cubical_vertex_star_has_three_free_parameters():
 def test_fcc_vertex_stars_pin_unique_ray():
     c = cpx("FCC")
     for vo in orbits_of_dim(c, 0):
-        s = scaling.star_scaling_d3(c, ref(c, vo), frame("FCC"))
+        s = scaling.star_scaling_d3(c, vo, frame("FCC"))
         assert s.unique and s.dof == 1
         assert set(s.factors.values()) == {Fraction(1)}
 
 
 def test_bcc_vertex_star_ray_doubles_halved_normals():
     c = cpx("BCC")
-    s = scaling.star_scaling_d3(c, ref(c, 0), frame("BCC"))
+    s = scaling.star_scaling_d3(c, 0, frame("BCC"))
     assert s.unique
     assert s.factors == {18: Fraction(1), 19: Fraction(1), 20: Fraction(2),
                          22: Fraction(1), 23: Fraction(1), 24: Fraction(2)}
@@ -157,7 +154,7 @@ def test_bcc_vertex_star_ray_doubles_halved_normals():
 def test_prism_vertex_star_has_two_components():
     c = cpx("HEXPRISM")
     for vo in orbits_of_dim(c, 0):
-        s = scaling.star_scaling_d3(c, ref(c, vo), frame("HEXPRISM"))
+        s = scaling.star_scaling_d3(c, vo, frame("HEXPRISM"))
         assert s.dof == 2 and not s.unique
 
 
@@ -166,8 +163,8 @@ def test_uniqueness_tracks_dual_cell_type():
     for name in ("Z3", "FCC", "BCC", "HEXPRISM"):
         c = cpx(name)
         for vo in orbits_of_dim(c, 0):
-            tag = tiling.classify_dual3(tiling.dual_cell(c, ref(c, vo))).tag
-            s = scaling.star_scaling_d3(c, ref(c, vo), frame(name))
+            tag = tiling.classify_dual3(tiling.dual_cell(c, vo)).tag
+            s = scaling.star_scaling_d3(c, vo, frame(name))
             assert s.unique == (tag in ("III", "IV", "V"))
 
 
@@ -175,10 +172,10 @@ def test_star_scaling_d3_needs_codim3_face():
     c = cpx("FCC")
     edge = orbits_of_dim(c, 1)[0]
     with pytest.raises(ValueError):
-        scaling.star_scaling_d3(c, ref(c, edge), frame("FCC"))
+        scaling.star_scaling_d3(c, edge, frame("FCC"))
     c2 = cpx("A2")
     with pytest.raises(ValueError):
-        scaling.star_scaling_d3(c2, ref(c2, 0), frame("A2"))
+        scaling.star_scaling_d3(c2, 0, frame("A2"))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +186,7 @@ def test_star_scaling_d3_needs_codim3_face():
 def test_primitive_vertex_in_skewed_basis():
     c = cpx("BCC_SKEW")
     for vo in orbits_of_dim(c, 0):
-        p = scaling.star_scaling_d3(c, ref(c, vo), frame("BCC_SKEW"))
+        p = scaling.star_scaling_d3(c, vo, frame("BCC_SKEW"))
         assert p.unique
         assert all(v > 0 for v in p.factors.values())
         assert sorted(p.factors.values()) == [1, 1, 1, 1, 2, 2]
@@ -203,16 +200,16 @@ def test_scaled_normals_follow_center_differences():
         c = cpx(name)
         fr = frame(name)
         for vo in orbits_of_dim(c, 0):
-            s = scaling.star_scaling_d3(c, ref(c, vo), fr)
+            s = scaling.star_scaling_d3(c, vo, fr)
             ratios = set()
-            for r in tiling.star(c, ref(c, vo)):
-                if c.orbits[r.orbit].dim != c.dim - 1:
+            for r in tiling.star(c, vo):
+                if c.orbits[r].dim != c.dim - 1:
                     continue
-                ta, tb = (vadd(t, r.shift)
-                          for t in c.orbits[r.orbit].tile_shifts)
+                # The two tiles of a translated facet differ by the same
+                # vector as those of the orbit's representative.
+                ta, tb = c.orbits[r].tile_shifts
                 w = mat_vec(GRAMS[name], vsub(ta, tb))
-                sn = tuple(s.factors[r.orbit] * x
-                           for x in fr.normals[r.orbit])
+                sn = tuple(s.factors[r] * x for x in fr.normals[r])
                 j = next(i for i, x in enumerate(w) if x != 0)
                 rho = sn[j] / w[j]
                 assert rho != 0 and sn == tuple(rho * x for x in w)
@@ -376,42 +373,39 @@ ELONG4_HITS = {
 }
 
 
-def _pyramid_pairs(c):
-    """(vertex, quadruple 2-face) orbit pairs of the reference scan, each
-    with the orbits of its two pyramid flanks."""
-    hits = {}
-    for vo, r, d4 in oracles.pyramid_pairs_reference(c):
-        flanks = scaling.pyramid_flanks(c, tiling.dual_cell(c, r), d4)
-        hits[(vo, r.orbit)] = {tuple(sorted(q.orbit for q in flanks))}
-    return hits
+def _reference_scan(c):
+    """The scan's result computed by the references: the pairs of
+    oracles.pyramid_pairs_reference, each with the orbits of the flanks
+    that oracles.pyramid_flanks finds for it."""
+    zero = vec([0] * c.dim)
+    return [(vo, r.orbit, tuple(sorted(
+        q.orbit for q in oracles.pyramid_flanks(c, r, oracles.FaceRef(vo, zero)))))
+        for vo, r in oracles.pyramid_pairs_reference(c)]
 
 
-def _first_hit_ref(c, vo, fo):
-    vref = ref(c, vo)
-    vverts = set(c.face_vertices(vref))
-    st = tiling.star(c, vref)
+def _flanks(c, vo, fo):
+    """Orbits of the two flanks between vertex orbit vo and the first face
+    of orbit fo in its star with exactly two, pyramids or not."""
+    vverts = set(c.orbits[vo].vertices)
+    st = oracles.shifted_stars(c, [vo])[vo]
     for r in st:
         if r.orbit != fo:
             continue
-        rverts = set(c.face_vertices(r))
-        flanks = [q for q in st
-                  if c.orbits[q.orbit].dim == 1
-                  and vverts <= set(c.face_vertices(q)) <= rverts]
+        rverts = set(oracles.face_vertices(c, r))
+        flanks = [q.orbit for q in st
+                  if c.orbits[q.orbit].dim == c.dim - 3
+                  and vverts <= set(oracles.face_vertices(c, q)) <= rverts]
         if len(flanks) == 2:
-            return r
-    raise AssertionError("no two-flank reference found")
+            return tuple(sorted(flanks))
+    raise AssertionError("no two-flank face found")
 
 
 def test_coherence_on_elongated_lattice():
     c = cpx("ELONG4")
-    hits = _pyramid_pairs(c)
-    assert {k: sorted(v) for k, v in hits.items()} == {
-        k: [v] for k, v in ELONG4_HITS.items()}
-    d4s = {vo: tiling.dual_cell(c, ref(c, vo))
-           for vo in sorted({vo for vo, _ in hits})}
-    for vo, fo in sorted(hits):
-        pi = tiling.dual_cell(c, _first_hit_ref(c, vo, fo))
-        assert scaling.test_coherence(c, pi, d4s[vo], frame("ELONG4"))
+    pairs = _reference_scan(c)
+    assert {(vo, fo): flanks for vo, fo, flanks in pairs} == ELONG4_HITS
+    for _vo, fo, flanks in pairs:
+        assert scaling.test_coherence(c, fo, flanks, frame("ELONG4"))
 
 
 def test_coherence_scan_builds_one_hull_per_orbit(monkeypatch):
@@ -420,44 +414,62 @@ def test_coherence_scan_builds_one_hull_per_orbit(monkeypatch):
     c = tiling.build_complex(GRAMS["ELONG4"])
     fr = scaling.build_frame(c)
     real_hull, real_cell = ratpoly.from_vertices, tiling.dual_cell
-    built, asked, touched = [], [], set()
+    built, asked = [], []
 
     def counted_hull(points):
         built.append(points)
         return real_hull(points)
 
-    def recorded_cell(cc, f):
-        asked.append(f)
-        touched.add(f.orbit)
-        return real_cell(cc, f)
+    def recorded_cell(cc, q):
+        asked.append(q)
+        return real_cell(cc, q)
 
     monkeypatch.setattr(ratpoly, "from_vertices", counted_hull)
     monkeypatch.setattr(tiling, "dual_cell", recorded_cell)
     pairs = scaling.pyramid_flanked_parallelograms(c)
-    for _base, pref, d4 in pairs:
-        assert scaling.test_coherence(c, tiling.dual_cell(c, pref), d4, fr)
+    for _base, r, flanks in pairs:
+        assert scaling.test_coherence(c, r, flanks, fr)
     assert len(pairs) == len(ELONG4_HITS)
-    assert len(asked) > len(touched)
-    assert 0 < len(built) <= len(touched)
+    assert len(asked) > len(set(asked))
+    assert 0 < len(built) <= len(set(asked))
+
+
+def test_coherence_scan_builds_no_dual_4_cell(tmp_path, capsys, monkeypatch):
+    """The scan hands the coherence test its flank orbits, so `scaling
+    coherence` asks for no dual cell of a codimension-4 orbit."""
+    real = tiling.dual_cell
+    codims = []
+
+    def recorded_cell(cc, q):
+        codims.append(cc.dim - cc.orbits[q].dim)
+        return real(cc, q)
+
+    monkeypatch.setattr(tiling, "dual_cell", recorded_cell)
+    path = tmp_path / "elong4.json"
+    path.write_text(json.dumps({"gram": GRAMS["ELONG4"]}))
+    assert cli.main(["scaling", "coherence", "--gram", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["pairs"]) == len(ELONG4_HITS)
+    assert 4 not in codims
+    assert {2, 3} <= set(codims)
 
 
 @pytest.mark.parametrize("name", ["ELONG4", "Z4", "GEN5", "ELONG4_REBASED"])
 def test_pyramid_scan_matches_reference(name):
     c = cpx(name)
     got = scaling.pyramid_flanked_parallelograms(c)
-    assert got == oracles.pyramid_pairs_reference(c)
+    assert got == _reference_scan(c)
     assert bool(got) == (name != "Z4")
 
 
 def test_pyramid_scan_takes_the_least_qualifying_shift(monkeypatch):
     # With every flank taken for a pyramid, several faces of one orbit
     # qualify around the same vertex of Z4 and ELONG4; both scans must pick
-    # the same one.
+    # the same one, and so the same flanks.
     monkeypatch.setattr(tiling, "classify_dual3", lambda dc: tiling.FAN_IV)
     for name in ("Z4", "ELONG4"):
         c = cpx(name)
         got = scaling.pyramid_flanked_parallelograms(c)
-        assert got and got == oracles.pyramid_pairs_reference(c), name
+        assert got and got == _reference_scan(c), name
 
 
 def test_pyramid_scan_computes_no_star(monkeypatch):
@@ -478,7 +490,8 @@ def test_pyramid_scan_classifies_each_flank_orbit_once(monkeypatch):
     classified = []
 
     def counted(dc):
-        classified.append(dc.face.orbit)
+        classified.append(next(q for q, cell in enumerate(c._dual_cells)
+                               if cell is dc))
         return real(dc)
 
     monkeypatch.setattr(tiling, "classify_dual3", counted)
@@ -495,24 +508,19 @@ def test_coherence_invariant_under_frame_rescaling():
            for o in fr.normals}
     fr2 = scaling.NormalFrame(
         {o: tuple(lam[o] * x for x in n) for o, n in fr.normals.items()})
-    vo, fo = 0, 47
-    pi = tiling.dual_cell(c, _first_hit_ref(c, vo, fo))
-    d4 = tiling.dual_cell(c, ref(c, vo))
-    assert scaling.test_coherence(c, pi, d4, fr2)
+    assert scaling.test_coherence(c, 47, ELONG4_HITS[(0, 47)], fr2)
 
 
 def test_coherence_detects_perturbed_flank(monkeypatch):
     c = cpx("ELONG4")
     fr = frame("ELONG4")
-    pi = tiling.dual_cell(c, _first_hit_ref(c, 0, 47))
-    d4 = tiling.dual_cell(c, ref(c, 0))
-    quad_orbit = sorted(scaling.star_scaling_d2(c, pi.face, fr).factors)[0]
+    quad_orbit = sorted(scaling.star_scaling_d2(c, 47, fr).factors)[0]
     real = scaling.star_scaling_d3
     calls = []
 
-    def skewed(cc, f, frm):
-        out = real(cc, f, frm)
-        calls.append(f)
+    def skewed(cc, q, frm):
+        out = real(cc, q, frm)
+        calls.append(q)
         if len(calls) == 2:
             factors = dict(out.factors)
             factors[quad_orbit] *= 7
@@ -521,55 +529,51 @@ def test_coherence_detects_perturbed_flank(monkeypatch):
         return out
 
     monkeypatch.setattr(scaling, "star_scaling_d3", skewed)
-    assert scaling.test_coherence(c, pi, d4, fr) is False
+    assert scaling.test_coherence(c, 47, ELONG4_HITS[(0, 47)], fr) is False
     assert len(calls) == 2
 
 
 def test_coherence_rejects_cube_flanks():
     c = cpx("Z4")
-    fr = frame("Z4")
-    vref = ref(c, 0)
-    two = next(r for r in tiling.star(c, vref)
-               if c.orbits[r.orbit].dim == 2)
-    pi = tiling.dual_cell(c, two)
-    d4 = tiling.dual_cell(c, vref)
+    two = next(r for r in tiling.star(c, 0) if c.orbits[r].dim == 2)
+    flanks = _flanks(c, 0, two)
+    assert {tiling.classify_dual3(tiling.dual_cell(c, q)).tag
+            for q in flanks} == {"I"}
     with pytest.raises(scaling.HypothesisViolated):
-        scaling.test_coherence(c, pi, d4, fr)
+        scaling.test_coherence(c, two, flanks, frame("Z4"))
 
 
 def test_coherence_rejects_mixed_flanks():
     # Around two vertex orbits of the elongated lattice one flank is a
     # parallelepiped cell, which violates the pyramid hypothesis.
     c = cpx("ELONG4")
-    pi = tiling.dual_cell(c, _first_hit_ref(c, 3, 41))
-    d4 = tiling.dual_cell(c, ref(c, 3))
+    flanks = _flanks(c, 3, 41)
+    assert sorted(tiling.classify_dual3(tiling.dual_cell(c, q)).tag
+                  for q in flanks) == ["I", "IV"]
     with pytest.raises(scaling.HypothesisViolated):
-        scaling.test_coherence(c, pi, d4, frame("ELONG4"))
+        scaling.test_coherence(c, 41, flanks, frame("ELONG4"))
 
 
 def test_coherence_validates_cell_dimensions():
-    c = cpx("Z4")
-    fr = frame("Z4")
-    vref = ref(c, 0)
-    d4 = tiling.dual_cell(c, vref)
-    facet = next(r for r in tiling.star(c, vref)
-                 if c.orbits[r.orbit].dim == 3)
+    c = cpx("ELONG4")
+    fr = frame("ELONG4")
+    flanks = ELONG4_HITS[(0, 47)]
+    facet = next(r for r in tiling.star(c, 0) if c.orbits[r].dim == 3)
+    vertex = 0
     with pytest.raises(ValueError):
-        scaling.test_coherence(c, tiling.dual_cell(c, facet), d4, fr)
-    two = next(r for r in tiling.star(c, vref)
-               if c.orbits[r.orbit].dim == 2)
-    pi = tiling.dual_cell(c, two)
-    edge = next(r for r in tiling.star(c, vref)
-                if c.orbits[r.orbit].dim == 1)
+        scaling.test_coherence(c, facet, flanks, fr)
     with pytest.raises(ValueError):
-        scaling.test_coherence(c, pi, tiling.dual_cell(c, edge), fr)
-    far = tiling.FaceRef(two.orbit, vec([7, 7, 7, 7]))
+        scaling.test_coherence(c, 47, (flanks[0], vertex), fr)
+    # A codimension-2 orbit with a triangle dual cell has no parallelogram.
+    tri = next(o.index for o in c.orbits if o.dim == 2
+               and tiling.classify_d2(c, o.index).tag == "A")
     with pytest.raises(ValueError):
-        scaling.test_coherence(c, tiling.dual_cell(c, far), d4, fr)
+        scaling.test_coherence(c, tri, flanks, fr)
 
 
 def test_d4_lattice_has_no_quadruple_2_faces():
     c = cpx("D4")
     assert all(len(c.orbits[o].tile_shifts) == 3
                for o in orbits_of_dim(c, 2))
-    assert _pyramid_pairs(c) == {}
+    assert _reference_scan(c) == []
+    assert scaling.pyramid_flanked_parallelograms(c) == []

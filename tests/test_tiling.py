@@ -10,7 +10,8 @@ from operator import mul
 import pytest
 
 from tilekit import lattice, ratpoly, tiling
-from tilekit.tiling import DualCell, FaceRef
+from tilekit._lp import vsub
+from tilekit.tiling import DualCell
 
 import oracles
 from test_acceptance import GRAMS
@@ -24,10 +25,6 @@ BCC = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
 HEXPRISM = [[2, 1, 0], [1, 2, 0], [0, 0, 1]]
 
 
-def zero(d):
-    return (F(0),) * d
-
-
 def euler(c):
     return sum((-1) ** d * n for d, n in c.orbit_counts().items())
 
@@ -36,10 +33,9 @@ def orbits_of_dim(c, d):
     return [o for o in c.orbits if o.dim == d]
 
 
-def _hand_cell(verts, combdim, face, face_vertices):
+def _hand_cell(verts, combdim):
     """A DualCell on given centers, not taken from a complex."""
-    return DualCell(verts=verts, combdim=combdim, face=face,
-                    face_vertices=face_vertices,
+    return DualCell(verts=verts, combdim=combdim,
                     hull=ratpoly.from_vertices(verts))
 
 
@@ -96,13 +92,14 @@ def test_one_face_lattice_per_complex(monkeypatch):
 
 
 # --- build_complex against its former grouping and star loop
-# (oracles.build_complex_reference): the same orbits and stars.
+# (oracles.build_complex_reference): the same orbits, and stars that list
+# the orbit of each face of the reference's star, with its multiplicity.
 
 
 def _same_complex(c, ref):
     orbits, stars = ref
     return c.orbits == orbits and all(
-        tiling.star(c, FaceRef(q, zero(c.dim))) == st
+        tiling.star(c, q) == tuple(sorted(r.orbit for r in st))
         for q, st in enumerate(stars))
 
 
@@ -127,6 +124,22 @@ def test_complex_matches_reference_on_the_suite():
         gram = {**GRAMS, **ROOT_GRAMS}[name]
         c = tiling.build_complex(gram)
         assert _same_complex(c, oracles.build_complex_reference(gram)), name
+
+
+def test_star_lists_the_orbit_of_each_face():
+    """On every orbit of A4* and A5, as on the suite above, the star is the
+    multiset of orbits of the reference's star: one entry per face, so the
+    four facets of a fan-B star in two orbits appear four times."""
+    for name in ("A4*", "A5"):
+        gram = ROOT_GRAMS[name]
+        c = tiling.build_complex(gram)
+        _orbits, stars = oracles.build_complex_reference(gram)
+        for q, st in enumerate(stars):
+            assert tiling.star(c, q) == tuple(sorted(r.orbit for r in st)), (name, q)
+    c = tiling.build_complex(Z3)
+    edge = orbits_of_dim(c, 1)[0].index
+    facets = [p for p in tiling.star(c, edge) if c.orbits[p].dim == 2]
+    assert len(facets) == 4 and len(set(facets)) == 2
 
 
 def _rebased(gram, rng):
@@ -168,10 +181,10 @@ def test_complex_matches_reference_on_rebased_lattices():
 def test_z2_vertex_star():
     c = tiling.build_complex(Z2)
     v = orbits_of_dim(c, 0)[0]
-    st = tiling.star(c, FaceRef(v.index, zero(2)))
+    st = tiling.star(c, v.index)
     by_dim = {}
     for r in st:
-        by_dim.setdefault(c.orbits[r.orbit].dim, []).append(r)
+        by_dim.setdefault(c.orbits[r].dim, []).append(r)
     assert len(by_dim[2]) == 4
     assert len(by_dim[1]) == 4
     assert len(by_dim[0]) == 1
@@ -180,9 +193,9 @@ def test_z2_vertex_star():
 def test_a2_vertex_star():
     c = tiling.build_complex(A2)
     for v in orbits_of_dim(c, 0):
-        st = tiling.star(c, FaceRef(v.index, zero(2)))
-        tiles = [r for r in st if c.orbits[r.orbit].dim == 2]
-        edges = [r for r in st if c.orbits[r.orbit].dim == 1]
+        st = tiling.star(c, v.index)
+        tiles = [r for r in st if c.orbits[r].dim == 2]
+        edges = [r for r in st if c.orbits[r].dim == 1]
         assert len(tiles) == 3 and len(edges) == 3
 
 
@@ -192,20 +205,9 @@ def test_facet_star_has_two_tiles():
         d = c.dim
         for o in orbits_of_dim(c, d - 1):
             assert len(o.tile_shifts) == 2
-            st = tiling.star(c, FaceRef(o.index, zero(d)))
-            tiles = [r for r in st if c.orbits[r.orbit].dim == d]
+            st = tiling.star(c, o.index)
+            tiles = [r for r in st if c.orbits[r].dim == d]
             assert len(tiles) == 2
-
-
-def test_star_translates_with_the_face():
-    c = tiling.build_complex(Z3)
-    v = orbits_of_dim(c, 0)[0]
-    base = tiling.star(c, FaceRef(v.index, zero(3)))
-    shift = (F(2), F(-1), F(3))
-    moved = tiling.star(c, FaceRef(v.index, shift))
-    expect = {FaceRef(r.orbit, tuple(a + b for a, b in zip(r.shift, shift)))
-              for r in base}
-    assert set(moved) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,7 @@ def test_facet_dual_cell_is_a_segment():
     for gram in (Z2, Z3, FCC):
         c = tiling.build_complex(gram)
         for o in orbits_of_dim(c, c.dim - 1):
-            dc = tiling.dual_cell(c, FaceRef(o.index, zero(c.dim)))
+            dc = tiling.dual_cell(c, o.index)
             assert len(dc.verts) == 2 and dc.dim == 1
             assert dc.combdim == 1
 
@@ -225,7 +227,7 @@ def test_facet_dual_cell_is_a_segment():
 def test_z3_vertex_dual_cell_is_a_parallelepiped_on_8_centers():
     c = tiling.build_complex(Z3)
     v = orbits_of_dim(c, 0)[0]
-    dc = tiling.dual_cell(c, FaceRef(v.index, zero(3)))
+    dc = tiling.dual_cell(c, v.index)
     assert len(dc.verts) == 8
     assert dc.combdim == 3 and dc.dim == 3
     assert tiling.classify_dual3(dc) == tiling.FAN_I
@@ -234,7 +236,7 @@ def test_z3_vertex_dual_cell_is_a_parallelepiped_on_8_centers():
 def test_fcc_vertex_dual_cells_are_simplices_and_an_octahedron():
     c = tiling.build_complex(FCC)
     names = sorted(
-        tiling.classify_dual3(tiling.dual_cell(c, FaceRef(o.index, zero(3)))).name
+        tiling.classify_dual3(tiling.dual_cell(c, o.index)).name
         for o in orbits_of_dim(c, 0))
     assert names == ["octahedron", "simplex", "simplex"]
 
@@ -242,7 +244,7 @@ def test_fcc_vertex_dual_cells_are_simplices_and_an_octahedron():
 def test_hexprism_vertex_dual_cells_are_triangular_prisms():
     c = tiling.build_complex(HEXPRISM)
     for o in orbits_of_dim(c, 0):
-        dc = tiling.dual_cell(c, FaceRef(o.index, zero(3)))
+        dc = tiling.dual_cell(c, o.index)
         assert tiling.classify_dual3(dc) == tiling.FAN_II
 
 
@@ -250,14 +252,14 @@ def test_dual_cell_dim_never_exceeds_combdim():
     for gram in (Z2, A2, Z3, FCC, BCC, HEXPRISM):
         c = tiling.build_complex(gram)
         for o in c.orbits:
-            dc = tiling.dual_cell(c, FaceRef(o.index, zero(c.dim)))
+            dc = tiling.dual_cell(c, o.index)
             assert dc.dim <= dc.combdim
 
 
 def test_dual_cell_parity_classes_are_distinct():
     c = tiling.build_complex(BCC)
     for o in c.orbits:
-        dc = tiling.dual_cell(c, FaceRef(o.index, zero(3)))
+        dc = tiling.dual_cell(c, o.index)
         seen = set()
         for v in dc.verts:
             cls = tuple((x - dc.verts[0][k]) % 2 for k, x in enumerate(v))
@@ -269,33 +271,29 @@ def test_duality_reverses_inclusion():
     for gram in (Z3, FCC, HEXPRISM):
         c = tiling.build_complex(gram)
         # Each member of an orbit is rep - lam for one lam in tile_shifts,
-        # so these are the faces of the base tile, the tile included.
-        refs = [FaceRef(o.index, tuple(-x for x in lam))
-                for o in c.orbits for lam in o.tile_shifts]
-        faces = [frozenset(c.face_vertices(r)) for r in refs]
-        duals = [set(tiling.dual_cell(c, r).verts) for r in refs]
+        # so these are the faces of the base tile, the tile included; the
+        # dual cell of rep - lam is the orbit's cell translated by -lam.
+        members = [(o.index, lam) for o in c.orbits for lam in o.tile_shifts]
+        faces = [frozenset(vsub(v, lam) for v in c.orbits[q].vertices)
+                 for q, lam in members]
+        duals = [{vsub(v, lam) for v in tiling.dual_cell(c, q).verts}
+                 for q, lam in members]
         for i, j in combinations(range(len(faces)), 2):
             for a, b in ((i, j), (j, i)):
                 # faces[b] below faces[a] <=> dual of a inside dual of b
                 assert (faces[b] <= faces[a]) == (duals[a] <= duals[b])
 
 
-# --- dual_cell against the per-face construction
-# (oracles.dual_cell_reference): the same cell on every face of every star,
-# translates of the orbit's cell included.  The reference builds its hull
-# with ratpoly.from_vertices, so equal cells also mean that the carried hull
-# equals a fresh hull of the centers.
+# --- dual_cell against the cell built afresh (oracles.dual_cell_reference)
+# on every orbit.  The reference builds its hull with its own V-to-H
+# conversion, so equal cells also mean that the carried hull equals a fresh
+# hull of the centers.
 
 
 def _check_dual_cells_against_reference(c):
-    checked = []
     for o in c.orbits:
-        for r in tiling.star(c, FaceRef(o.index, zero(c.dim))):
-            dc = tiling.dual_cell(c, r)
-            assert dc == oracles.dual_cell_reference(c, r), r
-            checked.append(dc)
-    assert any(any(x != 0 for x in dc.face.shift) for dc in checked)
-    return checked
+        assert tiling.dual_cell(c, o.index) == oracles.dual_cell_reference(
+            c, o.index), o.index
 
 
 def test_dual_cells_match_reference_on_the_suite():
@@ -306,10 +304,11 @@ def test_dual_cells_match_reference_on_the_suite():
 def test_dual_cells_match_reference_on_a_rebased_lattice():
     gram = _rebased(GRAMS["FCC"], random.Random(5))
     assert gram != GRAMS["FCC"]
-    cells = _check_dual_cells_against_reference(tiling.build_complex(gram))
+    c = tiling.build_complex(gram)
+    _check_dual_cells_against_reference(c)
     # Defining faces with negative non-integer vertex coordinates.
     assert any(x < 0 and x.denominator != 1
-               for dc in cells for v in dc.face_vertices for x in v)
+               for o in c.orbits for v in o.vertices for x in v)
 
 
 def test_lattice_point_scan_finds_an_extra_center_in_the_reduced_box():
@@ -400,9 +399,7 @@ def test_rebased_lattices_keep_their_tiling_audit():
 
 def test_readers_of_a_dual_cell_build_no_hull(monkeypatch):
     c = tiling.build_complex(FCC)
-    octa = next(o for o in orbits_of_dim(c, 0) if len(o.tile_shifts) == 6)
-    moved = tiling.dual_cell(c, FaceRef(octa.index, (F(1), F(-2), F(0))))
-    cells = [tiling.dual_cell(c, FaceRef(o.index, zero(3))) for o in c.orbits]
+    cells = [tiling.dual_cell(c, o.index) for o in c.orbits]
     real = ratpoly.from_vertices
     built = []
 
@@ -412,7 +409,7 @@ def test_readers_of_a_dual_cell_build_no_hull(monkeypatch):
 
     monkeypatch.setattr(ratpoly, "from_vertices", counted)
     assert tiling.skinny_audit(c).passed
-    for dc in cells + [moved]:
+    for dc in cells:
         if dc.combdim == 3:
             tiling.classify_dual3(dc)
     assert built == []
@@ -426,13 +423,13 @@ def test_readers_of_a_dual_cell_build_no_hull(monkeypatch):
 def test_z3_edges_are_type_b():
     c = tiling.build_complex(Z3)
     for o in orbits_of_dim(c, 1):
-        assert tiling.classify_d2(c, FaceRef(o.index, zero(3))) == tiling.FAN_B
+        assert tiling.classify_d2(c, o.index) == tiling.FAN_B
 
 
 def test_a2_vertices_are_type_a():
     c = tiling.build_complex(A2)
     for o in orbits_of_dim(c, 0):
-        assert tiling.classify_d2(c, FaceRef(o.index, zero(2))) == tiling.FAN_A
+        assert tiling.classify_d2(c, o.index) == tiling.FAN_A
 
 
 def test_hexprism_edge_types_split_by_direction():
@@ -442,7 +439,7 @@ def test_hexprism_edge_types_split_by_direction():
         vs = o.vertices
         vertical = all(vs[0][k] == vs[1][k] for k in range(2))
         tags.setdefault("A" if vertical else "B", []).append(
-            tiling.classify_d2(c, FaceRef(o.index, zero(3))).tag)
+            tiling.classify_d2(c, o.index).tag)
     assert set(tags["A"]) == {"A"} and len(tags["A"]) == 2
     assert set(tags["B"]) == {"B"} and len(tags["B"]) == 3
 
@@ -451,7 +448,7 @@ def test_classify_d2_rejects_wrong_dimension():
     c = tiling.build_complex(Z3)
     v = orbits_of_dim(c, 0)[0]
     with pytest.raises(ValueError):
-        tiling.classify_d2(c, FaceRef(v.index, zero(3)))
+        tiling.classify_d2(c, v.index)
 
 
 def test_classify_d2_unexpected_star_size():
@@ -463,7 +460,7 @@ def test_classify_d2_unexpected_star_size():
     orbits[o.index] = fake
     broken = tiling.TilingComplex(c.tile, tuple(orbits), c.reduced, c._faces)
     with pytest.raises(tiling.UnexpectedStarSize):
-        tiling.classify_d2(broken, FaceRef(o.index, zero(3)))
+        tiling.classify_d2(broken, o.index)
 
 
 def test_quadruple_faces_have_two_parallel_facet_pairs():
@@ -475,14 +472,13 @@ def test_quadruple_faces_have_two_parallel_facet_pairs():
                 if frozenset(c.tile.vertices[i] for i in inc) == frozenset(o.vertices):
                     facet_normal[o.index] = hp[0]
         for o in orbits_of_dim(c, c.dim - 2):
-            ref = FaceRef(o.index, zero(c.dim))
-            if tiling.classify_d2(c, ref).tag != "B":
+            if tiling.classify_d2(c, o.index).tag != "B":
                 continue
-            st = tiling.star(c, ref)
+            st = tiling.star(c, o.index)
             normals = []
             for r in st:
-                if c.orbits[r.orbit].dim == c.dim - 1:
-                    n = facet_normal[r.orbit]
+                if c.orbits[r].dim == c.dim - 1:
+                    n = facet_normal[r]
                     first = next(x for x in n if x != 0)
                     normals.append(n if first > 0 else tuple(-x for x in n))
             assert len(normals) == 4
@@ -500,7 +496,7 @@ def test_quadruple_faces_have_two_parallel_facet_pairs():
 def test_classify_dual3_rejects_wrong_codimension():
     c = tiling.build_complex(Z3)
     e = orbits_of_dim(c, 1)[0]
-    dc = tiling.dual_cell(c, FaceRef(e.index, zero(3)))
+    dc = tiling.dual_cell(c, e.index)
     with pytest.raises(ValueError):
         tiling.classify_dual3(dc)
 
@@ -509,7 +505,7 @@ def test_classify_dual3_unclassifiable():
     # seven corners of a cube form none of the five shapes
     verts = tuple(sorted((F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1)
                          for z in (0, 1)))[:-1]
-    dc = _hand_cell(verts, 3, FaceRef(0, zero(3)), (zero(3),))
+    dc = _hand_cell(verts, 3)
     with pytest.raises(tiling.UnclassifiableCell):
         tiling.classify_dual3(dc)
 
@@ -529,7 +525,7 @@ def test_is_3_irreducible_on_the_suite():
 def test_bcc_vertices_are_all_simplices():
     c = tiling.build_complex(BCC)
     for o in orbits_of_dim(c, 0):
-        dc = tiling.dual_cell(c, FaceRef(o.index, zero(3)))
+        dc = tiling.dual_cell(c, o.index)
         assert tiling.classify_dual3(dc) == tiling.FAN_V
 
 
