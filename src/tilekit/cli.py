@@ -264,10 +264,12 @@ def _cmd_scaling_coherence(path: str):
                          "at least 4")
     c = tiling.build_complex(gram)
     frame = scaling.build_frame(c)
+    pairs = scaling.pyramid_flanked_parallelograms(c)
+    table = scaling.star_table(c, frame, (q for *_, fl in pairs for q in fl))
     rows = []
     all_ok = True
-    for base_orbit, r, flanks in scaling.pyramid_flanked_parallelograms(c):
-        ok = scaling.test_coherence(c, r, flanks, frame)
+    for base_orbit, r, flanks in pairs:
+        ok = scaling.test_coherence(c, r, flanks, table)
         all_ok = all_ok and ok
         rows.append({"base_orbit": base_orbit,
                      "parallelogram_orbit": r,
@@ -282,7 +284,7 @@ def _cmd_lift(path: str):
     c = tiling.build_complex(gram)
     frame, out = _scaling_pieces(c)
     if isinstance(out, scaling.InconsistencyWitness):
-        return {"status": "inconsistent", "circuit": list(out.circuit)}, 1
+        return _inconsistent(out), 1
     g = lifting.build_generatrissa(c, out, frame)
     q = lifting.recover_qform(g, c)
     rep = lifting.verify_lifting(g, q, c)

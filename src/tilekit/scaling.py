@@ -12,6 +12,10 @@ a parallelogram dual 2-cell.  The scan that finds each parallelogram
 reads the orbits of its two flanks off the face bitmasks of one tile, and
 the coherence test takes those orbits.
 
+Each codimension-2 star is solved once per command: star_table solves
+the stars a command needs, and the gains, the joint scaling of a
+codimension-3 star and the coherence test all read that table.
+
 Faces are named by their orbit index throughout: every star, dual cell
 and scaling here is invariant under lattice translation.
 
@@ -145,7 +149,7 @@ class _RatioForest:
 
     def __init__(self, nodes):
         self.parent = {n: n for n in nodes}
-        self.mult = {n: Fraction(1) for n in nodes}
+        self.mult = dict.fromkeys(self.parent, Fraction(1))
 
     def find(self, n):
         if self.parent[n] == n:
@@ -173,14 +177,25 @@ class _RatioForest:
         return groups
 
 
+def star_table(c: TilingComplex, frame: NormalFrame,
+               faces) -> dict[int, StarScaling]:
+    """The scaling family of each codimension-2 orbit in the stars of the
+    orbits ``faces``, keyed by orbit: one solve per orbit."""
+    ridges = {p for q in faces for p in tiling.star(c, q)
+              if c.orbits[p].dim == c.dim - 2}
+    return {r: star_scaling_d2(c, r, frame) for r in sorted(ridges)}
+
+
 def star_scaling_d3(c: TilingComplex, q: int,
-                    frame: NormalFrame) -> StarScaling:
+                    table: dict[int, StarScaling]) -> StarScaling:
     """Joint scaling family of all facets around a codimension-3 orbit's
     face.
 
-    Solves every three-facet condition inside the star simultaneously.
-    The family is a single ray exactly when the dual 3-cell is an
-    octahedron, a pyramid over a parallelogram, or a simplex.
+    Links the unique rays that ``table``, a star_table over ``q``, holds
+    for the codimension-2 orbits of the star, so it solves every
+    three-facet condition inside the star simultaneously.  The family is a
+    single ray exactly when the dual 3-cell is an octahedron, a pyramid
+    over a parallelogram, or a simplex.
 
     Raises:
         ValueError: the orbit's faces do not have dimension d-3.
@@ -190,23 +205,16 @@ def star_scaling_d3(c: TilingComplex, q: int,
         raise ValueError("joint star scaling needs a face of dimension d-3")
     st = tiling.star(c, q)
     forest = _RatioForest(sorted(set(_facet_orbits(c, st))))
-    for r in sorted({p for p in st if c.orbits[p].dim == c.dim - 2}):
-        if tiling.classify_d2(c, r).tag != "A":
-            continue
-        sub = star_scaling_d2(c, r, frame)
+    ridges = sorted({p for p in st if c.orbits[p].dim == c.dim - 2})
+    for sub in (table[r] for r in ridges if table[r].unique):
         pairs = sorted(sub.factors)
         for o in pairs[1:]:
             if not forest.link(o, pairs[0],
                                sub.factors[o] / sub.factors[pairs[0]]):
                 raise NoPositiveSolution(
                     "ratio constraints of the codimension-2 stars conflict")
-    groups = forest.components()
-    factors: dict[int, Fraction] = {}
-    for members in groups.values():
-        for o in members:
-            _, m = forest.find(o)
-            factors[o] = m
-    dof = len(groups)
+    factors = {o: forest.find(o)[1] for o in forest.parent}
+    dof = len(forest.components())
     if dof == 1:
         factors = _normalize_ray(factors)
     return StarScaling(kind="unique_ray" if dof == 1 else "family",
@@ -258,18 +266,11 @@ def adjacent_facet_pairs(c: TilingComplex) -> set[tuple[int, int]]:
 
 def gain_from_d2(c: TilingComplex, frame: NormalFrame) -> GainFunction:
     """Gains induced by the unique rays of all three-facet stars."""
-    gain: GainFunction = {}
-    for o in c.orbits:
-        if o.dim != c.dim - 2:
-            continue
-        if tiling.classify_d2(c, o.index).tag != "A":
-            continue
-        sub = star_scaling_d2(c, o.index, frame)
-        for a in sub.factors:
-            for b in sub.factors:
-                if a != b:
-                    gain[(a, b)] = sub.factors[b] / sub.factors[a]
-    return gain
+    table = star_table(c, frame, (o.index for o in c.orbits
+                                  if o.dim == c.dim - 2))
+    return {(a, b): sub.factors[b] / sub.factors[a]
+            for sub in table.values() if sub.unique
+            for a in sub.factors for b in sub.factors if a != b}
 
 
 def bridge_gain(c: TilingComplex, gain: GainFunction) -> GainFunction:
@@ -284,22 +285,15 @@ def bridge_gain(c: TilingComplex, gain: GainFunction) -> GainFunction:
         A new gain function whose graph is connected whenever the facet
         adjacency graph is.
     """
-    facet_orbs = sorted(o.index for o in c.orbits if o.dim == c.dim - 1)
-    comp = {o: o for o in facet_orbs}
-
-    def root(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
+    forest = _RatioForest(o.index for o in c.orbits if o.dim == c.dim - 1)
+    # Only the components matter here; propagate checks the ratios.
     for a, b in gain:
-        comp[root(a)] = root(b)
+        forest.link(a, b, Fraction(1))
     out = dict(gain)
     for a, b in sorted(adjacent_facet_pairs(c)):
-        if root(a) != root(b):
+        if forest.find(a)[0] != forest.find(b)[0]:
             out[(a, b)] = out[(b, a)] = Fraction(1)
-            comp[root(a)] = root(b)
+            forest.link(a, b, Fraction(1))
     return out
 
 
@@ -459,20 +453,20 @@ def pyramid_flanked_parallelograms(
 
 
 def test_coherence(c: TilingComplex, r: int, flanks: tuple[int, int],
-                   frame: NormalFrame) -> bool:
+                   table: dict[int, StarScaling]) -> bool:
     """Whether the two pyramid star scalings agree on the parallelogram.
 
     ``r`` is the orbit of the parallelogram's codimension-2 face and
     ``flanks`` the orbits of the two codimension-3 faces flanking it, as
-    pyramid_flanked_parallelograms gives them.  Each flank's star scaling
-    is a single ray; both assign factors to the two facet orbits of the
-    parallelogram's quadruple star, and coherence means the two factor
-    ratios are equal.
+    pyramid_flanked_parallelograms gives them; ``table`` is a star_table
+    over the flanks.  Each flank's star scaling is a single ray; both
+    assign factors to the two facet orbits of the parallelogram's
+    quadruple star, and coherence means the two factor ratios are equal.
 
     Raises:
         HypothesisViolated: a flanking dual 3-cell is not a pyramid.
         ValueError: a flank is not of codimension 3, or ``r`` is not a
-            codimension-2 orbit with a parallelogram dual cell.
+            codimension-2 orbit of ``table`` with a parallelogram dual cell.
     """
     for q in flanks:
         try:
@@ -483,11 +477,11 @@ def test_coherence(c: TilingComplex, r: int, flanks: tuple[int, int],
             raise HypothesisViolated(
                 "a dual 3-cell flanking the parallelogram is not a pyramid "
                 "over a parallelogram")
-    sa, sb = (star_scaling_d3(c, q, frame) for q in flanks)
+    sa, sb = (star_scaling_d3(c, q, table) for q in flanks)
     if not (sa.unique and sb.unique):
         raise NoPositiveSolution("pyramid star scaling is not a single ray")
-    quad = star_scaling_d2(c, r, frame)
-    if quad.kind != "two_parameter":
+    quad = table.get(r)
+    if quad is None or quad.kind != "two_parameter":
         raise ValueError("coherence needs a parallelogram dual 2-cell")
     oa, ob = sorted(quad.factors)
     return sa.factors[oa] * sb.factors[ob] == sa.factors[ob] * sb.factors[oa]

@@ -16,7 +16,7 @@ points, which reads only the hull's contains method.  So are the
 eliminations that _lp.Elimination replaced: rref_reference (a Fraction
 Gauss-Jordan), independent_reference and int_inverse_reference
 (fraction-free, from ratpoly) and ldl_reference (lattice's symmetric
-elimination).  Eleven exceptions import tilekit, inside
+elimination).  Twelve exceptions import tilekit, inside
 the function only:
 
 - from_vertices_reference, the V-to-H conversion before it made one basis
@@ -42,6 +42,10 @@ the function only:
   before the scan handed it the flank orbits: the two codimension-3
   faces between two nested faces, read off the vertex bitmasks of a tile
   containing both, with tiling's dual cells and fan types.
+- star_scaling_d3_reference, the joint scaling of a codimension-3 star
+  before the scaling layer read one star table: classifies and solves
+  every codimension-2 star inside it afresh with scaling.star_scaling_d2,
+  and links the rays with scaling's ratio forest.
 - dv_cell_with_vectors, the Voronoi cell with the lattice vector of each
   facet: lattice's halfspaces and ratpoly.from_halfspaces.
 - belts_of_reference, the belt walk that found each opposite ridge by an
@@ -1111,6 +1115,38 @@ def pyramid_flanks(c, f2, f4):
                 "a dual 3-cell flanking the parallelogram is not a pyramid "
                 "over a parallelogram")
     return flanks[0], flanks[1]
+
+
+def star_scaling_d3_reference(c, q, frame):
+    """Joint scaling family of the facets around codimension-3 orbit
+    ``q``, solving each codimension-2 star of it on the spot."""
+    from tilekit import scaling, tiling
+
+    if c.orbits[q].dim != c.dim - 3:
+        raise ValueError("joint star scaling needs a face of dimension d-3")
+    st = tiling.star(c, q)
+    forest = scaling._RatioForest(sorted(set(scaling._facet_orbits(c, st))))
+    for r in sorted({p for p in st if c.orbits[p].dim == c.dim - 2}):
+        if tiling.classify_d2(c, r).tag != "A":
+            continue
+        sub = scaling.star_scaling_d2(c, r, frame)
+        pairs = sorted(sub.factors)
+        for o in pairs[1:]:
+            if not forest.link(o, pairs[0],
+                               sub.factors[o] / sub.factors[pairs[0]]):
+                raise scaling.NoPositiveSolution(
+                    "ratio constraints of the codimension-2 stars conflict")
+    groups = forest.components()
+    factors = {}
+    for members in groups.values():
+        for o in members:
+            _, m = forest.find(o)
+            factors[o] = m
+    dof = len(groups)
+    if dof == 1:
+        factors = scaling._normalize_ray(factors)
+    return scaling.StarScaling(kind="unique_ray" if dof == 1 else "family",
+                               factors=factors, dof=dof, unique=dof == 1)
 
 
 def dv_cell_with_vectors(gram):

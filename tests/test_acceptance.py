@@ -261,9 +261,10 @@ def test_8_canonical_scaling_suite():
         assert scaling.verify_canonical(c, out, fr) == (True, None), name
         # The checker restricted to low-dimensional-face stars must agree
         # with the full spanning-tree circuit check above.
-        for o in c.orbits:
-            if c.dim >= 3 and o.dim == c.dim - 3:
-                scaling.star_scaling_d3(c, o.index, fr)
+        codim3 = [o.index for o in c.orbits if o.dim == c.dim - 3]
+        table = scaling.star_table(c, fr, codim3)
+        for q in codim3:
+            scaling.star_scaling_d3(c, q, table)
 
     c = cpx("FCC")
     gain = dict(scaling.bridge_gain(c, scaling.gain_from_d2(c, frame("FCC"))))

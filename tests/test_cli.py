@@ -10,11 +10,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tilekit import Violation, cli, hypercomb, lattice, ratpoly, tiling
+from tilekit import (Violation, cli, hypercomb, lattice, ratpoly, scaling,
+                     tiling)
 
 from test_ratpoly import ROOT_GRAMS
 
@@ -147,6 +149,22 @@ def test_scaling_coherence_rejects_low_dimension(tmp_path, capsys,
                      "--gram", gram_file(tmp_path, Z3))
     assert rc == 2
     assert "dimension" in err
+
+
+@pytest.mark.parametrize("argv", [("scaling", "build"),
+                                  ("scaling", "verify"), ("lift",)])
+def test_inconsistent_scaling_has_one_report(tmp_path, capsys, monkeypatch,
+                                             argv):
+    """Every command that propagates a scaling reports an inconsistent one
+    the same way: its circuit and its gain product, exit 1."""
+    witness = scaling.InconsistencyWitness(circuit=(2, 3, 4, 2),
+                                           gain_product=Fraction(3, 2))
+    monkeypatch.setattr(scaling, "propagate", lambda c, gain, seed: witness)
+    rc, out, _ = run(capsys, *argv, "--gram", gram_file(tmp_path, A2))
+    assert rc == 1
+    assert json.loads(out) == {"status": "inconsistent",
+                               "circuit": [2, 3, 4, 2],
+                               "gain_product": [3, 2]}
 
 
 def test_lift_a2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -30,6 +31,9 @@ GRAMS = {
     "A5": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
            [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]],
     "GEN5": GEN5,
+    # The graph Laplacian of K_{3,3} with node 0 removed.
+    "K33": [[3, 0, -1, -1, -1], [0, 3, -1, -1, -1], [-1, -1, 3, 0, 0],
+            [-1, -1, 0, 3, 0], [-1, -1, 0, 0, 3]],
 }
 GRAMS["ELONG4_REBASED"] = _skew(
     GRAMS["ELONG4"], oracles.random_unimodular(random.Random(5), 4, 6)[0])
@@ -43,6 +47,13 @@ def cpx(name: str) -> tiling.TilingComplex:
 @lru_cache(maxsize=None)
 def frame(name: str) -> scaling.NormalFrame:
     return scaling.build_frame(cpx(name))
+
+
+@lru_cache(maxsize=None)
+def table(name: str) -> dict[int, scaling.StarScaling]:
+    """The star table over every codimension-3 orbit of ``name``."""
+    c = cpx(name)
+    return scaling.star_table(c, frame(name), orbits_of_dim(c, c.dim - 3))
 
 
 def orbits_of_dim(c, k):
@@ -130,7 +141,7 @@ def test_ray_ratios_invariant_under_frame_rescaling():
 
 def test_cubical_vertex_star_has_three_free_parameters():
     c = cpx("Z3")
-    s = scaling.star_scaling_d3(c, 0, frame("Z3"))
+    s = scaling.star_scaling_d3(c, 0, table("Z3"))
     assert s.dof == 3 and not s.unique
     assert s.factors == {4: Fraction(1), 5: Fraction(1), 6: Fraction(1)}
 
@@ -138,14 +149,14 @@ def test_cubical_vertex_star_has_three_free_parameters():
 def test_fcc_vertex_stars_pin_unique_ray():
     c = cpx("FCC")
     for vo in orbits_of_dim(c, 0):
-        s = scaling.star_scaling_d3(c, vo, frame("FCC"))
+        s = scaling.star_scaling_d3(c, vo, table("FCC"))
         assert s.unique and s.dof == 1
         assert set(s.factors.values()) == {Fraction(1)}
 
 
 def test_bcc_vertex_star_ray_doubles_halved_normals():
     c = cpx("BCC")
-    s = scaling.star_scaling_d3(c, 0, frame("BCC"))
+    s = scaling.star_scaling_d3(c, 0, table("BCC"))
     assert s.unique
     assert s.factors == {18: Fraction(1), 19: Fraction(1), 20: Fraction(2),
                          22: Fraction(1), 23: Fraction(1), 24: Fraction(2)}
@@ -154,7 +165,7 @@ def test_bcc_vertex_star_ray_doubles_halved_normals():
 def test_prism_vertex_star_has_two_components():
     c = cpx("HEXPRISM")
     for vo in orbits_of_dim(c, 0):
-        s = scaling.star_scaling_d3(c, vo, frame("HEXPRISM"))
+        s = scaling.star_scaling_d3(c, vo, table("HEXPRISM"))
         assert s.dof == 2 and not s.unique
 
 
@@ -164,7 +175,7 @@ def test_uniqueness_tracks_dual_cell_type():
         c = cpx(name)
         for vo in orbits_of_dim(c, 0):
             tag = tiling.classify_dual3(tiling.dual_cell(c, vo)).tag
-            s = scaling.star_scaling_d3(c, vo, frame(name))
+            s = scaling.star_scaling_d3(c, vo, table(name))
             assert s.unique == (tag in ("III", "IV", "V"))
 
 
@@ -172,10 +183,28 @@ def test_star_scaling_d3_needs_codim3_face():
     c = cpx("FCC")
     edge = orbits_of_dim(c, 1)[0]
     with pytest.raises(ValueError):
-        scaling.star_scaling_d3(c, edge, frame("FCC"))
+        scaling.star_scaling_d3(c, edge, table("FCC"))
     c2 = cpx("A2")
     with pytest.raises(ValueError):
-        scaling.star_scaling_d3(c2, 0, frame("A2"))
+        scaling.star_scaling_d3(c2, 0, table("A2"))
+
+
+#: Codimension-3 orbit counts of the 5-D Grams.
+CODIM3_ORBITS = {"GEN5": 338, "K33": 180}
+
+
+@pytest.mark.parametrize("name", ["Z3", "FCC", "BCC", "BCC_SKEW", "HEXPRISM",
+                                  "ELONG4", "Z4", "D4", "GEN5", "K33"])
+def test_star_scaling_d3_matches_reference(name):
+    """Linking the star table's rays gives the family that solving each
+    codimension-2 star of the star afresh gives, on every codimension-3
+    orbit."""
+    c = cpx(name)
+    orbits = orbits_of_dim(c, c.dim - 3)
+    assert len(orbits) == CODIM3_ORBITS.get(name, len(orbits)) > 0
+    for q in orbits:
+        assert (scaling.star_scaling_d3(c, q, table(name))
+                == oracles.star_scaling_d3_reference(c, q, frame(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +215,7 @@ def test_star_scaling_d3_needs_codim3_face():
 def test_primitive_vertex_in_skewed_basis():
     c = cpx("BCC_SKEW")
     for vo in orbits_of_dim(c, 0):
-        p = scaling.star_scaling_d3(c, vo, frame("BCC_SKEW"))
+        p = scaling.star_scaling_d3(c, vo, table("BCC_SKEW"))
         assert p.unique
         assert all(v > 0 for v in p.factors.values())
         assert sorted(p.factors.values()) == [1, 1, 1, 1, 2, 2]
@@ -200,7 +229,7 @@ def test_scaled_normals_follow_center_differences():
         c = cpx(name)
         fr = frame(name)
         for vo in orbits_of_dim(c, 0):
-            s = scaling.star_scaling_d3(c, vo, fr)
+            s = scaling.star_scaling_d3(c, vo, table(name))
             ratios = set()
             for r in tiling.star(c, vo):
                 if c.orbits[r].dim != c.dim - 1:
@@ -405,7 +434,7 @@ def test_coherence_on_elongated_lattice():
     pairs = _reference_scan(c)
     assert {(vo, fo): flanks for vo, fo, flanks in pairs} == ELONG4_HITS
     for _vo, fo, flanks in pairs:
-        assert scaling.test_coherence(c, fo, flanks, frame("ELONG4"))
+        assert scaling.test_coherence(c, fo, flanks, table("ELONG4"))
 
 
 def test_coherence_scan_builds_one_hull_per_orbit(monkeypatch):
@@ -427,8 +456,9 @@ def test_coherence_scan_builds_one_hull_per_orbit(monkeypatch):
     monkeypatch.setattr(ratpoly, "from_vertices", counted_hull)
     monkeypatch.setattr(tiling, "dual_cell", recorded_cell)
     pairs = scaling.pyramid_flanked_parallelograms(c)
+    tab = scaling.star_table(c, fr, [q for *_, fl in pairs for q in fl])
     for _base, r, flanks in pairs:
-        assert scaling.test_coherence(c, r, flanks, fr)
+        assert scaling.test_coherence(c, r, flanks, tab)
     assert len(pairs) == len(ELONG4_HITS)
     assert len(asked) > len(set(asked))
     assert 0 < len(built) <= len(set(asked))
@@ -451,6 +481,51 @@ def test_coherence_scan_builds_no_dual_4_cell(tmp_path, capsys, monkeypatch):
     assert len(json.loads(capsys.readouterr().out)["pairs"]) == len(ELONG4_HITS)
     assert 4 not in codims
     assert {2, 3} <= set(codims)
+
+
+#: sha256 of the stdout of ``scaling <command>`` on 5-D Grams, recorded
+#: before the scaling layer solved each star once per command.
+SCALING_DIGESTS = {
+    ("coherence", "GEN5"):
+        "78fd77f224077855a6ef9e5ae1bc6cedd842471968543bc956d4763e7435a9bb",
+    ("coherence", "K33"):
+        "2be85f0481be15562164d1c724397808c9caeafe0c297f2ecdfebe95685cbe1b",
+    ("build", "K33"):
+        "d060be3897f9ddd1816f6c8401dcd6613fe042bb607eb34de9d99cf991741c28",
+}
+
+
+@pytest.mark.parametrize("command,name,solves", [
+    ("build", "ELONG4", 24), ("coherence", "ELONG4", 24),
+    ("build", "K33", 102), ("coherence", "K33", 90),
+    ("coherence", "GEN5", 52), ("coherence", "D4", 0)])
+def test_each_star_is_solved_once_per_command(tmp_path, capsys, monkeypatch,
+                                              command, name, solves):
+    """No codimension-2 orbit reaches star_scaling_d2 twice in one command,
+    and each three-tile star costs one nullspace."""
+    real_d2, real_null = scaling.star_scaling_d2, scaling.nullspace
+    solved, kernels = [], []
+
+    def counted_d2(c, q, fr):
+        out = real_d2(c, q, fr)
+        solved.append((q, out.unique))
+        return out
+
+    def counted_null(*args, **kwargs):
+        kernels.append(args)
+        return real_null(*args, **kwargs)
+
+    monkeypatch.setattr(scaling, "star_scaling_d2", counted_d2)
+    monkeypatch.setattr(scaling, "nullspace", counted_null)
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"gram": GRAMS[name]}))
+    assert cli.main(["scaling", command, "--gram", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len({q for q, _ in solved}) == len(solved)
+    assert len(kernels) == sum(unique for _, unique in solved) == solves
+    if (command, name) in SCALING_DIGESTS:
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == SCALING_DIGESTS[(command, name)]
 
 
 @pytest.mark.parametrize("name", ["ELONG4", "Z4", "GEN5", "ELONG4_REBASED"])
@@ -508,7 +583,9 @@ def test_coherence_invariant_under_frame_rescaling():
            for o in fr.normals}
     fr2 = scaling.NormalFrame(
         {o: tuple(lam[o] * x for x in n) for o, n in fr.normals.items()})
-    assert scaling.test_coherence(c, 47, ELONG4_HITS[(0, 47)], fr2)
+    flanks = ELONG4_HITS[(0, 47)]
+    assert scaling.test_coherence(c, 47, flanks,
+                                  scaling.star_table(c, fr2, flanks))
 
 
 def test_coherence_detects_perturbed_flank(monkeypatch):
@@ -518,8 +595,8 @@ def test_coherence_detects_perturbed_flank(monkeypatch):
     real = scaling.star_scaling_d3
     calls = []
 
-    def skewed(cc, q, frm):
-        out = real(cc, q, frm)
+    def skewed(cc, q, tab):
+        out = real(cc, q, tab)
         calls.append(q)
         if len(calls) == 2:
             factors = dict(out.factors)
@@ -529,7 +606,8 @@ def test_coherence_detects_perturbed_flank(monkeypatch):
         return out
 
     monkeypatch.setattr(scaling, "star_scaling_d3", skewed)
-    assert scaling.test_coherence(c, 47, ELONG4_HITS[(0, 47)], fr) is False
+    assert scaling.test_coherence(c, 47, ELONG4_HITS[(0, 47)],
+                                  table("ELONG4")) is False
     assert len(calls) == 2
 
 
@@ -540,7 +618,7 @@ def test_coherence_rejects_cube_flanks():
     assert {tiling.classify_dual3(tiling.dual_cell(c, q)).tag
             for q in flanks} == {"I"}
     with pytest.raises(scaling.HypothesisViolated):
-        scaling.test_coherence(c, two, flanks, frame("Z4"))
+        scaling.test_coherence(c, two, flanks, table("Z4"))
 
 
 def test_coherence_rejects_mixed_flanks():
@@ -551,24 +629,27 @@ def test_coherence_rejects_mixed_flanks():
     assert sorted(tiling.classify_dual3(tiling.dual_cell(c, q)).tag
                   for q in flanks) == ["I", "IV"]
     with pytest.raises(scaling.HypothesisViolated):
-        scaling.test_coherence(c, 41, flanks, frame("ELONG4"))
+        scaling.test_coherence(c, 41, flanks, table("ELONG4"))
 
 
 def test_coherence_validates_cell_dimensions():
     c = cpx("ELONG4")
-    fr = frame("ELONG4")
     flanks = ELONG4_HITS[(0, 47)]
+    tab = scaling.star_table(c, frame("ELONG4"), flanks)
     facet = next(r for r in tiling.star(c, 0) if c.orbits[r].dim == 3)
     vertex = 0
     with pytest.raises(ValueError):
-        scaling.test_coherence(c, facet, flanks, fr)
+        scaling.test_coherence(c, facet, flanks, tab)
     with pytest.raises(ValueError):
-        scaling.test_coherence(c, 47, (flanks[0], vertex), fr)
+        scaling.test_coherence(c, 47, (flanks[0], vertex), tab)
     # A codimension-2 orbit with a triangle dual cell has no parallelogram.
     tri = next(o.index for o in c.orbits if o.dim == 2
                and tiling.classify_d2(c, o.index).tag == "A")
     with pytest.raises(ValueError):
-        scaling.test_coherence(c, tri, flanks, fr)
+        scaling.test_coherence(c, tri, flanks, tab)
+    fan_a = next(r for r, sub in tab.items() if sub.unique)
+    with pytest.raises(ValueError):
+        scaling.test_coherence(c, fan_a, flanks, tab)
 
 
 def test_d4_lattice_has_no_quadruple_2_faces():
