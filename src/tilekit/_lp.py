@@ -273,8 +273,8 @@ def maximize(
 
     Phase 1 maximizes minus the sum of the artificials, which is at most
     0, so it is never unbounded.  Phase 2 is bounded for both package
-    callers: strictly_feasible caps t <= 1, and the cone pipeline's
-    witness has a zero objective.
+    callers: strictly_feasible caps t <= 1, and syssolve.convex_witness
+    has a zero objective.
 
     Returns:
         LPResult with status in {"optimal", "infeasible"}.

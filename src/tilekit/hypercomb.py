@@ -98,10 +98,10 @@ def is_closed(h: Hypergraph4) -> ClosureReport:
         size = len(h.edges[i] & h.edges[j])
         if size != 1:
             return ClosureReport(False, False, ("intersection", i, j, size))
-    for v in sorted(h.vertices, key=repr):
-        deg = sum(1 for e in h.edges if v in e)
-        if deg < 2:
-            return ClosureReport(False, False, ("degree", v, deg))
+    degs = h.degrees()
+    for v in sorted(degs, key=repr):
+        if degs[v] < 2:
+            return ClosureReport(False, False, ("degree", v, degs[v]))
     return ClosureReport(closed=True, empty=False, witness=None)
 
 

@@ -11,9 +11,9 @@ runs it over the cone dual to the points.  from_halfspaces converts only
 what the package gives it, the irredundant facet rows of a Voronoi cell: it
 runs the pass over the homogenized rows and reads each facet's incidence
 off those zero sets, so no second hull is built, and a system that is not
-such a description is an internal fault.  A cone's facet normals come from
-one pass over the cone dual to its generating set, and nothing reduces that
-set to minimal generators.
+such a description is an internal fault.  cone_dual reads a cone's facet
+normals off one pass over the cone dual to its generating set, and nothing
+reduces that set to minimal generators.
 
 The pass works on integer rows: each distinct row is scaled once to a
 primitive integer row, and rays are primitive integer tuples.  A new ray
@@ -35,7 +35,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import Violation, _lp
-from ._lp import Vec, dot, frac, is_zero, primitive, primitive_ints, vec
+from ._lp import Vec, dot, frac, primitive, primitive_ints, vec
 
 MAX_DIM = 6
 
@@ -46,10 +46,6 @@ class GeometryError(Violation):
 
 class EmptyInput(GeometryError):
     """No points given."""
-
-
-class NotAVertex(GeometryError):
-    """The given point is not a vertex of the polytope."""
 
 
 class Polytope(NamedTuple):
@@ -77,26 +73,6 @@ class Polytope(NamedTuple):
         return all(dot(n, x) == b for n, b in self.equations) and all(
             dot(n, x) <= b for n, b in self.facets
         )
-
-
-class Cone(NamedTuple):
-    """Polyhedral cone with apex translated to `apex`.
-
-    Constraints apply to x - apex: halfspace normals n mean n.(x - apex) <= 0,
-    equations mean n.(x - apex) == 0.  generators are primitive direction
-    vectors that generate the cone: the edge directions for a tangent cone,
-    and the generating set itself (not reduced to extreme rays) for a cone
-    from cone_minus_linspace.
-    """
-
-    apex: Vec
-    generators: tuple[Vec, ...]
-    halfspaces: tuple[Vec, ...]
-    equations: tuple[Vec, ...]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.apex)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +244,9 @@ def _canonical_facet(n: Vec, b: Fraction) -> tuple[Vec, Fraction]:
 
 
 def _canonical_equation(n: Vec, b: Fraction) -> tuple[Vec, Fraction]:
-    pn = primitive(n)
-    k = next(i for i in range(len(n)) if n[i] != 0)
-    scale = pn[k] / n[k]
-    b = b * scale
-    for x in pn:
-        if x != 0:
-            if x < 0:
-                pn = tuple(-y for y in pn)
-                b = -b
-            break
+    pn, b = _canonical_facet(n, b)
+    if next(x for x in pn if x) < 0:
+        return tuple(-x for x in pn), -b
     return pn, b
 
 
@@ -485,9 +454,14 @@ def face_lattice(p: Polytope) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _cone_dual(gens: list[Vec], d: int) -> tuple[list[Vec], list[Vec]]:
+def cone_dual(gens: list[Vec], d: int) -> tuple[list[Vec], list[Vec]]:
     """Facet normals (f.x >= 0 form) and span equations of cone(gens), for
-    a nonempty list of nonzero generators."""
+    a nonempty list of nonzero generators in R^d.
+
+    One double description pass over the generators' coordinates in their
+    span.  The generators need not be extreme rays, nor distinct; both
+    lists are sorted, the normals primitive and lying in the span.
+    """
     span_basis, pivots = _lp.rref(gens)
     eqs = _lp.echelon_nullspace(span_basis, pivots, d)
     # A generator's coordinates over the reduced rows are its pivot entries.
@@ -496,66 +470,6 @@ def _cone_dual(gens: list[Vec], d: int) -> tuple[list[Vec], list[Vec]]:
     q, _ = _span_map(_int_matrix(span_basis)[0])
     normals = [primitive(_lift(q, r)) for r, _ in rays]
     return sorted(normals), sorted(eqs)
-
-
-def cone_at_vertex(p: Polytope, v: Sequence[Fraction]) -> Cone:
-    """Tangent cone of p at vertex v, apex kept at v.
-
-    Generators are the edge directions at v (primitive); halfspaces are the
-    facet normals active at v.
-
-    Raises:
-        NotAVertex: v is not a vertex of p.
-    """
-    v = vec(v)
-    try:
-        vi = p.vertices.index(v)
-    except ValueError:
-        raise NotAVertex(f"{v} is not a vertex") from None
-    active = [n for (n, b), inc in zip(p.facets, p.incidence) if vi in inc]
-    eq_normals = [n for n, _ in p.equations]
-    d = p.ambient_dim
-    # Extreme rays of {x : n.x <= 0 active, e.x = 0} are the edge directions.
-    gens = _rays_from_hrep([tuple(-x for x in n) for n in active], eq_normals, d)
-    return Cone(
-        apex=v,
-        generators=tuple(gens),
-        halfspaces=tuple(sorted(active)),
-        equations=tuple(sorted(eq_normals)),
-    )
-
-
-def _rays_from_hrep(ge_normals: list[Vec], eq_normals: list[Vec], d: int) -> list[Vec]:
-    """Extreme rays of {x : n.x >= 0, e.x == 0}; the cone must be pointed."""
-    null = _lp.nullspace(eq_normals, d)
-    rows = [tuple(dot(n, nb) for nb in null) for n in ge_normals]
-    rays_q = _extreme_rays(rows, len(null))
-    return sorted(primitive(tuple(dot(row, r) for row in zip(*null))) for r, _ in rays_q)
-
-
-def cone_minus_linspace(c: Cone, directions: Iterable[Sequence[Fraction]]) -> Cone:
-    """Minkowski sum of the cone with the linear span of the given directions.
-
-    One double description pass over the generating set: c's generators
-    plus +/- each primitive direction, sorted and deduplicated.  That set
-    is the result's generators; its halfspaces are the negated facet
-    normals of the set's dual, and its equations those of the set's span.
-    """
-    d = c.ambient_dim
-    dirs = [vec(v) for v in directions]
-    dirs = [primitive(v) for v in dirs if not is_zero(v)]
-    glist = list(c.generators)
-    for v in dirs:
-        glist.append(v)
-        glist.append(tuple(-x for x in v))
-    glist = sorted(set(glist))
-    normals, eqs = _cone_dual(glist, d)
-    return Cone(
-        apex=c.apex,
-        generators=tuple(glist),
-        halfspaces=tuple(sorted(tuple(-x for x in n) for n in normals)),
-        equations=tuple(eqs),
-    )
 
 
 def is_skinny(p: Polytope) -> bool:

@@ -27,8 +27,7 @@ from ._lp import (
     vec,
     vsub,
 )
-from .ratpoly import (Cone, Polytope, cone_at_vertex, cone_minus_linspace,
-                      from_vertices)
+from .ratpoly import Polytope, cone_dual, from_vertices
 
 
 class VerificationError(Violation):
@@ -648,28 +647,37 @@ def lifted_configuration() -> tuple[Polytope, tuple[tuple[Vec, ...], ...],
     return q, paras, planes
 
 
-@cache
-def _tangent_cone(v: Vec) -> Cone:
-    """Tangent cone of the lifted hull Q at its vertex v."""
-    return cone_at_vertex(lifted_configuration()[0], v)
-
-
 def excluded_direction_cone(i: int, v: Vec) -> tuple[Vec, ...]:
-    """Facet normals of the tangent cone at v widened by parallelogram i's
-    direction plane; directions with every normal strictly negative (or
+    """Facet normals of the tangent cone of Q at v widened by parallelogram
+    i's direction plane; directions with every normal strictly negative (or
     every one strictly positive) are forbidden.
+
+    The tangent cone of Q at its vertex v is cone(Q - v) (Ziegler,
+    Lectures on Polytopes), so the widened cone comes from one double
+    description pass over w - v for every other vertex w of Q plus +/-
+    each basis vector of the plane.
 
     Args:
         i: parallelogram index, 1..5.
-        v: a hull vertex outside that parallelogram.
+        v: a vertex of Q outside that parallelogram.
+
+    Raises:
+        ValueError: v is not a vertex of Q, or is one of parallelogram i's.
+        VerificationError: the widened cone is not full-dimensional.
     """
-    _q, paras, planes = lifted_configuration()
-    if tuple(v) in paras[i - 1]:
+    q, paras, planes = lifted_configuration()
+    v = vec(v)
+    if v not in q.vertices:
+        raise ValueError(f"{v} is not a vertex of the lifted hull")
+    if v in paras[i - 1]:
         raise ValueError("vertex belongs to the parallelogram under test")
-    cone = cone_minus_linspace(_tangent_cone(vec(v)), planes[i - 1])
-    if cone.equations:
+    gens = [vsub(w, v) for w in q.vertices if w != v]
+    for b in planes[i - 1]:
+        gens += [b, tuple(-x for x in b)]
+    normals, eqs = cone_dual(gens, len(v))
+    if eqs:
         raise VerificationError("direction cone is not full-dimensional")
-    return cone.halfspaces
+    return tuple(sorted(tuple(-x for x in n) for n in normals))
 
 
 class _Cell(NamedTuple):

@@ -306,17 +306,17 @@ def _check_lattice_points(hull: Polytope, verts: tuple[Vec, ...],
 
 def _lattice_points(hull: Polytope, verts: tuple[Vec, ...],
                     basis: tuple[tuple, list]) -> list[tuple[int, ...]]:
-    """The integer points of ``hull`` in the bounding box of ``verts``,
-    integer points of the hull, taken in the coordinates of the reduced
-    basis ``basis`` = (u, u^-1).  They are given in the caller's
-    coordinates, in lexicographic order of their reduced coordinates.
+    """The lattice points of ``hull`` in the bounding box of ``verts``,
+    with the box taken in the coordinates of the reduced basis ``basis``
+    = (u, u^-1).  They are given in the caller's coordinates, in
+    lexicographic order of their reduced coordinates.
 
     Every integer point of that box is tested.  The centers are close in
     the lattice metric, so that box is small whatever the given basis; in
     a skewed basis the box in the given coordinates can hold arbitrarily
-    many points.  The test is in integers: a point x = u y of the hull meets each facet
-    n.x <= b as (n u).y <= floor(b), with n a primitive integer row, and
-    each equation n.x == b as (n u).y == b.
+    many points.  The test is in integers: a point x = u y of the hull
+    meets each facet n.x <= b as (n u).y <= floor(b), with n a primitive
+    integer row, and each equation n.x == b as (n u).y == b.
     """
     u, inv = basis
     # Centers and normals are integral Fractions, and so are the equation

@@ -16,7 +16,7 @@ points, which reads only the hull's contains method.  So are the
 eliminations that _lp.Elimination replaced: rref_reference (a Fraction
 Gauss-Jordan), independent_reference and int_inverse_reference
 (fraction-free, from ratpoly) and ldl_reference (lattice's symmetric
-elimination).  Twelve exceptions import tilekit, inside
+elimination).  Thirteen exceptions import tilekit, inside
 the function only:
 
 - from_vertices_reference, the V-to-H conversion before it made one basis
@@ -25,6 +25,10 @@ the function only:
 - cone_dual_reference, the cone dual before it read coordinates off the
   echelon form: _lp.rref and _lp.nullspace for the span; its solves are
   gauss_solve.
+- excluded_cone_reference, the excluded direction cone as two double
+  description passes: the tangent cone's edge directions from the facets
+  of Q active at v, then the dual of those widened by the plane, with
+  ratpoly's pass and cone_dual, _lp.nullspace and syssolve's lifted hull.
 - from_halfspaces_two_pass, the H-to-V conversion before it became one
   pass: rebuilds the result with from_vertices_reference.
 - build_complex_reference, the quotient complex before it was keyed on
@@ -847,7 +851,7 @@ def from_vertices_reference(points):
 
 
 def cone_dual_reference(gens, d):
-    """ratpoly._cone_dual before it read coordinates off the reduced row
+    """ratpoly.cone_dual before it read coordinates off the reduced row
     echelon form: a solve per generator, extreme_rays_reference, and a
     Gram solve per ray to lift it into the span.  Same result."""
     from tilekit import _lp
@@ -867,6 +871,94 @@ def cone_dual_reference(gens, d):
             sum((coeffs[j] * b[r] for j, b in enumerate(span_basis)), Fraction(0))
             for r in range(d)]))
     return sorted(normals), sorted(eqs)
+
+
+class _Cone(NamedTuple):
+    """Polyhedral cone with apex translated to `apex`.
+
+    Constraints apply to x - apex: halfspace normals n mean n.(x - apex) <= 0,
+    equations mean n.(x - apex) == 0.  generators are primitive direction
+    vectors that generate the cone: the edge directions for a tangent cone,
+    and the generating set itself (not reduced to extreme rays) for a cone
+    from _cone_minus_linspace.
+    """
+
+    apex: tuple
+    generators: tuple
+    halfspaces: tuple
+    equations: tuple
+
+
+def _cone_at_vertex(p, v):
+    """Tangent cone of p at vertex v, apex kept at v.
+
+    Generators are the edge directions at v (primitive); halfspaces are the
+    facet normals active at v.
+    """
+    from tilekit import _lp, ratpoly
+
+    v = vec(v)
+    vi = p.vertices.index(v)
+    active = [n for (n, b), inc in zip(p.facets, p.incidence) if vi in inc]
+    eq_normals = [n for n, _ in p.equations]
+    d = p.ambient_dim
+    # Extreme rays of {x : n.x <= 0 active, e.x = 0} are the edge directions.
+    ge_normals = [tuple(-x for x in n) for n in active]
+    null = _lp.nullspace(eq_normals, d)
+    rows = [tuple(dot(n, nb) for nb in null) for n in ge_normals]
+    rays_q = ratpoly._extreme_rays(rows, len(null))
+    gens = sorted(_lp.primitive(tuple(dot(row, r) for row in zip(*null)))
+                  for r, _ in rays_q)
+    return _Cone(
+        apex=v,
+        generators=tuple(gens),
+        halfspaces=tuple(sorted(active)),
+        equations=tuple(sorted(eq_normals)),
+    )
+
+
+def _cone_minus_linspace(c, directions):
+    """Minkowski sum of the cone with the linear span of the given directions.
+
+    One double description pass over the generating set: c's generators
+    plus +/- each primitive direction, sorted and deduplicated.  That set
+    is the result's generators; its halfspaces are the negated facet
+    normals of the set's dual, and its equations those of the set's span.
+    """
+    from tilekit import _lp, ratpoly
+
+    d = len(c.apex)
+    dirs = [vec(v) for v in directions]
+    dirs = [_lp.primitive(v) for v in dirs if not _lp.is_zero(v)]
+    glist = list(c.generators)
+    for v in dirs:
+        glist.append(v)
+        glist.append(tuple(-x for x in v))
+    glist = sorted(set(glist))
+    normals, eqs = ratpoly.cone_dual(glist, d)
+    return _Cone(
+        apex=c.apex,
+        generators=tuple(glist),
+        halfspaces=tuple(sorted(tuple(-x for x in n) for n in normals)),
+        equations=tuple(eqs),
+    )
+
+
+def excluded_cone_reference(i, v):
+    """syssolve.excluded_direction_cone as two double description passes:
+    the tangent cone of Q at v from the facets active there (its extreme
+    rays are the edge directions), then the dual of those edge directions
+    widened by parallelogram i's plane.  Same arguments and result for a
+    vertex of Q outside parallelogram i."""
+    from tilekit import syssolve
+
+    q, paras, planes = syssolve.lifted_configuration()
+    if tuple(v) in paras[i - 1]:
+        raise ValueError("vertex belongs to the parallelogram under test")
+    cone = _cone_minus_linspace(_cone_at_vertex(q, vec(v)), planes[i - 1])
+    if cone.equations:
+        raise syssolve.VerificationError("direction cone is not full-dimensional")
+    return cone.halfspaces
 
 
 def from_halfspaces_two_pass(halfspaces):

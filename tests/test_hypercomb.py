@@ -80,6 +80,15 @@ def test_closure_witnesses():
     assert not rep.closed and rep.witness[0] == "degree" and rep.witness[2] == 1
 
 
+def test_degree_witness_is_first_in_repr_order():
+    # Every pair of hyperedges meets in one vertex, and exactly two vertices,
+    # 9 and 10, lie on one hyperedge only.  Their reprs sort "10" before "9".
+    h = hc.hypergraph([[0, 1, 2, 3], [0, 4, 5, 6], [1, 4, 7, 8], [2, 4, 11, 12],
+                       [3, 4, 9, 10], [3, 5, 7, 11], [3, 6, 8, 12]])
+    assert sorted(v for v, d in h.degrees().items() if d < 2) == [9, 10]
+    assert hc.is_closed(h) == (False, False, ("degree", 10, 1))
+
+
 def test_moment_audit_requires_closed():
     with pytest.raises(ValueError):
         hc.moment_audit(hc.hypergraph([[0, 1, 2, 3], [4, 5, 6, 7]]))

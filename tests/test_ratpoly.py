@@ -10,9 +10,7 @@ import pytest
 from tilekit import _lp, lattice, ratpoly, syssolve
 from tilekit.ratpoly import (
     EmptyInput,
-    NotAVertex,
-    cone_at_vertex,
-    cone_minus_linspace,
+    cone_dual,
     face_lattice,
     from_halfspaces,
     from_vertices,
@@ -371,13 +369,12 @@ def _pipeline_cones():
 
 def test_cone_dual_matches_reference(monkeypatch):
     seen = []
-    dual = ratpoly._cone_dual
 
     def record(gens, d):
         seen.append((list(gens), d))
-        return dual(gens, d)
+        return cone_dual(gens, d)
 
-    monkeypatch.setattr(ratpoly, "_cone_dual", record)
+    monkeypatch.setattr(syssolve, "cone_dual", record)
     for i, v in _pipeline_cones():
         got = syssolve.excluded_direction_cone(i, v)
         normals, _ = oracles.cone_dual_reference(*seen[-1])
@@ -388,20 +385,28 @@ def test_cone_dual_matches_reference(monkeypatch):
         d = rng.randint(1, 5)
         gens = [tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d))
                 for _ in range(rng.randint(0, 6))]
-        # Only nonempty lists of nonzero generators reach _cone_dual.
+        # Only nonempty lists of nonzero generators reach cone_dual.
         gens = [g for g in gens if not _lp.is_zero(g)]
         if gens:
             seen.append((gens, d))
     for glist, d in seen:
-        got = dual(glist, d)
+        got = cone_dual(glist, d)
         assert got == oracles.cone_dual_reference(glist, d)
         assert all(type(x) is F for n in got[0] for x in n)
 
 
+def test_excluded_cones_match_the_two_pass_reference():
+    """One pass over Q - v and the plane gives the cone that the tangent
+    cone's edge directions widened by the plane give, for all 30 pairs."""
+    for i, v in _pipeline_cones():
+        assert syssolve.excluded_direction_cone(i, v) == \
+            oracles.excluded_cone_reference(i, v), (i, v)
+
+
 def test_pipeline_cone_makes_one_dd_pass(monkeypatch):
+    """Cold, apart from the hull Q that every cone reads: 30 cones make 30
+    double description passes (40 when each tangent cone took one more)."""
     cones = _pipeline_cones()
-    for v in {v for _, v in cones}:
-        syssolve._tangent_cone(v)
     real, real_rref = ratpoly._extreme_rays, _lp.rref
     passes = []
     eliminations = []
@@ -447,43 +452,32 @@ def test_face_lattice_cube():
     assert sum((-1) ** d for d in dims) == 1
 
 
-def test_cone_at_cube_corner():
+def test_cone_dual_cube_corner():
+    # cone(CUBE - 0) is the positive orthant: the seven generators reduce
+    # to three facets, and the cone spans R^3.
+    gens = [v for v in CUBE if any(v)]
+    assert cone_dual(gens, 3) == ([fv(0, 0, 1), fv(0, 1, 0), fv(1, 0, 0)], [])
+
+
+def test_cone_dual_reads_the_tangent_cone_off_all_vertices():
+    # At every cube vertex, the dual of all the vertex differences equals
+    # the dual of the three edge directions, and its normals are the facets
+    # active there.
     p = from_vertices(CUBE)
-    c = cone_at_vertex(p, fv(0, 0, 0))
-    assert c.apex == fv(0, 0, 0)
-    assert set(c.generators) == {fv(1, 0, 0), fv(0, 1, 0), fv(0, 0, 1)}
-    assert len(c.halfspaces) == 3
-    assert c.equations == ()
+    for vi, v in enumerate(p.vertices):
+        diffs = [_lp.vsub(w, v) for w in p.vertices if w != v]
+        edges = [d for d in diffs if sum(map(abs, d)) == 1]
+        active = sorted(tuple(-x for x in n)
+                        for (n, _), inc in zip(p.facets, p.incidence) if vi in inc)
+        assert cone_dual(diffs, 3) == cone_dual(edges, 3) == (active, [])
 
 
-def test_cone_at_vertex_rejects_non_vertices():
-    p = from_vertices(SQUARE)
-    with pytest.raises(NotAVertex):
-        cone_at_vertex(p, fv(0, 0))
+def test_cone_dual_quadrant_widened_by_a_line():
+    assert cone_dual([fv(0, 1), fv(1, 0), fv(-1, 0)], 2) == ([fv(0, 1)], [])
 
 
-def test_cone_round_trip():
-    p = from_vertices(CUBE)
-    for v in p.vertices:
-        c = cone_at_vertex(p, v)
-        assert cone_minus_linspace(c, []) == c
-
-
-def _quadrant():
-    return cone_at_vertex(from_vertices([fv(0, 0), fv(1, 0), fv(0, 1), fv(1, 1)]), fv(0, 0))
-
-
-def test_cone_minus_linspace_quadrant():
-    half = cone_minus_linspace(_quadrant(), [fv(1, 0)])
-    assert half.halfspaces == (fv(0, -1),)
-    assert half.equations == ()
-    assert fv(1, 0) in half.generators and fv(-1, 0) in half.generators
-
-
-def test_cone_minus_linspace_full_space():
-    full = cone_minus_linspace(_quadrant(), [fv(1, 0), fv(0, 1)])
-    assert full.halfspaces == ()
-    assert full.equations == ()
+def test_cone_dual_full_plane():
+    assert cone_dual([fv(1, 0), fv(0, 1), fv(-1, 0), fv(0, -1)], 2) == ([], [])
 
 
 def test_skinny_frozen_shapes():

@@ -617,6 +617,16 @@ def test_excluded_direction_cones_for_one_parallelogram():
         excluded_direction_cone(2, _f(1, 0, 0, 0, 0))
 
 
+def test_excluded_direction_cone_rejects_non_vertices():
+    # The origin lies outside Q, the midpoint of two vertices lies on Q,
+    # and u1 + u3 is a lattice point that is not one of Q's vertices.
+    half = Fraction(1, 2)
+    for p in (_f(0, 0, 0, 0, 0), (half, half, *_f(0, 0, 0)),
+              _f(1, 0, 1, 0, 0)):
+        with pytest.raises(ValueError, match="not a vertex"):
+            excluded_direction_cone(1, p)
+
+
 def test_direction_pipeline_survivors():
     rays = cone_test_pipeline()
     assert len(rays) == 10
