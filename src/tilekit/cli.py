@@ -286,8 +286,8 @@ def _cmd_lift(path: str):
     if isinstance(out, scaling.InconsistencyWitness):
         return _inconsistent(out), 1
     g = lifting.build_generatrissa(c, out, frame)
-    q = lifting.recover_qform(g, c)
-    rep = lifting.verify_lifting(g, q, c)
+    q = lifting.recover_qform(g)
+    rep = lifting.verify_lifting(g, q)
     doc = {
         "qform": {
             "matrix": [ratpoly.vec_to_json(row) for row in q.matrix],

@@ -162,18 +162,14 @@ class FoundSubgraph(NamedTuple):
     embedding: dict
 
 
-def _peel(edges: list[frozenset]) -> list[frozenset]:
+def _peel(h: Hypergraph4) -> Hypergraph4:
     # Remove hyperedges stranded on a degree-1 vertex until none remain.
-    current = list(edges)
     while True:
-        degs: dict = {}
-        for e in current:
-            for v in e:
-                degs[v] = degs.get(v, 0) + 1
-        keep = [e for e in current if all(degs[v] >= 2 for v in e)]
-        if len(keep) == len(current):
-            return current
-        current = keep
+        degs = h.degrees()
+        keep = tuple(e for e in h.edges if all(degs[v] >= 2 for v in e))
+        if len(keep) == len(h.edges):
+            return h
+        h = Hypergraph4(keep)
 
 
 def strip_to_minimal(h: Hypergraph4) -> Hypergraph4:
@@ -183,17 +179,16 @@ def strip_to_minimal(h: Hypergraph4) -> Hypergraph4:
     largest closed subgraph avoiding it; iterating until every drop peels
     to nothing certifies minimality.
     """
-    edges = list(h.edges)
     changed = True
     while changed:
         changed = False
-        for q in list(edges):
-            rest = _peel([e for e in edges if e != q])
-            if rest:
-                edges = rest
+        for q in h.edges:
+            rest = _peel(Hypergraph4(tuple(e for e in h.edges if e != q)))
+            if rest.edges:
+                h = rest
                 changed = True
                 break
-    return Hypergraph4(tuple(edges))
+    return h
 
 
 def _meet(a: frozenset, b: frozenset):

@@ -25,11 +25,6 @@ from .scaling import NormalFrame, ScalingAssignment, verify_canonical
 from .tiling import TilingComplex
 
 
-# Half-width, in reduced coordinates, of the box of tile shifts kept in
-# ``Generatrissa.gradient_map``.
-WINDOW = 2
-
-
 class InconsistentScaling(Violation):
     """The scaling does not close up around some circuit of tiles."""
 
@@ -38,29 +33,25 @@ class NotPositiveDefinite(Violation):
     """The recovered quadratic form fails the rational pivot test."""
 
 
-class Generatrissa:
+class Generatrissa(NamedTuple):
     """Piecewise-linear lift of a planar tiling, one gradient per tile.
 
     Tiles are indexed by their lattice shifts; ``base_tile`` carries
     gradient zero and value zero at its center.  ``jumps`` maps each
     neighbor step ``delta`` to the gradient increment for crossing from a
     tile into its ``delta``-neighbor, together with a point on the shared
-    edge of the base tile and its ``delta``-neighbor.  ``gradient_map``
-    records the propagated gradients on the ``WINDOW`` box around the base
-    tile, a box in the coordinates of the lattice's reduced basis
-    (``TilingComplex.reduced``), so its tiles stay few and near however
-    skewed the given basis is.
+    edge of the base tile and its ``delta``-neighbor.  The gradient is
+    linear in the shift: the tile at ``lam`` has gradient
+    ``lam[0] * g1 + lam[1] * g2`` for ``basis_gradients`` ``(g1, g2)``, the
+    gradients of the tiles at the given basis vectors.  The build checks
+    that linear map against every jump, which closes every circuit of
+    tiles.
     """
 
-    def __init__(self, complex: TilingComplex, base_tile: Vec,
-                 jumps: dict[Vec, tuple[Vec, Vec]],
-                 gradient_map: dict[Vec, Vec],
-                 basis_gradients: tuple[Vec, Vec]):
-        self.complex = complex
-        self.base_tile = base_tile
-        self.jumps = jumps
-        self.gradient_map = gradient_map
-        self.basis_gradients = basis_gradients
+    complex: TilingComplex
+    base_tile: Vec
+    jumps: dict[Vec, tuple[Vec, Vec]]
+    basis_gradients: tuple[Vec, Vec]
 
 
 class QForm2(NamedTuple):
@@ -96,23 +87,15 @@ def _neighbor_jumps(c: TilingComplex, s: ScalingAssignment,
     return jumps
 
 
-def _bfs_tree(jumps, inside, start: Vec):
-    """Deterministic BFS tree over tile shifts; parent map keyed by shift."""
-    parent: dict[Vec, Vec | None] = {start: None}
-    queue = [start]
-    while queue:
-        a = queue.pop(0)
-        for delta in sorted(jumps):
-            b = vadd(a, delta)
-            if b not in parent and inside(b):
-                parent[b] = a
-                queue.append(b)
-    return parent
-
-
 def build_generatrissa(c: TilingComplex, s: ScalingAssignment,
                        frame: NormalFrame) -> Generatrissa:
-    """Propagate gradients from the base tile and verify all closures.
+    """Read the lift's gradient map off the jumps and verify it.
+
+    The gradient is additive over tile steps, hence linear in the shift,
+    so the jumps across the two reduced basis vectors fix it.  The linear
+    map is then checked against every neighbor step; a path of steps that
+    returns to its start adds jumps that sum to zero under a linear map,
+    so this closes every circuit of tiles.
 
     Args:
         c: a two-dimensional tiling complex.
@@ -122,7 +105,7 @@ def build_generatrissa(c: TilingComplex, s: ScalingAssignment,
     Raises:
         ValueError: the complex is not two-dimensional.
         InconsistentScaling: the scaling fails the vertex-star sign
-            condition, or some circuit of tiles fails to close exactly.
+            condition, or some jump disagrees with the linear gradient map.
     """
     if c.dim != 2:
         raise ValueError("the lift is built for planar tilings only")
@@ -131,53 +114,25 @@ def build_generatrissa(c: TilingComplex, s: ScalingAssignment,
         raise InconsistentScaling(
             f"scaling violates the sign condition at face orbit {star}")
     jumps = _neighbor_jumps(c, s, frame)
-    zero = vec([0, 0])
     u, inv = c.reduced
-
-    def inside(b):
-        return all(abs(dot(row, b)) <= WINDOW for row in inv)
-
-    parent = _bfs_tree(jumps, inside, zero)
-    grads: dict[Vec, Vec] = {zero: zero}
-    order = sorted(parent, key=lambda b: (len(_chain(parent, b)), b))
-    for b in order:
-        a = parent[b]
-        if a is not None:
-            grads[b] = vadd(grads[a], jumps[vsub(b, a)][0])
-    # Every window adjacency must agree with the tree propagation; this
-    # closes all circuits of tiles through the window.
-    for a, ga in grads.items():
-        for delta, (w, _) in jumps.items():
-            b = vadd(a, delta)
-            if b in grads and grads[b] != vadd(ga, w):
-                raise InconsistentScaling(
-                    f"circuit through tiles {a} and {b} does not close")
-
-    # The reduced basis vectors are facet vectors of a planar cell, so their
-    # tiles neighbor the base tile.  The gradient is linear in the shift, so
-    # the gradient at the given basis vector e_i is the combination of
-    # theirs with the coordinates of e_i in the reduced basis: column i of
-    # u^-1.
-    h1, h2 = (grads[vec(col)] for col in zip(*u))
+    # The reduced basis vectors b1, b2 are facet vectors, so their tiles
+    # neighbor the base tile and their gradients are jumps.  LLL with
+    # delta = 3/4 gives |mu| <= 1/2 and |b2*|^2 >= |b1|^2 / 2, which makes
+    # +-b1 and +-b2 the unique shortest vectors of their classes mod 2L,
+    # and such vectors are facet vectors (Voronoi).  The gradient at the
+    # given basis vector e_i is the combination of theirs with the
+    # coordinates of e_i in the reduced basis: column i of u^-1.
+    h1, h2 = (jumps[vec(col)][0] for col in zip(*u))
     g1, g2 = (tuple(inv[0][i] * x + inv[1][i] * y for x, y in zip(h1, h2))
               for i in range(2))
-    # The gradient is additive over tile steps, hence linear in the shift;
-    # check the linear extension against every neighbor step.
     for delta, (w, _) in jumps.items():
         lin = tuple(delta[0] * x + delta[1] * y for x, y in zip(g1, g2))
         if lin != w:
             raise InconsistentScaling(
                 f"gradient increments along {delta} are not translation "
                 "consistent")
-    return Generatrissa(complex=c, base_tile=zero, jumps=jumps,
-                        gradient_map=grads, basis_gradients=(g1, g2))
-
-
-def _chain(parent, b):
-    out = [b]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])
-    return out
+    return Generatrissa(complex=c, base_tile=vec([0, 0]), jumps=jumps,
+                        basis_gradients=(g1, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +212,7 @@ def center_value(g: Generatrissa, shift) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def recover_qform(g: Generatrissa, c: TilingComplex) -> QForm2:
+def recover_qform(g: Generatrissa) -> QForm2:
     """Quadratic form whose graph is inscribed in the graph of the lift.
 
     Two independent facet vectors span the tile centers; in their
@@ -296,7 +251,7 @@ def qform_value(q: QForm2, x) -> Fraction:
     return a11 * y1 * y1 + 2 * a12 * y1 * y2 + a22 * y2 * y2
 
 
-def verify_lifting(g: Generatrissa, q: QForm2, c: TilingComplex) -> LiftReport:
+def verify_lifting(g: Generatrissa, q: QForm2) -> LiftReport:
     """Check tangency on a 5x5 window of tiles and convexity on all edges.
 
     Tangency: at every center ``k1*b1 + k2*b2`` with ``|ki| <= 2`` the lift

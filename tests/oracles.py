@@ -82,6 +82,11 @@ random_closed, which once lived in tilekit.hypercomb, draws random
 instances by growing one hyperedge at a time.  Both return plain lists of
 frozenset hyperedges.
 
+generatrissa_window_reference, the planar lift's gradients propagated
+along a BFS tree of tiles with every adjacency re-checked, which lifting
+ran before it read one linear gradient map off two jumps, reads only the
+jumps and the inverse reduced basis, as plain tuples.
+
 Lattice bases come from random_unimodular: seeded products of integer
 shears, with their inverses, for re-basing a Gram matrix as U^T G U.
 """
@@ -689,6 +694,42 @@ def random_unimodular(rng, d, top):
             u[r][i] = col[r]
         inv[j] = [a - m * b for a, b in zip(inv[j], inv[i])]
     return u, inv
+
+
+def generatrissa_window_reference(jumps, inv, window=2):
+    """Gradients of a planar lift on the tiles whose reduced coordinates y
+    satisfy |y_i| <= window, as {shift: gradient}.
+
+    jumps maps each neighbor step to (gradient increment, edge point) and
+    inv is u^-1 for the reduced basis u.  The gradients are propagated from
+    the base tile (gradient zero) along a BFS tree whose steps are taken in
+    sorted order; then every adjacency inside the window must add its
+    increment, or ValueError is raised.
+    """
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def inside(b):
+        return all(abs(sum(r * x for r, x in zip(row, b))) <= window
+                   for row in inv)
+
+    zero = tuple(Fraction(0) for _ in inv)
+    grads = {zero: zero}
+    queue = [zero]
+    while queue:
+        a = queue.pop(0)
+        for delta in sorted(jumps):
+            b = add(a, delta)
+            if b not in grads and inside(b):
+                grads[b] = add(grads[a], jumps[delta][0])
+                queue.append(b)
+    for a, ga in grads.items():
+        for delta, (w, _) in jumps.items():
+            b = add(a, delta)
+            if b in grads and grads[b] != add(ga, w):
+                raise ValueError(f"circuit through tiles {a} and {b} does "
+                                 "not close")
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -289,11 +289,11 @@ def test_9_generatrissa_z2_and_a2():
             c, gain, min(o.index for o in c.orbits if o.dim == 1))
         assert isinstance(out, scaling.ScalingAssignment)
         g = lifting.build_generatrissa(c, out, fr)
-        q = lifting.recover_qform(g, c)  # raises if not positive definite
+        q = lifting.recover_qform(g)  # raises if not positive definite
         m = q.matrix
         assert m[0][1] == m[1][0]
         assert m[0][0] > 0 and m[0][0] * m[1][1] - m[0][1] ** 2 > 0
-        rep = lifting.verify_lifting(g, q, c)
+        rep = lifting.verify_lifting(g, q)
         assert rep.tangency is True
         assert rep.convexity is True
 

@@ -11,6 +11,11 @@ method under ``src/tilekit`` must be passed, by keyword or by position, by
 some call under ``src/tilekit``.  An option that only tests set, or that
 nobody sets, is a branch no command runs.
 
+Every parameter of every function and method under ``src/tilekit`` must
+also be read: its name appears in the function's body, nested functions
+included.  ``self``, ``cls`` and names starting with ``_`` are exempt.  A
+parameter nobody reads is an argument every caller passes for nothing.
+
 tilekit is a single-process tool with no knobs: no module under
 ``src/tilekit`` reads the environment or imports a process or thread pool.
 
@@ -134,6 +139,23 @@ def test_every_optional_parameter_is_passed_by_the_package():
     unpassed = [u for u in unpassed if u not in PARAMETER_EXEMPTIONS]
     assert not unpassed, "optional parameters no call under src/tilekit " \
         "passes: " + ", ".join(unpassed)
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            unread += [f"{module}.{node.name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")
+                       and not p.startswith("_")]
+    assert not unread, "parameters never read: " + ", ".join(unread)
 
 
 def test_the_package_reads_no_environment_and_starts_no_pool():

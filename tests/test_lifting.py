@@ -12,6 +12,8 @@ import pytest
 from tilekit import lifting, scaling, tiling
 from tilekit._lp import vec
 
+import oracles
+
 GRAMS = {
     "Z2": [[1, 0], [0, 1]],
     "A2": [[2, 1], [1, 2]],
@@ -20,11 +22,32 @@ GRAMS = {
     "SKEWED_Z2": [[1000001, 1000], [1000, 1]],
     "Z3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
 }
+PLANAR = [name for name, gram in GRAMS.items() if len(gram) == 2]
+
+
+def _seeded_grams(n: int, seed: int) -> dict[str, list[list[int]]]:
+    """n positive definite planar Grams, each re-based as U^T G U by a
+    seeded unimodular U."""
+    rng = random.Random(seed)
+    out: dict[str, list[list[int]]] = {}
+    while len(out) < n:
+        a, b, d = rng.randint(1, 9), rng.randint(-6, 6), rng.randint(1, 9)
+        if a * d - b * b <= 0:
+            continue
+        u = oracles.random_unimodular(rng, 2, 6)[0]
+        g = [[a, b], [b, d]]
+        out[f"SEEDED_{len(out)}"] = [
+            [sum(u[k][i] * g[k][m] * u[m][j] for k in range(2) for m in range(2))
+             for j in range(2)] for i in range(2)]
+    return out
+
+
+SEEDED = _seeded_grams(24, 20261020)
 
 
 @lru_cache(maxsize=None)
 def setup(name: str):
-    c = tiling.build_complex(GRAMS[name])
+    c = tiling.build_complex({**GRAMS, **SEEDED}[name])
     fr = scaling.build_frame(c)
     facets = [o.index for o in c.orbits if o.dim == c.dim - 1]
     gain = scaling.gain_from_d2(c, fr)
@@ -71,8 +94,8 @@ def test_build_rejects_noncanonical_scaling():
 def test_square_grid_gradients():
     g = lift("Z2")
     assert g.base_tile == vec([0, 0])
-    assert g.gradient_map[vec([0, 0])] == vec([0, 0])
-    assert g.gradient_map[vec([1, 1])] == vec([1, 1])
+    assert lifting.gradient_of(g, (0, 0)) == vec([0, 0])
+    assert lifting.gradient_of(g, (1, 1)) == vec([1, 1])
     for k1, k2 in product(range(-4, 5), repeat=2):
         assert lifting.gradient_of(g, (k1, k2)) == vec([k1, k2])
 
@@ -103,8 +126,8 @@ def test_gradients_in_unreduced_bases_are_gram_images_of_shifts():
         for lam in ((1, 0), (0, 1), (3, -2), (-1, 1000)):
             assert lifting.gradient_of(g, lam) == tuple(
                 scale * x for x in mat_vec(GRAMS[name], vec(lam)))
-        q = lifting.recover_qform(g, c)
-        assert lifting.verify_lifting(g, q, c) == lifting.LiftReport(
+        q = lifting.recover_qform(g)
+        assert lifting.verify_lifting(g, q) == lifting.LiftReport(
             tangency=True, convexity=True)
         for lam in ((1, 0), (2, -1999), (-3, 2998)):
             assert lifting.center_value(g, lam) == lifting.qform_value(q, lam)
@@ -116,12 +139,47 @@ def test_center_value_rejects_a_point_off_the_lattice():
 
 
 def test_window_closure_holds():
-    g = lift("A2")
-    for a, ga in g.gradient_map.items():
-        for delta, (w, _) in g.jumps.items():
-            b = tuple(x + y for x, y in zip(a, delta))
-            if b in g.gradient_map:
-                assert g.gradient_map[b] == tuple(x + y for x, y in zip(ga, w))
+    # The linear gradient map equals the gradients propagated tile by tile
+    # along a BFS tree of the |y| <= 2 window of reduced coordinates, and
+    # every window adjacency closes.
+    for name in PLANAR + sorted(SEEDED):
+        g = lift(name)
+        window = oracles.generatrissa_window_reference(g.jumps,
+                                                       g.complex.reduced[1])
+        assert len(window) == 25, name
+        for shift, grad in window.items():
+            assert lifting.gradient_of(g, shift) == grad, (name, shift)
+
+
+@pytest.mark.parametrize("name", PLANAR + sorted(SEEDED))
+def test_reduced_basis_vectors_are_neighbor_steps(name):
+    # The build reads the gradients of the reduced basis vectors straight
+    # off the jumps, so both must be facet vectors of the planar cell.
+    c, fr, s = setup(name)
+    jumps = lifting._neighbor_jumps(c, s, fr)
+    for col in zip(*c.reduced[0]):
+        assert vec(col) in jumps
+
+
+@pytest.mark.parametrize("name", ["A2", "SHEARED"])
+def test_build_rejects_jumps_off_the_linear_map(name, monkeypatch):
+    # Doubling the increment of one edge orbit keeps the scaling canonical,
+    # since verify_canonical reads only the factors and the frame, but no
+    # linear gradient map fits the jumps any more.
+    c, fr, s = setup(name)
+    assert scaling.verify_canonical(c, s, fr)[0]
+    real = lifting._neighbor_jumps
+    for step in sorted(real(c, s, fr)):
+        def doubled(c, s, frame, step=step):
+            jumps = real(c, s, frame)
+            for d in (step, tuple(-x for x in step)):
+                w, p = jumps[d]
+                jumps[d] = (tuple(2 * x for x in w), p)
+            return jumps
+
+        monkeypatch.setattr(lifting, "_neighbor_jumps", doubled)
+        with pytest.raises(lifting.InconsistentScaling):
+            lifting.build_generatrissa(c, s, fr)
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +230,21 @@ def test_value_along_path_validates_steps():
 
 
 def test_square_grid_form_is_diagonal():
-    g = lift("Z2")
-    c, _, _ = setup("Z2")
-    q = lifting.recover_qform(g, c)
+    q = lifting.recover_qform(lift("Z2"))
     assert q.basis == (vec([-1, 0]), vec([0, -1]))
     assert q.matrix == ((Fraction(1, 2), Fraction(0)),
                         (Fraction(0), Fraction(1, 2)))
 
 
 def test_hexagonal_form_has_equal_diagonal():
-    g = lift("A2")
-    c, _, _ = setup("A2")
-    q = lifting.recover_qform(g, c)
+    q = lifting.recover_qform(lift("A2"))
     assert q.basis == (vec([-1, 0]), vec([-1, 1]))
     assert q.matrix == ((Fraction(1), Fraction(1, 2)),
                         (Fraction(1, 2), Fraction(1)))
 
 
 def test_sheared_form_is_nondiagonal_positive_definite():
-    g = lift("SHEARED")
-    c, _, _ = setup("SHEARED")
-    q = lifting.recover_qform(g, c)
+    q = lifting.recover_qform(lift("SHEARED"))
     assert q.basis == (vec([-1, 0]), vec([-1, 1]))
     assert q.matrix == ((Fraction(2), Fraction(3, 2)),
                         (Fraction(3, 2), Fraction(3)))
@@ -202,54 +254,45 @@ def test_sheared_form_is_nondiagonal_positive_definite():
 
 def test_lift_reports_tangent_and_convex():
     for name in ("Z2", "A2", "SHEARED"):
-        c, _, _ = setup(name)
         g = lift(name)
-        q = lifting.recover_qform(g, c)
-        report = lifting.verify_lifting(g, q, c)
+        q = lifting.recover_qform(g)
+        report = lifting.verify_lifting(g, q)
         assert report == lifting.LiftReport(tangency=True, convexity=True)
 
 
 def test_lift_matches_form_far_from_base():
     for name, lam in (("A2", (6, -3)), ("SHEARED", (-5, 7))):
-        c, _, _ = setup(name)
         g = lift(name)
-        q = lifting.recover_qform(g, c)
+        q = lifting.recover_qform(g)
         assert lifting.center_value(g, lam) == lifting.qform_value(q, lam)
 
 
 def test_flipped_orbit_breaks_convexity():
     g = lift("A2")
-    c, _, _ = setup("A2")
-    q = lifting.recover_qform(g, c)
+    q = lifting.recover_qform(g)
     bad = dict(g.jumps)
     for d in (vec([-1, 0]), vec([1, 0])):
         w, p = bad[d]
         bad[d] = (tuple(-x for x in w), p)
-    g_bad = lifting.Generatrissa(g.complex, g.base_tile, bad, g.gradient_map,
-                                 g.basis_gradients)
-    assert lifting.verify_lifting(g_bad, q, c).convexity is False
+    assert lifting.verify_lifting(g._replace(jumps=bad), q).convexity is False
 
 
 def test_recover_rejects_indefinite_increments():
     g = lift("Z2")
-    c, _, _ = setup("Z2")
     bad = dict(g.jumps)
     for d in (vec([-1, 0]), vec([1, 0])):
         w, p = bad[d]
         bad[d] = (tuple(-x for x in w), p)
-    g_bad = lifting.Generatrissa(g.complex, g.base_tile, bad, g.gradient_map,
-                                 g.basis_gradients)
     with pytest.raises(lifting.NotPositiveDefinite):
-        lifting.recover_qform(g_bad, c)
+        lifting.recover_qform(g._replace(jumps=bad))
 
 
 def test_form_is_affinely_covariant_under_basis_change():
     # The second Gram matrix is U^T G U for the unimodular shear
     # U = [[1, 1], [0, 1]]; shifts transform by U^{-1} and the recovered
     # forms agree as functions of the plane up to one positive multiple.
-    q1 = lifting.recover_qform(lift("SHEARED"), setup("SHEARED")[0])
-    q2 = lifting.recover_qform(lift("SHEARED_REBASED"),
-                               setup("SHEARED_REBASED")[0])
+    q1 = lifting.recover_qform(lift("SHEARED"))
+    q2 = lifting.recover_qform(lift("SHEARED_REBASED"))
 
     def rebase(x):
         return vec([x[0] - x[1], x[1]])
