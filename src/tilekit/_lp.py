@@ -55,6 +55,14 @@ def primitive_ints(a: Sequence[Fraction | int]) -> tuple[int, ...]:
     return tuple(ints) if g <= 1 else tuple(x // g for x in ints)
 
 
+def int_matrix(mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(integer matrix, positive integer den) whose quotient is the rational
+    matrix mat: mat times the lcm of its entries' denominators."""
+    den = lcm(*(x.denominator for row in mat for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in mat), den
+
+
 def primitive(a: Sequence[Fraction]) -> Vec:
     """Scale a nonzero rational vector by a positive rational to coprime ints."""
     return tuple(map(Fraction, primitive_ints(a)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import ceil, floor, isqrt
 from typing import NamedTuple, Sequence
 
 from . import Violation, _lp, ratpoly
@@ -76,7 +76,7 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
     Returns:
         lex-sorted tuple of integer vectors (both signs included).
     """
-    gi = _integral(check_gram(gram))  # integer form for fast comparisons
+    gi = _lp.int_matrix(check_gram(gram))[0]  # integer form for fast comparisons
     d = len(gi)
 
     def q(v):
@@ -113,18 +113,12 @@ def relevant_vectors(gram) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _integral(g) -> tuple[tuple[int, ...], ...]:
-    """The rational matrix g times the lcm of its entries' denominators."""
-    den = lcm(*(frac(x).denominator for row in g for x in row))
-    return tuple(tuple(int(frac(x) * den) for x in row) for row in g)
-
-
 def reduced_basis(gram) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
     """(u, u^-1), where the columns of the unimodular u are the LLL-reduced
     basis that relevant_vectors searches in.  _lll is cached, so after
     relevant_vectors of the same Gram this runs no second reduction.
     """
-    u = _lll(_integral(gram))[0]
+    u = _lll(_lp.int_matrix(gram)[0])[0]
     inv, den = _lp.int_inverse(u)
     return u, [[x // den for x in row] for row in inv]
 
@@ -263,7 +257,7 @@ def _facet_reflections(cell: ratpoly.Polytope) -> list[dict[int, int]]:
         FacetNotCentrallySymmetric: the image of some vertex of a facet is
             not a vertex of that facet.
     """
-    ints, _ = ratpoly._int_matrix(cell.vertices)
+    ints, _ = _lp.int_matrix(cell.vertices)
     out = []
     for inc in cell.incidence:
         # The image of v is 2c - v for the centroid c = s / n; both sides

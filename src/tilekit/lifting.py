@@ -36,12 +36,12 @@ class NotPositiveDefinite(Violation):
 class Generatrissa(NamedTuple):
     """Piecewise-linear lift of a planar tiling, one gradient per tile.
 
-    Tiles are indexed by their lattice shifts; ``base_tile`` carries
-    gradient zero and value zero at its center.  ``jumps`` maps each
-    neighbor step ``delta`` to the gradient increment for crossing from a
-    tile into its ``delta``-neighbor, together with a point on the shared
-    edge of the base tile and its ``delta``-neighbor.  The gradient is
-    linear in the shift: the tile at ``lam`` has gradient
+    Tiles are indexed by their lattice shifts; the base tile, at the
+    origin, carries gradient zero and value zero at its center.  ``jumps``
+    maps each neighbor step ``delta`` to the gradient increment for
+    crossing from a tile into its ``delta``-neighbor, together with a point
+    on the shared edge of the base tile and its ``delta``-neighbor.  The
+    gradient is linear in the shift: the tile at ``lam`` has gradient
     ``lam[0] * g1 + lam[1] * g2`` for ``basis_gradients`` ``(g1, g2)``, the
     gradients of the tiles at the given basis vectors.  The build checks
     that linear map against every jump, which closes every circuit of
@@ -49,7 +49,6 @@ class Generatrissa(NamedTuple):
     """
 
     complex: TilingComplex
-    base_tile: Vec
     jumps: dict[Vec, tuple[Vec, Vec]]
     basis_gradients: tuple[Vec, Vec]
 
@@ -131,8 +130,7 @@ def build_generatrissa(c: TilingComplex, s: ScalingAssignment,
             raise InconsistentScaling(
                 f"gradient increments along {delta} are not translation "
                 "consistent")
-    return Generatrissa(complex=c, base_tile=vec([0, 0]), jumps=jumps,
-                        basis_gradients=(g1, g2))
+    return Generatrissa(complex=c, jumps=jumps, basis_gradients=(g1, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +163,16 @@ def value_along_path(g: Generatrissa, path) -> Fraction:
     """Lift value at the center of the last tile of an explicit tile path.
 
     Args:
-        path: tile shifts starting at the base tile, each consecutive pair
-            differing by a neighbor step.
+        path: tile shifts starting at the base tile, the origin, each
+            consecutive pair differing by a neighbor step.
 
     Raises:
-        ValueError: the path does not start at the base tile or makes a
-            step that is not a neighbor step.
+        ValueError: the path does not start at the origin or makes a step
+            that is not a neighbor step.
     """
     path = [vec(a) for a in path]
-    if not path or path[0] != g.base_tile:
-        raise ValueError("path must start at the base tile")
+    if not path or any(path[0]):
+        raise ValueError("path must start at the origin")
     val = Fraction(0)
     for a, b in zip(path, path[1:]):
         if vsub(b, a) not in g.jumps:
@@ -191,7 +189,7 @@ def _reduced_path(g: Generatrissa, shift: Vec) -> list[Vec]:
     reduced coordinates y of the shift, however skewed the given basis.
     """
     u, inv = g.complex.reduced
-    path = [g.base_tile]
+    path = [vec(0 for _ in shift)]
     for col, row in zip(zip(*u), inv):
         y = dot(row, shift)
         step = vec(col) if y > 0 else vec(-x for x in col)

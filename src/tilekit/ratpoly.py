@@ -86,12 +86,6 @@ class _Lineality(AssertionError):
     fault."""
 
 
-def _int_matrix(mat) -> tuple[list[list[int]], int]:
-    """(integer matrix, positive integer) whose quotient is the rational mat."""
-    den = lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in mat], den
-
-
 def bit_indices(mask: int) -> list[int]:
     """Positions of the on bits of mask, ascending."""
     out = []
@@ -294,7 +288,7 @@ def from_vertices(points: Iterable[Sequence[Fraction]]) -> Polytope:
     if any(len(p) != d for p in pts):
         raise ValueError("points have mixed dimensions")
     # The points times one common denominator, and their differences.
-    ipts, scale = _int_matrix(pts)
+    ipts, scale = _lp.int_matrix(pts)
     diffs = [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts]
     basis = [diffs[i] for i in _lp.independent(diffs, d)]
     k = len(basis)
@@ -423,30 +417,25 @@ def face_lattice(p: Polytope) -> list[tuple[int, int]]:
     by dimension, then by sorted vertex indices.
 
     Faces are the nonempty intersections of facet vertex sets, found breadth
-    first on bitmasks; dimension is the affine rank of the face's vertices,
-    taken on the vertices times one common denominator.
+    first on bitmasks.  Dimension is rank in the face lattice, read off the
+    incidences alone (Kaibel and Pfetsch, Comput. Geom. 2002): a vertex has
+    dimension 0, and any other face one more than the largest face it cuts
+    from a facet of p, since its own facets are among those cuts.
     """
-    ints, _ = _int_matrix(p.vertices)
     full = (1 << len(p.vertices)) - 1
     facet_masks = [sum(1 << i for i in inc) for inc in p.incidence]
-    found = {full}
-    frontier = [full]
+    cuts: dict[int, set[int]] = {}
+    frontier = {full}
     while frontier:
-        nxt = []
         for f in frontier:
-            for fm in facet_masks:
-                g = f & fm
-                if g and g != f and g not in found:
-                    found.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    faces = []
-    for f in found:
-        idx = bit_indices(f)
-        diffs = [[x - y for x, y in zip(ints[i], ints[idx[0]])] for i in idx[1:]]
-        faces.append((len(_lp.independent(diffs, p.dim)), idx, f))
-    faces.sort()
-    return [(d, f) for d, _, f in faces]
+            cuts[f] = {f & fm for fm in facet_masks} - {0, f}
+        frontier = {g for f in frontier for g in cuts[f]} - cuts.keys()
+    # A cut has fewer vertices than the face it is cut from.
+    dims: dict[int, int] = {}
+    for f in sorted(cuts, key=int.bit_count):
+        dims[f] = 1 + max((dims[g] for g in cuts[f]), default=-1)
+    return sorted(((k, f) for f, k in dims.items()),
+                  key=lambda t: (t[0], bit_indices(t[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +456,7 @@ def cone_dual(gens: list[Vec], d: int) -> tuple[list[Vec], list[Vec]]:
     # A generator's coordinates over the reduced rows are its pivot entries.
     coords = [tuple(g[c] for c in pivots) for g in gens]
     rays = _extreme_rays(coords, len(span_basis))
-    q, _ = _span_map(_int_matrix(span_basis)[0])
+    q, _ = _span_map(_lp.int_matrix(span_basis)[0])
     normals = [primitive(_lift(q, r)) for r, _ in rays]
     return sorted(normals), sorted(eqs)
 

@@ -55,20 +55,15 @@ class NormalFrame(NamedTuple):
 
 
 def build_frame(c: TilingComplex) -> NormalFrame:
-    """Fix a canonical normal representative for every facet orbit."""
-    normals: dict[int, Vec] = {}
+    """Fix a canonical normal representative for every facet orbit: the
+    normal of the base tile's facet that is the orbit's representative,
+    the member with zero shift."""
     p = c.tile
-    for o in c.orbits:
-        if o.dim != c.dim - 1:
-            continue
-        for inc, (n, _) in zip(p.incidence, p.facets):
-            if frozenset(p.vertices[i] for i in inc) == frozenset(o.vertices):
-                normals[o.index] = n
-                break
-        else:
-            raise ValueError("facet orbit representative is not a facet of "
-                             "the base tile")
-    return NormalFrame(normals=normals)
+    normal_of = {sum(1 << i for i in inc): n
+                 for inc, (n, _) in zip(p.incidence, p.facets)}
+    return NormalFrame(normals={
+        q: normal_of[mask] for mask, q, lam in c.faces
+        if c.orbits[q].dim == c.dim - 1 and not any(lam)})
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +397,7 @@ def verify_canonical(c: TilingComplex, s: ScalingAssignment,
 
 def _flank_faces(c: TilingComplex, low: int, high: int, faces) -> list[int]:
     """The orbit of each codimension-3 face among ``faces``, entries of
-    ``c._faces``, between the base tile's faces with vertex masks ``low``
+    ``c.faces``, between the base tile's faces with vertex masks ``low``
     (codimension 4) and ``high`` (codimension 2): by the diamond property of
     a face lattice (Ziegler, *Lectures on Polytopes*, Thm 2.7), exactly two.
 
@@ -431,11 +426,11 @@ def pyramid_flanked_parallelograms(
     fan_b = {o.index for o in c.orbits if o.dim == c.dim - 2
              and tiling.classify_d2(c, o.index).tag == "B"}
     tags: dict[int, str] = {}
-    least: dict[tuple[int, int], tuple[Vec, tuple[int, int]]] = {}
-    for high, r, lam_r in c._faces:
+    least: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, int]]] = {}
+    for high, r, lam_r in c.faces:
         if r not in fan_b:
             continue
-        inside = [f for f in c._faces if f[0] & ~high == 0]
+        inside = [f for f in c.faces if f[0] & ~high == 0]
         for low, v, lam_v in inside:
             if c.orbits[v].dim != c.dim - 4:
                 continue

@@ -22,7 +22,7 @@ from math import floor
 from operator import mul
 from typing import NamedTuple
 
-from . import Violation, ratpoly
+from . import Violation, _lp, ratpoly
 from . import lattice as lat
 from ._lp import Vec, vsub
 from .ratpoly import GeometryError, Polytope
@@ -50,13 +50,14 @@ class FaceOrbit(NamedTuple):
 
     ``vertices`` is the representative face (the lexicographically smallest
     member that is a face of the base tile).  ``tile_shifts`` lists the
-    lattice translations of the tiles containing the representative.
+    lattice translations of the tiles containing the representative, as
+    integer tuples.
     """
 
     index: int
     dim: int
     vertices: tuple[Vec, ...]
-    tile_shifts: tuple[Vec, ...]
+    tile_shifts: tuple[tuple[int, ...], ...]
 
 
 class DualCell(NamedTuple):
@@ -68,7 +69,7 @@ class DualCell(NamedTuple):
     cell, so readers of the cell never rebuild it.
     """
 
-    verts: tuple[Vec, ...]
+    verts: tuple[tuple[int, ...], ...]
     combdim: int
     hull: Polytope
 
@@ -105,22 +106,23 @@ class TilingComplex:
             unimodular u) and u^-1, as lattice.reduced_basis gives them,
             for the lattice-point scans of dual cells and the tile paths of
             the lift.
+        faces: each face of the tile as (vertex bitmask over
+            ``tile.vertices``, orbit index, integer shift taking it to its
+            orbit's representative).
 
-    ``faces`` lists each face of the tile as (vertex bitmask over
-    ``tile.vertices``, orbit index, shift taking it to its orbit's
-    representative); these shifts stay inside this module.  The star and
-    the dual cell of each orbit are kept in one slot per orbit each, filled
-    by ``star`` and ``dual_cell`` the first time the orbit is asked for.
+    The star and the dual cell of each orbit are kept in one slot per orbit
+    each, filled by ``star`` and ``dual_cell`` the first time the orbit is
+    asked for.
     """
 
     def __init__(self, tile: Polytope, orbits: tuple[FaceOrbit, ...],
                  reduced: tuple[tuple, list],
-                 faces: tuple[tuple[int, int, Vec], ...]):
+                 faces: tuple[tuple[int, int, tuple[int, ...]], ...]):
         self.tile = tile
         self.orbits = orbits
         self.reduced = reduced
         self.dim = tile.ambient_dim
-        self._faces = faces
+        self.faces = faces
         self._stars: list[tuple[int, ...] | None] = [None] * len(orbits)
         self._dual_cells: list[DualCell | None] = [None] * len(orbits)
 
@@ -137,23 +139,18 @@ class TilingComplex:
 # ---------------------------------------------------------------------------
 
 
-def _translation_key(f: tuple[Vec, ...]) -> tuple:
-    """Key on which two sorted faces agree iff they are integer translates.
+def _translation_key(f: tuple[tuple[int, ...], ...], den: int) -> tuple:
+    """Key on which two sorted faces, given by integer vertices that are
+    ``den`` times the true ones, agree iff they are lattice translates.
 
-    Translation keeps the sorted order, so ``f + mu == g`` means the two
-    faces have the same shape (vertices relative to the first) and first
-    vertices that differ by ``mu``, that is, first vertices with the same
-    fractional part ``x - floor(x)`` in every coordinate.
+    Translation keeps the sorted order, so ``f + den * mu == g`` means the
+    two faces have the same shape (vertices relative to the first) and
+    first vertices that differ by ``den * mu``, that is, first vertices
+    with the same residues mod ``den``.
     """
     first = f[0]
     return (tuple(vsub(v, first) for v in f),
-            tuple(x - floor(x) for x in first))
-
-
-def _centroid(verts) -> Vec:
-    n = len(verts)
-    d = len(verts[0])
-    return tuple(sum(v[k] for v in verts) / n for k in range(d))
+            tuple(x % den for x in first))
 
 
 def build_complex(gram) -> TilingComplex:
@@ -181,17 +178,19 @@ def build_complex(gram) -> TilingComplex:
 
     # A face of the base tile is the bitmask of its vertices' indices in
     # cell.vertices, so G contains H iff mask(H) & ~mask(G) == 0.  The
-    # vertices are lex-sorted, so each face's vertex tuple is sorted too.
+    # vertices are lex-sorted, and scaled by their common denominator den
+    # to integers, which keeps that order: each face's tuple of integer
+    # vertices is sorted too.
     dims, masks = zip(*ratpoly.face_lattice(cell))
-    faces = [tuple(cell.vertices[i] for i in ratpoly.bit_indices(m))
-             for m in masks]
+    ints, den = _lp.int_matrix(cell.vertices)
+    faces = [tuple(ints[i] for i in ratpoly.bit_indices(m)) for m in masks]
     # Group the faces of the base tile into lattice-translation orbits: one
     # dict lookup per face on its translation key, groups numbered in order
     # of first appearance.
     group_of_key: dict[tuple, int] = {}
     groups: list[list[int]] = []
     for fi, f in enumerate(faces):
-        gi = group_of_key.setdefault(_translation_key(f), len(groups))
+        gi = group_of_key.setdefault(_translation_key(f, den), len(groups))
         if gi == len(groups):
             groups.append([])
         groups[gi].append(fi)
@@ -199,19 +198,21 @@ def build_complex(gram) -> TilingComplex:
     # Representative: lexicographically smallest member.  Each member G
     # satisfies rep == G + lam_G, and the tile P + lam_G contains rep.
     orbits: list[FaceOrbit] = []
-    face_info: list[tuple[int, int, Vec]] = []
-    reps = [min(faces[fi] for fi in grp) for grp in groups]
+    face_info: list[tuple[int, int, tuple[int, ...]]] = []
+    reps = [min(grp, key=faces.__getitem__) for grp in groups]
     order = sorted(range(len(groups)),
-                   key=lambda gi: (dims[groups[gi][0]], reps[gi]))
+                   key=lambda gi: (dims[reps[gi]], faces[reps[gi]]))
     for q, gi in enumerate(order):
-        rep = reps[gi]
-        members = [(masks[fi], q, vsub(rep[0], faces[fi][0]))
+        first = faces[reps[gi]][0]
+        members = [(masks[fi], q,
+                    tuple((a - b) // den for a, b in zip(first, faces[fi][0])))
                    for fi in groups[gi]]
         face_info += members
         orbits.append(FaceOrbit(
             index=q,
-            dim=dims[groups[gi][0]],
-            vertices=rep,
+            dim=dims[reps[gi]],
+            vertices=tuple(cell.vertices[i]
+                           for i in ratpoly.bit_indices(masks[reps[gi]])),
             tile_shifts=tuple(sorted(lam for _, _, lam in members)),
         ))
 
@@ -252,14 +253,14 @@ def star(c: TilingComplex, q: int) -> tuple[int, ...]:
 def _representative_star(c: TilingComplex, q: int) -> tuple[int, ...]:
     """The star of orbit ``q``; a face is told from its translates by the
     shift that takes it to its orbit's representative."""
-    found: set[tuple[int, Vec]] = set()
-    for member, p, lam in c._faces:
+    found: set[tuple[int, tuple[int, ...]]] = set()
+    for member, p, lam in c.faces:
         if p != q:
             continue
         # The member is rep - lam, so the faces of the tile P + lam
         # containing rep are the translates by lam of the faces G of P
         # containing the member.
-        for mask, p_g, lam_g in c._faces:
+        for mask, p_g, lam_g in c.faces:
             if member & ~mask == 0:
                 found.add((p_g, vsub(lam, lam_g)))
     return tuple(sorted(p for p, _ in found))
@@ -296,7 +297,7 @@ def _representative_dual_cell(c: TilingComplex, q: int) -> DualCell:
     return DualCell(verts=verts, combdim=c.dim - orbit.dim, hull=hull)
 
 
-def _check_lattice_points(hull: Polytope, verts: tuple[Vec, ...],
+def _check_lattice_points(hull: Polytope, verts: tuple[tuple[int, ...], ...],
                           basis: tuple[tuple, list]) -> None:
     """The lattice points in ``hull`` are exactly the tile centers ``verts``."""
     # Every center lies in the hull, so any other point found is extra.
@@ -304,7 +305,7 @@ def _check_lattice_points(hull: Polytope, verts: tuple[Vec, ...],
         raise GeometryError("hull of a star contains an extra tile center")
 
 
-def _lattice_points(hull: Polytope, verts: tuple[Vec, ...],
+def _lattice_points(hull: Polytope, verts: tuple[tuple[int, ...], ...],
                     basis: tuple[tuple, list]) -> list[tuple[int, ...]]:
     """The lattice points of ``hull`` in the bounding box of ``verts``,
     with the box taken in the coordinates of the reduced basis ``basis``
@@ -319,10 +320,9 @@ def _lattice_points(hull: Polytope, verts: tuple[Vec, ...],
     integer row, and each equation n.x == b as (n u).y == b.
     """
     u, inv = basis
-    # Centers and normals are integral Fractions, and so are the equation
-    # offsets, since the hull's affine span passes through the centers.
-    coords = [[sum(map(mul, row, [x.numerator for x in v])) for row in inv]
-              for v in verts]
+    # Normals are integral Fractions, and so are the equation offsets,
+    # since the hull's affine span passes through the integer centers.
+    coords = [[sum(map(mul, row, v)) for row in inv] for v in verts]
     cols = list(zip(*u))
 
     def in_reduced(n: Vec) -> list[int]:
@@ -361,13 +361,15 @@ def classify_d2(c: TilingComplex, q: int) -> FanType:
         raise UnexpectedStarSize(f"codimension-2 face lies in {n} tiles")
     dc = dual_cell(c, q)
     if n == 3:
-        if len(dc.verts) != 3 or dc.dim != 2:
+        if dc.dim != 2:
             raise GeometryError("3-tile star must have a triangle dual cell")
         return FAN_A
-    if len(dc.verts) != 4 or dc.dim != 2:
+    if dc.dim != 2:
         raise GeometryError("4-tile star must have a parallelogram dual cell")
-    s = _centroid(dc.verts)
-    if not all(tuple(2 * s[k] - v[k] for k in range(len(v))) in set(dc.verts)
+    # The image 2s - v of v about the centroid s = t / 4, compared doubled.
+    t = [sum(col) for col in zip(*dc.verts)]
+    doubled = {tuple(2 * x for x in v) for v in dc.verts}
+    if not all(tuple(a - 2 * x for a, x in zip(t, v)) in doubled
                for v in dc.verts):
         raise GeometryError("4-point dual 2-cell is not centrally symmetric")
     return FAN_B

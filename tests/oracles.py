@@ -16,7 +16,9 @@ points, which reads only the hull's contains method.  So are the
 eliminations that _lp.Elimination replaced: rref_reference (a Fraction
 Gauss-Jordan), independent_reference and int_inverse_reference
 (fraction-free, from ratpoly) and ldl_reference (lattice's symmetric
-elimination).  Thirteen exceptions import tilekit, inside
+elimination).  So is face_lattice_reference, the face lattice with each
+face's dimension the rank of its vertex differences rather than its rank
+in the lattice.  Thirteen exceptions import tilekit, inside
 the function only:
 
 - from_vertices_reference, the V-to-H conversion before it made one basis
@@ -33,7 +35,7 @@ the function only:
   pass: rebuilds the result with from_vertices_reference.
 - build_complex_reference, the quotient complex before it was keyed on
   translation invariants and vertex bitmasks: builds and audits the
-  Voronoi cell with lattice, takes ratpoly.face_lattice and tiling's
+  Voronoi cell with lattice, takes face_lattice_reference and tiling's
   records, and repeats tiling's complex checks.
 - dual_cell_reference, the dual cell of an orbit built with
   from_vertices_reference and checked afresh: tiling's DualCell and
@@ -55,7 +57,7 @@ the function only:
 - belts_of_reference, the belt walk that found each opposite ridge by an
   echelon-form key and a scan of all ridges rather than by the facet's
   central reflection, with the ridges read off the face lattice rather
-  than off facet pairs: ratpoly.face_lattice and _lp.rref.
+  than off facet pairs: face_lattice_reference and _lp.rref.
 - cone_pipeline_reference, the direction-cone pipeline on Fraction rows
   with an LP for every refined cell, over all 32 orthants and 30 built
   cones rather than up to symmetry: syssolve's excluded cones and
@@ -1021,6 +1023,34 @@ def from_halfspaces_two_pass(halfspaces):
     return from_vertices_reference([tuple(x / r[d] for x in r[:d]) for r in rays])
 
 
+def face_lattice_reference(p):
+    """ratpoly.face_lattice before it ranked faces by their incidences:
+    the same breadth-first intersections of facet vertex bitmasks, with
+    each face's dimension the rank of its vertex differences.  Reads only
+    the polytope's vertices and incidence; same result."""
+    full = (1 << len(p.vertices)) - 1
+    facet_masks = [sum(1 << i for i in inc) for inc in p.incidence]
+    found = {full}
+    frontier = [full]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for fm in facet_masks:
+                g = f & fm
+                if g and g != f and g not in found:
+                    found.add(g)
+                    nxt.append(g)
+        frontier = nxt
+    faces = []
+    for f in found:
+        idx = [i for i in range(len(p.vertices)) if f >> i & 1]
+        first = p.vertices[idx[0]]
+        diffs = [[x - y for x, y in zip(p.vertices[i], first)] for i in idx[1:]]
+        faces.append((matrix_rank(diffs, len(first)), idx, f))
+    faces.sort()
+    return [(k, f) for k, _, f in faces]
+
+
 class FaceRef(NamedTuple):
     """A face of the tiling: the representative of orbit ``orbit``
     translated by the integer vector ``shift``."""
@@ -1088,7 +1118,7 @@ def build_complex_reference(gram):
 
     faces = [tuple(sorted(cell.vertices[i] for i in range(len(cell.vertices))
                           if m >> i & 1))
-             for _, m in ratpoly.face_lattice(cell)]
+             for _, m in face_lattice_reference(cell)]
     orbit_of = {}
     groups = []
     for f in faces:
@@ -1208,7 +1238,7 @@ def pyramid_pairs_reference(c):
 def pyramid_flanks(c, f2, f4):
     """The two codimension-3 faces between the faces ``f4`` (codimension
     4) and ``f2`` (codimension 2), FaceRefs with ``f4`` inside ``f2``, read
-    off the vertex bitmasks (``c._faces``) of a tile containing both:
+    off the vertex bitmasks (``c.faces``) of a tile containing both:
     scaling.test_coherence's own flank search before the scan handed it
     the flank orbits.  Sorted.
 
@@ -1226,14 +1256,14 @@ def pyramid_flanks(c, f2, f4):
 
     def mask(f):
         lam = tuple(a - b for a, b in zip(mu, f.shift))
-        return next((m for m, p, lam_p in c._faces
+        return next((m for m, p, lam_p in c.faces
                      if p == f.orbit and lam_p == lam), None)
 
     high, low = mask(f2), mask(f4)
     if low is None or low & ~high:
         raise ValueError("the 4-cell's face must lie in the 2-cell's face")
     flanks = sorted(FaceRef(p, tuple(a - b for a, b in zip(mu, lam)))
-                    for m, p, lam in c._faces
+                    for m, p, lam in c.faces
                     if c.orbits[p].dim == c.dim - 3
                     and low & ~m == 0 and m & ~high == 0)
     if len(flanks) != 2:
@@ -1314,7 +1344,7 @@ def belts_of_reference(cell):
     if d == 2:
         return [list(range(len(cell.facets)))]
     ridges = [frozenset(i for i in range(len(cell.vertices)) if m >> i & 1)
-              for k, m in ratpoly.face_lattice(cell) if k == d - 2]
+              for k, m in face_lattice_reference(cell) if k == d - 2]
     facet_sets = [set(inc) for inc in cell.incidence]
     ridge_facets = [[i for i, s in enumerate(facet_sets) if r <= s] for r in ridges]
     key_of = []

@@ -93,7 +93,7 @@ def test_build_rejects_noncanonical_scaling():
 
 def test_square_grid_gradients():
     g = lift("Z2")
-    assert g.base_tile == vec([0, 0])
+    assert lifting.center_value(g, (0, 0)) == 0
     assert lifting.gradient_of(g, (0, 0)) == vec([0, 0])
     assert lifting.gradient_of(g, (1, 1)) == vec([1, 1])
     for k1, k2 in product(range(-4, 5), repeat=2):

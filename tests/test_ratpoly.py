@@ -452,6 +452,56 @@ def test_face_lattice_cube():
     assert sum((-1) ** d for d in dims) == 1
 
 
+def test_face_lattice_ranks_match_the_elimination_reference(monkeypatch):
+    """face_lattice ranks each face from the incidences alone and equals
+    the elimination it replaced (oracles.face_lattice_reference): on the
+    Voronoi cell of every suite lattice, A4*, A5, A5* and GEN5, and on
+    lower-dimensional hulls, a point, a segment, a square in R^3 and one
+    dual 3-cell of each fan type.  It runs no elimination."""
+    from tilekit import tiling
+    from test_lattice import GEN5
+
+    grams = [*GRAMS.values(), ROOT_GRAMS["A4*"], ROOT_GRAMS["A5"], A5_STAR, GEN5]
+    cells = [lattice.dv_cell(g) for g in grams]
+    cells += [from_vertices([fv(1, 2, 3)]),
+              from_vertices([fv(0, 0, 0), fv(1, 2, 3)]),
+              from_vertices([fv(x, y, 1) for x in (0, 1) for y in (0, 1)])]
+    shapes = {}
+    for name in ("Z3", "HEXPRISM", "FCC", "ELONG4"):
+        c = tiling.build_complex(GRAMS[name])
+        for o in c.orbits:
+            if o.dim == c.dim - 3:
+                dc = tiling.dual_cell(c, o.index)
+                shapes.setdefault(tiling.classify_dual3(dc).tag, dc.hull)
+    assert sorted(shapes) == ["I", "II", "III", "IV", "V"]
+    assert shapes["IV"].ambient_dim == 4
+    cells += shapes.values()
+
+    calls = []
+    independent = _lp.independent
+
+    class Counted(_lp.Elimination):
+        def __init__(self, ncols):
+            calls.append("Elimination")
+            super().__init__(ncols)
+
+    def counted(rows, limit):
+        calls.append("independent")
+        return independent(rows, limit)
+
+    with monkeypatch.context() as m:
+        m.setattr(_lp, "Elimination", Counted)
+        m.setattr(_lp, "independent", counted)
+        got = [face_lattice(p) for p in cells]
+    assert calls == []
+    for p, faces in zip(cells, got):
+        assert faces == oracles.face_lattice_reference(p)
+    point, segment, square = got[len(grams):len(grams) + 3]
+    assert [k for k, _ in point] == [0]
+    assert [k for k, _ in segment] == [0, 0, 1]
+    assert [k for k, _ in square] == [0] * 4 + [1] * 4 + [2]
+
+
 def test_cone_dual_cube_corner():
     # cone(CUBE - 0) is the positive orthant: the seven generators reduce
     # to three facets, and the cone spans R^3.

@@ -103,20 +103,43 @@ def _same_complex(c, ref):
         for q, st in enumerate(stars))
 
 
+def test_complex_shifts_are_integer_tuples():
+    """Every shift in c.faces and every tile shift is a tuple of ints, on
+    the suite and on a rebased lattice, and each face of the tile moved by
+    its shift is its orbit's representative, whose vertices stay
+    Fractions."""
+    grams = {**GRAMS, "FCC rebased": _rebased(GRAMS["FCC"], random.Random(5))}
+    for name, gram in grams.items():
+        c = tiling.build_complex(gram)
+        shifts = [lam for _, _, lam in c.faces]
+        shifts += [lam for o in c.orbits for lam in o.tile_shifts]
+        assert all(type(lam) is tuple and all(type(x) is int for x in lam)
+                   for lam in shifts), name
+        for mask, q, lam in c.faces:
+            face = {tuple(x + t for x, t in zip(c.tile.vertices[i], lam))
+                    for i in ratpoly.bit_indices(mask)}
+            assert face == set(c.orbits[q].vertices), name
+        assert all(type(x) is F for o in c.orbits for v in o.vertices
+                   for x in v), name
+
+
 def test_translation_key_matches_integer_translates_only():
-    f = ((F(-3, 2), F(1, 3)), (F(-1, 2), F(1, 3)), (F(-1, 2), F(4, 3)))
+    """The face ((-3/2, 1/3), (-1/2, 1/3), (-1/2, 4/3)) and its moves, each
+    given as integer vertices times den = 6."""
+    den = 6
+    f = ((-9, 2), (-3, 2), (-3, 8))
 
-    def moved(t):
-        return tuple(tuple(x + y for x, y in zip(v, t)) for v in f)
+    def moved(t):  # t is the true move; den * t is integral
+        return tuple(tuple(x + int(den * y) for x, y in zip(v, t)) for v in f)
 
-    key = tiling._translation_key(f)
-    assert tiling._translation_key(moved((F(-2), F(5)))) == key
-    assert tiling._translation_key(moved((F(3), F(-1)))) == key
-    assert tiling._translation_key(moved((F(1, 2), F(0)))) != key
-    assert tiling._translation_key(moved((F(0), F(-1, 2)))) != key
-    other_shape = (f[0], f[1], (F(-1, 2), F(7, 3)))
-    assert tiling._translation_key(other_shape) != key
-    assert tiling._translation_key(f[:2]) != key
+    key = tiling._translation_key(f, den)
+    assert tiling._translation_key(moved((F(-2), F(5))), den) == key
+    assert tiling._translation_key(moved((F(3), F(-1))), den) == key
+    assert tiling._translation_key(moved((F(1, 2), F(0))), den) != key
+    assert tiling._translation_key(moved((F(0), F(-1, 2))), den) != key
+    other_shape = (f[0], f[1], (-3, 14))
+    assert tiling._translation_key(other_shape, den) != key
+    assert tiling._translation_key(f[:2], den) != key
 
 
 def test_complex_matches_reference_on_the_suite():
@@ -317,10 +340,10 @@ def test_lattice_point_scan_finds_an_extra_center_in_the_reduced_box():
     coordinates has 2e + 1 rows."""
     e = 10**40
     c = tiling.build_complex([[e * e + 1, e], [e, 1]])
-    for step in ((F(0), F(1)), (F(1), F(-e))):
-        ends = ((F(0), F(0)), step)
+    for step in ((0, 1), (1, -e)):
+        ends = ((0, 0), step)
         tiling._check_lattice_points(ratpoly.from_vertices(ends), ends, c.reduced)
-        ends = ((F(0), F(0)), tuple(2 * x for x in step))
+        ends = ((0, 0), tuple(2 * x for x in step))
         with pytest.raises(ratpoly.GeometryError, match="extra tile center"):
             tiling._check_lattice_points(ratpoly.from_vertices(ends), ends,
                                          c.reduced)
@@ -451,14 +474,34 @@ def test_classify_d2_rejects_wrong_dimension():
         tiling.classify_d2(c, v.index)
 
 
+def test_classify_d2_rejects_a_four_center_cell_without_a_center(monkeypatch):
+    """The central symmetry test on doubled integer points: a
+    parallelogram that is not a square passes, a trapezoid on four tile
+    centers raises.  No lattice tiling yields the trapezoid (an empty
+    lattice quadrilateral is a parallelogram), so dual_cell is patched."""
+    c = tiling.build_complex(Z3)
+    q = orbits_of_dim(c, 1)[0].index
+    assert tiling.classify_d2(c, q) == tiling.FAN_B
+
+    def patch(verts):
+        monkeypatch.setattr(tiling, "dual_cell",
+                            lambda _c, _q: _hand_cell(verts, 2))
+
+    patch(((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)))
+    assert tiling.classify_d2(c, q) == tiling.FAN_B
+    patch(((0, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0)))
+    with pytest.raises(ratpoly.GeometryError, match="not centrally symmetric"):
+        tiling.classify_d2(c, q)
+
+
 def test_classify_d2_unexpected_star_size():
     c = tiling.build_complex(Z3)
     o = orbits_of_dim(c, 1)[0]
     fake = tiling.FaceOrbit(index=o.index, dim=o.dim, vertices=o.vertices,
-                            tile_shifts=o.tile_shifts + ((F(9), F(9), F(9)),))
+                            tile_shifts=o.tile_shifts + ((9, 9, 9),))
     orbits = list(c.orbits)
     orbits[o.index] = fake
-    broken = tiling.TilingComplex(c.tile, tuple(orbits), c.reduced, c._faces)
+    broken = tiling.TilingComplex(c.tile, tuple(orbits), c.reduced, c.faces)
     with pytest.raises(tiling.UnexpectedStarSize):
         tiling.classify_d2(broken, o.index)
 
