@@ -5,7 +5,7 @@ Modules:
     lattice   -- Voronoi cells of lattices, facet vectors, belts
     tiling    -- the face-to-face tiling by lattice translates and its dual cells
     scaling   -- canonical facet scalings and their coherence
-    lifting   -- piecewise-linear lifts and quadratic forms in the plane
+    lifting   -- convex piecewise-linear lifts and their inscribed forms
     hypercomb -- closed 4-uniform hypergraph combinatorics
     syssolve  -- vertex-matching equation systems and contradiction search
     cli       -- command-line entry points

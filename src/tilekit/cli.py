@@ -1,7 +1,7 @@
 """Batch command-line frontend with JSON input and output.
 
 Subcommands cover the Voronoi-cell audits, tiling and dual-cell reports,
-canonical scaling, the planar lift, hypergraph classification, and the
+canonical scaling, the convex lift, hypergraph classification, and the
 matching case engine.  All pipelines are deterministic: identical inputs
 produce byte-identical output.
 
@@ -278,10 +278,7 @@ def _cmd_scaling_coherence(path: str):
 
 
 def _cmd_lift(path: str):
-    gram = _load_gram(path)
-    if len(gram) != 2:
-        raise InputError("the lift is built for two-dimensional lattices")
-    c = tiling.build_complex(gram)
+    c = tiling.build_complex(_load_gram(path))
     frame, out = _scaling_pieces(c)
     if isinstance(out, scaling.InconsistencyWitness):
         return _inconsistent(out), 1
@@ -472,7 +469,7 @@ COMMANDS = (
             "--gram", None, _cmd_scaling_verify),
     Command(("scaling", "coherence"), "compare flanking pyramid scalings on "
             "parallelograms", "--gram", None, _cmd_scaling_coherence),
-    Command(("lift",), "planar lift and its inscribed quadratic form",
+    Command(("lift",), "convex lift and its inscribed quadratic form",
             "--gram", None, _cmd_lift),
     Command(("hyper", "enumerate-k5"), "list the cycle-cover classes",
             None, "enumerate-k5.json", _cmd_hyper_enumerate_k5),

@@ -104,8 +104,7 @@ class TilingComplex:
         orbits: face orbits of every dimension, in a fixed order.
         reduced: the lattice's LLL-reduced basis (the columns of a
             unimodular u) and u^-1, as lattice.reduced_basis gives them,
-            for the lattice-point scans of dual cells and the tile paths of
-            the lift.
+            for the lattice-point scans of dual cells.
         faces: each face of the tile as (vertex bitmask over
             ``tile.vertices``, orbit index, integer shift taking it to its
             orbit's representative).

@@ -84,10 +84,15 @@ random_closed, which once lived in tilekit.hypercomb, draws random
 instances by growing one hyperedge at a time.  Both return plain lists of
 frozenset hyperedges.
 
-generatrissa_window_reference, the planar lift's gradients propagated
-along a BFS tree of tiles with every adjacency re-checked, which lifting
-ran before it read one linear gradient map off two jumps, reads only the
-jumps and the inverse reduced basis, as plain tuples.
+The lift's evaluation by walking tile paths, which lifting ran before its
+tangency became one identity, reads only a lift's jumps, the facet points
+that facet_points takes from a complex's facet orbits, and the reduced
+basis, as plain tuples: value_along_path and center_value walk explicit
+paths, qform_value evaluates a form in its own basis, and
+generatrissa_window_reference propagates gradients and center values over
+a window of tiles along a BFS tree, with every adjacency re-checked.
+qform2_reference is the planar form by the 2x2 formulas lifting used
+before it had one path for every dimension.
 
 Lattice bases come from random_unimodular: seeded products of integer
 shears, with their inverses, for re-basing a Gram matrix as U^T G U.
@@ -698,40 +703,149 @@ def random_unimodular(rng, d, top):
     return u, inv
 
 
-def generatrissa_window_reference(jumps, inv, window=2):
-    """Gradients of a planar lift on the tiles whose reduced coordinates y
-    satisfy |y_i| <= window, as {shift: gradient}.
+def facet_points(c):
+    """{delta: a point of the facet P & (P + delta)} for every neighbor step
+    delta of a tiling complex c: the first vertex of each facet orbit's
+    representative, which lies in the tiles at its two tile shifts, one of
+    them the origin, and that vertex moved by -delta for the step -delta."""
+    points = {}
+    for o in c.orbits:
+        if o.dim == c.dim - 1:
+            delta = tuple(x + y for x, y in zip(*o.tile_shifts))
+            p = o.vertices[0]
+            points[delta] = p
+            points[tuple(-x for x in delta)] = tuple(
+                x - y for x, y in zip(p, delta))
+    return points
 
-    jumps maps each neighbor step to (gradient increment, edge point) and
-    inv is u^-1 for the reduced basis u.  The gradients are propagated from
-    the base tile (gradient zero) along a BFS tree whose steps are taken in
-    sorted order; then every adjacency inside the window must add its
-    increment, or ValueError is raised.
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _cross_value(jumps, points, a, grad_a, value_a, delta):
+    """(gradient, value) at the center of the tile at a + delta from those
+    at a's.  The gradient adds the jump; the two affine pieces agree on the
+    shared facet, so chaining the value through a point of it is exact."""
+    grad_b = _add(grad_a, jumps[delta])
+    p = points[delta]  # the facet point, relative to a
+    return grad_b, value_a + dot(grad_a, p) + dot(grad_b, _sub(delta, p))
+
+
+def value_along_path(jumps, points, path):
+    """Lift value at the center of the last tile of an explicit tile path.
+
+    jumps maps each neighbor step to its gradient increment and points each
+    neighbor step to a point of the facet it crosses (facet_points).  The
+    path starts at the base tile, the origin, with gradient and value zero;
+    each consecutive pair differs by a neighbor step, or ValueError.  This
+    is the lift's evaluation before it became one identity.
     """
-    def add(a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    path = [tuple(a) for a in path]
+    if not path or any(path[0]):
+        raise ValueError("path must start at the origin")
+    grad, val = tuple(Fraction(0) for _ in path[0]), Fraction(0)
+    for a, b in zip(path, path[1:]):
+        if _sub(b, a) not in jumps:
+            raise ValueError(f"tiles {a} and {b} are not neighbors")
+        grad, val = _cross_value(jumps, points, a, grad, val, _sub(b, a))
+    return val
 
+
+def _reduced_path(reduced, shift):
+    """Tile path from the base tile to a lattice shift: whole steps along
+    each reduced basis vector (the columns of u, for reduced = (u, u^-1))
+    in turn.  They are neighbor steps in the plane, where the path takes
+    |y1| + |y2| steps for the reduced coordinates y of the shift, however
+    skewed the given basis."""
+    u, inv = reduced
+    path = [tuple(0 for _ in shift)]
+    for col, row in zip(zip(*u), inv):
+        y = dot(row, shift)
+        step = tuple(col) if y > 0 else tuple(-x for x in col)
+        for _ in range(abs(int(y))):
+            path.append(_add(path[-1], step))
+    if path[-1] != tuple(shift):
+        raise ValueError(f"{shift} is not a lattice shift")
+    return path
+
+
+def center_value(jumps, points, reduced, shift):
+    """Lift value at the center of the tile at a lattice shift, walked along
+    the reduced basis."""
+    return value_along_path(jumps, points, _reduced_path(reduced, shift))
+
+
+def qform_value(matrix, basis, x):
+    """y.A.y for the coordinates y of the point x in the given basis."""
+    y = gauss_solve([[b[r] for b in basis] for r in range(len(x))], x)
+    return sum(y[i] * matrix[i][j] * y[j]
+               for i in range(len(y)) for j in range(len(y)))
+
+
+def qform2_reference(jumps):
+    """(matrix, basis) of a planar lift's inscribed form by the 2x2 formulas
+    lifting used before it had one path for every dimension: l1 the first
+    sorted neighbor step, l2 the first one independent of it, and
+    a_ij = l_i.w_j / 2 for their jumps w_j, with a12 read as l2.w1 / 2.
+
+    Raises:
+        ValueError: the mixed increments l1.w2 and l2.w1 disagree, or the
+            form fails the 2x2 pivot test.
+    """
+    deltas = sorted(jumps)
+    l1 = deltas[0]
+    l2 = next(d for d in deltas if l1[0] * d[1] - l1[1] * d[0] != 0)
+    w1, w2 = jumps[l1], jumps[l2]
+    if dot(l1, w2) != dot(l2, w1):
+        raise ValueError("mixed increments disagree")
+    a11, a22, a12 = dot(l1, w1) / 2, dot(l2, w2) / 2, dot(l2, w1) / 2
+    if not (a11 > 0 and a11 * a22 - a12 * a12 > 0):
+        raise ValueError("pivot test failed")
+    return ((a11, a12), (a12, a22)), (l1, l2)
+
+
+def generatrissa_window_reference(jumps, points, inv, window=2):
+    """Gradients and center values of a lift on the tiles whose reduced
+    coordinates y satisfy |y_i| <= window, as {shift: (gradient, value)}.
+
+    jumps and points are as for value_along_path and inv is u^-1 for the
+    reduced basis u.  Both are propagated from the base tile (gradient and
+    value zero) along a BFS tree whose steps are taken in sorted order;
+    then every adjacency inside the window must add its increment and
+    agree on the value, or ValueError is raised.
+    """
     def inside(b):
         return all(abs(sum(r * x for r, x in zip(row, b))) <= window
                    for row in inv)
 
-    zero = tuple(Fraction(0) for _ in inv)
-    grads = {zero: zero}
+    steps = sorted(jumps)
+    zero = tuple(0 for _ in inv)
+    tiles = {zero: (tuple(Fraction(0) for _ in inv), Fraction(0))}
     queue = [zero]
     while queue:
         a = queue.pop(0)
-        for delta in sorted(jumps):
-            b = add(a, delta)
-            if b not in grads and inside(b):
-                grads[b] = add(grads[a], jumps[delta][0])
+        for delta in steps:
+            b = _add(a, delta)
+            if b not in tiles and inside(b):
+                tiles[b] = _cross_value(jumps, points, a, *tiles[a], delta)
                 queue.append(b)
-    for a, ga in grads.items():
-        for delta, (w, _) in jumps.items():
-            b = add(a, delta)
-            if b in grads and grads[b] != add(ga, w):
+    # Crossing back from b to a through the same facet point repeats the
+    # crossing from a to b, so one direction per adjacency suffices: the
+    # steps come in pairs +-delta, and the sorted second half holds the
+    # lexicographically positive one of each.
+    for a, at_a in tiles.items():
+        for delta in steps[len(steps) // 2:]:
+            b = _add(a, delta)
+            if b in tiles and tiles[b] != _cross_value(jumps, points, a,
+                                                       *at_a, delta):
                 raise ValueError(f"circuit through tiles {a} and {b} does "
                                  "not close")
-    return grads
+    return tiles
 
 
 # ---------------------------------------------------------------------------

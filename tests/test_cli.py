@@ -176,11 +176,24 @@ def test_lift_a2(tmp_path, capsys):
     assert len(doc["qform"]["matrix"]) == 2
 
 
-def test_lift_rejects_3d(tmp_path, capsys, monkeypatch):
+def test_lift_on_z3_is_tangent_and_convex(tmp_path, capsys):
+    rc, out, _ = run(capsys, "lift", "--gram", gram_file(tmp_path, Z3))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["tangency"] is True and doc["convexity"] is True
+    half, zero = [1, 2], [0, 1]
+    assert doc["qform"]["matrix"] == [[half, zero, zero], [zero, half, zero],
+                                      [zero, zero, half]]
+
+
+def test_lift_refuses_a_gram_above_the_dimension_cap(tmp_path, capsys,
+                                                     monkeypatch):
     _no_complex(monkeypatch)
-    rc, _, err = run(capsys, "lift", "--gram", gram_file(tmp_path, Z3))
+    gram = [[int(i == j) for j in range(6)] for i in range(6)]
+    rc, _, err = run(capsys, "lift", "--gram",
+                     gram_file(tmp_path, {"gram": gram}))
     assert rc == 2
-    assert "two-dimensional" in err
+    assert "exceeds the cap of 5" in err
 
 
 def test_stars_are_computed_on_demand_and_once(tmp_path, capsys, monkeypatch):
@@ -412,8 +425,8 @@ def test_cases_run_all_ignores_tilekit_jobs(jobs):
     ("Z2", [[1, 0], [0, 1]]), ("A2", [[2, 1], [1, 2]]),
     ("SHEARED", [[4, 1], [1, 4]])])
 def test_lift_reports_match_the_stored_digests(tmp_path, capsys, name, gram):
-    """Reduced bases (u = I): the lift walks the same window as in the
-    given basis, and its reports stay byte for byte the same."""
+    """The lift reads its form off the first two independent neighbor
+    steps, and its reports stay byte for byte the same."""
     rc, out, _ = run(capsys, "lift", "--gram", gram_file(tmp_path, {"gram": gram}))
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"lift:{name}"]
@@ -557,10 +570,10 @@ def test_readme_usage_lists_the_command_table():
 
 def test_lift_on_a_skewed_square_lattice(tmp_path, capsys):
     """Z^2 in the basis (1, 1000), (0, 1).  Its basis vector (1, 0) is about
-    a thousand tiles from the base tile; the lift takes its gradient from
-    the reduced basis, so the command exits 0 quickly with the square form.
-    Before, a tile search in the given basis gave up after 20 000 tiles and
-    reported a violation."""
+    a thousand tiles from the base tile; the lift reads its gradient map off
+    neighbor steps alone, so the command exits 0 quickly with the square
+    form.  Before, a tile search in the given basis gave up after 20 000
+    tiles and reported a violation."""
     path = gram_file(tmp_path, {"gram": [[1000001, 1000], [1000, 1]]})
     t0 = time.perf_counter()
     rc, out, err = run(capsys, "lift", "--gram", path)
