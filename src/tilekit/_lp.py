@@ -409,9 +409,8 @@ def strictly_feasible(
     """Find x with row.x > 0 for every strict row and row.x == 0 on eqs.
 
     Homogeneous system: solved as max t <= 1 s.t. row.x >= t.  The strict
-    rows must be nonempty: is_skinny passes the facets through two
-    vertices, and the cone pipeline a cell's negative rows.  Returns a
-    witness x or None.
+    rows must be nonempty: the cone pipeline (syssolve._refine) passes a
+    cell's negative rows.  Returns a witness x or None.
     """
     # Variables (x, t): maximize t.  Rows keep their entries, Fraction or
     # int; maximize reads only their numerators and denominators.

@@ -30,12 +30,13 @@ Fractions appear only in the results.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import Violation, _lp
-from ._lp import Vec, dot, frac, primitive, primitive_ints, vec
+from ._lp import Vec, dot, frac, primitive, primitive_ints, vec, vsub
 
 MAX_DIM = 6
 
@@ -462,31 +463,20 @@ def cone_dual(gens: list[Vec], d: int) -> tuple[list[Vec], list[Vec]]:
 
 
 def is_skinny(p: Polytope) -> bool:
-    """No direction illuminates two distinct vertices of p.
+    """Every two vertices of p are antipodal (Klee 1960).
 
-    For every vertex pair this asks whether some direction points strictly
-    into the polytope from both vertices at once (an exact strict-feasibility
-    problem over the active facet normals).
+    vi and vj are antipodal iff some direction, nonzero on the affine hull,
+    is minimized over p at vi and maximized at vj, that is, iff vi - vj lies
+    on the relative boundary of the difference body p - p.  So one hull
+    decides every pair.  Affinely independent vertices form a simplex,
+    which is skinny, so a simplex builds none.
     """
-    nv = len(p.vertices)
-    if nv <= 1:
+    vs = p.vertices
+    if len(vs) <= p.dim + 1:
         return True
-    eqs = [n for n, _ in p.equations]
-    active = []
-    for vi in range(nv):
-        rows = [
-            tuple(-x for x in n)
-            for (n, b), inc in zip(p.facets, p.incidence)
-            if vi in inc
-        ]
-        active.append(rows)
-    d = p.ambient_dim
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            witness = _lp.strictly_feasible(active[i] + active[j], eqs, d)
-            if witness is not None:
-                return False
-    return True
+    body = from_vertices(vsub(a, b) for a in vs for b in vs)
+    return all(any(dot(n, d) == c for n, c in body.facets)
+               for d in (vsub(a, b) for a, b in combinations(vs, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -384,7 +384,10 @@ def classify_dual3(dc: DualCell) -> FanType:
     """Shape of a three-dimensional dual cell.
 
     The five possibilities are told apart by the vertex count, the facet
-    count and the number of triangular facets of the hull.
+    count and the number of triangular facets of the hull.  Fan type I is
+    the parallelepiped test the skinny audit reads: with 8 vertices and 6
+    facets, Euler's formula gives 12 edges, so the facets are all
+    quadrilaterals iff none is a triangle.
 
     Raises:
         ValueError: ``dc`` does not have combinatorial dimension 3.
@@ -396,11 +399,11 @@ def classify_dual3(dc: DualCell) -> FanType:
     if hull.dim != 3:
         raise UnclassifiableCell(
             f"dual 3-cell spans only dimension {hull.dim}")
+    if _is_parallelepiped(hull):
+        return FAN_I
     nv = len(hull.vertices)
     tri = sum(1 for inc in hull.incidence if len(inc) == 3)
     nf = len(hull.facets)
-    if nv == 8 and tri == 0 and nf == 6:
-        return FAN_I
     if nv == 6 and tri == 2 and nf == 5:
         return FAN_II
     if nv == 6 and tri == 8 and nf == 8:
@@ -433,7 +436,8 @@ def is_3_irreducible(c: TilingComplex) -> tuple[bool, tuple[int, FanType] | None
 
 
 # ---------------------------------------------------------------------------
-# Audit of the free-segment condition over a whole complex.
+# Audit over a whole complex: every vertex pair of each dual cell is
+# antipodal.
 # ---------------------------------------------------------------------------
 
 
@@ -446,11 +450,11 @@ class SkinnyReport(NamedTuple):
 
 
 def skinny_audit(c: TilingComplex) -> SkinnyReport:
-    """Check every dual cell orbit for the no-free-segment condition.
+    """Check that every vertex pair of each dual cell orbit is antipodal.
 
-    Each orbit's dual cell must admit no segment that can slide inside it,
-    and each three-dimensional dual cell may have at most 8 vertices, with
-    8 attained only by parallelepipeds.
+    Each orbit's dual cell must be skinny (`ratpoly.is_skinny`), and each
+    three-dimensional dual cell may have at most 8 vertices, with 8
+    attained only by parallelepipeds.
     """
     failures: list[str] = []
     checked = 0

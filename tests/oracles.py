@@ -18,7 +18,7 @@ Gauss-Jordan), independent_reference and int_inverse_reference
 (fraction-free, from ratpoly) and ldl_reference (lattice's symmetric
 elimination).  So is face_lattice_reference, the face lattice with each
 face's dimension the rank of its vertex differences rather than its rank
-in the lattice.  Thirteen exceptions import tilekit, inside
+in the lattice.  Fourteen exceptions import tilekit, inside
 the function only:
 
 - from_vertices_reference, the V-to-H conversion before it made one basis
@@ -40,6 +40,9 @@ the function only:
 - dual_cell_reference, the dual cell of an orbit built with
   from_vertices_reference and checked afresh: tiling's DualCell and
   lattice-point check.
+- is_skinny_reference, the antipodality audit before it read one
+  difference-body hull: one _lp.strictly_feasible LP per vertex pair over
+  the facets of the ratpoly.Polytope through either vertex.
 - pyramid_pairs_reference, the scan for parallelograms between two
   pyramid cells before it read flanks off one tile's face bitmasks: the
   star of every codimension-4 face, with shifts, filtered by Fraction
@@ -1310,6 +1313,26 @@ def dual_cell_reference(c, q):
             raise ratpoly.GeometryError(
                 "two tile centers of a star are congruent mod 2")
     return tiling.DualCell(verts=verts, combdim=c.dim - orbit.dim, hull=hull)
+
+
+def is_skinny_reference(p):
+    """ratpoly.is_skinny as it was before one difference-body hull decided
+    it: one exact strict-feasibility LP per vertex pair of the polytope
+    ``p``.  A direction that points strictly into p from both vertices,
+    against every facet through either, exists iff the pair is not
+    antipodal (Gordan's alternative)."""
+    from tilekit import _lp
+
+    nv = len(p.vertices)
+    if nv <= 1:
+        return True
+    eqs = [n for n, _ in p.equations]
+    active = [[tuple(-x for x in n)
+               for (n, _), inc in zip(p.facets, p.incidence) if vi in inc]
+              for vi in range(nv)]
+    d = p.ambient_dim
+    return all(_lp.strictly_feasible(active[i] + active[j], eqs, d) is None
+               for i, j in itertools.combinations(range(nv), 2))
 
 
 def pyramid_pairs_reference(c):

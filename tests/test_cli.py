@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from tilekit import (Violation, cli, hypercomb, lattice, ratpoly, scaling,
+from tilekit import (Violation, _lp, cli, hypercomb, lattice, ratpoly, scaling,
                      tiling)
 
 from test_ratpoly import ROOT_GRAMS
@@ -79,6 +79,33 @@ def test_tiling_audit_z3(tmp_path, capsys):
     assert doc["facet_count"] == 6
     assert doc["orbit_counts"] == {"0": 1, "1": 3, "2": 3, "3": 1}
     assert doc["skinny"]["passed"] is True
+
+
+@pytest.mark.parametrize("gram", [ROOT_GRAMS["A4*"],
+                                  [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]],
+                         ids=["A4*", "BCC"])
+def test_tiling_audit_of_a_primitive_tiling_builds_no_hull(
+        tmp_path, capsys, monkeypatch, gram):
+    """Every dual cell of a primitive tiling is a simplex, so the skinny
+    audit builds no hull and makes no LP: the only hulls are the dual
+    cells' own."""
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the audit of a simplex computes nothing")
+
+    real_hull, real_cell = ratpoly.from_vertices, tiling._representative_dual_cell
+
+    def cell_with_hull(c, q):
+        with monkeypatch.context() as m:
+            m.setattr(ratpoly, "from_vertices", real_hull)
+            return real_cell(c, q)
+
+    monkeypatch.setattr(ratpoly, "from_vertices", forbidden)
+    monkeypatch.setattr(tiling, "_representative_dual_cell", cell_with_hull)
+    monkeypatch.setattr(_lp, "maximize", forbidden)
+    rc, out, _ = run(capsys, "tiling", "audit",
+                     "--gram", gram_file(tmp_path, {"gram": gram}))
+    assert rc == 0
+    assert json.loads(out)["skinny"]["passed"] is True
 
 
 def test_dual_cells_z3_reports_parallelepiped(tmp_path, capsys):

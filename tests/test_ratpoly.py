@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -542,11 +543,47 @@ def test_skinny_frozen_shapes():
     # A cube with an extra apex glued outside one corner.
     spiked = CUBE + [fv(2, 2, 2)]
     assert not is_skinny(from_vertices(spiked))
+    # An empty lattice polytope: its only lattice points are its vertices,
+    # which are distinct mod 2, yet (0, 0, 0) and (1, 0, 0) are not
+    # antipodal.  So the audit is not implied by the dual-cell checks.
+    empty = [fv(0, 0, 0), fv(1, 0, 0), fv(0, 1, 0), fv(0, 0, 1), fv(3, 1, 1)]
+    assert not is_skinny(from_vertices(empty))
 
 
 def test_skinny_degenerate_shapes():
     assert is_skinny(from_vertices([fv(1, 2)]))
     assert is_skinny(from_vertices([fv(0, 0), fv(1, 0)]))
+
+
+def _lattice_point_set(rng, d):
+    """m + 2 to m + 5 points of the box {0..top}^m, top 1 or 2, mapped into
+    Z^d by an injective integer matrix, for a random m in 2..d.  Every set
+    of 0/1 points is skinny, and a hull of a larger box often is not."""
+    m = rng.randint(2, d)
+    while True:
+        emb = [[rng.randint(-1, 1) for _ in range(m)] for _ in range(d)]
+        if oracles.matrix_rank(emb, m) == m:
+            break
+    top = rng.choice((1, 2))
+    pts = [[rng.randint(0, top) for _ in range(m)]
+           for _ in range(rng.randint(m + 2, m + 5))]
+    return [fv(*(sum(e * x for e, x in zip(row, q)) for row in emb)) for q in pts]
+
+
+def test_skinny_matches_the_lp_sweep_on_lattice_point_sets():
+    """is_skinny equals the per-pair LP sweep on seeded lattice point sets
+    in R^3 and R^4; both verdicts occur often among the hulls that are not
+    simplices, full-dimensional and lower-dimensional alike."""
+    rng = random.Random(32)
+    seen = Counter()
+    for d in (3, 4):
+        for _ in range(40):
+            p = from_vertices(_lattice_point_set(rng, d))
+            got = is_skinny(p)
+            assert got == oracles.is_skinny_reference(p), p.vertices
+            if len(p.vertices) > p.dim + 1:
+                seen[got, p.dim < d] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 8, seen
 
 
 def test_json_round_trip():

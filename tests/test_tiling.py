@@ -14,7 +14,7 @@ from tilekit._lp import vsub
 from tilekit.tiling import DualCell
 
 import oracles
-from test_acceptance import GRAMS
+from test_acceptance import GRAMS, cpx
 from test_ratpoly import ROOT_GRAMS
 
 Z2 = [[1, 0], [0, 1]]
@@ -23,6 +23,17 @@ Z3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 FCC = [[2, 0, 1], [0, 2, 1], [1, 1, 2]]
 BCC = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
 HEXPRISM = [[2, 1, 0], [1, 2, 0], [0, 0, 1]]
+
+# The Grams whose every dual cell is audited against the LP sweep, besides
+# the acceptance Grams: K33 is the Laplacian of K_{3,3} with node 0
+# removed, and FCC_REBASED is FCC in a seeded basis with entries up to 10^6.
+SKINNY_GRAMS = {**ROOT_GRAMS,
+                "K33": [[3, 0, -1, -1, -1], [0, 3, -1, -1, -1], [-1, -1, 3, 0, 0],
+                        [-1, -1, 0, 3, 0], [-1, -1, 0, 0, 3]]}
+_U = oracles.random_unimodular(random.Random(32), 3, 10**6)[0]
+SKINNY_GRAMS["FCC_REBASED"] = [
+    [sum(_U[a][i] * FCC[a][b] * _U[b][j] for a in range(3) for b in range(3))
+     for j in range(3)] for i in range(3)]
 
 
 def euler(c):
@@ -421,13 +432,18 @@ def test_rebased_lattices_keep_their_tiling_audit():
 
 
 def test_readers_of_a_dual_cell_build_no_hull(monkeypatch):
+    """No reader builds a second hull of a dual cell.  The skinny audit
+    builds one hull per dual cell that is not a simplex, on the differences
+    a - b of its vertices, and classify_dual3 builds none.  On FCC that is
+    the octahedron's difference body."""
     c = tiling.build_complex(FCC)
     cells = [tiling.dual_cell(c, o.index) for o in c.orbits]
     real = ratpoly.from_vertices
     built = []
 
     def counted(points):
-        built.append(points)
+        points = list(points)
+        built.append(set(points))
         return real(points)
 
     monkeypatch.setattr(ratpoly, "from_vertices", counted)
@@ -435,7 +451,40 @@ def test_readers_of_a_dual_cell_build_no_hull(monkeypatch):
     for dc in cells:
         if dc.combdim == 3:
             tiling.classify_dual3(dc)
-    assert built == []
+    bodies = [{vsub(a, b) for a in dc.verts for b in dc.verts}
+              for dc in cells if len(dc.verts) > dc.hull.dim + 1]
+    assert len(bodies) == 1
+    assert built == bodies
+    assert not any(set(dc.verts) in built for dc in cells)
+
+
+def _affine_class(hull):
+    """A key shared by affinely equivalent hulls: a simplex's dimension, or
+    the vertex set up to translation and x -> -x, which maps the dual cell
+    of a face F to that of -F."""
+    if len(hull.vertices) == hull.dim + 1:
+        return hull.dim
+
+    def key(vs):
+        low = min(vs)
+        return tuple(sorted(vsub(v, low) for v in vs))
+    return min(key(hull.vertices), key([tuple(-x for x in v) for v in hull.vertices]))
+
+
+@pytest.mark.parametrize("name", ["Z3", "FCC", "BCC", "HEXPRISM", "ELONG4", "A4",
+                                  "D4", "A4*", "A5", "K33", "FCC_REBASED"])
+def test_skinny_matches_the_lp_sweep_on_every_dual_cell(name):
+    """is_skinny equals the per-pair LP sweep on every dual cell.  Both
+    verdicts are affinely invariant, so the slow sweep runs once per key of
+    `_affine_class`, which every simplex of one dimension shares."""
+    c = cpx(name) if name in GRAMS else tiling.build_complex(SKINNY_GRAMS[name])
+    sweep = {}
+    for o in c.orbits:
+        hull = tiling.dual_cell(c, o.index).hull
+        k = _affine_class(hull)
+        if k not in sweep:
+            sweep[k] = oracles.is_skinny_reference(hull)
+        assert ratpoly.is_skinny(hull) == sweep[k], (name, o.index)
 
 
 # ---------------------------------------------------------------------------
